@@ -240,7 +240,7 @@ int Main() {
     // SlackStore (the second stabilizes the EWMA), then the learned profile orders the third
     // run's deques so the skew band's zero-slack morsels start first and the cheap tail defers
     // to thieves. The policy only permutes the schedule: the gate demands an equal-or-better
-    // critical path AND byte-identical results (the sched-smoke CI job additionally double-runs
+    // critical path AND byte-identical results (the CI determinism job additionally double-runs
     // this section and diffs the JSON, so every number here must be deterministic).
     std::printf("\n--- Slack-directed scheduling vs FIFO: q6 on date-skewed lineitem ---\n");
     CompiledQuery sched_query =

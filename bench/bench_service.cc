@@ -14,13 +14,13 @@
 //    false positives), then a q6 variant with much wider literals sharing the structural
 //    fingerprint (must flag the shift).
 //  - Fleet record/replay: a mixed workload is recorded into a text trace, replayed twice on
-//    fresh services (zero diff both times, byte-identical JSON reports — the replay-smoke CI
+//    fresh services (zero diff both times, byte-identical JSON reports — the CI determinism
 //    gate), then replayed under what-if knobs: 10x session load must degrade through
 //    admission rejections, and a scheduler swap must shift timing without touching results.
 //  - Sharded multi-node service (src/shard/): fan-out queries over a 4-shard range-partitioned
 //    catalog must return results identical to the unsharded engine, the coordinator's Merge
 //    operator and CROSS_NODE traffic must show up in the hierarchical fleet aggregate (whose
-//    JSON renders byte-identically across runs — the shard-smoke CI gate), a 1-shard tower
+//    JSON renders byte-identically across runs — the CI determinism gate), a 1-shard tower
 //    must be byte-identical to a plain QueryService, a catalog-version bump must invalidate
 //    every shard's plan cache in one step, and a shard_count=4 what-if replay of the recorded
 //    trace must complete with zero result divergence.
@@ -29,7 +29,7 @@
 //    exactly one re-plan (divergence >= 400%), the guard must keep the reordered plan and its
 //    measured execute cycles must beat a reopt-off control on identical results, an injected
 //    pessimizing rewrite must be reverted, and a double run must emit byte-identical reopt
-//    JSON (the reopt-smoke CI gate).
+//    JSON (the CI determinism gate).
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -469,7 +469,7 @@ int Main() {
   };
 
   // (a) Determinism gate: two identity replays must both be zero-diff, and their JSON reports
-  // must be byte-identical (the replay-smoke CI job diffs these two files).
+  // must be byte-identical (the CI determinism job diffs these two files).
   const ReplayReport replay1 = run_replay({});
   const ReplayReport replay2 = run_replay({});
   std::ostringstream replay_json1;
@@ -713,7 +713,7 @@ int Main() {
   const std::string shard_ref_profile = shard_ref.fleet_profile().Render();
 
   // One full 4-shard run; called twice, so the fleet-aggregate JSON doubles as the in-process
-  // determinism gate (the shard-smoke CI job diffs it across two bench invocations instead).
+  // determinism gate (the CI determinism job diffs it across two bench invocations instead).
   struct ShardRunOutcome {
     bool results_ok = true;
     bool merge_visible = false;
@@ -1036,7 +1036,7 @@ int Main() {
               reopt_revert_ok ? "[ok]" : "[FAIL: guard did not revert]");
 
   // Gate 4: the whole closed loop is deterministic — an identical second run produces a
-  // byte-identical reopt artifact (the reopt-smoke CI job diffs the JSON across two whole
+  // byte-identical reopt artifact (the CI determinism job diffs the JSON across two whole
   // bench invocations).
   const ReoptOutcome reopt_rerun = run_reopt_loop(true, false, false);
   const bool reopt_deterministic = reopt_run.json == reopt_rerun.json;
@@ -1203,7 +1203,7 @@ int Main() {
     json.WriteTo("BENCH_service.json");
   }
   if (GlobalBenchOptions().json) {
-    // The shard-smoke CI job runs the bench twice and diffs this file byte for byte: the
+    // The CI determinism job runs the bench twice and diffs this file byte for byte: the
     // hierarchical roll-up must be a pure function of the submission sequence.
     std::ofstream fleet_out("BENCH_shard_fleet.json");
     fleet_out << shard_run.fleet_json;

@@ -11,7 +11,7 @@
 // (stealing): the fix the classifier named is the fix the scheduler applied.
 //
 // The analysis is a pure function of the recorded schedule, so the exported JSON is
-// byte-identical across process runs — the critpath-smoke CI job runs this demo twice and
+// byte-identical across process runs — the CI determinism job runs this demo twice and
 // diffs the files; the demo itself exits nonzero if the verdicts do not flip.
 #include <cstdio>
 #include <fstream>

@@ -9,7 +9,7 @@
 // profiling cost to its budget, the windowed fleet profile buckets the same stream by service
 // time, and a baseline snapshot plus an identical rerun demonstrates the regression detector's
 // quietness (any finding on the rerun is a false positive and fails the process — the
-// continuous-smoke CI job runs this demo twice and also diffs the exported window JSON for
+// CI determinism job runs this demo twice and also diffs the exported window JSON for
 // determinism).
 #include <cstdio>
 #include <fstream>

@@ -106,7 +106,7 @@ void SamplingGovernor::ObserveCriticality(uint64_t fingerprint, const std::strin
 std::vector<uint64_t> SamplingGovernor::PipelinePeriods(uint64_t fingerprint,
                                                         uint64_t base_period,
                                                         size_t pipelines) const {
-  if (!config_.enabled || !config_.criticality_weighting || base_period == 0) {
+  if (!config_.enabled || base_period == 0) {
     return {};
   }
   auto it = plans_.find(fingerprint);

@@ -35,11 +35,6 @@ struct GovernorConfig {
   uint64_t max_period = 5'000'000;
   // EWMA weight of the newest analytic solve (1.0 = jump straight to it).
   double smoothing = 0.7;
-  // Weight per-pipeline sampling periods by critical-path share (fed via ObserveCriticality):
-  // pipelines on a plan's critical path are sampled at a shorter period, off-path pipelines at
-  // a longer one, concentrating the fixed overhead budget where the latency actually lives.
-  // Takes effect only when the governor itself is enabled.
-  bool criticality_weighting = true;
 };
 
 // Per-fingerprint tuning state, exposed for reports and benchmarks.
@@ -92,8 +87,8 @@ class SamplingGovernor {
   // (100 + d) / 100 sum to the pipeline count, the redistribution is budget-neutral: the
   // samples the budget pays for move from the pipelines that merely burn cycles to the ones
   // that gate latency without raising the total rate the analytic solve in Observe()
-  // regulated. Returns an empty vector (uniform sampling) when disabled, when weighting is
-  // off, or before any criticality was observed.
+  // regulated. Returns an empty vector (uniform sampling) when disabled or before any
+  // criticality was observed.
   std::vector<uint64_t> PipelinePeriods(uint64_t fingerprint, uint64_t base_period,
                                         size_t pipelines) const;
 

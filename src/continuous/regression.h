@@ -11,7 +11,7 @@
 //
 // Because the whole engine is deterministic, re-running an identical workload reproduces the
 // baseline mix exactly — the detector is silent on identical reruns by construction, which the
-// continuous-smoke CI job asserts.
+// CI determinism job asserts.
 #ifndef DFP_SRC_CONTINUOUS_REGRESSION_H_
 #define DFP_SRC_CONTINUOUS_REGRESSION_H_
 

@@ -6,15 +6,10 @@
 #include <sstream>
 
 #include "src/util/check.h"
+#include "src/util/text_format.h"
 
 namespace dfp {
 namespace {
-
-std::string HexKey(uint64_t fingerprint) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(fingerprint));
-  return buffer;
-}
 
 // Nearest-rank quantile of an ascending-sorted vector.
 uint64_t Quantile(const std::vector<uint64_t>& sorted, double q) {
@@ -198,7 +193,7 @@ std::string WindowedProfile::Render() const {
   out << "=== Windowed fleet profile (width " << config_.width_cycles << " cyc, ring "
       << config_.ring_windows << ") ===\n";
   for (const auto& [fingerprint, series] : plans_) {
-    out << "plan " << HexKey(fingerprint) << "  " << series.name << "\n";
+    out << "plan " << Hex16(fingerprint) << "  " << series.name << "\n";
     for (const ProfileWindow& window : series.windows) {
       out << "  w" << window.index << "  exec " << window.executions << "  samples "
           << window.samples << "  lat p50/p95/max " << window.latency_p50 << "/"
@@ -241,7 +236,7 @@ void WindowedProfile::WriteJson(std::ostream& out) const {
       out << ",";
     }
     first_plan = false;
-    out << "{\"fingerprint\":\"" << HexKey(fingerprint) << "\",\"name\":\"" << series.name
+    out << "{\"fingerprint\":\"" << Hex16(fingerprint) << "\",\"name\":\"" << series.name
         << "\",\"windows\":[";
     bool first_window = true;
     for (const ProfileWindow& window : series.windows) {

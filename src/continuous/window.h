@@ -153,7 +153,7 @@ class WindowedProfile {
   std::string Render() const;
 
   // Deterministic JSON export (integers only; key order fixed) — diffable across runs, which
-  // is what the continuous-smoke CI job checks.
+  // is what the CI determinism job checks.
   void WriteJson(std::ostream& out) const;
 
   // Loading hooks used by ReadServiceProfile (v2): windows and their operator rows arrive in

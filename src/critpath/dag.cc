@@ -40,7 +40,7 @@ TaskDag BuildTaskDag(std::vector<TaskBoundary> tasks) {
   if (tasks.empty()) {
     return dag;
   }
-  // Single-worker runs (and replayed v5 streams) already arrive in canonical order — the
+  // Single-worker runs (and replayed streams) already arrive in canonical order — the
   // executor appends boundaries in execution order, which for one worker is exactly
   // (step, start_tsc). Skip the re-sort then: is_sorted is one linear pass and the resulting
   // DAG is identical either way (asserted by the determinism test).

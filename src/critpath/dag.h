@@ -16,7 +16,7 @@
 // totals only answer "which pipeline burns the most cycles in aggregate".
 //
 // Everything here is integer arithmetic over recorded timestamps, so analysis of the same run
-// (or of a recorded v5 sample stream, or of a trace replay) is bit-reproducible.
+// (or of a recorded sample stream, or of a trace replay) is bit-reproducible.
 #ifndef DFP_SRC_CRITPATH_DAG_H_
 #define DFP_SRC_CRITPATH_DAG_H_
 

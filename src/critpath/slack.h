@@ -14,7 +14,7 @@
 // same execution sequence always holds the same store — expected slack is as deterministic as
 // the schedules it summarizes. Plans that stop being observed age out after `max_age`
 // generations (one generation per Observe call), keeping the store bounded under fingerprint
-// churn. The store round-trips through the service state file (service profile v5).
+// churn. The store round-trips through the service state file (src/service/service_profile.h).
 #ifndef DFP_SRC_CRITPATH_SLACK_H_
 #define DFP_SRC_CRITPATH_SLACK_H_
 
@@ -82,7 +82,7 @@ class SlackStore {
   uint64_t max_age() const { return max_age_; }
   const std::map<uint64_t, PlanSlack>& plans() const { return plans_; }
 
-  // Persistence hooks (service profile v5): the reader reconstructs a store entry for entry.
+  // Persistence hooks (service state file): the reader reconstructs a store entry for entry.
   // SetLoadedGeneration restores the clock so age-out resumes where the saved service left off.
   PlanSlack& LoadPlan(uint64_t fingerprint);
   void SetLoadedGeneration(uint64_t generation) { generation_ = generation; }

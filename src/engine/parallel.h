@@ -66,7 +66,7 @@ struct ParallelConfig {
   // Values above `workers` are clamped so every node has at least one worker.
   uint32_t numa_nodes = 0;
   // Service shard this pool belongs to (1-based; 0 = unsharded). Stamped into every sample the
-  // pool's workers take so fan-out attribution survives the coordinator's merge (stream v7).
+  // pool's workers take so fan-out attribution survives the coordinator's merge.
   uint32_t shard_id = 0;
 };
 
@@ -178,7 +178,7 @@ class ParallelRun {
 
   // Task-boundary records of every work unit executed so far, in execution order, with
   // per-task PMU counter deltas — the substrate the critical-path subsystem (src/critpath/)
-  // builds its DAG from, and what v5 sample streams serialize as `task` lines. Collected
+  // builds its DAG from, and what sample streams serialize as `task` lines. Collected
   // unconditionally: the records are a byproduct of the schedule, not of sampling.
   const std::vector<TaskBoundary>& task_boundaries() const { return task_boundaries_; }
   std::vector<TaskBoundary> TakeTaskBoundaries() { return std::move(task_boundaries_); }

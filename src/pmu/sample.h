@@ -25,13 +25,11 @@ inline constexpr uint8_t kNoNumaNode = 0xFF;
 // a run with a NUMA topology; `stolen` marks samples taken while the worker executed a morsel
 // stolen from another worker's deque (the locality fields of the Figure-12 machinery).
 // `tier` records the compilation tier of the code the sample hit (PlanTier numeric value;
-// 0 = optimized) so tiered-compilation profiles can attribute cost per tier. The zero default
-// keeps pre-tiering sample streams byte-identical on disk.
+// 0 = optimized) so tiered-compilation profiles can attribute cost per tier.
 // `shard_id` identifies the service shard whose worker pool took the sample (1-based; 0 =
 // unsharded service or single-shard run) so fan-out attribution survives the coordinator's
 // merge. `cross_node` marks accesses served by another *machine node's* memory — the shard
-// interconnect hop, a distinct and costlier tier than cross-socket `numa_remote`. Both default
-// to the pre-sharding values, keeping v1–v6 streams byte-identical on disk.
+// interconnect hop, a distinct and costlier tier than cross-socket `numa_remote`.
 struct Sample {
   uint64_t tsc = 0;
   uint64_t ip = 0;
@@ -67,7 +65,7 @@ inline constexpr uint32_t kNoPipeline = 0xFFFFFFFF;
 // recorded stream alone: timestamps and worker id recover the schedule (same-worker chains plus
 // the barrier between consecutive exec steps), `step` recovers the barrier groups, and the
 // per-task PMU counter deltas feed the roofline-style bottleneck classifier without access to
-// the live worker state. Serialized as `task` lines in v5 sample streams (src/profiling/
+// the live worker state. Serialized as `task` lines in sample streams (src/profiling/
 // serialize.h) and analyzed by src/critpath/.
 struct TaskBoundary {
   uint64_t start_tsc = 0;

@@ -323,7 +323,7 @@ ActivityTimeline BuildLocalityTimeline(const ProfilingSession& session, size_t b
                                  std::vector<double>(buckets, 0.0));
   for (const ResolvedSample& sample : session.resolved()) {
     if (sample.mem_node == kNoNumaNode) {
-      continue;  // No node info: single-node run or a pre-v3 stream.
+      continue;  // No node info: a run without address capture.
     }
     const size_t bucket =
         std::min(buckets - 1, static_cast<size_t>(sample.tsc / timeline.bucket_cycles));

@@ -8,36 +8,95 @@
 #include <string>
 
 #include "src/util/check.h"
+#include "src/util/text_format.h"
 
 namespace dfp {
 namespace {
 
 constexpr const char* kDictionaryHeader = "# dfp tagging dictionary v1";
-constexpr const char* kSamplesHeaderPrefix = "# dfp samples v";
-constexpr int kMaxSamplesVersion = 8;
+constexpr const char* kSamplesHeader = "# dfp samples v8";
 
 [[noreturn]] void Malformed(const std::string& line) {
   throw Error("malformed profiling meta-data line: '" + line + "'");
 }
 
-// Parses `# dfp samples v<N>` and returns N, throwing for non-sample files and — distinctly —
-// for sample streams written by a newer build than this one.
-int ParseSamplesVersion(const std::string& header) {
-  const std::string prefix = kSamplesHeaderPrefix;
-  if (header.compare(0, prefix.size(), prefix) != 0) {
-    throw Error("not a dfp samples file");
+TaskBoundary ParseTask(std::istringstream& stream, const std::string& line) {
+  TaskBoundary task;
+  uint32_t kind = 0;
+  uint32_t stolen = 0;
+  if (!(stream >> task.start_tsc >> task.end_tsc >> task.worker_id >> kind >> task.step >>
+        task.pipeline >> task.morsel_begin >> task.morsel_end >> stolen >> task.instructions >>
+        task.loads >> task.l1_misses >> task.l2_misses >> task.l3_misses >> task.remote_dram) ||
+      kind > static_cast<uint32_t>(TaskKind::kSort) || stolen > 1 ||
+      task.end_tsc < task.start_tsc) {
+    Malformed(line);
   }
-  int version = 0;
-  std::istringstream stream(header.substr(prefix.size()));
-  if (!(stream >> version) || !stream.eof() || version < 1) {
-    throw Error("not a dfp samples file");
+  task.kind = static_cast<TaskKind>(kind);
+  task.stolen = stolen != 0;
+  return task;
+}
+
+Sample ParseSample(std::istringstream& stream, const std::string& line) {
+  Sample sample;
+  if (!(stream >> sample.tsc >> sample.ip >> sample.addr)) {
+    Malformed(line);
   }
-  if (version > kMaxSamplesVersion) {
-    throw Error("sample stream version v" + std::to_string(version) +
-                " is newer than this build (reads up to v" +
-                std::to_string(kMaxSamplesVersion) + "); upgrade to read it");
+  std::string section;
+  while (stream >> section) {
+    if (section == "W") {
+      if (!(stream >> sample.worker_id)) {
+        Malformed(line);
+      }
+    } else if (section == "N") {
+      uint32_t node = 0;
+      uint32_t remote = 0;
+      if (!(stream >> node >> remote) || node > 0xFF || remote > 1) {
+        Malformed(line);
+      }
+      sample.mem_node = static_cast<uint8_t>(node);
+      sample.numa_remote = remote != 0;
+    } else if (section == "T") {
+      sample.stolen = true;
+    } else if (section == "G") {
+      uint32_t tier = 0;
+      if (!(stream >> tier) || tier > 0xFF) {
+        Malformed(line);
+      }
+      sample.tier = static_cast<uint8_t>(tier);
+    } else if (section == "D") {
+      if (!(stream >> sample.shard_id) || sample.shard_id == 0) {
+        Malformed(line);
+      }
+    } else if (section == "X") {
+      uint32_t machine = 0;
+      if (!(stream >> machine) || machine > 0xFF) {
+        Malformed(line);
+      }
+      sample.mem_node = static_cast<uint8_t>(machine);
+      sample.cross_node = true;
+    } else if (section == "R") {
+      sample.has_registers = true;
+      for (uint64_t& reg : sample.regs) {
+        if (!(stream >> reg)) {
+          Malformed(line);
+        }
+      }
+    } else if (section == "S") {
+      size_t depth = 0;
+      if (!(stream >> depth)) {
+        Malformed(line);
+      }
+      sample.callstack.resize(depth);
+      for (uint64_t& ip : sample.callstack) {
+        if (!(stream >> ip)) {
+          Malformed(line);
+        }
+      }
+    } else {
+      Malformed(line);
+    }
   }
-  return version;
+  return sample;
 }
 
 }  // namespace
@@ -65,11 +124,9 @@ void WriteDictionary(const TaggingDictionary& dictionary, std::ostream& out) {
 }
 
 TaggingDictionary ReadDictionary(std::istream& in) {
+  ExpectHeader(in, kDictionaryHeader);
   TaggingDictionary dictionary;
   std::string line;
-  if (!std::getline(in, line) || line != kDictionaryHeader) {
-    throw Error("not a dfp tagging dictionary file");
-  }
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') {
       continue;
@@ -80,15 +137,10 @@ TaggingDictionary ReadDictionary(std::istream& in) {
     if (kind == "task") {
       TaskId id = 0;
       OperatorId op = 0;
-      std::string name;
       if (!(stream >> id >> op)) {
         Malformed(line);
       }
-      std::getline(stream, name);
-      if (!name.empty() && name.front() == ' ') {
-        name.erase(name.begin());
-      }
-      TaskId assigned = dictionary.AddTask(op, name);
+      TaskId assigned = dictionary.AddTask(op, RestOfLine(stream));
       if (assigned != id) {
         throw Error("tagging dictionary tasks out of order");
       }
@@ -113,100 +165,41 @@ TaggingDictionary ReadDictionary(std::istream& in) {
   return dictionary;
 }
 
-void WriteSamples(const std::vector<Sample>& samples, std::ostream& out) {
-  WriteSamples(samples, {}, {}, out);
-}
-
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events, std::ostream& out) {
-  WriteSamples(samples, events, {}, out);
-}
-
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events,
-                  const std::vector<TaskBoundary>& tasks, std::ostream& out) {
-  WriteSamples(samples, events, tasks, {}, out);
-}
-
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events,
-                  const std::vector<TaskBoundary>& tasks,
-                  const std::vector<SampleStreamEvent>& sched, std::ostream& out) {
-  WriteSamples(samples, events, tasks, sched, {}, out);
-}
-
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events,
-                  const std::vector<TaskBoundary>& tasks,
-                  const std::vector<SampleStreamEvent>& sched,
-                  const std::vector<SampleStreamEvent>& reopt, std::ostream& out) {
-  // The version is chosen by content so older dumps stay byte-identical: streams carrying
-  // re-optimization sideband lines are v8, streams carrying shard attribution or cross-node
-  // locality are v7, streams carrying scheduling-action sideband lines are v6, streams
-  // carrying task boundaries are v5, streams carrying tier attribution or sideband events are
-  // v4, streams carrying NUMA locality or steal flags are v3, streams carrying worker ids are
-  // v2, and pure worker-0 streams keep the v1 header so dumps from single-threaded runs stay
-  // byte-compatible with pre-parallel readers.
-  bool multi_worker = false;
-  bool locality = false;
-  bool tiered = !events.empty();
-  bool sharded = false;
-  const bool tasked = !tasks.empty();
-  const bool scheduled = !sched.empty();
-  const bool reopted = !reopt.empty();
-  for (const Sample& sample : samples) {
-    multi_worker |= sample.worker_id != 0;
-    locality |= sample.mem_node != kNoNumaNode || sample.numa_remote || sample.stolen;
-    tiered |= sample.tier != 0;
-    sharded |= sample.shard_id != 0 || sample.cross_node;
-  }
-  out << kSamplesHeaderPrefix
-      << (reopted        ? 8
-          : sharded      ? 7
-          : scheduled    ? 6
-          : tasked       ? 5
-          : tiered       ? 4
-          : locality     ? 3
-          : multi_worker ? 2
-                         : 1)
-      << "\n";
+void WriteSamples(const std::vector<Sample>& samples, std::ostream& out,
+                  const SampleSideband& sideband) {
+  out << kSamplesHeader << "\n";
   // Task boundaries come first, in execution order: they describe the schedule the samples were
   // taken under, and a reader rebuilding the task DAG should not have to scan the whole stream.
-  for (const TaskBoundary& task : tasks) {
+  for (const TaskBoundary& task : sideband.tasks) {
     out << "task " << task.start_tsc << " " << task.end_tsc << " " << task.worker_id << " "
         << static_cast<uint32_t>(task.kind) << " " << task.step << " " << task.pipeline << " "
         << task.morsel_begin << " " << task.morsel_end << " " << (task.stolen ? 1 : 0) << " "
         << task.instructions << " " << task.loads << " " << task.l1_misses << " "
         << task.l2_misses << " " << task.l3_misses << " " << task.remote_dram << "\n";
   }
-  // Events interleave in timestamp order: each precedes the first sample whose tsc passes its
-  // own. `events` must already be ascending by tsc (they are appended as the service clock
-  // advances).
-  size_t next_event = 0;
-  size_t next_sched = 0;
-  size_t next_reopt = 0;
-  auto flush_events = [&](uint64_t up_to_tsc) {
-    // Three sideband channels with independent cursors; at equal tsc, `event` lines precede
-    // `sched` lines precede `reopt` lines (fixed order keeps double-run streams
-    // byte-identical).
-    while (next_event < events.size() && events[next_event].tsc <= up_to_tsc) {
-      out << "event " << events[next_event].tsc << " " << events[next_event].text << "\n";
-      ++next_event;
-    }
-    while (next_sched < sched.size() && sched[next_sched].tsc <= up_to_tsc) {
-      out << "sched " << sched[next_sched].tsc << " " << sched[next_sched].text << "\n";
-      ++next_sched;
-    }
-    while (next_reopt < reopt.size() && reopt[next_reopt].tsc <= up_to_tsc) {
-      out << "reopt " << reopt[next_reopt].tsc << " " << reopt[next_reopt].text << "\n";
-      ++next_reopt;
+  // Annotations interleave in timestamp order: each precedes the first sample whose tsc passes
+  // its own. The channels keep independent cursors and flush in a fixed order, so double-run
+  // streams stay byte-identical.
+  struct Channel {
+    const char* kind;
+    const std::vector<SampleStreamEvent>& lines;
+    size_t next = 0;
+  };
+  Channel channels[] = {{"event", sideband.events}, {"sched", sideband.sched},
+                        {"reopt", sideband.reopt}};
+  auto flush_annotations = [&](uint64_t up_to_tsc) {
+    for (Channel& channel : channels) {
+      for (; channel.next < channel.lines.size() && channel.lines[channel.next].tsc <= up_to_tsc;
+           ++channel.next) {
+        const SampleStreamEvent& line = channel.lines[channel.next];
+        out << channel.kind << " " << line.tsc << " " << line.text << "\n";
+      }
     }
   };
   for (const Sample& sample : samples) {
-    flush_events(sample.tsc);
+    flush_annotations(sample.tsc);
     out << "sample " << sample.tsc << " " << sample.ip << " " << sample.addr;
     if (sample.worker_id != 0) {
-      // Written only for samples off worker 0, so v2 streams stay close to the v1 layout.
       out << " W " << sample.worker_id;
     }
     if (sample.cross_node) {
@@ -240,43 +233,13 @@ void WriteSamples(const std::vector<Sample>& samples,
     }
     out << "\n";
   }
-  flush_events(UINT64_MAX);
+  flush_annotations(UINT64_MAX);
 }
 
-std::vector<Sample> ReadSamples(std::istream& in) { return ReadSamples(in, nullptr, nullptr); }
-
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events) {
-  return ReadSamples(in, events, nullptr);
-}
-
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events,
-                                std::vector<TaskBoundary>* tasks) {
-  return ReadSamples(in, events, tasks, nullptr);
-}
-
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events,
-                                std::vector<TaskBoundary>* tasks,
-                                std::vector<SampleStreamEvent>* sched) {
-  return ReadSamples(in, events, tasks, sched, nullptr);
-}
-
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events,
-                                std::vector<TaskBoundary>* tasks,
-                                std::vector<SampleStreamEvent>* sched,
-                                std::vector<SampleStreamEvent>* reopt) {
+std::vector<Sample> ReadSamples(std::istream& in, SampleSideband* sideband) {
+  ExpectHeader(in, kSamplesHeader);
   std::vector<Sample> samples;
   std::string line;
-  if (!std::getline(in, line)) {
-    throw Error("not a dfp samples file");
-  }
-  const int version = ParseSamplesVersion(line);
-  const bool accept_reopt = version >= 8;
-  const bool accept_shards = version >= 7;
-  const bool accept_sched = version >= 6;
-  const bool accept_tasks = version >= 5;
-  const bool accept_tiers = version >= 4;
-  const bool accept_locality = version >= 3;
-  const bool accept_worker_ids = version >= 2;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') {
       continue;
@@ -284,174 +247,30 @@ std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>
     std::istringstream stream(line);
     std::string kind;
     stream >> kind;
+    if (kind == "sample") {
+      samples.push_back(ParseSample(stream, line));
+      continue;
+    }
+    if (kind != "task" && kind != "event" && kind != "sched" && kind != "reopt") {
+      Malformed(line);
+    }
+    if (sideband == nullptr) {
+      throw Error("sample stream carries " + kind +
+                  " lines but the reader has no sideband sink: '" + line + "'");
+    }
     if (kind == "task") {
-      if (!accept_tasks) {
-        // Same policy as the other tokens: a task line proves the header lies about the
-        // version, and older readers must reject it rather than guess.
-        throw Error("task-boundary line in a pre-v5 sample stream: '" + line + "'");
-      }
-      if (tasks == nullptr) {
-        throw Error("sample stream carries task boundaries but the reader has no task sink: '" +
-                    line + "'");
-      }
-      TaskBoundary task;
-      uint32_t task_kind = 0;
-      uint32_t stolen = 0;
-      if (!(stream >> task.start_tsc >> task.end_tsc >> task.worker_id >> task_kind >>
-            task.step >> task.pipeline >> task.morsel_begin >> task.morsel_end >> stolen >>
-            task.instructions >> task.loads >> task.l1_misses >> task.l2_misses >>
-            task.l3_misses >> task.remote_dram) ||
-          task_kind > static_cast<uint32_t>(TaskKind::kSort) || stolen > 1 ||
-          task.end_tsc < task.start_tsc) {
-        Malformed(line);
-      }
-      task.kind = static_cast<TaskKind>(task_kind);
-      task.stolen = stolen != 0;
-      tasks->push_back(task);
+      sideband->tasks.push_back(ParseTask(stream, line));
       continue;
     }
-    if (kind == "reopt") {
-      if (!accept_reopt) {
-        throw Error("reopt line in a pre-v8 sample stream: '" + line + "'");
-      }
-      if (reopt == nullptr) {
-        throw Error("sample stream carries reopt lines but the reader has no reopt sink: '" +
-                    line + "'");
-      }
-      SampleStreamEvent event;
-      if (!(stream >> event.tsc)) {
-        Malformed(line);
-      }
-      std::getline(stream, event.text);
-      if (!event.text.empty() && event.text.front() == ' ') {
-        event.text.erase(event.text.begin());
-      }
-      reopt->push_back(std::move(event));
-      continue;
-    }
-    if (kind == "sched") {
-      if (!accept_sched) {
-        throw Error("sched line in a pre-v6 sample stream: '" + line + "'");
-      }
-      if (sched == nullptr) {
-        throw Error("sample stream carries sched lines but the reader has no sched sink: '" +
-                    line + "'");
-      }
-      SampleStreamEvent event;
-      if (!(stream >> event.tsc)) {
-        Malformed(line);
-      }
-      std::getline(stream, event.text);
-      if (!event.text.empty() && event.text.front() == ' ') {
-        event.text.erase(event.text.begin());
-      }
-      sched->push_back(std::move(event));
-      continue;
-    }
-    if (kind == "event") {
-      if (!accept_tiers) {
-        throw Error("event line in a pre-v4 sample stream: '" + line + "'");
-      }
-      if (events == nullptr) {
-        // The stream has sideband data the caller would silently lose — make it explicit.
-        throw Error("sample stream carries events but the reader has no event sink: '" + line +
-                    "'");
-      }
-      SampleStreamEvent event;
-      if (!(stream >> event.tsc)) {
-        Malformed(line);
-      }
-      std::getline(stream, event.text);
-      if (!event.text.empty() && event.text.front() == ' ') {
-        event.text.erase(event.text.begin());
-      }
-      events->push_back(std::move(event));
-      continue;
-    }
-    if (kind != "sample") {
+    SampleStreamEvent event;
+    if (!(stream >> event.tsc)) {
       Malformed(line);
     }
-    Sample sample;
-    if (!(stream >> sample.tsc >> sample.ip >> sample.addr)) {
-      Malformed(line);
-    }
-    std::string section;
-    while (stream >> section) {
-      if (section == "W") {
-        if (!accept_worker_ids) {
-          // A v1 stream is single-threaded by definition; a worker-id token indicates a stream
-          // mislabeled (or truncated/spliced) rather than something to guess at.
-          throw Error("worker-id token in a v1 sample stream: '" + line + "'");
-        }
-        if (!(stream >> sample.worker_id)) {
-          Malformed(line);
-        }
-      } else if (section == "N") {
-        if (!accept_locality) {
-          // Same policy as W-in-v1: locality tokens prove the header lies about the version.
-          throw Error("NUMA token in a pre-v3 sample stream: '" + line + "'");
-        }
-        uint32_t node = 0;
-        uint32_t remote = 0;
-        if (!(stream >> node >> remote) || node > 0xFF || remote > 1) {
-          Malformed(line);
-        }
-        sample.mem_node = static_cast<uint8_t>(node);
-        sample.numa_remote = remote != 0;
-      } else if (section == "T") {
-        if (!accept_locality) {
-          throw Error("steal token in a pre-v3 sample stream: '" + line + "'");
-        }
-        sample.stolen = true;
-      } else if (section == "G") {
-        if (!accept_tiers) {
-          throw Error("tier token in a pre-v4 sample stream: '" + line + "'");
-        }
-        uint32_t tier = 0;
-        if (!(stream >> tier) || tier > 0xFF) {
-          Malformed(line);
-        }
-        sample.tier = static_cast<uint8_t>(tier);
-      } else if (section == "D") {
-        if (!accept_shards) {
-          throw Error("shard token in a pre-v7 sample stream: '" + line + "'");
-        }
-        if (!(stream >> sample.shard_id) || sample.shard_id == 0) {
-          Malformed(line);
-        }
-      } else if (section == "X") {
-        if (!accept_shards) {
-          throw Error("cross-node token in a pre-v7 sample stream: '" + line + "'");
-        }
-        uint32_t machine = 0;
-        if (!(stream >> machine) || machine > 0xFF) {
-          Malformed(line);
-        }
-        sample.mem_node = static_cast<uint8_t>(machine);
-        sample.cross_node = true;
-      } else if (section == "R") {
-        sample.has_registers = true;
-        for (uint64_t& reg : sample.regs) {
-          if (!(stream >> reg)) {
-            Malformed(line);
-          }
-        }
-      } else if (section == "S") {
-        size_t depth = 0;
-        if (!(stream >> depth)) {
-          Malformed(line);
-        }
-        sample.callstack.resize(depth);
-        for (uint64_t& ip : sample.callstack) {
-          if (!(stream >> ip)) {
-            Malformed(line);
-          }
-        }
-      } else {
-        Malformed(line);
-      }
-    }
-    samples.push_back(std::move(sample));
+    event.text = RestOfLine(stream);
+    (kind == "event"   ? sideband->events
+     : kind == "sched" ? sideband->sched
+                       : sideband->reopt)
+        .push_back(std::move(event));
   }
   return samples;
 }

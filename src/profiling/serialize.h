@@ -3,7 +3,8 @@
 // The paper's prototype writes the Tagging Dictionary to a meta-data file at the end of
 // compilation and feeds samples through `perf script` into a decoupled post-processing phase.
 // These functions provide the same decoupling: a dictionary and a sample stream written by one
-// process can be resolved by another (or archived next to a recorded profile).
+// process can be resolved by another (or archived next to a recorded profile). Each format has
+// one version; a reader refuses any other header (src/util/text_format.h).
 #ifndef DFP_SRC_PROFILING_SERIALIZE_H_
 #define DFP_SRC_PROFILING_SERIALIZE_H_
 
@@ -17,12 +18,24 @@
 
 namespace dfp {
 
-// One timestamped annotation interleaved with a sample stream — the vehicle for tier-transition
-// events ("tier <fingerprint-hex> baseline optimized decided|swapped"), mirroring perf's
-// sideband records. `text` is a single line without newlines.
+// One timestamped annotation interleaved with a sample stream, mirroring perf's sideband
+// records. `text` is a single line without newlines.
 struct SampleStreamEvent {
   uint64_t tsc = 0;
   std::string text;
+};
+
+// Everything a sample stream carries besides its samples.
+struct SampleSideband {
+  // Executor task boundaries in execution order — the raw material of the per-query task DAG
+  // (src/critpath/).
+  std::vector<TaskBoundary> tasks = {};
+  // Three annotation channels, each ascending by tsc: tier transitions (src/tiering/),
+  // scheduling actions — placement repairs and infeasible-deadline rejections (src/service/) —
+  // and re-optimization decisions (src/reopt/).
+  std::vector<SampleStreamEvent> events = {};
+  std::vector<SampleStreamEvent> sched = {};
+  std::vector<SampleStreamEvent> reopt = {};
 };
 
 // Line-oriented text format:
@@ -34,25 +47,8 @@ void WriteDictionary(const TaggingDictionary& dictionary, std::ostream& out);
 // Inverse of WriteDictionary. Throws dfp::Error on malformed input.
 TaggingDictionary ReadDictionary(std::istream& in);
 
-// perf-script-like sample dump. The header version is chosen by content so older dumps stay
-// byte-identical: streams carrying task boundaries are v5, streams carrying tier attribution
-// or events are v4, streams carrying NUMA locality or steal flags are v3, streams carrying
-// worker ids are v2, and pure worker-0 streams keep the v1 header, so files produced before
-// each extension read back unchanged:
-//   # dfp samples v1        (single-threaded: no W tokens allowed)
-//   # dfp samples v2        (parallel: W present on samples from workers other than 0)
-//   # dfp samples v3        (adds N <node> <remote> and T locality tokens)
-//   # dfp samples v4        (adds G <tier> tokens and interleaved `event` lines)
-//   # dfp samples v5        (adds `task` lines — executor task boundaries, in execution order)
-//   # dfp samples v6        (adds interleaved `sched` lines — scheduling-action sideband:
-//                            placement repairs decided/applied/kept/reverted, admission
-//                            rejections by infeasible deadline)
-//   # dfp samples v7        (adds D <shard> shard-attribution tokens and X <machine-node>
-//                            cross-node locality tokens; X replaces N — for a cross-machine
-//                            access the recorded node is the owning machine, not a socket)
-//   # dfp samples v8        (adds interleaved `reopt` lines — re-optimization sideband:
-//                            candidates decided/applied/kept/reverted by the guarded
-//                            closed loop, src/reopt/)
+// perf-script-like sample dump:
+//   # dfp samples v8
 //   task <start-tsc> <end-tsc> <worker> <kind> <step> <pipeline> <morsel-begin> <morsel-end>
 //        <stolen> <instrs> <loads> <l1-miss> <l2-miss> <l3-miss> <remote-dram>
 //   sample <tsc> <ip> <addr> [W <worker>] [N <node> <remote> | X <machine-node>] [T] [G <tier>]
@@ -60,53 +56,20 @@ TaggingDictionary ReadDictionary(std::istream& in);
 //   event <tsc> <text...>
 //   sched <tsc> <text...>
 //   reopt <tsc> <text...>
-// Task lines are written as a block right after the header (they are a schedule, not a sample
-// timeline), in the executor's deterministic execution order, which makes the per-query task
-// DAG (src/critpath/) recoverable from a recorded stream alone. A session id is never written:
-// dumped streams are per-session by construction (see src/pmu/sample.h).
-void WriteSamples(const std::vector<Sample>& samples, std::ostream& out);
+// A sample's optional tokens appear only when they differ from the default: W off worker 0, N
+// for a known home node or a remote access, X instead of N for a cross-machine access (the
+// node is then the owning machine), T for a stolen morsel, G for a non-optimized tier, D off
+// shard 0. Task lines form a block right after the header (they are a schedule, not a sample
+// timeline); annotation lines interleave by tsc, each before the first sample past its own,
+// and at equal tsc in event, sched, reopt order. A session id is never written: dumped streams
+// are per-session by construction (see src/pmu/sample.h).
+void WriteSamples(const std::vector<Sample>& samples, std::ostream& out,
+                  const SampleSideband& sideband = {});
 
-// Same, with sideband events merged into the stream in timestamp order (an event precedes the
-// first sample with a tsc past its own). Any event forces the v4 header.
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events, std::ostream& out);
-
-// Same, with executor task boundaries. Any task forces the v5 header.
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events,
-                  const std::vector<TaskBoundary>& tasks, std::ostream& out);
-
-// Same, with scheduling-action sideband lines (`sched <tsc> <text>`: placement repairs,
-// admission rejections — src/service/). Any sched line forces the v6 header.
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events,
-                  const std::vector<TaskBoundary>& tasks,
-                  const std::vector<SampleStreamEvent>& sched, std::ostream& out);
-
-// Same, with re-optimization sideband lines (`reopt <tsc> <text>`: candidates decided,
-// applied, kept, reverted — src/reopt/). Any reopt line forces the v8 header.
-void WriteSamples(const std::vector<Sample>& samples,
-                  const std::vector<SampleStreamEvent>& events,
-                  const std::vector<TaskBoundary>& tasks,
-                  const std::vector<SampleStreamEvent>& sched,
-                  const std::vector<SampleStreamEvent>& reopt, std::ostream& out);
-
-// Inverse of WriteSamples. Throws dfp::Error on malformed input. Events (and task boundaries,
-// and sched/reopt lines) are appended to the caller's sinks in stream order when passed, and
-// rejected as malformed when the stream has them but the caller reads without a sink. A stream
-// whose header names a version newer than this build's (currently v8) is rejected with a clear
-// "newer build" error rather than a generic parse failure.
-std::vector<Sample> ReadSamples(std::istream& in);
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events);
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events,
-                                std::vector<TaskBoundary>* tasks);
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events,
-                                std::vector<TaskBoundary>* tasks,
-                                std::vector<SampleStreamEvent>* sched);
-std::vector<Sample> ReadSamples(std::istream& in, std::vector<SampleStreamEvent>* events,
-                                std::vector<TaskBoundary>* tasks,
-                                std::vector<SampleStreamEvent>* sched,
-                                std::vector<SampleStreamEvent>* reopt);
+// Inverse of WriteSamples. Throws dfp::Error on malformed input and on any header but v8.
+// Sideband lines are appended to `sideband` in stream order; a stream that carries them is
+// rejected when read without a sink, rather than losing them silently.
+std::vector<Sample> ReadSamples(std::istream& in, SampleSideband* sideband = nullptr);
 
 }  // namespace dfp
 

@@ -2,16 +2,9 @@
 
 #include <algorithm>
 
-#include "src/util/str.h"
+#include "src/util/text_format.h"
 
 namespace dfp {
-namespace {
-
-std::string HexKey(uint64_t fingerprint) {
-  return StrFormat("%016llx", static_cast<unsigned long long>(fingerprint));
-}
-
-}  // namespace
 
 CardinalityMap ObservedCardinalities(const CompiledQuery& query) {
   CardinalityMap out;
@@ -120,7 +113,7 @@ std::string RenderCardStore(const CardStore& store) {
     return out;
   }
   for (const auto& [fingerprint, plan] : store.plans()) {
-    out += "plan " + HexKey(fingerprint) + " " + plan.name +
+    out += "plan " + Hex16(fingerprint) + " " + plan.name +
            " execs=" + std::to_string(plan.executions) + "\n";
     for (const auto& [op, entry] : plan.operators) {
       out += "  op " + std::to_string(op) + " observed=" +

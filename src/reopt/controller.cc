@@ -2,16 +2,9 @@
 
 #include "src/tiering/literals.h"
 #include "src/util/check.h"
-#include "src/util/str.h"
+#include "src/util/text_format.h"
 
 namespace dfp {
-namespace {
-
-std::string HexKey(uint64_t fingerprint) {
-  return StrFormat("%016llx", static_cast<unsigned long long>(fingerprint));
-}
-
-}  // namespace
 
 RegressionThresholds ReoptGuardThresholds() {
   RegressionThresholds thresholds;
@@ -95,7 +88,7 @@ std::string RenderReoptTimeline(const ReoptLog& log) {
     return out;
   }
   for (const ReoptAction& action : log.actions()) {
-    out += "plan " + HexKey(action.fingerprint) + " " + action.plan_name + " [" +
+    out += "plan " + Hex16(action.fingerprint) + " " + action.plan_name + " [" +
            ReoptStateName(action.state) + "] divergence=" +
            std::to_string(action.divergence_pct) + "%";
     if (!action.description.empty()) {

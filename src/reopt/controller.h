@@ -7,7 +7,7 @@
 // the entry's current tier. The swap is guarded, not trusted — the same propose -> apply ->
 // re-measure -> keep-or-revert shape as placement repair: a baseline is snapshotted at swap
 // time and JudgeRegression over the post-swap windows keeps or reverts. Every transition lands
-// in the sample stream as a v8 `reopt` line and in the timeline rendering below.
+// in the sample stream as a `reopt` line and in the timeline rendering below.
 #ifndef DFP_SRC_REOPT_CONTROLLER_H_
 #define DFP_SRC_REOPT_CONTROLLER_H_
 

@@ -2,10 +2,10 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "src/util/check.h"
+#include "src/util/text_format.h"
 
 namespace dfp {
 namespace {
@@ -21,24 +21,6 @@ constexpr int kMaxJoinType = static_cast<int>(JoinType::kAnti);
 
 [[noreturn]] void Malformed(const std::string& line) {
   throw Error("malformed plan line: '" + line + "'");
-}
-
-uint64_t DoubleBits(double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-double BitsToDouble(uint64_t bits) {
-  double value = 0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-std::string HexU64(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(value));
-  return buffer;
 }
 
 void WriteExpr(const Expr& expr, std::ostream& out) {
@@ -136,7 +118,7 @@ ExprPtr ParseExpr(std::istream& in) {
 void WriteOp(const PhysicalOp& op, std::ostream& out) {
   out << "op " << static_cast<int>(op.kind) << " " << op.id << " " << op.children.size() << " "
       << (op.projecting ? 1 : 0) << " " << static_cast<int>(op.join_type) << " " << op.limit
-      << " " << op.bound_rows << " " << HexU64(DoubleBits(op.estimated_rows)) << " "
+      << " " << op.bound_rows << " " << Hex16(DoubleBits(op.estimated_rows)) << " "
       << (op.table != nullptr ? EncodeToken(op.table->name()) : "-") << " "
       << EncodeToken(op.label) << " " << op.output.size();
   for (const OutputColumn& column : op.output) {
@@ -188,13 +170,13 @@ PhysicalOpPtr ParseOp(std::istream& in, const Database& db) {
   if (!(stream >> kind >> op->id >> children >> projecting >> join >> op->limit >>
         op->bound_rows >> est_hex >> table_token >> label_token >> outputs) ||
       kind < 0 || kind > kMaxOpKind || join < 0 || join > kMaxJoinType || projecting < 0 ||
-      projecting > 1 || est_hex.size() != 16) {
+      projecting > 1) {
     Malformed(line);
   }
   op->kind = static_cast<OpKind>(kind);
   op->projecting = projecting != 0;
   op->join_type = static_cast<JoinType>(join);
-  op->estimated_rows = BitsToDouble(std::stoull(est_hex, nullptr, 16));
+  op->estimated_rows = BitsToDouble(ParseHex16(est_hex));
   op->label = DecodeToken(label_token);
   if (table_token != "-") {
     const std::string table_name = DecodeToken(table_token);

@@ -1,23 +1,14 @@
 #include "src/replay/recorder.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "src/profiling/serialize.h"
 #include "src/replay/plan_codec.h"
 #include "src/tiering/report.h"
 #include "src/util/check.h"
+#include "src/util/text_format.h"
 
 namespace dfp {
-namespace {
-
-std::string HexU64(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-}  // namespace
 
 void TraceRecorder::OnAttach(const ServiceConfig& config, uint64_t catalog_version,
                              uint64_t now_cycles) {
@@ -104,7 +95,7 @@ const WorkloadTrace& TraceRecorder::Finish(const QueryService& service) {
       ++s.timed_out;
     }
     s.samples += q.samples;
-    chain += HexU64(q.stream_hash);
+    chain += Hex16(q.stream_hash);
   }
   s.stream_hash = Fnv1a64(chain);
   s.service_cycles = service.ServiceNowCycles();

@@ -74,8 +74,8 @@ bool QueryDiverged(const TraceQuery& a, const TraceQuery& b) {
 // coordinator owns the sub-tickets (one per shard for fan-out queries), so there is no single
 // TraceRecorder to capture the run; the replayed trace is assembled by hand — the submission
 // half copied from the recording, the completion half observed from coordinator tickets.
-// Streams and samples are deliberately left zero (a sharded run's streams are v7 and cannot
-// match the recording byte-wise anyway); the gate for this what-if is results_diverged == 0.
+// Streams and samples are deliberately left zero (a sharded run's streams carry shard tokens
+// and cannot match the recording byte-wise anyway); the gate for this what-if is results_diverged == 0.
 ReplayRun ReplayTraceSharded(ShardCatalog& catalog, const WorkloadTrace& trace,
                              const ReplayOptions& options) {
   if (catalog.shards() != options.knobs.shard_count) {
@@ -210,7 +210,7 @@ bool WhatIfKnobs::IsIdentity() const {
 }
 
 ServiceConfig ReplayServiceConfig(const WorkloadTrace& trace, const WhatIfKnobs& knobs) {
-  ServiceConfig config = ApplyKnobs(trace.knobs);
+  ServiceConfig config = trace.knobs;
   if (knobs.scheduler >= 0) {
     config.parallel.scheduler = static_cast<SchedulerPolicy>(knobs.scheduler);
   }
@@ -357,7 +357,7 @@ bool ReplayFingerprintDiff::identical() const {
 
 ReplayReport DiffTraces(const WorkloadTrace& recorded, const WorkloadTrace& replayed) {
   ReplayReport report;
-  report.knobs_identical = recorded.knobs == replayed.knobs;
+  report.knobs_identical = KnobsEqual(recorded.knobs, replayed.knobs);
   const TraceSummary& a = recorded.summary;
   const TraceSummary& b = replayed.summary;
   report.recorded_queries = a.queries;

@@ -11,7 +11,7 @@
 // sequence). Replaying an unmodified build with identity knobs therefore reproduces the
 // recording bit for bit — byte-identical sample streams, identical service profiles, identical
 // tier timelines, an all-zero diff. Any deviation is a real behavior change, which is what the
-// differential replay tests and the replay-smoke CI job detect.
+// differential replay tests and the CI determinism job detect.
 //
 // What-if knobs answer capacity questions against recorded traffic without touching
 // production: "what breaks at 10x sessions?" is session_multiplier = 10 (admission rejections
@@ -166,7 +166,7 @@ ReplayReport DiffTraces(const WorkloadTrace& recorded, const WorkloadTrace& repl
 std::string RenderReplayReport(const ReplayReport& report);
 
 // Deterministic JSON (fixed key order; integers, booleans, and escaped strings only) — the
-// replay-smoke CI job diffs two of these byte for byte.
+// CI determinism job diffs two of these byte for byte.
 void WriteReplayReportJson(const ReplayReport& report, std::ostream& out);
 
 }  // namespace dfp

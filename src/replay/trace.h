@@ -4,8 +4,9 @@
 // fresh QueryService — and everything needed to diff the re-run against what was observed the
 // first time:
 //
-//  - the service knobs the traffic ran under (scheduler, session limits, sampling, tiering...),
-//    so a replay reconstructs the same configuration and a what-if run overrides parts of it;
+//  - the service knobs the traffic ran under (the knob table below: scheduler, session limits,
+//    sampling, tiering, the closed loops and their guard thresholds...), so a replay
+//    reconstructs the same configuration and a what-if run overrides parts of it;
 //  - one serialized plan template per structural fingerprint (src/replay/plan_codec.h), plus
 //    per-query literal bindings, so every submission can be rebuilt without the SQL front end;
 //  - the submission schedule: per query its arrival service-clock TSC, session weight, deadline,
@@ -15,9 +16,9 @@
 //    serialized sample stream, and a fleet summary (throughput, per-fingerprint latency
 //    quantiles, hottest operators, tier timeline totals) that the ReplayReport diffs against.
 //
-// The text format is versioned like the sample streams (v1 today); readers reject future
-// versions instead of guessing. Serialization is a fixed point: parse(write(trace)) == trace
-// and write(parse(text)) == text, which the compat tests pin down.
+// The text format has one version, like the sample streams; readers refuse any other header.
+// Serialization is a fixed point: parse(write(trace)) == trace and write(parse(text)) == text,
+// which the format tests pin down.
 #ifndef DFP_SRC_REPLAY_TRACE_H_
 #define DFP_SRC_REPLAY_TRACE_H_
 
@@ -26,10 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "src/engine/parallel.h"
-#include "src/pmu/event.h"
 #include "src/service/fingerprint.h"
-#include "src/service/plan_cache.h"
 #include "src/service/query_service.h"
 #include "src/tiering/literals.h"
 #include "src/tiering/report.h"
@@ -39,73 +37,86 @@ namespace dfp {
 // FNV-1a 64-bit over a byte string — the stream-identity hash stored per recorded query.
 uint64_t Fnv1a64(const std::string& bytes);
 
-// The service configuration a trace was recorded under, flattened to value types so it
-// round-trips through text. ApplyKnobs rebuilds a ServiceConfig; CaptureKnobs flattens one.
-// Regression thresholds and the state_path are deliberately not captured: neither influences
-// execution, and replay always starts from a fresh service (see TraceRecorder).
-struct TraceKnobs {
-  // Parallel pool.
-  uint32_t workers = 4;
-  uint64_t morsel_rows = 0;
-  uint8_t scheduler = static_cast<uint8_t>(SchedulerPolicy::kWorkStealing);
-  uint32_t numa_nodes = 0;
-  // Admission.
-  uint32_t max_active_sessions = 2;
-  uint32_t queue_depth = 16;
-  uint64_t default_deadline_cycles = 0;
-  // Plan cache and session arenas.
-  uint64_t code_budget_bytes = 1ull << 20;
-  uint64_t session_hashtables_bytes = 48ull << 20;
-  uint64_t session_state_bytes = 512ull * 1024;
-  uint64_t session_output_bytes = 24ull << 20;
-  // Profiling.
-  bool profile_executions = true;
-  uint8_t pmu_event = 0;
-  uint64_t sampling_period = 5000;
-  bool capture_address = false;
-  uint8_t attribution = 0;
-  bool tag_all_instructions = false;
-  bool enable_sampling = true;
-  bool packed_tags = false;
-  // Compile cost model.
-  CompileCostModel compile_costs;
-  // Continuous profiling.
-  bool windows_enabled = true;
-  uint64_t window_width_cycles = 20'000'000;
-  uint64_t ring_windows = 8;
-  bool governor_enabled = false;
-  double governor_budget = 0.02;
-  uint64_t governor_min_period = 500;
-  uint64_t governor_max_period = 5'000'000;
-  double governor_smoothing = 0.7;
-  // Tiering.
-  bool tiering_enabled = false;
-  double break_even_ratio = 1.0;
-  uint64_t min_executions = 2;
-  // Profile-feedback scheduling (trace v2). The `sched` knob line is written only when some
-  // field differs from these defaults, so traces of services that never enabled the loop stay
-  // byte-identical v1 files.
-  bool slack_scheduling = false;
-  bool placement_repair = false;
-  bool deadline_admission = false;
-  uint64_t slack_max_age = 64;
-  bool repair_pessimize = false;
-  // Closed-loop re-optimization (trace v3), captured in full — including the guard thresholds,
-  // since a replayed keep/revert verdict must judge by the recorded bar. The `reopt` knob line
-  // is written only when some field differs from these defaults.
-  bool reopt_enabled = false;
-  uint64_t reopt_divergence_pct = 400;
-  uint64_t reopt_min_executions = 3;
-  bool reopt_semi_join_reduction = false;
-  uint64_t reopt_semi_join_blowup_pct = 300;
-  bool reopt_pessimize = false;
-  RegressionThresholds reopt_guard = ReoptGuardThresholds();
+// The knob table: every ServiceConfig field a trace captures, named by its member path, in
+// `knobs` line order. `visit(name, field)` runs once per row, where `field(config)` returns
+// that member of a (const or mutable) ServiceConfig. Capture, comparison, the `knobs` line and
+// its parser all walk this one list, so a row added here is recorded, replayed and diffed with
+// no other change. Left out on purpose: `state_path` and `continuous.regression_alert` (process
+// wiring; replay always starts from a fresh service, see TraceRecorder) and
+// `parallel.shard_id` (assigned per shard by the coordinator).
+template <typename Visit>
+void ForEachKnob(Visit&& visit) {
+#define DFP_KNOB(path) visit(#path, [](auto& config) -> auto& { return config.path; })
+  DFP_KNOB(parallel.workers);
+  DFP_KNOB(parallel.morsel_rows);
+  DFP_KNOB(parallel.scheduler);
+  DFP_KNOB(parallel.numa_nodes);
+  DFP_KNOB(max_active_sessions);
+  DFP_KNOB(queue_depth);
+  DFP_KNOB(default_deadline_cycles);
+  DFP_KNOB(code_budget_bytes);
+  DFP_KNOB(session_hashtables_bytes);
+  DFP_KNOB(session_state_bytes);
+  DFP_KNOB(session_output_bytes);
+  DFP_KNOB(profile_executions);
+  DFP_KNOB(profiling.event);
+  DFP_KNOB(profiling.period);
+  DFP_KNOB(profiling.capture_address);
+  DFP_KNOB(profiling.attribution);
+  DFP_KNOB(profiling.tag_all_instructions);
+  DFP_KNOB(profiling.enable_sampling);
+  DFP_KNOB(profiling.packed_tags);
+  DFP_KNOB(compile_costs.base_cycles);
+  DFP_KNOB(compile_costs.per_ir_instr);
+  DFP_KNOB(compile_costs.per_machine_instr);
+  DFP_KNOB(compile_costs.cache_lookup_cycles);
+  DFP_KNOB(compile_costs.baseline_base_cycles);
+  DFP_KNOB(compile_costs.baseline_per_ir_instr);
+  DFP_KNOB(compile_costs.baseline_per_machine_instr);
+  DFP_KNOB(compile_costs.patch_per_site_cycles);
+  DFP_KNOB(continuous.windows_enabled);
+  DFP_KNOB(continuous.window.width_cycles);
+  DFP_KNOB(continuous.window.ring_windows);
+  DFP_KNOB(continuous.governor.enabled);
+  DFP_KNOB(continuous.governor.overhead_budget);
+  DFP_KNOB(continuous.governor.min_period);
+  DFP_KNOB(continuous.governor.max_period);
+  DFP_KNOB(continuous.governor.smoothing);
+  // The regression thresholds drive the placement-repair guard's keep/revert verdict.
+  DFP_KNOB(continuous.regression.min_share);
+  DFP_KNOB(continuous.regression.share_drift);
+  DFP_KNOB(continuous.regression.share_noise_z);
+  DFP_KNOB(continuous.regression.cycles_per_row_ratio);
+  DFP_KNOB(continuous.regression.remote_share_drift);
+  DFP_KNOB(continuous.regression.min_samples);
+  DFP_KNOB(tiering.enabled);
+  DFP_KNOB(tiering.break_even_ratio);
+  DFP_KNOB(tiering.min_executions);
+  DFP_KNOB(sched.slack_scheduling);
+  DFP_KNOB(sched.placement_repair);
+  DFP_KNOB(sched.deadline_admission);
+  DFP_KNOB(sched.slack_max_age);
+  DFP_KNOB(sched.repair_pessimize);
+  DFP_KNOB(reopt.enabled);
+  DFP_KNOB(reopt.divergence_pct);
+  DFP_KNOB(reopt.min_executions);
+  DFP_KNOB(reopt.semi_join_reduction);
+  DFP_KNOB(reopt.semi_join_blowup_pct);
+  DFP_KNOB(reopt.pessimize);
+  DFP_KNOB(reopt.guard.min_share);
+  DFP_KNOB(reopt.guard.share_drift);
+  DFP_KNOB(reopt.guard.share_noise_z);
+  DFP_KNOB(reopt.guard.cycles_per_row_ratio);
+  DFP_KNOB(reopt.guard.remote_share_drift);
+  DFP_KNOB(reopt.guard.min_samples);
+#undef DFP_KNOB
+}
 
-  bool operator==(const TraceKnobs& other) const;
-};
+// `config` reduced to its knob-table fields; every other field keeps its default.
+ServiceConfig CaptureKnobs(const ServiceConfig& config);
 
-TraceKnobs CaptureKnobs(const ServiceConfig& config);
-ServiceConfig ApplyKnobs(const TraceKnobs& knobs);
+// True when every knob-table field of `a` and `b` matches (doubles bit for bit).
+bool KnobsEqual(const ServiceConfig& a, const ServiceConfig& b);
 
 enum class TraceOutcome : uint8_t {
   kAdmitted = 0,  // Entered the queue (and, the queue being drained, eventually ran).
@@ -185,7 +196,7 @@ struct TraceEvent {
 struct WorkloadTrace {
   uint64_t catalog_version = 0;
   uint64_t start_cycles = 0;  // Service clock when recording began (0 for a fresh service).
-  TraceKnobs knobs;
+  ServiceConfig knobs;        // Knob-table fields only (CaptureKnobs); the rest are defaults.
   std::vector<PlanTemplate> templates;  // Ascending by structure (first-seen plan each).
   std::vector<TraceQuery> queries;      // Submission order; queries[i].seq == i + 1.
   std::vector<TraceEvent> events;       // Chronological submit/complete/drain schedule.
@@ -195,17 +206,12 @@ struct WorkloadTrace {
   const PlanTemplate* FindTemplate(uint64_t structure) const;
 };
 
-// Line-oriented text format (see DESIGN.md §2f for the grammar):
-//   # dfp trace v1|v2|v3
+// Line-oriented text format:
+//   # dfp trace v4
 //   catalog <version>
 //   start <cycles>
-//   knobs <flattened TraceKnobs fields, doubles as IEEE-754 bit patterns>
-//   costs <nine CompileCostModel fields>
-//   sched <slack-scheduling> <placement-repair> <deadline-admission> <slack-max-age>
-//         <repair-pessimize>                                   (v2; only when non-default)
-//   reopt <enabled> <divergence-pct> <min-executions> <semi-join> <blowup-pct> <pessimize>
-//         <five guard doubles as IEEE-754 bit patterns> <guard-min-samples>
-//                                                              (v3; only when non-default)
+//   knobs <path>=<value> ...  (every ForEachKnob row, in table order; integers, flags and enums
+//                              in decimal, doubles as 16-hex IEEE-754 bit patterns)
 //   template <structure-hex> <name-token>
 //   <plan codec block ... endplan>
 //   query <seq> <name-token> <structure-hex> <literals-hex> <pinned-hex> <arrival> <weight>
@@ -217,15 +223,14 @@ struct WorkloadTrace {
 //   tiers <samples> <baseline> <optimized> <transitions> <swapped>
 //   fp <structure-hex> <execs> <cycles> <p50> <p95> <max> <topsamples> <top-token> <name-token>
 //   end
-// Versioning is content-driven: the writer emits v3 only when the reopt knob line is present
-// and v2 only when the sched knob line is, so older traces stay byte-identical v1/v2 files.
-// Readers reject versions above v3 ("written by a newer build" — no forward guessing) and
-// throw dfp::Error on truncation or malformed lines.
+// Name tokens are percent-encoded (src/replay/plan_codec.h); hashes and fingerprints are 16
+// lowercase hex digits. The reader refuses any header but v4 and throws dfp::Error on
+// truncation or malformed lines.
 void WriteTrace(const WorkloadTrace& trace, std::ostream& out);
 std::string EncodeTraceText(const WorkloadTrace& trace);
 
-// Inverse of WriteTrace. `db` resolves the plan templates' table references (pass the catalog
-// the trace was recorded against — the replayer separately enforces the catalog version).
+// Inverse of WriteTrace. Plan templates stay text: the replayer resolves their table
+// references against its own database and enforces the catalog version.
 WorkloadTrace ReadTrace(std::istream& in);
 
 }  // namespace dfp

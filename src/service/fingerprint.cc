@@ -1,8 +1,8 @@
 #include "src/service/fingerprint.h"
 
-#include <cstdio>
 
 #include "src/util/hash.h"
+#include "src/util/text_format.h"
 
 namespace dfp {
 namespace {
@@ -146,10 +146,7 @@ PlanFingerprint FingerprintPlan(const PhysicalOp& root, uint64_t catalog_version
 }
 
 std::string FingerprintKey(const PlanFingerprint& fingerprint) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(fingerprint.structure));
-  return buffer;
+  return Hex16(fingerprint.structure);
 }
 
 }  // namespace dfp

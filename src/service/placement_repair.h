@@ -16,7 +16,7 @@
 // The action is guarded, not trusted: the service snapshots a baseline before applying,
 // re-measures on the windows that arrive after, and keeps or reverts by the regression
 // detector's verdict (src/continuous/regression.h GuardVerdict). Every transition —
-// decided, applied, kept, reverted — lands in the sample stream as a v6 `sched` line and in
+// decided, applied, kept, reverted — lands in the sample stream as a `sched` line and in
 // the tier-timeline-style rendering below.
 #ifndef DFP_SRC_SERVICE_PLACEMENT_REPAIR_H_
 #define DFP_SRC_SERVICE_PLACEMENT_REPAIR_H_

@@ -1,7 +1,6 @@
 #include "src/service/query_service.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <utility>
 
@@ -11,6 +10,7 @@
 #include "src/replay/recorder.h"
 #include "src/tiering/patch.h"
 #include "src/util/check.h"
+#include "src/util/text_format.h"
 
 namespace dfp {
 
@@ -43,12 +43,6 @@ uint32_t CreateCongruentRegion(Database& db, const std::string& name, uint64_t s
     db.CreateScratchRegion(name + ".pad", pad);
   }
   return db.CreateScratchRegion(name, size);
-}
-
-std::string HexKey(uint64_t fingerprint) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(fingerprint));
-  return buffer;
 }
 
 }  // namespace
@@ -144,7 +138,7 @@ TicketId QueryService::Submit(PhysicalOpPtr plan, std::string name, uint64_t dea
       ticket->infeasible_deadline = true;
       ++infeasible_rejections_;
       sched_events_.push_back(
-          {ServiceNowCycles(), "admission " + HexKey(ticket->fingerprint.structure) +
+          {ServiceNowCycles(), "admission " + Hex16(ticket->fingerprint.structure) +
                                    " infeasible deadline " +
                                    std::to_string(ticket->deadline_cycles) + " expected " +
                                    std::to_string(expected)});
@@ -465,7 +459,7 @@ bool QueryService::StepSession(ActiveSession& session) {
       recompile_lane_busy_cycles_ = job.ready_at_cycles;
       recompile_jobs_.push_back(std::move(job));
       tier_events_.push_back({ticket.completed_at_cycles,
-                              "tier " + HexKey(ticket.fingerprint.structure) +
+                              "tier " + Hex16(ticket.fingerprint.structure) +
                                   " baseline optimized decided"});
     }
   }
@@ -501,7 +495,7 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
       // re-admits the original plan), so the honest resolution is a revert.
       open->state = ReoptState::kReverted;
       open->resolved_tsc = ServiceNowCycles();
-      reopt_events_.push_back({open->resolved_tsc, "reopt " + HexKey(fp) + " reverted"});
+      reopt_events_.push_back({open->resolved_tsc, "reopt " + Hex16(fp) + " reverted"});
       return;
     }
     // Re-measure: judge the windows that arrived after the swap against the pre-swap snapshot.
@@ -521,7 +515,7 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
     }
     open->previous.reset();
     reopt_events_.push_back(
-        {open->resolved_tsc, "reopt " + HexKey(fp) + " " + ReoptStateName(open->state)});
+        {open->resolved_tsc, "reopt " + Hex16(fp) + " " + ReoptStateName(open->state)});
     return;
   }
 
@@ -572,7 +566,7 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
   action.semi_join = rewrite.semi_join;
   action.decided_tsc = ServiceNowCycles();
   action.previous = entry;
-  reopt_events_.push_back({action.decided_tsc, "reopt " + HexKey(fp) + " decided divergence " +
+  reopt_events_.push_back({action.decided_tsc, "reopt " + Hex16(fp) + " decided divergence " +
                                                    std::to_string(divergence) + "% " +
                                                    rewrite.description});
   reopts_.Add(std::move(action));
@@ -603,7 +597,7 @@ void QueryService::StepPlacementRepair(QueryTicket& ticket) {
     } else {
       open->state = RepairState::kKept;
     }
-    sched_events_.push_back({open->resolved_tsc, "repair " + HexKey(fp) + " " +
+    sched_events_.push_back({open->resolved_tsc, "repair " + Hex16(fp) + " " +
                                                      open->table + " " +
                                                      RepairStateName(open->state)});
     return;
@@ -640,7 +634,7 @@ void QueryService::StepPlacementRepair(QueryTicket& ticket) {
     action.table = table.name();
     action.pipeline = v.pipeline;
     action.decided_tsc = ServiceNowCycles();
-    sched_events_.push_back({action.decided_tsc, "repair " + HexKey(fp) + " " +
+    sched_events_.push_back({action.decided_tsc, "repair " + Hex16(fp) + " " +
                                                      action.table + " decided"});
     for (size_t c = 0; c < table.schema().columns.size(); ++c) {
       db_.mem().SetExtentPlacement(table.column_base(c), map);
@@ -652,7 +646,7 @@ void QueryService::StepPlacementRepair(QueryTicket& ticket) {
     // execution. JudgeRegression rolls up strictly after this watermark, so only post-apply
     // executions are measured against it.
     repair_baseline_.Snapshot(windows_, config_.continuous.regression.min_samples);
-    sched_events_.push_back({action.applied_tsc, "repair " + HexKey(fp) + " " +
+    sched_events_.push_back({action.applied_tsc, "repair " + Hex16(fp) + " " +
                                                      action.table + " applied"});
     repairs_.Add(std::move(action));
     return;  // At most one new action per completion.
@@ -694,7 +688,7 @@ void QueryService::ProcessRecompiles(bool final) {
           action->resolved_tsc = ServiceNowCycles();
           action->previous.reset();
           reopt_events_.push_back({action->resolved_tsc,
-                                   "reopt " + HexKey(action->fingerprint) + " reverted"});
+                                   "reopt " + Hex16(action->fingerprint) + " reverted"});
         }
       }
       recompile_jobs_.erase(recompile_jobs_.begin());
@@ -764,11 +758,11 @@ void QueryService::ProcessRecompiles(bool final) {
       // up strictly after this watermark, so only candidate executions are measured against it.
       reopt_baseline_.Snapshot(windows_, config_.reopt.guard.min_samples);
       reopt_events_.push_back(
-          {swapped_at, "reopt " + HexKey(entry->fingerprint.structure) + " applied"});
+          {swapped_at, "reopt " + Hex16(entry->fingerprint.structure) + " applied"});
     } else {
       cache_.NoteTierSwap();
       controller_.MarkSwapped(entry->fingerprint.structure, swapped_at);
-      tier_events_.push_back({swapped_at, "tier " + HexKey(entry->fingerprint.structure) +
+      tier_events_.push_back({swapped_at, "tier " + Hex16(entry->fingerprint.structure) +
                                               " baseline optimized swapped"});
     }
     recompile_jobs_.erase(recompile_jobs_.begin());

@@ -267,7 +267,7 @@ class QueryService {
 
   // Re-optimization views (src/reopt/): the per-fingerprint measured-cardinality store
   // (render with RenderCardStore), the re-plan audit log (render with RenderReoptTimeline),
-  // and the decided/applied/kept/reverted sideband lines (v8 `reopt` stream lines).
+  // and the decided/applied/kept/reverted sideband lines (`reopt` stream lines).
   const CardStore& cards() const { return cards_; }
   const ReoptLog& reopts() const { return reopts_; }
   const std::vector<SampleStreamEvent>& reopt_events() const { return reopt_events_; }

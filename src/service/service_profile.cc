@@ -11,25 +11,15 @@
 #include "src/reopt/cardstore.h"
 #include "src/reopt/controller.h"
 #include "src/util/check.h"
+#include "src/util/text_format.h"
 
 namespace dfp {
 namespace {
 
-constexpr const char* kProfileHeaderV1 = "# dfp service profile v1";
-constexpr const char* kProfileHeaderV2 = "# dfp service profile v2";
-constexpr const char* kProfileHeaderV3 = "# dfp service profile v3";
-constexpr const char* kProfileHeaderV4 = "# dfp service profile v4";
-constexpr const char* kProfileHeaderV5 = "# dfp service profile v5";
-constexpr const char* kProfileHeaderV6 = "# dfp service profile v6";
+constexpr const char* kProfileHeader = "# dfp service profile v6";
 
 [[noreturn]] void Malformed(const std::string& line) {
   throw Error("malformed service profile line: '" + line + "'");
-}
-
-std::string HexKey(uint64_t fingerprint) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(fingerprint));
-  return buffer;
 }
 
 }  // namespace
@@ -173,7 +163,7 @@ std::string ServiceProfile::Render(size_t top_k) const {
   out << "\n\n";
 
   for (const auto& [fingerprint, plan] : plans_) {
-    out << "plan " << HexKey(fingerprint) << "  " << plan.name << "\n";
+    out << "plan " << Hex16(fingerprint) << "  " << plan.name << "\n";
     out << "  executions " << plan.executions << "  cache " << plan.cache_hits << " hit / "
         << plan.cache_misses << " miss  compile " << plan.compile_cycles << " cyc  execute "
         << plan.execute_cycles << " cyc  samples " << plan.samples << "\n";
@@ -198,43 +188,6 @@ std::string ServiceProfile::Render(size_t top_k) const {
 
 namespace {
 
-bool HasCriticality(const ServiceProfile& profile) {
-  for (const auto& [fingerprint, plan] : profile.plans()) {
-    (void)fingerprint;
-    if (!plan.bottleneck.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void WritePlanLines(const ServiceProfile& profile, bool v4, std::ostream& out) {
-  for (const auto& [fingerprint, plan] : profile.plans()) {
-    out << "plan " << HexKey(fingerprint) << " " << plan.executions << " " << plan.cache_hits
-        << " " << plan.cache_misses << " " << plan.compile_cycles << " " << plan.execute_cycles
-        << " " << plan.name << "\n";
-    for (const auto& [op, cost] : plan.operators) {
-      out << "op " << HexKey(fingerprint) << " " << op << " " << cost.samples << " " << cost.label
-          << "\n";
-    }
-    if (v4 && !plan.bottleneck.empty()) {
-      out << "crit " << HexKey(fingerprint) << " " << plan.critical_cycles << " "
-          << plan.top_share_pct << " " << plan.bottleneck << "\n";
-    }
-  }
-}
-
-}  // namespace
-
-void WriteServiceProfile(const ServiceProfile& profile, std::ostream& out) {
-  // Without windows the v1 format carries everything (criticality rides only on v4 streams,
-  // which need windows anyway); v1 files stay readable forever.
-  out << kProfileHeaderV1 << "\n";
-  WritePlanLines(profile, /*v4=*/false, out);
-}
-
-namespace {
-
 // Deterministic round-trippable double formatting (17 significant digits).
 std::string DoubleKey(double value) {
   char buffer[64];
@@ -242,88 +195,64 @@ std::string DoubleKey(double value) {
   return buffer;
 }
 
-void WriteWindowLines(const WindowedProfile& windows, bool v3, std::ostream& out) {
+}  // namespace
+
+void WriteServiceProfile(const ServiceProfile& profile, const WindowedProfile& windows,
+                         std::ostream& out) {
+  out << kProfileHeader << "\n";
+  out << "windowcfg " << windows.config().width_cycles << " " << windows.config().ring_windows
+      << "\n";
+  for (const auto& [fingerprint, plan] : profile.plans()) {
+    out << "plan " << Hex16(fingerprint) << " " << plan.executions << " " << plan.cache_hits
+        << " " << plan.cache_misses << " " << plan.compile_cycles << " " << plan.execute_cycles
+        << " " << plan.name << "\n";
+    for (const auto& [op, cost] : plan.operators) {
+      out << "op " << Hex16(fingerprint) << " " << op << " " << cost.samples << " " << cost.label
+          << "\n";
+    }
+    if (!plan.bottleneck.empty()) {
+      out << "crit " << Hex16(fingerprint) << " " << plan.critical_cycles << " "
+          << plan.top_share_pct << " " << plan.bottleneck << "\n";
+    }
+  }
   for (const auto& [fingerprint, series] : windows.plans()) {
     for (const ProfileWindow& window : series.windows) {
-      out << "window " << HexKey(fingerprint) << " " << window.index << " " << window.executions
+      out << "window " << Hex16(fingerprint) << " " << window.index << " " << window.executions
           << " " << window.samples << " " << window.execute_cycles << " " << window.rows << " "
           << window.loads << " " << window.l1_misses << " " << window.l2_misses << " "
           << window.l3_misses << " " << window.remote_dram << " " << window.latency_p50 << " "
-          << window.latency_p95 << " " << window.latency_max;
-      if (v3) {
-        out << " " << window.baseline_executions << " " << window.baseline_samples;
-      }
-      out << "\n";
+          << window.latency_p95 << " " << window.latency_max << " "
+          << window.baseline_executions << " " << window.baseline_samples << "\n";
       for (const auto& [op, stats] : window.operators) {
-        out << "wop " << HexKey(fingerprint) << " " << window.index << " " << op << " "
+        out << "wop " << Hex16(fingerprint) << " " << window.index << " " << op << " "
             << stats.samples << " " << stats.sample_cycles << " " << stats.label << "\n";
       }
     }
   }
 }
 
-void WriteBaselineLines(const BaselineStore& baselines, std::ostream& out) {
-  for (const auto& [fingerprint, baseline] : baselines.baselines()) {
-    out << "baseline " << HexKey(fingerprint) << " " << baseline.samples << " "
-        << baseline.watermark << " " << DoubleKey(baseline.cycles_per_row) << " "
-        << DoubleKey(baseline.remote_share) << " " << baseline.name << "\n";
-    for (const auto& [op, stats] : baseline.operators) {
-      out << "bop " << HexKey(fingerprint) << " " << op << " " << stats.samples << " "
-          << stats.sample_cycles << " " << stats.label << "\n";
-    }
-  }
-}
-
-}  // namespace
-
-void WriteServiceProfile(const ServiceProfile& profile, const WindowedProfile& windows,
-                         std::ostream& out) {
-  // Content-driven versioning: only streams with critical-path rollups need the v4 layout and
-  // only streams that carry tier attribution need v3; everything else stays a byte-identical
-  // v2 file.
-  bool tiered = false;
-  for (const auto& [fingerprint, series] : windows.plans()) {
-    (void)fingerprint;
-    for (const ProfileWindow& window : series.windows) {
-      tiered |= window.baseline_executions != 0 || window.baseline_samples != 0;
-    }
-  }
-  const bool crit = HasCriticality(profile);
-  out << (crit ? kProfileHeaderV4 : (tiered ? kProfileHeaderV3 : kProfileHeaderV2)) << "\n";
-  out << "windowcfg " << windows.config().width_cycles << " " << windows.config().ring_windows
-      << "\n";
-  WritePlanLines(profile, crit, out);
-  WriteWindowLines(windows, tiered || crit, out);
-}
-
 void WriteServiceState(const ServiceProfile& profile, const WindowedProfile& windows,
                        const BaselineStore& baselines, uint64_t service_clock_cycles,
                        std::ostream& out, const SlackStore* slack, const CardStore* cards,
                        const ReoptLog* reopts) {
-  const bool crit = HasCriticality(profile);
-  // A slack store that never observed an execution (generation 0) adds nothing worth a format
-  // bump: the file stays a byte-identical v3/v4 stream. Same for an empty cardinality store
-  // and an empty re-optimization log.
-  const bool slacked = slack != nullptr && slack->generation() != 0;
-  const bool carded = cards != nullptr && cards->generation() != 0;
-  const bool reopted = reopts != nullptr && !reopts->actions().empty();
-  out << (carded || reopted
-              ? kProfileHeaderV6
-              : (slacked ? kProfileHeaderV5 : (crit ? kProfileHeaderV4 : kProfileHeaderV3)))
-      << "\n";
-  out << "windowcfg " << windows.config().width_cycles << " " << windows.config().ring_windows
-      << "\n";
+  WriteServiceProfile(profile, windows, out);
   out << "clock " << service_clock_cycles << "\n";
-  WritePlanLines(profile, crit || slacked || carded || reopted, out);
-  WriteWindowLines(windows, /*v3=*/true, out);
-  WriteBaselineLines(baselines, out);
-  if (slacked) {
+  for (const auto& [fingerprint, baseline] : baselines.baselines()) {
+    out << "baseline " << Hex16(fingerprint) << " " << baseline.samples << " "
+        << baseline.watermark << " " << DoubleKey(baseline.cycles_per_row) << " "
+        << DoubleKey(baseline.remote_share) << " " << baseline.name << "\n";
+    for (const auto& [op, stats] : baseline.operators) {
+      out << "bop " << Hex16(fingerprint) << " " << op << " " << stats.samples << " "
+          << stats.sample_cycles << " " << stats.label << "\n";
+    }
+  }
+  if (slack != nullptr) {
     out << "slackgen " << slack->generation() << "\n";
     for (const auto& [fingerprint, plan] : slack->plans()) {
-      out << "slack " << HexKey(fingerprint) << " " << plan.executions << " " << plan.generation
+      out << "slack " << Hex16(fingerprint) << " " << plan.executions << " " << plan.generation
           << " " << plan.critical_path_cycles << " " << plan.name << "\n";
       for (const StepSlack& step : plan.steps) {
-        out << "slackstep " << HexKey(fingerprint) << " " << step.step << " " << step.pipeline
+        out << "slackstep " << Hex16(fingerprint) << " " << step.step << " " << step.pipeline
             << " " << step.rows;
         for (uint64_t bucket : step.bucket_slack) {
           out << " " << bucket;
@@ -332,24 +261,24 @@ void WriteServiceState(const ServiceProfile& profile, const WindowedProfile& win
       }
     }
   }
-  if (carded) {
+  if (cards != nullptr) {
     out << "cardgen " << cards->generation() << "\n";
     for (const auto& [fingerprint, plan] : cards->plans()) {
-      out << "cardplan " << HexKey(fingerprint) << " " << plan.executions << " "
+      out << "cardplan " << Hex16(fingerprint) << " " << plan.executions << " "
           << plan.generation << " " << plan.name << "\n";
       for (const auto& [op, entry] : plan.operators) {
-        out << "card " << HexKey(fingerprint) << " " << op << " " << entry.observed_rows << " "
+        out << "card " << Hex16(fingerprint) << " " << op << " " << entry.observed_rows << " "
             << entry.estimated_rows << " " << entry.executions << " " << entry.generation
             << "\n";
       }
     }
   }
-  if (reopted) {
+  if (reopts != nullptr) {
     for (const ReoptAction& action : reopts->actions()) {
-      out << "reopt " << HexKey(action.fingerprint) << " " << ReoptStateName(action.state)
-          << " " << action.decided_tsc << " " << action.applied_tsc << " "
-          << action.resolved_tsc << " " << action.divergence_pct << " " << action.reordered
-          << " " << action.semi_join << " " << action.plan_name << "\n";
+      out << "reopt " << Hex16(action.fingerprint) << " " << ReoptStateName(action.state) << " "
+          << action.decided_tsc << " " << action.applied_tsc << " " << action.resolved_tsc << " "
+          << action.divergence_pct << " " << action.reordered << " " << action.semi_join << " "
+          << action.plan_name << "\n";
     }
   }
 }
@@ -357,20 +286,11 @@ void WriteServiceState(const ServiceProfile& profile, const WindowedProfile& win
 ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows,
                                   BaselineStore* baselines, uint64_t* service_clock_cycles,
                                   SlackStore* slack, CardStore* cards, ReoptLog* reopts) {
+  ExpectHeader(in, kProfileHeader);
   ServiceProfile profile;
-  std::string line;
-  if (!std::getline(in, line) ||
-      (line != kProfileHeaderV1 && line != kProfileHeaderV2 && line != kProfileHeaderV3 &&
-       line != kProfileHeaderV4 && line != kProfileHeaderV5 && line != kProfileHeaderV6)) {
-    throw Error("not a dfp service profile file");
-  }
-  const bool v6 = line == kProfileHeaderV6;
-  const bool v5 = line == kProfileHeaderV5 || v6;
-  const bool v4 = line == kProfileHeaderV4 || v5;
-  const bool v3 = line == kProfileHeaderV3 || v4;
-  const bool v2 = line == kProfileHeaderV2 || v3;
   // Window names arrive on plan lines; remember them so the loaded series carry them too.
   std::map<uint64_t, std::string> plan_names;
+  std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') {
       continue;
@@ -378,112 +298,129 @@ ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows,
     std::istringstream stream(line);
     std::string kind;
     stream >> kind;
-    if ((kind == "windowcfg" || kind == "window" || kind == "wop") && !v2) {
-      Malformed(line);
-    }
-    if ((kind == "clock" || kind == "baseline" || kind == "bop") && !v3) {
-      Malformed(line);
-    }
-    if (kind == "crit" && !v4) {
-      Malformed(line);
-    }
-    if ((kind == "slackgen" || kind == "slack" || kind == "slackstep") && !v5) {
-      Malformed(line);
-    }
-    if ((kind == "cardgen" || kind == "cardplan" || kind == "card" || kind == "reopt") && !v6) {
-      Malformed(line);
-    }
-    if (kind == "cardgen") {
-      uint64_t generation = 0;
-      if (!(stream >> generation)) {
+    if (kind == "windowcfg") {
+      WindowConfig config;
+      if (!(stream >> config.width_cycles >> config.ring_windows)) {
         Malformed(line);
       }
-      if (cards != nullptr) {
-        cards->SetLoadedGeneration(generation);
+      if (windows != nullptr) {
+        windows->set_config(config);
       }
-    } else if (kind == "cardplan") {
-      std::string key;
-      uint64_t executions = 0;
-      uint64_t generation = 0;
-      if (!(stream >> key >> executions >> generation)) {
+      continue;
+    }
+    if (kind == "clock" || kind == "slackgen" || kind == "cardgen") {
+      uint64_t value = 0;
+      if (!(stream >> value)) {
         Malformed(line);
       }
-      std::string name;
-      std::getline(stream, name);
-      if (!name.empty() && name.front() == ' ') {
-        name.erase(name.begin());
+      if (kind == "clock" && service_clock_cycles != nullptr) {
+        *service_clock_cycles = value;
+      } else if (kind == "slackgen" && slack != nullptr) {
+        slack->SetLoadedGeneration(value);
+      } else if (kind == "cardgen" && cards != nullptr) {
+        cards->SetLoadedGeneration(value);
       }
-      if (cards != nullptr) {
-        PlanCards& plan = cards->LoadPlan(std::stoull(key, nullptr, 16));
-        plan.name = std::move(name);
-        plan.executions = executions;
-        plan.generation = generation;
+      continue;
+    }
+    // Every other line is keyed by its plan fingerprint.
+    std::string key;
+    if (!(stream >> key)) {
+      Malformed(line);
+    }
+    const uint64_t fingerprint = ParseHex16(key);
+    if (kind == "plan") {
+      FleetPlanProfile plan;
+      if (!(stream >> plan.executions >> plan.cache_hits >> plan.cache_misses >>
+            plan.compile_cycles >> plan.execute_cycles)) {
+        Malformed(line);
       }
-    } else if (kind == "card") {
-      std::string key;
+      plan.fingerprint = fingerprint;
+      plan.name = RestOfLine(stream);
+      plan_names[fingerprint] = plan.name;
+      // Rebuild the cross-plan totals as we load.
+      profile.AddLoadedPlan(std::move(plan));
+    } else if (kind == "op") {
+      FleetOperatorCost cost;
       uint64_t op = 0;
-      CardEntry entry;
-      if (!(stream >> key >> op >> entry.observed_rows >> entry.estimated_rows >>
-            entry.executions >> entry.generation)) {
+      if (!(stream >> op >> cost.samples)) {
         Malformed(line);
       }
-      if (cards != nullptr) {
-        cards->LoadPlan(std::stoull(key, nullptr, 16))
-            .operators[static_cast<OperatorId>(op)] = entry;
-      }
-    } else if (kind == "reopt") {
-      std::string key;
-      std::string state;
-      ReoptAction action;
-      uint64_t reordered = 0;
-      uint64_t semi_join = 0;
-      if (!(stream >> key >> state >> action.decided_tsc >> action.applied_tsc >>
-            action.resolved_tsc >> action.divergence_pct >> reordered >> semi_join) ||
-          !ReoptStateFromName(state, &action.state)) {
+      cost.op = static_cast<OperatorId>(op);
+      cost.label = RestOfLine(stream);
+      profile.AddLoadedOperator(fingerprint, std::move(cost));
+    } else if (kind == "crit") {
+      uint64_t critical_cycles = 0;
+      uint64_t top_share = 0;
+      std::string bottleneck;
+      if (!(stream >> critical_cycles >> top_share >> bottleneck)) {
         Malformed(line);
       }
-      action.fingerprint = std::stoull(key, nullptr, 16);
-      action.reordered = reordered != 0;
-      action.semi_join = semi_join != 0;
-      std::getline(stream, action.plan_name);
-      if (!action.plan_name.empty() && action.plan_name.front() == ' ') {
-        action.plan_name.erase(action.plan_name.begin());
-      }
-      if (reopts != nullptr) {
-        reopts->Add(std::move(action));
-      }
-    } else if (kind == "slackgen") {
-      uint64_t generation = 0;
-      if (!(stream >> generation)) {
+      profile.AddLoadedCriticality(fingerprint, critical_cycles, top_share, bottleneck);
+    } else if (kind == "window") {
+      ProfileWindow window;
+      if (!(stream >> window.index >> window.executions >> window.samples >>
+            window.execute_cycles >> window.rows >> window.loads >> window.l1_misses >>
+            window.l2_misses >> window.l3_misses >> window.remote_dram >> window.latency_p50 >>
+            window.latency_p95 >> window.latency_max >> window.baseline_executions >>
+            window.baseline_samples)) {
         Malformed(line);
       }
-      if (slack != nullptr) {
-        slack->SetLoadedGeneration(generation);
+      if (windows != nullptr) {
+        // LoadWindowOperator folds op lines back in; start the counter from zero.
+        window.samples = 0;
+        windows->LoadWindow(fingerprint, plan_names[fingerprint], std::move(window));
+      }
+    } else if (kind == "wop") {
+      uint64_t window_index = 0;
+      uint64_t op = 0;
+      WindowOperatorStats stats;
+      if (!(stream >> window_index >> op >> stats.samples >> stats.sample_cycles)) {
+        Malformed(line);
+      }
+      stats.op = static_cast<OperatorId>(op);
+      stats.label = RestOfLine(stream);
+      if (windows != nullptr) {
+        windows->LoadWindowOperator(fingerprint, window_index, std::move(stats));
+      }
+    } else if (kind == "baseline") {
+      PlanBaseline baseline;
+      if (!(stream >> baseline.samples >> baseline.watermark >> baseline.cycles_per_row >>
+            baseline.remote_share)) {
+        Malformed(line);
+      }
+      baseline.fingerprint = fingerprint;
+      baseline.name = RestOfLine(stream);
+      if (baselines != nullptr) {
+        baselines->AddLoadedBaseline(std::move(baseline));
+      }
+    } else if (kind == "bop") {
+      uint64_t op = 0;
+      WindowOperatorStats stats;
+      if (!(stream >> op >> stats.samples >> stats.sample_cycles)) {
+        Malformed(line);
+      }
+      stats.op = static_cast<OperatorId>(op);
+      stats.label = RestOfLine(stream);
+      if (baselines != nullptr) {
+        baselines->AddLoadedBaselineOperator(fingerprint, std::move(stats));
       }
     } else if (kind == "slack") {
-      std::string key;
       uint64_t executions = 0;
       uint64_t generation = 0;
       uint64_t critical = 0;
-      if (!(stream >> key >> executions >> generation >> critical)) {
+      if (!(stream >> executions >> generation >> critical)) {
         Malformed(line);
       }
-      std::string name;
-      std::getline(stream, name);
-      if (!name.empty() && name.front() == ' ') {
-        name.erase(name.begin());
-      }
       if (slack != nullptr) {
-        PlanSlack& plan = slack->LoadPlan(std::stoull(key, nullptr, 16));
-        plan.name = std::move(name);
+        PlanSlack& plan = slack->LoadPlan(fingerprint);
+        plan.name = RestOfLine(stream);
         plan.executions = executions;
         plan.generation = generation;
         plan.critical_path_cycles = critical;
       }
     } else if (kind == "slackstep") {
-      std::string key;
       StepSlack step;
-      if (!(stream >> key >> step.step >> step.pipeline >> step.rows)) {
+      if (!(stream >> step.step >> step.pipeline >> step.rows)) {
         Malformed(line);
       }
       for (uint64_t& bucket : step.bucket_slack) {
@@ -494,127 +431,47 @@ ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows,
       if (slack != nullptr) {
         // The writer emits steps in their stored (step, pipeline) order, so appending
         // reconstructs the same sorted vector.
-        slack->LoadPlan(std::stoull(key, nullptr, 16)).steps.push_back(step);
+        slack->LoadPlan(fingerprint).steps.push_back(step);
       }
-    } else if (kind == "crit") {
-      std::string key;
-      uint64_t critical_cycles = 0;
-      uint64_t top_share = 0;
-      std::string bottleneck;
-      if (!(stream >> key >> critical_cycles >> top_share >> bottleneck)) {
+    } else if (kind == "cardplan") {
+      uint64_t executions = 0;
+      uint64_t generation = 0;
+      if (!(stream >> executions >> generation)) {
         Malformed(line);
       }
-      profile.AddLoadedCriticality(std::stoull(key, nullptr, 16), critical_cycles, top_share,
-                                   bottleneck);
-    } else if (kind == "clock") {
-      uint64_t clock = 0;
-      if (!(stream >> clock)) {
-        Malformed(line);
+      if (cards != nullptr) {
+        PlanCards& plan = cards->LoadPlan(fingerprint);
+        plan.name = RestOfLine(stream);
+        plan.executions = executions;
+        plan.generation = generation;
       }
-      if (service_clock_cycles != nullptr) {
-        *service_clock_cycles = clock;
-      }
-    } else if (kind == "baseline") {
-      std::string key;
-      PlanBaseline baseline;
-      if (!(stream >> key >> baseline.samples >> baseline.watermark >>
-            baseline.cycles_per_row >> baseline.remote_share)) {
-        Malformed(line);
-      }
-      baseline.fingerprint = std::stoull(key, nullptr, 16);
-      std::getline(stream, baseline.name);
-      if (!baseline.name.empty() && baseline.name.front() == ' ') {
-        baseline.name.erase(baseline.name.begin());
-      }
-      if (baselines != nullptr) {
-        baselines->AddLoadedBaseline(std::move(baseline));
-      }
-    } else if (kind == "bop") {
-      std::string key;
+    } else if (kind == "card") {
       uint64_t op = 0;
-      WindowOperatorStats stats;
-      if (!(stream >> key >> op >> stats.samples >> stats.sample_cycles)) {
+      CardEntry entry;
+      if (!(stream >> op >> entry.observed_rows >> entry.estimated_rows >> entry.executions >>
+            entry.generation)) {
         Malformed(line);
       }
-      stats.op = static_cast<OperatorId>(op);
-      std::getline(stream, stats.label);
-      if (!stats.label.empty() && stats.label.front() == ' ') {
-        stats.label.erase(stats.label.begin());
+      if (cards != nullptr) {
+        cards->LoadPlan(fingerprint).operators[static_cast<OperatorId>(op)] = entry;
       }
-      if (baselines != nullptr) {
-        baselines->AddLoadedBaselineOperator(std::stoull(key, nullptr, 16), std::move(stats));
-      }
-    } else if (kind == "windowcfg") {
-      WindowConfig config;
-      if (!(stream >> config.width_cycles >> config.ring_windows)) {
+    } else if (kind == "reopt") {
+      std::string state;
+      ReoptAction action;
+      uint64_t reordered = 0;
+      uint64_t semi_join = 0;
+      if (!(stream >> state >> action.decided_tsc >> action.applied_tsc >>
+            action.resolved_tsc >> action.divergence_pct >> reordered >> semi_join) ||
+          !ReoptStateFromName(state, &action.state)) {
         Malformed(line);
       }
-      if (windows != nullptr) {
-        windows->set_config(config);
+      action.fingerprint = fingerprint;
+      action.reordered = reordered != 0;
+      action.semi_join = semi_join != 0;
+      action.plan_name = RestOfLine(stream);
+      if (reopts != nullptr) {
+        reopts->Add(std::move(action));
       }
-    } else if (kind == "window") {
-      std::string key;
-      ProfileWindow window;
-      if (!(stream >> key >> window.index >> window.executions >> window.samples >>
-            window.execute_cycles >> window.rows >> window.loads >> window.l1_misses >>
-            window.l2_misses >> window.l3_misses >> window.remote_dram >> window.latency_p50 >>
-            window.latency_p95 >> window.latency_max)) {
-        Malformed(line);
-      }
-      if (v3 && !(stream >> window.baseline_executions >> window.baseline_samples)) {
-        Malformed(line);
-      }
-      if (windows != nullptr) {
-        const uint64_t fingerprint = std::stoull(key, nullptr, 16);
-        // LoadWindowOperator folds op lines back in; start the counter from zero.
-        window.samples = 0;
-        windows->LoadWindow(fingerprint, plan_names[fingerprint], std::move(window));
-      }
-    } else if (kind == "wop") {
-      std::string key;
-      uint64_t window_index = 0;
-      uint64_t op = 0;
-      WindowOperatorStats stats;
-      if (!(stream >> key >> window_index >> op >> stats.samples >> stats.sample_cycles)) {
-        Malformed(line);
-      }
-      stats.op = static_cast<OperatorId>(op);
-      std::getline(stream, stats.label);
-      if (!stats.label.empty() && stats.label.front() == ' ') {
-        stats.label.erase(stats.label.begin());
-      }
-      if (windows != nullptr) {
-        windows->LoadWindowOperator(std::stoull(key, nullptr, 16), window_index,
-                                    std::move(stats));
-      }
-    } else if (kind == "plan") {
-      std::string key;
-      FleetPlanProfile plan;
-      if (!(stream >> key >> plan.executions >> plan.cache_hits >> plan.cache_misses >>
-            plan.compile_cycles >> plan.execute_cycles)) {
-        Malformed(line);
-      }
-      plan.fingerprint = std::stoull(key, nullptr, 16);
-      std::getline(stream, plan.name);
-      if (!plan.name.empty() && plan.name.front() == ' ') {
-        plan.name.erase(plan.name.begin());
-      }
-      plan_names[plan.fingerprint] = plan.name;
-      // Rebuild the cross-plan totals as we load.
-      profile.AddLoadedPlan(std::move(plan));
-    } else if (kind == "op") {
-      std::string key;
-      FleetOperatorCost cost;
-      uint64_t op = 0;
-      if (!(stream >> key >> op >> cost.samples)) {
-        Malformed(line);
-      }
-      cost.op = static_cast<OperatorId>(op);
-      std::getline(stream, cost.label);
-      if (!cost.label.empty() && cost.label.front() == ' ') {
-        cost.label.erase(cost.label.begin());
-      }
-      profile.AddLoadedOperator(std::stoull(key, nullptr, 16), std::move(cost));
     } else {
       Malformed(line);
     }

@@ -24,9 +24,9 @@
 
 namespace dfp {
 
-class SlackStore;  // src/critpath/slack.h — expected-slack persistence (profile v5).
-class CardStore;   // src/reopt/cardstore.h — measured-cardinality persistence (profile v6).
-class ReoptLog;    // src/reopt/controller.h — re-optimization audit trail (profile v6).
+class SlackStore;  // src/critpath/slack.h — expected-slack persistence.
+class CardStore;   // src/reopt/cardstore.h — measured-cardinality persistence.
+class ReoptLog;    // src/reopt/controller.h — re-optimization audit trail.
 
 struct FleetOperatorCost {
   OperatorId op = kNoOperator;
@@ -114,61 +114,55 @@ class ServiceProfile {
 };
 
 // Line-oriented text format, in the family of WriteDictionary/WriteSamples (§5.2 decoupling).
-// Version 2 embeds the windowed fleet profile next to the cumulative counters; version 3 adds
-// the pieces a restarting service needs to resume where it left off — the service clock, the
-// per-window tier split, and the frozen regression baselines; version 4 adds per-plan
-// critical-path rollups; version 5 adds the expected-slack store the slack-directed scheduler
-// and deadline admission read (src/critpath/slack.h); version 6 adds the measured-cardinality
-// store and the re-optimization audit trail (src/reopt/), so a restarted service resumes the
-// closed loop from its pre-restart measurements:
-//   # dfp service profile v2|v3|v4|v5|v6
+// Next to the cumulative per-plan counters it carries the windowed fleet profile and, in a
+// state file, everything a restarting service needs to resume where it left off: the service
+// clock, the frozen regression baselines, the expected-slack store the slack-directed
+// scheduler and deadline admission read (src/critpath/slack.h), and the measured-cardinality
+// store and re-optimization audit trail (src/reopt/):
+//   # dfp service profile v6
 //   windowcfg <width-cycles> <ring-windows>
-//   clock <service-clock-cycles>                                              (v3)
 //   plan <fingerprint-hex> <executions> <hits> <misses> <compile-cycles> <execute-cycles> <name...>
 //   op <fingerprint-hex> <operator-id> <samples> <label...>
-//   crit <fingerprint-hex> <critical-cycles> <top-share-pct> <bottleneck>     (v4)
+//   crit <fingerprint-hex> <critical-cycles> <top-share-pct> <bottleneck>
 //   window <fingerprint-hex> <index> <executions> <samples> <execute-cycles> <rows> <loads>
-//          <l1> <l2> <l3> <remote> <lat-p50> <lat-p95> <lat-max>
-//          [<baseline-executions> <baseline-samples>]                         (v3)
+//          <l1> <l2> <l3> <remote> <lat-p50> <lat-p95> <lat-max> <baseline-executions>
+//          <baseline-samples>
 //   wop <fingerprint-hex> <window-index> <operator-id> <samples> <sample-cycles> <label...>
-//   baseline <fingerprint-hex> <samples> <watermark> <cycles-per-row> <remote-share> <name...> (v3)
-//   bop <fingerprint-hex> <operator-id> <samples> <sample-cycles> <label...>  (v3)
-//   slackgen <store-generation>                                               (v5)
-//   slack <fingerprint-hex> <executions> <generation> <critical-path-cycles> <name...>  (v5)
-//   slackstep <fingerprint-hex> <step> <pipeline> <rows> <b0> ... <b15>       (v5)
-//   cardgen <store-generation>                                                (v6)
-//   cardplan <fingerprint-hex> <executions> <generation> <name...>            (v6)
+//   clock <service-clock-cycles>
+//   baseline <fingerprint-hex> <samples> <watermark> <cycles-per-row> <remote-share> <name...>
+//   bop <fingerprint-hex> <operator-id> <samples> <sample-cycles> <label...>
+//   slackgen <store-generation>
+//   slack <fingerprint-hex> <executions> <generation> <critical-path-cycles> <name...>
+//   slackstep <fingerprint-hex> <step> <pipeline> <rows> <b0> ... <b15>
+//   cardgen <store-generation>
+//   cardplan <fingerprint-hex> <executions> <generation> <name...>
 //   card <fingerprint-hex> <operator-id> <observed-rows> <estimated-rows> <executions>
-//        <generation>                                                         (v6)
+//        <generation>
 //   reopt <fingerprint-hex> <state> <decided-tsc> <applied-tsc> <resolved-tsc>
-//         <divergence-pct> <reordered> <semi-join> <name...>                  (v6)
-// The writers are content-driven: the two-argument form emits v4 only when some plan carries a
-// critical-path rollup and v3 only when some window carries baseline-tier counts, so
-// pre-tiering and pre-critpath profiles stay byte-identical v2/v3 files. The v1 header with
-// plan/op lines only is still accepted by ReadServiceProfile.
-void WriteServiceProfile(const ServiceProfile& profile, std::ostream& out);
+//         <divergence-pct> <reordered> <semi-join> <name...>
+// WriteServiceProfile writes the lines up to `wop`; a state file goes on from `clock`. A
+// plan's crit line follows its op lines once a critical-path analysis was recorded.
+// Fingerprints are 16 lowercase hex digits (src/util/text_format.h).
 void WriteServiceProfile(const ServiceProfile& profile, const WindowedProfile& windows,
                          std::ostream& out);
 
-// Persistence writer: embeds the service clock and the regression baselines — everything
-// QueryService saves on shutdown and restores on start. Emits v6 when `cards` holds
-// observations or `reopts` holds actions, v5 when `slack` holds observed executions (its
-// generation advanced), v4 when a plan carries a critical-path rollup, v3 otherwise — a
-// service that never enabled the closed loops keeps writing byte-identical v3/v4 files.
+// Persistence writer: WriteServiceProfile's lines plus the service clock, the regression
+// baselines, and — for each store passed — the slack, cardinality, and re-optimization lines.
+// This is everything QueryService saves on shutdown and restores on start.
 void WriteServiceState(const ServiceProfile& profile, const WindowedProfile& windows,
                        const BaselineStore& baselines, uint64_t service_clock_cycles,
                        std::ostream& out, const SlackStore* slack = nullptr,
                        const CardStore* cards = nullptr, const ReoptLog* reopts = nullptr);
 
-// Inverse of WriteServiceProfile/WriteServiceState; parses v1 through v6. When `windows` is
-// non-null, window lines are reconstituted into it (it keeps its configured ring bound; the
-// file's windowcfg line restores the writer's configuration first). `baselines` and
-// `service_clock_cycles`, when non-null, receive the v3 regression baselines and service
-// clock; `slack`, when non-null, receives the v5 expected-slack store (including its
-// generation clock, so age-out resumes where the writer left off); `cards` and `reopts`, when
-// non-null, receive the v6 cardinality store and re-optimization audit trail (loaded actions
-// carry no replaced entry — the cache is cold — so an applied action resolves as reverted at
-// its next completion). Throws dfp::Error on malformed input.
+// Inverse of WriteServiceProfile/WriteServiceState. When `windows` is non-null, window lines
+// are reconstituted into it (it keeps its configured ring bound; the file's windowcfg line
+// restores the writer's configuration first). `baselines` and `service_clock_cycles`, when
+// non-null, receive the regression baselines and service clock; `slack`, when non-null,
+// receives the expected-slack store (including its generation clock, so age-out resumes where
+// the writer left off); `cards` and `reopts`, when non-null, receive the cardinality store and
+// re-optimization audit trail (loaded actions carry no replaced entry — the cache is cold — so
+// an applied action resolves as reverted at its next completion). Throws dfp::Error on
+// malformed input and on any header but v6.
 ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows = nullptr,
                                   BaselineStore* baselines = nullptr,
                                   uint64_t* service_clock_cycles = nullptr,

@@ -6,16 +6,10 @@
 #include <sstream>
 #include <utility>
 
-#include <cstdio>
+#include "src/util/text_format.h"
 
 namespace dfp {
 namespace {
-
-std::string HexKey(uint64_t fingerprint) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(fingerprint));
-  return buffer;
-}
 
 // Lexicographic-min non-empty string: the order-independent name pick.
 void ReduceName(std::string& into, const std::string& other) {
@@ -165,7 +159,7 @@ std::string RenderFleetAggregate(const FleetAggregate& fleet, size_t top_k) {
       << " levels, " << fleet.plans.size() << " plans, rollup " << fleet.rollup_cycles
       << " cycles\n";
   for (const auto& [fingerprint, plan] : fleet.plans) {
-    out << "  " << HexKey(fingerprint) << " " << (plan.name.empty() ? "?" : plan.name) << ": "
+    out << "  " << Hex16(fingerprint) << " " << (plan.name.empty() ? "?" : plan.name) << ": "
         << plan.executions << " execs (" << plan.cache_hits << " hits), compile "
         << plan.compile_cycles << ", execute " << plan.execute_cycles << ", samples "
         << plan.samples;
@@ -201,7 +195,7 @@ void WriteFleetAggregateJson(const FleetAggregate& fleet, std::ostream& out) {
       out << ",\n";
     }
     first_plan = false;
-    out << "    {\"fingerprint\": \"" << HexKey(fingerprint) << "\", \"name\": \"" << plan.name
+    out << "    {\"fingerprint\": \"" << Hex16(fingerprint) << "\", \"name\": \"" << plan.name
         << "\", \"executions\": " << plan.executions << ", \"cache_hits\": " << plan.cache_hits
         << ", \"compile_cycles\": " << plan.compile_cycles
         << ", \"execute_cycles\": " << plan.execute_cycles << ", \"samples\": " << plan.samples

@@ -23,7 +23,7 @@ SamplingConfig DefaultMergeSampling() {
   sampling.enabled = true;
   sampling.event = PmuEvent::kCrossNode;
   sampling.period = 64;
-  sampling.capture_address = true;  // Samples carry the cross-node flag (v7 `X` tokens).
+  sampling.capture_address = true;  // Samples carry the cross-node flag (`X` tokens).
   return sampling;
 }
 
@@ -32,8 +32,8 @@ ShardedService::ShardedService(ShardCatalog& catalog, ShardServiceConfig config)
   shards_.reserve(catalog_.shards());
   for (uint32_t s = 0; s < catalog_.shards(); ++s) {
     ServiceConfig shard_config = config_.service;
-    // 1-based shard ids stamp samples (stream v7); the 1-shard degenerate case keeps id 0 so
-    // its streams stay byte-identical to an unsharded service's (pre-v7 headers).
+    // 1-based shard ids stamp samples; the 1-shard degenerate case keeps id 0 so its streams
+    // stay byte-identical to an unsharded service's.
     shard_config.parallel.shard_id = catalog_.shards() > 1 ? s + 1 : 0;
     if (s > 0) {
       shard_config.state_path.clear();

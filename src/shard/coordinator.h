@@ -33,8 +33,8 @@
 // visible in operator-level profiles next to ordinary plan operators.
 //
 // A 1-shard ShardedService is the degenerate tower: no merger, no staging regions, shard_id 0
-// (pre-v7 sample streams), every submission routed to shard 0 — byte-identical behavior to a
-// plain QueryService over the same database and configuration.
+// (no shard tokens in sample streams), every submission routed to shard 0 — byte-identical
+// behavior to a plain QueryService over the same database and configuration.
 #ifndef DFP_SRC_SHARD_COORDINATOR_H_
 #define DFP_SRC_SHARD_COORDINATOR_H_
 
@@ -55,13 +55,14 @@ namespace dfp {
 
 struct ShardServiceConfig {
   // Per-shard service configuration. The coordinator stamps parallel.shard_id (1-based; 0 in
-  // the 1-shard degenerate case, keeping streams pre-v7) and clears state_path on the copies
-  // it hands to shards beyond 0 (per-shard persistence would need per-shard paths).
+  // the 1-shard degenerate case, keeping streams free of shard tokens) and clears state_path
+  // on the copies it hands to shards beyond 0 (per-shard persistence would need per-shard
+  // paths).
   ServiceConfig service;
   // Coordinator merge cost model (staging rings live in shard 0's extra arena).
   MergeCosts merge;
   // Sampling of the coordinator's merge work. capture_address makes the staged-cell samples
-  // carry the cross-node flag (v7 `X` tokens).
+  // carry the cross-node flag (`X` tokens).
   SamplingConfig merge_sampling;
   // Modeled per-entry cost of one aggregation-tree level (src/shard/aggtree.h).
   uint64_t rollup_cost_per_entry = kRollupCyclesPerEntry;

@@ -15,7 +15,7 @@
 //  - Cost. Remote shards' partial cells are staged into per-shard staging rings carved from
 //    the coordinator (shard 0) database and registered as cross-node spans in a NumaMap: each
 //    staged cell is a HostLoad that misses to DRAM and pays the cross-node fabric penalty,
-//    ticking the CROSS_NODE PMU event and emitting `X`-token samples (stream v7). Merge
+//    ticking the CROSS_NODE PMU event and emitting `X`-token samples. Merge
 //    compute is HostWork on a dedicated "shard.merge" kernel segment. The resulting samples
 //    are folded into the fleet profile under the reserved Merge operator id, so the fan-out
 //    overhead shows up in operator-level profiles next to the ordinary plan operators.

@@ -21,7 +21,7 @@ bool TierController::Observe(uint64_t fingerprint, const std::string& name,
   // windowed evidence when available (recent-rate semantics; old windows fall off the ring),
   // with a cumulative fallback when the service runs without windows.
   uint64_t evidence;
-  if (config_.promote_by_critical_path && critical_path_cycles != 0) {
+  if (critical_path_cycles != 0) {
     evidence = critical_path_cycles;
   } else {
     const WindowRollup rollup = windows.RollUp(fingerprint);

@@ -43,9 +43,9 @@ class TierController {
   // when the windowed cycles first cross the break-even threshold — the caller then enqueues
   // the background recompilation. `execute_cycles` backs a cumulative fallback for
   // configurations running without windows. `critical_path_cycles` is the fingerprint's
-  // cumulative critical-path work (src/critpath/); when non-zero and
-  // TieringConfig::promote_by_critical_path is set, it replaces the raw-cycle evidence, so
-  // promotion tracks the cycles that actually gated query latency.
+  // cumulative critical-path work (src/critpath/); when non-zero it replaces the raw-cycle
+  // evidence, so promotion tracks the cycles that actually gated query latency — wide-but-slack
+  // pipelines stop buying recompiles that cannot move latency.
   bool Observe(uint64_t fingerprint, const std::string& name, const WindowedProfile& windows,
                uint64_t execute_cycles, uint64_t optimizing_compile_cycles,
                uint64_t now_cycles, uint64_t critical_path_cycles = 0);

@@ -1,17 +1,12 @@
 #include "src/tiering/report.h"
 
-#include <cstdio>
 #include <sstream>
 #include <vector>
 
+#include "src/util/text_format.h"
+
 namespace dfp {
 namespace {
-
-std::string HexKey(uint64_t fingerprint) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(fingerprint));
-  return buffer;
-}
 
 const char* WindowTierLabel(const ProfileWindow& window) {
   if (window.baseline_executions == 0) {
@@ -58,7 +53,7 @@ std::string RenderTierTimeline(const WindowedProfile& windows, const TierControl
         transitions.push_back(&transition);
       }
     }
-    out << "plan " << HexKey(fingerprint) << "  " << series.name << "\n";
+    out << "plan " << Hex16(fingerprint) << "  " << series.name << "\n";
     for (const ProfileWindow& window : series.windows) {
       out << "  w" << window.index << "  [" << WindowTierLabel(window) << "]  exec "
           << (window.executions - window.baseline_executions) << " opt + "

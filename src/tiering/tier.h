@@ -30,12 +30,6 @@ struct TieringConfig {
   double break_even_ratio = 1.0;
   // Never promote before this many completed executions (one-shot queries stay on baseline).
   uint64_t min_executions = 2;
-  // Use critical-path work as promotion evidence when the caller supplies it (the service
-  // feeds the critical-path tracker's cumulative cycles — src/critpath/). A fingerprint then
-  // promotes by how many cycles it put on its queries' critical paths, not by how many it
-  // burned in aggregate: wide-but-slack pipelines stop buying recompiles that cannot move
-  // latency. Callers that pass no critical-path evidence keep the raw-cycle behavior.
-  bool promote_by_critical_path = true;
 };
 
 }  // namespace dfp

@@ -56,7 +56,7 @@ class Cpu {
   uint32_t session_id() const { return session_id_; }
 
   // Service shard this VCPU belongs to (1-based; 0 = unsharded). Stamped into every sample so
-  // fan-out attribution survives the coordinator's fleet roll-up (sample stream v7).
+  // fan-out attribution survives the coordinator's fleet roll-up (the stream's `D` token).
   void set_shard_id(uint32_t id) { shard_id_ = id; }
   uint32_t shard_id() const { return shard_id_; }
 

@@ -1,5 +1,5 @@
-// WindowedProfile: ring bounds, quantiles, roll-up, deterministic JSON, and the v2
-// service-profile round-trip (with v1 backward compatibility).
+// WindowedProfile: ring bounds, quantiles, roll-up, deterministic JSON, and the
+// service-profile text round-trip.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -132,7 +132,7 @@ TEST(WindowedProfile, JsonExportIsDeterministic) {
   EXPECT_EQ(a.find('.'), std::string::npos);
 }
 
-TEST(ServiceProfileV2, WindowsRoundTripThroughTextFormat) {
+TEST(ServiceProfileFormat, WindowsRoundTripThroughTextFormat) {
   ServiceProfile fleet;
   FleetPlanProfile plan;
   plan.fingerprint = 0x42;
@@ -155,7 +155,6 @@ TEST(ServiceProfileV2, WindowsRoundTripThroughTextFormat) {
   std::ostringstream out;
   WriteServiceProfile(fleet, windows, out);
   const std::string text = out.str();
-  EXPECT_NE(text.find("# dfp service profile v2"), std::string::npos);
   EXPECT_NE(text.find("windowcfg 1000 3"), std::string::npos);
 
   std::istringstream in(text);
@@ -212,7 +211,7 @@ TEST(WindowedProfile, TierFreeRenderingIsUnchanged) {
   EXPECT_EQ(windows.Render().find("baseline"), std::string::npos);
 }
 
-TEST(ServiceProfileV3, StateRoundTripsWithClockTiersAndBaselines) {
+TEST(ServiceProfileFormat, StateRoundTripsWithClockTiersAndBaselines) {
   ServiceProfile fleet;
   FleetPlanProfile plan;
   plan.fingerprint = 0x42;
@@ -232,7 +231,6 @@ TEST(ServiceProfileV3, StateRoundTripsWithClockTiersAndBaselines) {
   std::ostringstream out;
   WriteServiceState(fleet, windows, baselines, /*service_clock_cycles=*/123456, out);
   const std::string text = out.str();
-  EXPECT_NE(text.find("# dfp service profile v3"), std::string::npos);
   EXPECT_NE(text.find("clock 123456"), std::string::npos);
   EXPECT_NE(text.find("baseline 0000000000000042"), std::string::npos);
   EXPECT_NE(text.find("bop 0000000000000042"), std::string::npos);
@@ -253,50 +251,61 @@ TEST(ServiceProfileV3, StateRoundTripsWithClockTiersAndBaselines) {
   EXPECT_EQ(rewritten.str(), text);
 }
 
-TEST(ServiceProfileV3, StateLinesAreRejectedInOlderVersions) {
-  std::istringstream clock_in_v2("# dfp service profile v2\nclock 5\n");
-  EXPECT_THROW(ReadServiceProfile(clock_in_v2), Error);
+TEST(ServiceProfileFormat, OrphanBaselineOperatorIsMalformed) {
   std::istringstream orphan_bop(
-      "# dfp service profile v3\nclock 5\nbop 0000000000000001 1 2 3 scan\n");
+      "# dfp service profile v6\nclock 5\nbop 0000000000000001 1 2 3 scan\n");
   BaselineStore sink;
   EXPECT_THROW(ReadServiceProfile(orphan_bop, nullptr, &sink), Error);
 }
 
-TEST(ServiceProfileV2, V1FormatStillParses) {
-  const std::string v1 =
-      "# dfp service profile v1\n"
-      "plan 0000000000000042 2 1 1 5000 12345 q6\n"
-      "op 0000000000000042 1 17 TableScan lineitem\n";
-  std::istringstream in(v1);
-  WindowedProfile windows;
-  ServiceProfile profile = ReadServiceProfile(in, &windows);
-  EXPECT_EQ(profile.plans().at(0x42).executions, 2u);
-  EXPECT_EQ(profile.plans().at(0x42).operators.at(1).label, "TableScan lineitem");
-  EXPECT_TRUE(windows.empty());
-
-  // The two-argument writer still emits v1, byte-compatible with old readers.
-  std::ostringstream out;
-  WriteServiceProfile(profile, out);
-  EXPECT_EQ(out.str(), v1);
-}
-
-TEST(ServiceProfileV2, WindowLinesInV1FileAreMalformed) {
+TEST(ServiceProfileFormat, WopWithoutWindowIsMalformed) {
   const std::string bad =
-      "# dfp service profile v1\n"
-      "window 0000000000000042 0 1 1 1 1 1 1 1 1 1 1 1 1\n";
-  std::istringstream in(bad);
-  EXPECT_THROW(ReadServiceProfile(in), Error);
-}
-
-TEST(ServiceProfileV2, WopWithoutWindowIsMalformed) {
-  const std::string bad =
-      "# dfp service profile v2\n"
+      "# dfp service profile v6\n"
       "windowcfg 1000 3\n"
       "plan 0000000000000042 1 0 1 10 10 q\n"
       "wop 0000000000000042 0 1 5 500 Scan\n";
   std::istringstream in(bad);
   WindowedProfile windows;
   EXPECT_THROW(ReadServiceProfile(in, &windows), Error);
+}
+
+TEST(ServiceProfileFormat, MalformedFingerprintKeysAreRejected) {
+  // Keys are exactly 16 lowercase hex digits; anything else is a dfp::Error, never a partial
+  // parse of a valid prefix.
+  for (const char* key : {"zzzzzzzzzzzzzzzz", "12zzzzzzzzzzzzzz", "000000000000042",
+                          "00000000000000042", "000000000000004A"}) {
+    std::istringstream in(std::string("# dfp service profile v6\nplan ") + key +
+                          " 1 0 1 10 10 q\n");
+    EXPECT_THROW(ReadServiceProfile(in), Error) << key;
+  }
+}
+
+TEST(ServiceProfileFormat, OneHeaderWrittenAndEveryOtherRefused) {
+  // Both writers emit v6 whatever the profile holds...
+  ServiceProfile empty;
+  WindowedProfile windows;
+  std::ostringstream profile_out;
+  WriteServiceProfile(empty, windows, profile_out);
+  EXPECT_EQ(profile_out.str().rfind("# dfp service profile v6\n", 0), 0u);
+  std::ostringstream state_out;
+  WriteServiceState(empty, windows, BaselineStore(), 0, state_out);
+  EXPECT_EQ(state_out.str().rfind("# dfp service profile v6\n", 0), 0u);
+
+  // ...and the reader refuses every other version, older or newer, with one message.
+  for (int version = 1; version <= 7; ++version) {
+    if (version == 6) {
+      continue;
+    }
+    std::istringstream in("# dfp service profile v" + std::to_string(version) +
+                          "\nplan 0000000000000042 1 0 1 10 10 q\n");
+    try {
+      ReadServiceProfile(in);
+      ADD_FAILURE() << "v" << version << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported file header"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

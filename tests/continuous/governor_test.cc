@@ -156,13 +156,6 @@ TEST(SamplingGovernor, PipelinePeriodsEmptyWithoutSignalOrWhenDisabled) {
   fresh.ObserveCriticality(0x1, "q", {0, 0});
   EXPECT_TRUE(fresh.PipelinePeriods(0x1, 5000, 2).empty());
 
-  // Weighting off: criticality is tracked but never shapes periods.
-  GovernorConfig unweighted = EnabledConfig();
-  unweighted.criticality_weighting = false;
-  SamplingGovernor governor(unweighted);
-  governor.ObserveCriticality(0x1, "q", {80});
-  EXPECT_TRUE(governor.PipelinePeriods(0x1, 5000, 1).empty());
-
   // Disabled governor: ObserveCriticality is a no-op.
   SamplingGovernor disabled;
   disabled.ObserveCriticality(0x1, "q", {80});

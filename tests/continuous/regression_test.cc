@@ -185,7 +185,7 @@ TEST(RegressionDetector, DisappearedAndNewOperatorsBothDiff) {
   EXPECT_TRUE(findings[0].drifts[2].flagged);
 }
 
-// --- End-to-end: the service scenario the continuous-smoke CI job runs ---
+// --- End-to-end: the service scenario the CI determinism job runs ---
 
 ServiceConfig ServiceTestConfig() {
   ServiceConfig config;

@@ -76,14 +76,13 @@ TEST(CritPathService, TicketTrackerAndProfileCarryTheAnalysis) {
   EXPECT_NE(report.find("q6"), std::string::npos);
   EXPECT_NE(report.find(BottleneckName(plan->dominant_label())), std::string::npos);
 
-  // The fleet profile carries the rollup and serializes as a v4 stream with a `crit` line.
+  // The fleet profile carries the rollup and serializes it as a `crit` line.
   const FleetPlanProfile& fleet_plan = service.fleet_profile().plans().at(fp);
   EXPECT_EQ(fleet_plan.critical_cycles, plan->critical_work_cycles);
   EXPECT_FALSE(fleet_plan.bottleneck.empty());
   std::ostringstream out;
   WriteServiceProfile(service.fleet_profile(), service.windows(), out);
   const std::string text = out.str();
-  EXPECT_NE(text.find("# dfp service profile v4"), std::string::npos);
   EXPECT_NE(text.find("\ncrit "), std::string::npos);
 
   // Round trip: the criticality fields reload, and the reloaded state re-serializes

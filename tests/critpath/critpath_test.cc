@@ -1,6 +1,6 @@
 // Critical-path subsystem: hand-computed slack/critical-path over synthetic task DAGs,
 // classifier guards on degenerate inputs, bit-level determinism of the serialized analysis,
-// v5 sample-stream round trips that rebuild the identical DAG, and the roofline acceptance
+// sample-stream round trips that rebuild the identical DAG, and the roofline acceptance
 // bar — on the skewed q6 workload the classifier must label the scan pipeline
 // remote-DRAM-bound under locality-blind central dispatch and compute-bound once NUMA-aware
 // stealing keeps the traffic local.
@@ -344,8 +344,8 @@ TEST(SlackStore, StalePlansAgeOutAfterMaxAgeGenerations) {
   EXPECT_EQ(store.ExpectedCriticalPathCycles(1), 0u);
 }
 
-TEST(CritPath, V5StreamRebuildsTheIdenticalDag) {
-  // The task-boundary block in a v5 stream is the DAG: reading the stream back and rebuilding
+TEST(CritPath, SampleStreamRebuildsTheIdenticalDag) {
+  // The task-boundary block in a sample stream is the DAG: reading the stream back and rebuilding
   // must reproduce the live analysis byte for byte — profiles stay analyzable offline.
   Database& db = *SkewedDb();
   QueryEngine engine(&db);
@@ -363,15 +363,14 @@ TEST(CritPath, V5StreamRebuildsTheIdenticalDag) {
   ASSERT_FALSE(boundaries.empty());
 
   std::ostringstream out;
-  WriteSamples(session.samples(), {}, boundaries, out);
-  EXPECT_NE(out.str().find("# dfp samples v5"), std::string::npos);
+  WriteSamples(session.samples(), out, {.tasks = boundaries});
 
   std::istringstream in(out.str());
-  std::vector<SampleStreamEvent> events;
-  std::vector<TaskBoundary> reread;
-  std::vector<Sample> samples = ReadSamples(in, &events, &reread);
+  SampleSideband sideband;
+  std::vector<Sample> samples = ReadSamples(in, &sideband);
   EXPECT_EQ(samples.size(), session.samples().size());
-  EXPECT_TRUE(events.empty());
+  EXPECT_TRUE(sideband.events.empty());
+  const std::vector<TaskBoundary>& reread = sideband.tasks;
   ASSERT_EQ(reread.size(), boundaries.size());
 
   const TaskDag live = BuildTaskDag(boundaries);

@@ -166,10 +166,9 @@ TEST(ParallelSteal, StolenSamplesCarryLocalityAndAttribute) {
   EXPECT_GT(remote, 0u);
   EXPECT_GT(with_node, remote);
 
-  // The locality fields survive the v3 serialization round trip sample-for-sample.
+  // The locality fields survive the serialization round trip sample-for-sample.
   std::ostringstream out;
   WriteSamples(session.samples(), out);
-  EXPECT_NE(out.str().find("# dfp samples v3"), std::string::npos);
   std::istringstream in(out.str());
   std::vector<Sample> reread = ReadSamples(in);
   ASSERT_EQ(reread.size(), session.samples().size());

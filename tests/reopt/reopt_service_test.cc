@@ -2,8 +2,8 @@
 // misestimate triggers a re-plan whose candidate compiles on the background lane and swaps in
 // atomically; the guard keeps a winning candidate and reverts an injected pessimizing rewrite;
 // results stay bit-identical through decide, apply, keep, and revert; the CardStore and reopt
-// log round-trip through the v6 service profile; reopt sideband lines force v8 sample streams;
-// and the whole loop is deterministic across double runs.
+// log round-trip through the service profile; reopt sideband lines round-trip through sample
+// streams; and the whole loop is deterministic across double runs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -204,7 +204,7 @@ TEST(ReoptService, GuardRevertsInjectedPessimizingRewrite) {
   EXPECT_NE(timeline.find("reverted"), std::string::npos);
 }
 
-TEST(ReoptService, ReoptSidebandForcesV8SampleStreams) {
+TEST(ReoptService, ReoptSidebandRoundTripsThroughSampleStreams) {
   const ServiceConfig config = ReoptConfigFor();
   auto db = MakeDb(config);
   QueryService service(*db, config);
@@ -213,28 +213,25 @@ TEST(ReoptService, ReoptSidebandForcesV8SampleStreams) {
 
   const TicketId last = RunSpine(service, *db, false, 50);
   std::ostringstream out;
-  WriteSamples(service.ticket(last).session->samples(), {}, {}, {}, service.reopt_events(),
-               out);
+  WriteSamples(service.ticket(last).session->samples(), out,
+               {.reopt = service.reopt_events()});
   const std::string text = out.str();
-  EXPECT_EQ(text.rfind("# dfp samples v8", 0), 0u);
   EXPECT_NE(text.find("\nreopt "), std::string::npos);
 
   // Round trip: the reopt lines come back through the sideband sink, in stream order.
   std::istringstream in(text);
-  std::vector<SampleStreamEvent> events;
-  std::vector<TaskBoundary> tasks;
-  std::vector<SampleStreamEvent> sched;
-  std::vector<SampleStreamEvent> reopt;
-  ReadSamples(in, &events, &tasks, &sched, &reopt);
+  SampleSideband sideband;
+  ReadSamples(in, &sideband);
+  const std::vector<SampleStreamEvent>& reopt = sideband.reopt;
   ASSERT_EQ(reopt.size(), service.reopt_events().size());
   for (size_t i = 0; i < reopt.size(); ++i) {
     EXPECT_EQ(reopt[i].tsc, service.reopt_events()[i].tsc);
     EXPECT_EQ(reopt[i].text, service.reopt_events()[i].text);
   }
 
-  // A reader without a reopt sink must reject the stream instead of dropping lines.
+  // A reader without a sideband sink must reject the stream instead of dropping lines.
   std::istringstream no_sink(text);
-  EXPECT_THROW(ReadSamples(no_sink, &events, &tasks, &sched), Error);
+  EXPECT_THROW(ReadSamples(no_sink), Error);
 }
 
 TEST(ReoptService, CardsAndReoptLogRoundTripThroughServiceProfileV6) {
@@ -304,8 +301,9 @@ TEST(ReoptService, DoubleRunReoptLoopIsDeterministic) {
       const TicketId id = RunSpine(service, *db, false, 50);
       EXPECT_EQ(service.ticket(id).status, TicketStatus::kDone);
       std::ostringstream out;
-      WriteSamples(service.ticket(id).session->samples(), {}, service.ticket(id).task_boundaries,
-                   {}, service.reopt_events(), out);
+      WriteSamples(service.ticket(id).session->samples(), out,
+                   {.tasks = service.ticket(id).task_boundaries,
+                    .reopt = service.reopt_events()});
       artifacts->push_back(out.str());
     }
     std::ostringstream state;

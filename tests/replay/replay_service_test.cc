@@ -350,9 +350,9 @@ TEST(ReplayServiceTest, ReoptClosedLoopReplaysByteIdentical) {
   const Recording recording = RecordReoptWorkload(*record_db, config, 14, &kept);
   ASSERT_EQ(kept, 1u);  // The recording genuinely swapped a candidate in and kept it.
 
-  // The reopt knobs (trigger thresholds and guard bar) ride the trace as its v3 line.
+  // The reopt knobs (trigger thresholds and guard bar) ride the trace's knobs line.
   const std::string text = EncodeTraceText(recording.trace);
-  ASSERT_EQ(text.rfind("# dfp trace v3\n", 0), 0u);
+  ASSERT_NE(text.find(" reopt.enabled=1 "), std::string::npos);
   std::istringstream in(text);
   const WorkloadTrace parsed = ReadTrace(in);
 

@@ -1,11 +1,12 @@
 // Trace-format unit tests: plan codec round-trips over the whole TPC-H suite, token escaping,
-// serialize->parse->serialize fixed points for seeded random traces, version-token rejection
-// for future versions, and truncated/corrupt-line error paths.
+// serialize->parse->serialize fixed points for seeded random traces, the one-header contract,
+// the knob table's round trip, and truncated/corrupt-line error paths.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/replay/plan_codec.h"
@@ -41,12 +42,12 @@ WorkloadTrace RandomTrace(uint64_t seed) {
   Lcg rng(seed);
   WorkloadTrace trace;
   trace.catalog_version = rng.Below(5);
-  trace.knobs.workers = 1 + static_cast<uint32_t>(rng.Below(8));
-  trace.knobs.scheduler = static_cast<uint8_t>(rng.Below(2));
+  trace.knobs.parallel.workers = 1 + static_cast<uint32_t>(rng.Below(8));
+  trace.knobs.parallel.scheduler = static_cast<SchedulerPolicy>(rng.Below(2));
   trace.knobs.queue_depth = 1 + static_cast<uint32_t>(rng.Below(32));
-  trace.knobs.tiering_enabled = rng.Below(2) != 0;
-  trace.knobs.break_even_ratio = 0.25 * static_cast<double>(1 + rng.Below(8));
-  trace.knobs.governor_budget = 0.01 * static_cast<double>(1 + rng.Below(5));
+  trace.knobs.tiering.enabled = rng.Below(2) != 0;
+  trace.knobs.tiering.break_even_ratio = 0.25 * static_cast<double>(1 + rng.Below(8));
+  trace.knobs.continuous.governor.overhead_budget = 0.01 * static_cast<double>(1 + rng.Below(5));
   trace.knobs.compile_costs.base_cycles = rng.Below(1u << 20);
 
   PlanTemplate tmpl;
@@ -212,6 +213,14 @@ TEST(PlanCodecTest, MalformedPlansThrow) {
   ASSERT_NE(at, std::string::npos);
   bad.replace(at, 8, "notatable");
   EXPECT_THROW(ParsePlanText(bad, *db), Error);
+  // Row estimates are 16 lowercase hex digits (an IEEE-754 bit pattern), nothing else.
+  for (const char* estimate : {"zzzzzzzzzzzzzzzz", "12zzzzzzzzzzzzzz", "3FF0000000000000"}) {
+    EXPECT_THROW(ParsePlanText(std::string("op 0 1 0 0 0 -1 100 ") + estimate +
+                                   " - % 0 0 0 0 0 0 0\nendplan\n",
+                               *db),
+                 Error)
+        << estimate;
+  }
   // Out-of-range enum value.
   EXPECT_THROW(ParsePlanText("op 250 1 0 0 0 -1 0 0000000000000000 - % 0 0 0 0 0 0 0\nendplan\n",
                              *db),
@@ -234,7 +243,7 @@ TEST(TraceFormatTest, SeededRandomTracesReachSerializationFixedPoint) {
     const WorkloadTrace parsed = ReadTrace(in);
 
     // parse(write(t)) preserves everything write serializes...
-    EXPECT_TRUE(parsed.knobs == original.knobs) << "seed " << seed;
+    EXPECT_TRUE(KnobsEqual(parsed.knobs, original.knobs)) << "seed " << seed;
     ASSERT_EQ(parsed.queries.size(), original.queries.size()) << "seed " << seed;
     ASSERT_EQ(parsed.events.size(), original.events.size()) << "seed " << seed;
     for (size_t i = 0; i < parsed.queries.size(); ++i) {
@@ -248,71 +257,29 @@ TEST(TraceFormatTest, SeededRandomTracesReachSerializationFixedPoint) {
   }
 }
 
-TEST(TraceFormatTest, FutureVersionsAreRejected) {
-  const WorkloadTrace trace = RandomTrace(7);
-  std::string text = EncodeTraceText(trace);
-  ASSERT_EQ(text.rfind("# dfp trace v1\n", 0), 0u);
+TEST(TraceFormatTest, OneHeaderWrittenAndEveryOtherRefused) {
+  const std::string text = EncodeTraceText(RandomTrace(7));
+  ASSERT_EQ(text.rfind("# dfp trace v4\n", 0), 0u);
 
-  for (const std::string version : {"4", "17", "999"}) {
-    std::string future = "# dfp trace v" + version + text.substr(text.find('\n'));
-    std::istringstream in(future);
+  for (int version = 1; version <= 5; ++version) {
+    if (version == 4) {
+      continue;
+    }
+    std::istringstream in("# dfp trace v" + std::to_string(version) +
+                          text.substr(text.find('\n')));
     try {
       ReadTrace(in);
-      FAIL() << "v" << version << " accepted";
+      ADD_FAILURE() << "v" << version << " accepted";
     } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("newer"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("unsupported file header"), std::string::npos)
+          << e.what();
     }
   }
-  // Non-trace input is rejected up front.
-  std::istringstream not_a_trace("# dfp samples v4\n");
+  // Non-trace input is refused up front.
+  std::istringstream not_a_trace("# dfp samples v8\n");
   EXPECT_THROW(ReadTrace(not_a_trace), Error);
   std::istringstream empty("");
   EXPECT_THROW(ReadTrace(empty), Error);
-}
-
-TEST(TraceFormatTest, ReoptKnobLineRoundTripsAsV3) {
-  // Content-driven versioning: the reopt knob line (and only it) promotes a trace to v3, so
-  // traces recorded with re-optimization off stay byte-identical v1/v2 files.
-  WorkloadTrace trace = RandomTrace(3);
-  ASSERT_EQ(EncodeTraceText(trace).rfind("# dfp trace v1\n", 0), 0u);
-
-  trace.knobs.reopt_enabled = true;
-  trace.knobs.reopt_divergence_pct = 250;
-  trace.knobs.reopt_min_executions = 5;
-  trace.knobs.reopt_semi_join_reduction = true;
-  trace.knobs.reopt_semi_join_blowup_pct = 175;
-  trace.knobs.reopt_pessimize = true;
-  // Guard doubles must survive bit-exactly (they are IEEE-754 hex on the wire), including
-  // values with no short decimal form.
-  trace.knobs.reopt_guard.cycles_per_row_ratio = 1.0 + 1.0 / 3.0;
-  trace.knobs.reopt_guard.remote_share_drift = 0.07;
-  trace.knobs.reopt_guard.min_samples = 11;
-  const std::string text = EncodeTraceText(trace);
-  ASSERT_EQ(text.rfind("# dfp trace v3\n", 0), 0u);
-  EXPECT_NE(text.find("\nreopt 1 250 5 1 175 1 "), std::string::npos);
-
-  std::istringstream in(text);
-  const WorkloadTrace parsed = ReadTrace(in);
-  EXPECT_TRUE(parsed.knobs == trace.knobs);
-  EXPECT_EQ(parsed.knobs.reopt_guard.cycles_per_row_ratio, 1.0 + 1.0 / 3.0);
-  EXPECT_EQ(EncodeTraceText(parsed), text);
-
-  // A corrupt reopt line throws instead of silently reverting to defaults.
-  std::string bad = text;
-  const size_t at = bad.find("\nreopt 1 250");
-  ASSERT_NE(at, std::string::npos);
-  bad.replace(at, 12, "\nreopt 1 bad");
-  std::istringstream bad_in(bad);
-  EXPECT_THROW(ReadTrace(bad_in), Error);
-
-  // Non-default guard thresholds alone (reopt disabled) still force the v3 line: a replayed
-  // keep/revert verdict must judge by the recorded bar, not the current build's default.
-  WorkloadTrace guard_only = RandomTrace(4);
-  guard_only.knobs.reopt_guard.min_samples = 40;
-  const std::string guard_text = EncodeTraceText(guard_only);
-  ASSERT_EQ(guard_text.rfind("# dfp trace v3\n", 0), 0u);
-  std::istringstream guard_in(guard_text);
-  EXPECT_EQ(ReadTrace(guard_in).knobs.reopt_guard.min_samples, 40u);
 }
 
 TEST(TraceFormatTest, TruncationAndCorruptionThrow) {
@@ -343,45 +310,68 @@ TEST(TraceFormatTest, TruncationAndCorruptionThrow) {
   corrupt("\nend\n", "\n");               // Missing end marker.
 }
 
-TEST(TraceFormatTest, KnobsRoundTripThroughServiceConfig) {
-  ServiceConfig config;
-  config.parallel.workers = 7;
-  config.parallel.scheduler = SchedulerPolicy::kCentral;
-  config.max_active_sessions = 5;
-  config.queue_depth = 42;
-  config.profiling.period = 917;
-  config.profiling.packed_tags = true;
-  config.continuous.governor.enabled = true;
-  config.continuous.governor.overhead_budget = 0.035;
-  config.tiering.enabled = true;
-  config.tiering.break_even_ratio = 2.5;
-  config.tiering.min_executions = 3;
-  config.compile_costs.patch_per_site_cycles = 1234;
-  config.reopt.enabled = true;
-  config.reopt.divergence_pct = 300;
-  config.reopt.min_executions = 4;
-  config.reopt.semi_join_reduction = true;
-  config.reopt.guard.cycles_per_row_ratio = 1.5;
-  config.reopt.guard.min_samples = 25;
+// Moves a knob off its default: flags flip, enums take another valid value, integers grow by
+// one, doubles by a third (which has no short decimal form).
+template <typename T>
+void MoveOffDefault(T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    value = !value;
+  } else if constexpr (std::is_enum_v<T>) {
+    value = static_cast<T>(static_cast<int>(value) == 0 ? 1 : 0);
+  } else if constexpr (std::is_same_v<T, double>) {
+    value += 1.0 / 3.0;
+  } else {
+    value += 1;
+  }
+}
 
-  const TraceKnobs knobs = CaptureKnobs(config);
-  const ServiceConfig rebuilt = ApplyKnobs(knobs);
-  EXPECT_TRUE(CaptureKnobs(rebuilt) == knobs);
-  EXPECT_EQ(rebuilt.parallel.workers, 7u);
-  EXPECT_EQ(rebuilt.parallel.scheduler, SchedulerPolicy::kCentral);
-  EXPECT_EQ(rebuilt.queue_depth, 42u);
-  EXPECT_EQ(rebuilt.profiling.period, 917u);
-  EXPECT_TRUE(rebuilt.profiling.packed_tags);
-  EXPECT_EQ(rebuilt.continuous.governor.overhead_budget, 0.035);
-  EXPECT_EQ(rebuilt.tiering.break_even_ratio, 2.5);
-  EXPECT_EQ(rebuilt.tiering.min_executions, 3u);
-  EXPECT_EQ(rebuilt.compile_costs.patch_per_site_cycles, 1234u);
-  EXPECT_TRUE(rebuilt.reopt.enabled);
-  EXPECT_EQ(rebuilt.reopt.divergence_pct, 300u);
-  EXPECT_EQ(rebuilt.reopt.min_executions, 4u);
-  EXPECT_TRUE(rebuilt.reopt.semi_join_reduction);
-  EXPECT_EQ(rebuilt.reopt.guard.cycles_per_row_ratio, 1.5);
-  EXPECT_EQ(rebuilt.reopt.guard.min_samples, 25u);
+TEST(TraceFormatTest, KnobsRoundTripThroughServiceConfig) {
+  // Every table row set off its default through the table itself, then captured, written,
+  // parsed, and compared field by field — a row the codec drops or garbles fails here.
+  ServiceConfig config;
+  config.state_path = "not/a/knob";
+  const ServiceConfig defaults;
+  size_t rows = 0;
+  ForEachKnob([&](const char* name, auto field) {
+    MoveOffDefault(field(config));
+    EXPECT_NE(field(config), field(defaults)) << name;
+    ++rows;
+  });
+  EXPECT_EQ(rows, 61u);
+
+  WorkloadTrace trace = RandomTrace(5);
+  trace.knobs = CaptureKnobs(config);
+  EXPECT_TRUE(KnobsEqual(trace.knobs, config));
+  EXPECT_TRUE(trace.knobs.state_path.empty());  // Not a table row: never captured.
+  EXPECT_FALSE(KnobsEqual(trace.knobs, defaults));
+
+  const std::string text = EncodeTraceText(trace);
+  EXPECT_NE(text.find(" parallel.scheduler=0 "), std::string::npos);
+  EXPECT_NE(text.find(" continuous.regression.remote_share_drift="), std::string::npos);
+  std::istringstream in(text);
+  const WorkloadTrace parsed = ReadTrace(in);
+  ForEachKnob([&](const char* name, auto field) {
+    EXPECT_EQ(field(parsed.knobs), field(config)) << name;
+  });
+  EXPECT_EQ(EncodeTraceText(parsed), text);
+
+  // Out-of-range enums, non-hex doubles, non-numeric values, and rows out of table order are
+  // malformed, never defaulted.
+  auto corrupt = [&text](const std::string& from, const std::string& to) {
+    std::string bad = text;
+    const size_t at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, from.size(), to);
+    std::istringstream bad_in(bad);
+    EXPECT_THROW(ReadTrace(bad_in), Error) << from << " -> " << to;
+  };
+  corrupt(" parallel.scheduler=0 ", " parallel.scheduler=2 ");
+  corrupt(" profiling.event=1 ", " profiling.event=8 ");
+  corrupt(" profiling.packed_tags=1 ", " profiling.packed_tags=2 ");
+  corrupt(" queue_depth=17 ", " queue_depth=-1 ");
+  corrupt(" continuous.governor.overhead_budget=", " continuous.governor.overhead_budget=x");
+  corrupt(" parallel.workers=5 parallel.morsel_rows=1 ",
+          " parallel.morsel_rows=1 parallel.workers=5 ");
 }
 
 TEST(TraceFormatTest, Fnv1a64MatchesReferenceVectors) {

@@ -1,9 +1,10 @@
 // Profile-feedback scheduling through the serving layer (DESIGN.md §2h): slack-directed deque
 // ordering engages from the second execution and keeps results byte-identical to FIFO and
 // deterministic across double runs; slack-aware admission bounces infeasible deadlines from
-// the expected critical-path length; the SlackStore round-trips through the service state file
-// (profile v5); and the guarded placement-repair loop turns a remote-DRAM-bound verdict into
-// exactly one re-partition — kept when it wins, reverted when repair_pessimize makes it lose.
+// the expected critical-path length; the SlackStore round-trips through the service state file;
+// the guarded placement-repair loop turns a remote-DRAM-bound verdict into exactly one
+// re-partition — kept when it wins, reverted when repair_pessimize makes it lose — and a
+// recorded repair replays identically under the recorded guard thresholds.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +19,8 @@
 #include "src/service/query_service.h"
 #include "src/service/service_profile.h"
 #include "src/profiling/serialize.h"
+#include "src/replay/recorder.h"
+#include "src/replay/replayer.h"
 #include "src/sql/binder.h"
 #include "src/tpch/datagen.h"
 #include "src/tpch/queries.h"
@@ -111,7 +114,7 @@ TEST(SchedFeedback, DoubleRunSlackSchedulingIsDeterministic) {
       const QueryTicket& ticket = service.ticket(id);
       EXPECT_EQ(ticket.status, TicketStatus::kDone);
       std::ostringstream out;
-      WriteSamples(ticket.session->samples(), {}, ticket.task_boundaries, out);
+      WriteSamples(ticket.session->samples(), out, {.tasks = ticket.task_boundaries});
       streams->push_back(out.str());
     }
     std::ostringstream state;
@@ -190,13 +193,12 @@ TEST(SchedFeedback, SlackStoreRoundTripsThroughServiceState) {
     ASSERT_EQ(generation, 2u);
   }  // Destructor persists the state, slack store included.
 
-  // A slack-carrying state file is profile v5 with the slackgen/slack/slackstep grammar.
+  // A slack-carrying state file holds the slackgen/slack/slackstep lines.
   std::ifstream in(config.state_path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string text = buffer.str();
-  EXPECT_NE(text.find("# dfp service profile v5"), std::string::npos);
   EXPECT_NE(text.find("\nslackgen "), std::string::npos);
   EXPECT_NE(text.find("\nslack "), std::string::npos);
   EXPECT_NE(text.find("\nslackstep "), std::string::npos);
@@ -369,6 +371,31 @@ TEST(SchedFeedback, RepairRevertedWhenPessimized) {
       << diff;
   const std::string timeline = RenderRepairTimeline(service.repairs());
   EXPECT_NE(timeline.find("reverted"), std::string::npos);
+}
+
+TEST(SchedFeedback, PessimizedRepairReplaysIdentically) {
+  // The repair guard judges by the service's regression thresholds, so a recording made under
+  // non-default ones must replay under them too: identity replay on an identically misplaced
+  // database reproduces the apply, the revert, and every later run bit for bit.
+  ServiceConfig config = RepairConfig();
+  config.sched.repair_pessimize = true;
+  auto record_db = MakeDb(config);
+  MisplaceColumns(*record_db, {4, 6, 10});
+  QueryService service(*record_db, config);
+  TraceRecorder recorder;
+  service.AttachRecorder(recorder);
+  for (int i = 0; i < 8; ++i) {
+    RunOne(service, *record_db, "q6");
+  }
+  recorder.Finish(service);
+  ASSERT_EQ(service.repairs().reverted(), 1u);
+
+  auto replay_db = MakeDb(config);
+  MisplaceColumns(*replay_db, {4, 6, 10});
+  const ReplayRun run = ReplayTrace(*replay_db, recorder.trace());
+  const ReplayReport report = DiffTraces(recorder.trace(), run.trace);
+  EXPECT_TRUE(report.identical) << RenderReplayReport(report);
+  EXPECT_EQ(report.queries_diverged, 0u);
 }
 
 }  // namespace

@@ -350,11 +350,12 @@ TEST(QueryServiceTest, ServiceProfileRoundTripsThroughText) {
   service.Drain();
 
   std::ostringstream first;
-  WriteServiceProfile(service.fleet_profile(), first);
+  WriteServiceProfile(service.fleet_profile(), service.windows(), first);
   std::istringstream in(first.str());
-  ServiceProfile reread = ReadServiceProfile(in);
+  WindowedProfile windows;
+  ServiceProfile reread = ReadServiceProfile(in, &windows);
   std::ostringstream second;
-  WriteServiceProfile(reread, second);
+  WriteServiceProfile(reread, windows, second);
   EXPECT_EQ(first.str(), second.str());
   EXPECT_EQ(reread.plans().size(), service.fleet_profile().plans().size());
   EXPECT_EQ(reread.total_operator_samples(), service.fleet_profile().total_operator_samples());
@@ -363,7 +364,7 @@ TEST(QueryServiceTest, ServiceProfileRoundTripsThroughText) {
   // Malformed inputs are rejected, not guessed at.
   std::istringstream bad_header("# not a profile\n");
   EXPECT_THROW(ReadServiceProfile(bad_header), Error);
-  std::istringstream orphan_op("# dfp service profile v1\nop 0000000000000001 3 5 scan\n");
+  std::istringstream orphan_op("# dfp service profile v6\nop 0000000000000001 3 5 scan\n");
   EXPECT_THROW(ReadServiceProfile(orphan_op), Error);
 }
 
@@ -530,7 +531,7 @@ TEST(QueryServiceTest, DrainIsDeterministic) {
     service.Submit(Plan(*db, "q3"), "q3");
     service.Drain();
     std::ostringstream out;
-    WriteServiceProfile(service.fleet_profile(), out);
+    WriteServiceProfile(service.fleet_profile(), service.windows(), out);
     out << service.ServiceNowCycles();
     for (TicketId id = 1; id <= service.ticket_count(); ++id) {
       out << "\n" << service.ticket(id).execute_cycles << " "

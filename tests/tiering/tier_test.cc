@@ -190,13 +190,13 @@ TEST(TierLadderTest, TieredSamplesRoundTripWithEvents) {
   // Baseline-tier samples carry their tier through serialization, alongside the service's
   // tier-transition events.
   std::ostringstream out;
-  WriteSamples(service.ticket(last).session->samples(), service.tier_events(), out);
-  EXPECT_NE(out.str().find("# dfp samples v4"), std::string::npos);
+  WriteSamples(service.ticket(last).session->samples(), out, {.events = service.tier_events()});
   EXPECT_NE(out.str().find("event "), std::string::npos);
 
   std::istringstream in(out.str());
-  std::vector<SampleStreamEvent> events;
-  const std::vector<Sample> samples = ReadSamples(in, &events);
+  SampleSideband sideband;
+  const std::vector<Sample> samples = ReadSamples(in, &sideband);
+  const std::vector<SampleStreamEvent>& events = sideband.events;
   ASSERT_EQ(events.size(), service.tier_events().size());
   EXPECT_EQ(events[0].text, service.tier_events()[0].text);
   ASSERT_EQ(samples.size(), service.ticket(last).session->samples().size());
@@ -226,14 +226,8 @@ TEST(TierControllerTest, CriticalPathEvidencePicksPromotionsByLatency) {
   ASSERT_EQ(by_path.transitions().size(), 1u);
   EXPECT_EQ(by_path.transitions()[0].rollup_cycles, 6'000u);
 
-  // Same inputs with the flag off: raw-cycle evidence promotes on the first observation.
-  tiering.promote_by_critical_path = false;
-  TierController legacy(tiering);
-  EXPECT_TRUE(legacy.Observe(0x1, "wide", windows, 10'000, 5'000, 1, 100));
-
-  // Callers that pass no critical-path evidence keep the raw-cycle behavior even when the
-  // flag is on (zero means "no analysis available", never "free promotion").
-  tiering.promote_by_critical_path = true;
+  // Callers that pass no critical-path evidence keep the raw-cycle behavior (zero means "no
+  // analysis available", never "free promotion"): raw cycles promote on the first observation.
   TierController no_evidence(tiering);
   EXPECT_TRUE(no_evidence.Observe(0x1, "wide", windows, 10'000, 5'000, 1));
 }

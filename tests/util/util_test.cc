@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "src/util/chart.h"
+#include "src/util/check.h"
 #include "src/util/date.h"
 #include "src/util/decimal.h"
 #include "src/util/hash.h"
 #include "src/util/random.h"
 #include "src/util/str.h"
 #include "src/util/table_printer.h"
+#include "src/util/text_format.h"
 
 namespace dfp {
 namespace {
@@ -158,6 +161,30 @@ TEST(Chart, ScatterPlotBounds) {
   plot.points = {{0, 0}, {9.9, 9.9}, {5, 5}};
   std::string out = RenderScatterPlot(plot);
   EXPECT_NE(out.find('.'), std::string::npos);
+}
+
+TEST(TextFormat, Hex16RoundTripsAndRejectsAnythingElse) {
+  EXPECT_EQ(Hex16(0x12ab), "00000000000012ab");
+  for (uint64_t value : {uint64_t{0}, uint64_t{0x12ab}, ~uint64_t{0}, DoubleBits(1.0 / 3.0)}) {
+    EXPECT_EQ(ParseHex16(Hex16(value)), value);
+  }
+  EXPECT_EQ(BitsToDouble(ParseHex16(Hex16(DoubleBits(1.0 / 3.0)))), 1.0 / 3.0);
+  for (const char* bad : {"", "12ab", "00000000000012AB", "zzzzzzzzzzzzzzzz", "12zzzzzzzzzzzzzz",
+                          "000000000000012ab", "+00000000000012a", " 00000000000012a"}) {
+    EXPECT_THROW(ParseHex16(bad), Error) << "'" << bad << "'";
+  }
+}
+
+TEST(TextFormat, ExpectHeaderAcceptsExactlyOneLine) {
+  std::istringstream ok("# dfp x v2\nbody\n");
+  ExpectHeader(ok, "# dfp x v2");
+  std::string next;
+  std::getline(ok, next);
+  EXPECT_EQ(next, "body");
+  for (const char* text : {"# dfp x v1\n", "# dfp x v3\n", "# dfp x v2 \n", ""}) {
+    std::istringstream in(text);
+    EXPECT_THROW(ExpectHeader(in, "# dfp x v2"), Error) << text;
+  }
 }
 
 }  // namespace
