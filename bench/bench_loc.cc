@@ -111,13 +111,19 @@ int Main(int argc, char** argv) {
   std::printf("%s\n", table.Render().c_str());
   std::printf("Tailored Profiling additions: %zu lines; host system + tests: %zu lines\n",
               profiling_total, system_total);
-  // A src/ directory missing from the table would silently drop out of every total above.
-  std::printf("src/: %zu lines, %zu of them in the rows above\n", CountDir(root + "/src"),
-              src_rows);
+  // A src/ directory missing from the table would silently drop out of every total above, so
+  // the run fails unless the rows cover all of src/.
+  const size_t src_total = CountDir(root + "/src");
+  std::printf("src/: %zu lines, %zu of them in the rows above\n", src_total, src_rows);
   std::printf(
       "(Paper, Table 3: 56 lines added to Umbra's code generator, 1686 lines of sample\n"
       " processing + visualization, on top of ~22k lines of engine. Our host system is built\n"
       " from scratch, so the \"engine\" share is the whole substrate.)\n");
+  if (src_rows != src_total) {
+    std::fprintf(stderr, "bench_loc: %zu src/ lines are in no row; add their directory\n",
+                 src_total - src_rows);
+    return 1;
+  }
   return 0;
 }
 

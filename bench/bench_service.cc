@@ -649,21 +649,21 @@ int Main() {
       repair.Drain();
       ++repair_runs;
       if (!repair.repairs().actions().empty() &&
-          (repair.repairs().actions().front().state == RepairState::kKept ||
-           repair.repairs().actions().front().state == RepairState::kReverted)) {
+          (repair.repairs().actions().front().state == GuardState::kKept ||
+           repair.repairs().actions().front().state == GuardState::kReverted)) {
         break;
       }
     }
     sched_repairs_applied = repair.repairs().applied();
     sched_repairs_reverted = repair.repairs().reverted();
     sched_repair_ok = repair.repairs().actions().size() == 1 &&
-                      repair.repairs().actions().front().state == RepairState::kKept &&
+                      repair.repairs().actions().front().state == GuardState::kKept &&
                       sched_repairs_applied == 1 && sched_repairs_reverted == 0;
     std::printf("placement repair: %d run(s), %llu applied, %llu reverted %s\n", repair_runs,
                 static_cast<unsigned long long>(sched_repairs_applied),
                 static_cast<unsigned long long>(sched_repairs_reverted),
                 sched_repair_ok ? "[ok]" : "[FAIL: repair not kept]");
-    std::printf("\n%s\n", RenderRepairTimeline(repair.repairs()).c_str());
+    std::printf("\n%s\n", RenderGuardTimeline(repair.repairs()).c_str());
   }
   const bool sched_ok =
       sched_slack_ok && sched_admission_ok && sched_results_identical && sched_repair_ok;
@@ -971,8 +971,8 @@ int Main() {
     out.kept = rservice.reopts().kept();
     out.reverted = rservice.reopts().reverted();
     if (!rservice.reopts().actions().empty()) {
-      out.divergence_pct = rservice.reopts().actions().front().divergence_pct;
-      out.reordered = rservice.reopts().actions().front().reordered;
+      out.divergence_pct = rservice.reopts().actions().front().payload.divergence_pct;
+      out.reordered = rservice.reopts().actions().front().payload.reordered;
     }
     out.final_execute = rservice.ticket(last).execute_cycles;
     out.first_result = rservice.ticket(first).result;
@@ -983,7 +983,7 @@ int Main() {
          << ", \"reopt_divergence_pct\": " << out.divergence_pct
          << ", \"reopt_final_execute_cycles\": " << out.final_execute
          << ", \"reopt_timeline_hash\": \""
-         << FingerprintKey({Fnv1a64(RenderReoptTimeline(rservice.reopts())), 0})
+         << FingerprintKey({Fnv1a64(RenderGuardTimeline(rservice.reopts())), 0})
          << "\", \"reopt_cardstore_hash\": \""
          << FingerprintKey({Fnv1a64(RenderCardStore(rservice.cards())), 0}) << "\"}";
     out.json = json.str();

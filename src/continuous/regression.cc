@@ -84,23 +84,32 @@ double PlanBaseline::OperatorShare(OperatorId op) const {
   return static_cast<double>(it->second.samples) / static_cast<double>(samples);
 }
 
+std::optional<PlanBaseline> SnapshotPlanBaseline(const WindowedProfile& profile,
+                                                 uint64_t fingerprint, uint64_t min_samples) {
+  const ProfileWindow* latest = profile.LatestWindow(fingerprint);
+  WindowRollup rollup = profile.RollUp(fingerprint);
+  if (latest == nullptr || rollup.samples < min_samples) {
+    return std::nullopt;
+  }
+  PlanBaseline baseline;
+  baseline.fingerprint = fingerprint;
+  baseline.name = rollup.name;
+  baseline.samples = rollup.samples;
+  baseline.watermark = latest->index;
+  baseline.cycles_per_row = rollup.CyclesPerRow();
+  baseline.remote_share = rollup.RemoteDramShare();
+  baseline.operators = std::move(rollup.operators);
+  return baseline;
+}
+
 void BaselineStore::Snapshot(const WindowedProfile& profile, uint64_t min_samples) {
   baselines_.clear();
-  for (const WindowRollup& rollup : profile.RollUpAll()) {
-    if (rollup.samples < min_samples) {
-      continue;
+  for (const auto& [fingerprint, series] : profile.plans()) {
+    (void)series;
+    if (std::optional<PlanBaseline> baseline =
+            SnapshotPlanBaseline(profile, fingerprint, min_samples)) {
+      baselines_[fingerprint] = std::move(*baseline);
     }
-    PlanBaseline baseline;
-    baseline.fingerprint = rollup.fingerprint;
-    baseline.name = rollup.name;
-    baseline.samples = rollup.samples;
-    if (const ProfileWindow* latest = profile.LatestWindow(rollup.fingerprint)) {
-      baseline.watermark = latest->index;
-    }
-    baseline.cycles_per_row = rollup.CyclesPerRow();
-    baseline.remote_share = rollup.RemoteDramShare();
-    baseline.operators = rollup.operators;
-    baselines_[rollup.fingerprint] = std::move(baseline);
   }
 }
 
@@ -119,20 +128,6 @@ void BaselineStore::AddLoadedBaselineOperator(uint64_t fingerprint, WindowOperat
     throw Error("service profile bop line without its baseline line");
   }
   it->second.operators[stats.op] = std::move(stats);
-}
-
-RegressionAlertFn DefaultRegressionAlert() {
-  return [](const RegressionFinding& finding) {
-    std::string shard;
-    if (finding.shard_id != 0) {
-      shard = " shard " + std::to_string(finding.shard_id);
-    }
-    std::fprintf(stderr, "ALERT regression plan %016llx %s [%s%s%s ]%s\n",
-                 static_cast<unsigned long long>(finding.fingerprint), finding.name.c_str(),
-                 finding.share_regressed ? " mix" : "",
-                 finding.cycles_per_row_regressed ? " cycles/row" : "",
-                 finding.remote_regressed ? " +remote" : "", shard.c_str());
-  };
 }
 
 std::vector<RegressionFinding> DetectRegressions(const BaselineStore& baseline,
@@ -165,35 +160,15 @@ std::vector<RegressionFinding> DetectRegressions(const BaselineStore& baseline,
   return findings;
 }
 
-const char* GuardVerdictName(GuardVerdict verdict) {
-  switch (verdict) {
-    case GuardVerdict::kInsufficientEvidence:
-      return "insufficient-evidence";
-    case GuardVerdict::kClean:
-      return "clean";
-    case GuardVerdict::kRegressed:
-      return "regressed";
-  }
-  return "?";
-}
-
-GuardVerdict JudgeRegression(const BaselineStore& baseline, const WindowedProfile& profile,
-                             uint64_t fingerprint, const RegressionThresholds& thresholds,
-                             RegressionFinding* finding) {
-  const PlanBaseline* base = baseline.Find(fingerprint);
-  if (base == nullptr) {
-    return GuardVerdict::kInsufficientEvidence;
-  }
-  const WindowRollup current = profile.RollUpSince(fingerprint, base->watermark + 1);
+GuardVerdict JudgeRegression(const PlanBaseline& baseline, const WindowedProfile& profile,
+                             const RegressionThresholds& thresholds) {
+  const WindowRollup current = profile.RollUpSince(baseline.fingerprint, baseline.watermark + 1);
   if (current.samples < thresholds.min_samples) {
     return GuardVerdict::kInsufficientEvidence;
   }
-  RegressionFinding local;
-  const bool regressed = DiffAgainstBaseline(*base, current, thresholds, &local);
-  if (regressed && finding != nullptr) {
-    *finding = std::move(local);
-  }
-  return regressed ? GuardVerdict::kRegressed : GuardVerdict::kClean;
+  RegressionFinding finding;
+  return DiffAgainstBaseline(baseline, current, thresholds, &finding) ? GuardVerdict::kRegressed
+                                                                      : GuardVerdict::kClean;
 }
 
 std::string RenderRegressionReport(const std::vector<RegressionFinding>& findings) {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,11 @@ struct PlanBaseline {
 
   double OperatorShare(OperatorId op) const;
 };
+
+// Snapshot of `fingerprint`'s current rollup, or nullopt when it has fewer than `min_samples`
+// attributed samples (or no windows at all).
+std::optional<PlanBaseline> SnapshotPlanBaseline(const WindowedProfile& profile,
+                                                 uint64_t fingerprint, uint64_t min_samples);
 
 class BaselineStore {
  public:
@@ -109,11 +115,6 @@ struct RegressionFinding {
 // it — the push path that turns the pull-style report into an operational signal.
 using RegressionAlertFn = std::function<void(const RegressionFinding&)>;
 
-// The default hook: one line per finding on stderr,
-//   "ALERT regression plan <fingerprint> <name> [mix cycles/row +remote] [shard N]"
-// (the shard suffix appears only for findings from a sharded service, shard_id != 0).
-RegressionAlertFn DefaultRegressionAlert();
-
 // Diffs each fingerprint's post-watermark window aggregate against its `baseline` entry.
 // Fingerprints without a baseline, without post-watermark windows, or with fewer than
 // min_samples attributed post-watermark samples are skipped. Each finding is stamped with
@@ -136,15 +137,10 @@ enum class GuardVerdict : uint8_t {
   kRegressed,             // The action made the fingerprint worse — revert it.
 };
 
-const char* GuardVerdictName(GuardVerdict verdict);
-
-// Judges one fingerprint's post-watermark windows against its entry in `baseline` using the
-// same drift checks as DetectRegressions. `finding` (optional) receives the diff when the
-// verdict is kRegressed.
-GuardVerdict JudgeRegression(const BaselineStore& baseline, const WindowedProfile& profile,
-                             uint64_t fingerprint,
-                             const RegressionThresholds& thresholds = RegressionThresholds(),
-                             RegressionFinding* finding = nullptr);
+// Judges `baseline`'s fingerprint's post-watermark windows against it using the same drift
+// checks as DetectRegressions (src/continuous/guard.h runs the lifecycle around it).
+GuardVerdict JudgeRegression(const PlanBaseline& baseline, const WindowedProfile& profile,
+                             const RegressionThresholds& thresholds = RegressionThresholds());
 
 }  // namespace dfp
 

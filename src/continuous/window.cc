@@ -23,14 +23,6 @@ uint64_t Quantile(const std::vector<uint64_t>& sorted, double q) {
 
 }  // namespace
 
-double ProfileWindow::CyclesPerRow() const {
-  return static_cast<double>(execute_cycles) / static_cast<double>(std::max<uint64_t>(1, rows));
-}
-
-double ProfileWindow::RemoteDramShare() const {
-  return loads == 0 ? 0 : static_cast<double>(remote_dram) / static_cast<double>(loads);
-}
-
 double WindowRollup::CyclesPerRow() const {
   return static_cast<double>(execute_cycles) / static_cast<double>(std::max<uint64_t>(1, rows));
 }

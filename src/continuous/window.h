@@ -76,9 +76,6 @@ struct ProfileWindow {
 
   // Raw latencies backing the quantiles; kept only on live windows (not serialized).
   std::vector<uint64_t> latencies;
-
-  double CyclesPerRow() const;
-  double RemoteDramShare() const;  // REMOTE_DRAM events per sampled load.
 };
 
 // The retained window ring of one fingerprint.

@@ -1,7 +1,6 @@
 #include "src/plan/expr.h"
 
 #include <bit>
-#include <functional>
 
 #include "src/util/check.h"
 #include "src/util/date.h"
@@ -164,14 +163,6 @@ ExprPtr MakeCase(std::vector<std::pair<ExprPtr, ExprPtr>> whens, ExprPtr else_va
   return expr;
 }
 
-ExprPtr MakeCast(ExprPtr input, ColumnType target) {
-  auto expr = std::make_unique<Expr>();
-  expr->kind = ExprKind::kCast;
-  expr->type = target;
-  expr->left = std::move(input);
-  return expr;
-}
-
 ExprPtr MakeExtractYear(ExprPtr date_input) {
   DFP_CHECK(date_input->type == ColumnType::kDate);
   auto expr = std::make_unique<Expr>();
@@ -179,25 +170,6 @@ ExprPtr MakeExtractYear(ExprPtr date_input) {
   expr->type = ColumnType::kInt64;
   expr->left = std::move(date_input);
   return expr;
-}
-
-void ForEachSlot(const Expr& expr, const std::function<void(int)>& fn) {
-  if (expr.kind == ExprKind::kColumnRef) {
-    fn(expr.slot);
-  }
-  if (expr.left != nullptr) {
-    ForEachSlot(*expr.left, fn);
-  }
-  if (expr.right != nullptr) {
-    ForEachSlot(*expr.right, fn);
-  }
-  if (expr.else_value != nullptr) {
-    ForEachSlot(*expr.else_value, fn);
-  }
-  for (const auto& [cond, value] : expr.whens) {
-    ForEachSlot(*cond, fn);
-    ForEachSlot(*value, fn);
-  }
 }
 
 void RemapSlots(Expr& expr, const std::vector<int>& mapping) {

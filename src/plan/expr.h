@@ -9,7 +9,6 @@
 #define DFP_SRC_PLAN_EXPR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -92,16 +91,12 @@ ExprPtr MakeAggregate(AggOp op, ExprPtr input);
 ExprPtr MakeLike(ExprPtr input, std::string pattern);
 ExprPtr MakeInList(ExprPtr input, std::vector<int64_t> candidates);
 ExprPtr MakeCase(std::vector<std::pair<ExprPtr, ExprPtr>> whens, ExprPtr else_value);
-ExprPtr MakeCast(ExprPtr input, ColumnType target);
 ExprPtr MakeExtractYear(ExprPtr date_input);
 
 // Result type of a binary operation (throws dfp::Error on type mismatch).
 ColumnType BinaryResultType(BinOp op, ColumnType left, ColumnType right);
 
 bool IsComparison(BinOp op);
-
-// Calls `fn(slot)` for every column slot the expression reads.
-void ForEachSlot(const Expr& expr, const std::function<void(int)>& fn);
 
 // Rewrites all slot indices through `mapping` (old slot -> new slot).
 void RemapSlots(Expr& expr, const std::vector<int>& mapping);

@@ -7,6 +7,7 @@
 #define DFP_SRC_PLAN_PHYSICAL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>

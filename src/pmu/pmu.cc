@@ -38,14 +38,6 @@ uint64_t Pmu::Record(Sample sample) {
   return cost;
 }
 
-uint64_t Pmu::StoredSampleBytes() const {
-  uint64_t total = 0;
-  for (const Sample& sample : samples_) {
-    total += config_.SampleBytes(sample.callstack.size());
-  }
-  return total;
-}
-
 const char* PmuEventName(PmuEvent event) {
   switch (event) {
     case PmuEvent::kInstrRetired:

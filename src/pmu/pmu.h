@@ -139,9 +139,6 @@ class Pmu {
     overhead_ = SamplingOverhead();
   }
 
-  // Total bytes occupied by the collected samples under the current configuration.
-  uint64_t StoredSampleBytes() const;
-
  private:
   PmuCosts costs_;
   SamplingConfig config_;

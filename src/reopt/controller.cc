@@ -2,7 +2,6 @@
 
 #include "src/tiering/literals.h"
 #include "src/util/check.h"
-#include "src/util/text_format.h"
 
 namespace dfp {
 
@@ -14,96 +13,12 @@ RegressionThresholds ReoptGuardThresholds() {
   return thresholds;
 }
 
-const char* ReoptStateName(ReoptState state) {
-  switch (state) {
-    case ReoptState::kDecided:
-      return "decided";
-    case ReoptState::kApplied:
-      return "applied";
-    case ReoptState::kKept:
-      return "kept";
-    case ReoptState::kReverted:
-      return "reverted";
+std::string ReoptPayload::Detail() const {
+  std::string detail = "divergence=" + std::to_string(divergence_pct) + "%";
+  if (!description.empty()) {
+    detail += " " + description;
   }
-  return "?";
-}
-
-bool ReoptStateFromName(const std::string& name, ReoptState* out) {
-  for (ReoptState state : {ReoptState::kDecided, ReoptState::kApplied, ReoptState::kKept,
-                           ReoptState::kReverted}) {
-    if (name == ReoptStateName(state)) {
-      *out = state;
-      return true;
-    }
-  }
-  return false;
-}
-
-ReoptAction& ReoptLog::Add(ReoptAction action) {
-  actions_.push_back(std::move(action));
-  return actions_.back();
-}
-
-ReoptAction* ReoptLog::Find(uint64_t fingerprint) {
-  for (auto it = actions_.rbegin(); it != actions_.rend(); ++it) {
-    if (it->fingerprint == fingerprint) {
-      return &*it;
-    }
-  }
-  return nullptr;
-}
-
-const ReoptAction* ReoptLog::Find(uint64_t fingerprint) const {
-  return const_cast<ReoptLog*>(this)->Find(fingerprint);
-}
-
-uint64_t ReoptLog::applied() const {
-  uint64_t count = 0;
-  for (const ReoptAction& action : actions_) {
-    count += action.state == ReoptState::kApplied || action.state == ReoptState::kKept;
-  }
-  return count;
-}
-
-uint64_t ReoptLog::kept() const {
-  uint64_t count = 0;
-  for (const ReoptAction& action : actions_) {
-    count += action.state == ReoptState::kKept;
-  }
-  return count;
-}
-
-uint64_t ReoptLog::reverted() const {
-  uint64_t count = 0;
-  for (const ReoptAction& action : actions_) {
-    count += action.state == ReoptState::kReverted;
-  }
-  return count;
-}
-
-std::string RenderReoptTimeline(const ReoptLog& log) {
-  std::string out = "=== reopt timeline ===\n";
-  if (log.actions().empty()) {
-    out += "(no re-optimizations)\n";
-    return out;
-  }
-  for (const ReoptAction& action : log.actions()) {
-    out += "plan " + Hex16(action.fingerprint) + " " + action.plan_name + " [" +
-           ReoptStateName(action.state) + "] divergence=" +
-           std::to_string(action.divergence_pct) + "%";
-    if (!action.description.empty()) {
-      out += " " + action.description;
-    }
-    out += " decided@" + std::to_string(action.decided_tsc);
-    if (action.applied_tsc != 0) {
-      out += " applied@" + std::to_string(action.applied_tsc);
-    }
-    if (action.resolved_tsc != 0) {
-      out += " resolved@" + std::to_string(action.resolved_tsc);
-    }
-    out += "\n";
-  }
-  return out;
+  return detail;
 }
 
 std::vector<uint32_t> ReoptLiteralPermutation(const PhysicalOp& original,

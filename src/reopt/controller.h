@@ -1,13 +1,14 @@
-// Closed-loop profile-guided re-optimization: configuration, action lifecycle, audit trail.
+// Closed-loop profile-guided re-optimization: configuration and the guarded-action payload.
 //
 // The loop (wired in QueryService): every execution's tuple counts land in the CardStore; when
 // a hot fingerprint's worst estimate-vs-observed divergence crosses the trigger threshold, the
 // physical planning decisions that depended on those estimates are re-run with the observations
 // injected (src/plan/rewrite.h), and the candidate compiles on the background recompile lane at
-// the entry's current tier. The swap is guarded, not trusted — the same propose -> apply ->
-// re-measure -> keep-or-revert shape as placement repair: a baseline is snapshotted at swap
-// time and JudgeRegression over the post-swap windows keeps or reverts. Every transition lands
-// in the sample stream as a `reopt` line and in the timeline rendering below.
+// the entry's current tier. The swap is guarded, not trusted — it runs the same decided ->
+// applied -> kept/reverted lifecycle as placement repair (src/continuous/guard.h): a baseline
+// is snapshotted at swap time and JudgeRegression over the post-swap windows keeps or reverts.
+// Every transition lands in the sample stream as a `reopt` line and in RenderGuardTimeline's
+// rendering.
 #ifndef DFP_SRC_REOPT_CONTROLLER_H_
 #define DFP_SRC_REOPT_CONTROLLER_H_
 
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/continuous/guard.h"
 #include "src/continuous/regression.h"
 #include "src/plan/rewrite.h"
 #include "src/service/plan_cache.h"
@@ -45,56 +47,25 @@ struct ReoptConfig {
   RegressionThresholds guard = ReoptGuardThresholds();
 };
 
-// Lifecycle of one re-optimization. kDecided spans the candidate's background compile; a kept
-// or reverted action stays in the log as the audit trail and blocks re-triggering on the same
-// fingerprint (a kept candidate re-estimated from its own measurements, a reverted one proved
-// the measurements misleading — either way the loop must not oscillate).
-enum class ReoptState : uint8_t {
-  kDecided,   // Divergence crossed the trigger; candidate compiling on the recompile lane.
-  kApplied,   // Candidate swapped in; re-measuring against the pre-swap baseline.
-  kKept,      // Guard verdict clean: the candidate stays.
-  kReverted,  // Guard verdict regressed (or the swap did not survive): original restored.
-};
+// Payload of a re-optimization guarded action (src/continuous/guard.h). kDecided spans the
+// candidate's background compile; reverting re-inserts the entry the candidate replaced.
+struct ReoptPayload {
+  static constexpr const char* kName = "reopt";
+  static constexpr const char* kNone = "re-optimizations";
 
-const char* ReoptStateName(ReoptState state);
-// Inverse, for profile loading. Returns false on an unknown name.
-bool ReoptStateFromName(const std::string& name, ReoptState* out);
-
-struct ReoptAction {
-  uint64_t fingerprint = 0;
-  std::string plan_name;
-  std::string description;  // Rewrite summary, e.g. "reorder 1,0 semijoin".
-  ReoptState state = ReoptState::kDecided;
-  uint64_t decided_tsc = 0;
-  uint64_t applied_tsc = 0;
-  uint64_t resolved_tsc = 0;   // Kept/reverted timestamp; 0 while still measuring.
+  std::string description;      // Rewrite summary, e.g. "reorder 1,0 semijoin".
   uint64_t divergence_pct = 0;  // Divergence at decision time.
   bool reordered = false;
   bool semi_join = false;
   // The entry the candidate replaced; re-inserting it is the revert (its machine code stays
   // registered in the code map, so the revert is an atomic pointer swap, not a recompile).
-  // Null for actions loaded from a persisted profile.
+  // Null once resolved, and for actions loaded from a persisted profile.
   CachedPlanPtr previous;
+
+  std::string Subject() const { return ""; }
+  // "divergence=<pct>%[ <description>]".
+  std::string Detail() const;
 };
-
-// Append-only audit log, one action per fingerprint at a time.
-class ReoptLog {
- public:
-  ReoptAction& Add(ReoptAction action);
-  ReoptAction* Find(uint64_t fingerprint);
-  const ReoptAction* Find(uint64_t fingerprint) const;
-
-  const std::vector<ReoptAction>& actions() const { return actions_; }
-  uint64_t applied() const;   // Actions currently applied or kept.
-  uint64_t kept() const;
-  uint64_t reverted() const;  // Actions the guard rolled back.
-
- private:
-  std::vector<ReoptAction> actions_;
-};
-
-// Tier-timeline-style rendering: one line per action with its transitions and rewrite summary.
-std::string RenderReoptTimeline(const ReoptLog& log);
 
 // Recovers the literal-slot mapping a rewrite induces: element j is the ORIGINAL submission
 // slot whose payload feeds the candidate's slot j (possibly duplicating a source slot — a

@@ -1,8 +1,7 @@
 #include "src/service/placement_repair.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
+#include <vector>
 
 namespace dfp {
 
@@ -51,77 +50,9 @@ PartitionMap ComputeConsumerPlacement(const TaskDag& dag, uint32_t pipeline, uin
   return map;
 }
 
-const char* RepairStateName(RepairState state) {
-  switch (state) {
-    case RepairState::kDecided:
-      return "decided";
-    case RepairState::kApplied:
-      return "applied";
-    case RepairState::kKept:
-      return "kept";
-    case RepairState::kReverted:
-      return "reverted";
-  }
-  return "?";
-}
-
-RepairAction& RepairLog::Add(RepairAction action) {
-  actions_.push_back(std::move(action));
-  return actions_.back();
-}
-
-RepairAction* RepairLog::Find(uint64_t fingerprint) {
-  for (RepairAction& action : actions_) {
-    if (action.fingerprint == fingerprint) {
-      return &action;
-    }
-  }
-  return nullptr;
-}
-
-const RepairAction* RepairLog::Find(uint64_t fingerprint) const {
-  return const_cast<RepairLog*>(this)->Find(fingerprint);
-}
-
-uint64_t RepairLog::applied() const {
-  uint64_t count = 0;
-  for (const RepairAction& action : actions_) {
-    if (action.state == RepairState::kApplied || action.state == RepairState::kKept) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-uint64_t RepairLog::reverted() const {
-  uint64_t count = 0;
-  for (const RepairAction& action : actions_) {
-    if (action.state == RepairState::kReverted) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-std::string RenderRepairTimeline(const RepairLog& log) {
-  std::ostringstream out;
-  out << "=== Placement repairs (" << log.actions().size() << " action(s), "
-      << log.applied() << " in effect, " << log.reverted() << " reverted) ===\n";
-  char line[256];
-  for (const RepairAction& action : log.actions()) {
-    std::snprintf(line, sizeof(line),
-                  "%016llx  %-24s pipeline %2u  table %-12s %zu slice(s)  %s\n",
-                  static_cast<unsigned long long>(action.fingerprint),
-                  action.plan_name.c_str(), action.pipeline, action.table.c_str(),
-                  action.placement.size(), RepairStateName(action.state));
-    out << line;
-    std::snprintf(line, sizeof(line), "  decided @%llu  applied @%llu  resolved @%llu\n",
-                  static_cast<unsigned long long>(action.decided_tsc),
-                  static_cast<unsigned long long>(action.applied_tsc),
-                  static_cast<unsigned long long>(action.resolved_tsc));
-    out << line;
-  }
-  return out.str();
+std::string RepairPayload::Detail() const {
+  return "pipeline " + std::to_string(pipeline) + " table " + table + " " +
+         std::to_string(placement.size()) + " slice(s)";
 }
 
 }  // namespace dfp

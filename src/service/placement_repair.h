@@ -13,18 +13,18 @@
 // NOT follow the override: a repair moves data toward the (fixed, canonically dealt)
 // consumers, so a wrong map stays observably wrong and the guard below can catch it.
 //
-// The action is guarded, not trusted: the service snapshots a baseline before applying,
+// The action is guarded, not trusted: it runs the decided -> applied -> kept/reverted lifecycle
+// of src/continuous/guard.h — the service snapshots a baseline as it applies the map,
 // re-measures on the windows that arrive after, and keeps or reverts by the regression
-// detector's verdict (src/continuous/regression.h GuardVerdict). Every transition —
-// decided, applied, kept, reverted — lands in the sample stream as a `sched` line and in
-// the tier-timeline-style rendering below.
+// detector's verdict. Every transition lands in the sample stream as a `sched` line and in
+// RenderGuardTimeline's rendering.
 #ifndef DFP_SRC_SERVICE_PLACEMENT_REPAIR_H_
 #define DFP_SRC_SERVICE_PLACEMENT_REPAIR_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "src/continuous/guard.h"
 #include "src/critpath/dag.h"
 #include "src/vcpu/vmem.h"
 
@@ -39,50 +39,20 @@ namespace dfp {
 PartitionMap ComputeConsumerPlacement(const TaskDag& dag, uint32_t pipeline, uint32_t nodes,
                                       bool pessimize = false);
 
-// Lifecycle of one repair action. kDecided is transient (verdict seen, override installed in
-// the same step); a kept or reverted action stays in the log as the audit trail and blocks
-// re-triggering on the same fingerprint.
-enum class RepairState : uint8_t {
-  kDecided,   // Remote-DRAM-bound verdict accepted; re-partition chosen.
-  kApplied,   // Override installed; re-measuring against the pre-apply baseline.
-  kKept,      // Guard verdict clean: the re-partition stays.
-  kReverted,  // Guard verdict regressed: override removed, default placement restored.
-};
+// Payload of a placement-repair guarded action (src/continuous/guard.h). Reverting clears the
+// table's extent placement, restoring the default equal-share partition.
+struct RepairPayload {
+  static constexpr const char* kName = "repair";
+  static constexpr const char* kNone = "placement repairs";
 
-const char* RepairStateName(RepairState state);
-
-struct RepairAction {
-  uint64_t fingerprint = 0;
-  std::string plan_name;
   std::string table;       // Name of the re-partitioned table.
   uint32_t pipeline = 0;   // The scan pipeline whose verdict triggered the action.
-  RepairState state = RepairState::kDecided;
-  uint64_t decided_tsc = 0;
-  uint64_t applied_tsc = 0;
-  uint64_t resolved_tsc = 0;  // Kept/reverted timestamp; 0 while still measuring.
-  PartitionMap placement;     // The installed map (kept for the revert and the report).
+  PartitionMap placement;  // The installed map.
+
+  std::string Subject() const { return table; }
+  // "pipeline <n> table <name> <slices> slice(s)".
+  std::string Detail() const;
 };
-
-// Append-only audit log of repair actions, one open action per fingerprint at a time.
-class RepairLog {
- public:
-  RepairAction& Add(RepairAction action);
-  // The action for `fingerprint`, regardless of state; nullptr when none was ever decided.
-  // One action per fingerprint: a kept action needs no second repair, a reverted one proved
-  // the repair wrong — either way the loop must not oscillate.
-  RepairAction* Find(uint64_t fingerprint);
-  const RepairAction* Find(uint64_t fingerprint) const;
-
-  const std::vector<RepairAction>& actions() const { return actions_; }
-  uint64_t applied() const;   // Actions currently applied or kept.
-  uint64_t reverted() const;  // Actions the guard rolled back.
-
- private:
-  std::vector<RepairAction> actions_;
-};
-
-// Tier-timeline-style rendering: one line per action with its transitions and slice count.
-std::string RenderRepairTimeline(const RepairLog& log);
 
 }  // namespace dfp
 

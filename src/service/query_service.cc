@@ -45,6 +45,31 @@ uint32_t CreateCongruentRegion(Database& db, const std::string& name, uint64_t s
   return db.CreateScratchRegion(name, size);
 }
 
+// The one transition of a guarded action: sets `state`, stamps its TSC, and appends the
+// sideband line "<kind> <fingerprint>[ <subject>] <state>[ <note>]" to `events`.
+template <typename Payload>
+void Transition(GuardedAction<Payload>& action, GuardState state, uint64_t tsc,
+                std::vector<SampleStreamEvent>& events, const std::string& note = "") {
+  action.state = state;
+  if (state == GuardState::kDecided) {
+    action.decided_tsc = tsc;
+  } else if (state == GuardState::kApplied) {
+    action.applied_tsc = tsc;
+  } else {
+    action.resolved_tsc = tsc;
+  }
+  std::string text = std::string(Payload::kName) + " " + Hex16(action.fingerprint);
+  const std::string subject = action.payload.Subject();
+  if (!subject.empty()) {
+    text += " " + subject;
+  }
+  text += std::string(" ") + GuardStateName(state);
+  if (!note.empty()) {
+    text += " " + note;
+  }
+  events.push_back({tsc, std::move(text)});
+}
+
 }  // namespace
 
 QueryService::QueryService(Database& db, ServiceConfig config)
@@ -205,11 +230,7 @@ bool QueryService::Admit(TicketId id) {
   // Schema changes retire every cached artifact; the new catalog version is already mixed into
   // fingerprints taken after the change, so this only reclaims budget from unreachable entries.
   // Pending background recompilations of retired entries die with them.
-  if (db_.catalog_version() != seen_catalog_version_) {
-    cache_.InvalidateAll();
-    recompile_jobs_.clear();
-    seen_catalog_version_ = db_.catalog_version();
-  }
+  InvalidateCache();
 
   const bool parameterized = config_.tiering.enabled;
   PlanLiterals incoming;
@@ -481,42 +502,46 @@ bool QueryService::StepSession(ActiveSession& session) {
   return true;
 }
 
+template <typename Payload, typename Revert>
+bool QueryService::ResolveGuarded(GuardedAction<Payload>& action,
+                                  const RegressionThresholds& thresholds,
+                                  std::vector<SampleStreamEvent>& events, Revert revert) {
+  if (action.state != GuardState::kApplied || !action.baseline) {
+    return false;
+  }
+  // Re-measure: judge the windows that arrived after the apply against the action's own
+  // pre-apply snapshot. Insufficient evidence keeps measuring.
+  const GuardVerdict verdict = JudgeRegression(*action.baseline, windows_, thresholds);
+  if (verdict == GuardVerdict::kInsufficientEvidence) {
+    return false;
+  }
+  if (verdict == GuardVerdict::kRegressed) {
+    revert(action.payload);
+  }
+  Transition(action, verdict == GuardVerdict::kRegressed ? GuardState::kReverted
+                                                         : GuardState::kKept,
+             ServiceNowCycles(), events);
+  return true;
+}
+
 void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
   const uint64_t fp = ticket.fingerprint.structure;
-  ReoptAction* open = reopts_.Find(fp);
-  if (open != nullptr) {
-    if (open->state != ReoptState::kApplied) {
-      // kDecided: candidate still compiling on the lane. kKept/kReverted: one action per
-      // fingerprint — the loop never oscillates.
-      return;
-    }
-    if (open->previous == nullptr) {
+  if (GuardedAction<ReoptPayload>* open = reopts_.Find(fp)) {
+    // A decided action is still compiling on the lane; a resolved one blocks re-triggering.
+    if (open->state == GuardState::kApplied && open->payload.previous == nullptr) {
       // Loaded from a persisted profile: the swap did not survive the restart (a cold cache
       // re-admits the original plan), so the honest resolution is a revert.
-      open->state = ReoptState::kReverted;
-      open->resolved_tsc = ServiceNowCycles();
-      reopt_events_.push_back({open->resolved_tsc, "reopt " + Hex16(fp) + " reverted"});
-      return;
+      Transition(*open, GuardState::kReverted, ServiceNowCycles(), reopt_events_);
+    } else if (ResolveGuarded(*open, config_.reopt.guard, reopt_events_,
+                              [this](const ReoptPayload& reopt) {
+                                // Re-insert the replaced entry: its machine code never left
+                                // the code map, so this is the apply's atomic pointer swap in
+                                // the other direction.
+                                cache_.Insert(reopt.previous);
+                              })) {
+      open->payload.previous.reset();
     }
-    // Re-measure: judge the windows that arrived after the swap against the pre-swap snapshot.
-    const GuardVerdict verdict = JudgeRegression(reopt_baseline_, windows_, fp,
-                                                 config_.reopt.guard);
-    if (verdict == GuardVerdict::kInsufficientEvidence) {
-      return;
-    }
-    open->resolved_tsc = ServiceNowCycles();
-    if (verdict == GuardVerdict::kRegressed) {
-      // Revert = re-insert the replaced entry: its machine code never left the code map, so
-      // this is the same atomic pointer swap the apply used, in the other direction.
-      cache_.Insert(open->previous);
-      open->state = ReoptState::kReverted;
-    } else {
-      open->state = ReoptState::kKept;
-    }
-    open->previous.reset();
-    reopt_events_.push_back(
-        {open->resolved_tsc, "reopt " + Hex16(fp) + " " + ReoptStateName(open->state)});
-    return;
+    return;  // One action per fingerprint: the loop never oscillates.
   }
 
   // Trigger: enough executions to trust the EWMAs, worst divergence past the threshold, and no
@@ -557,50 +582,26 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
   recompile_lane_busy_cycles_ = job.ready_at_cycles;
   recompile_jobs_.push_back(std::move(job));
 
-  ReoptAction action;
-  action.fingerprint = fp;
-  action.plan_name = ticket.name;
-  action.description = rewrite.description;
-  action.divergence_pct = divergence;
-  action.reordered = rewrite.reordered;
-  action.semi_join = rewrite.semi_join;
-  action.decided_tsc = ServiceNowCycles();
-  action.previous = entry;
-  reopt_events_.push_back({action.decided_tsc, "reopt " + Hex16(fp) + " decided divergence " +
-                                                   std::to_string(divergence) + "% " +
-                                                   rewrite.description});
-  reopts_.Add(std::move(action));
+  GuardedAction<ReoptPayload>* action = reopts_.Add(
+      {.fingerprint = fp,
+       .plan_name = ticket.name,
+       .payload = {rewrite.description, divergence, rewrite.reordered, rewrite.semi_join, entry}});
+  Transition(*action, GuardState::kDecided, ServiceNowCycles(), reopt_events_,
+             "divergence " + std::to_string(divergence) + "% " + rewrite.description);
 }
 
 void QueryService::StepPlacementRepair(QueryTicket& ticket) {
   const uint64_t fp = ticket.fingerprint.structure;
-  RepairAction* open = repairs_.Find(fp);
-  if (open != nullptr) {
-    if (open->state != RepairState::kApplied) {
-      return;  // Kept or reverted: one action per fingerprint, the loop never oscillates.
-    }
-    // Re-measure: judge the windows that arrived after the apply against the pre-apply
-    // snapshot. Insufficient evidence keeps measuring; a clean verdict keeps the map; a
-    // regressed one restores the default placement.
-    const GuardVerdict verdict =
-        JudgeRegression(repair_baseline_, windows_, fp, config_.continuous.regression);
-    if (verdict == GuardVerdict::kInsufficientEvidence) {
-      return;
-    }
-    open->resolved_tsc = ServiceNowCycles();
-    if (verdict == GuardVerdict::kRegressed) {
-      const Table& table = db_.table(open->table);
-      for (size_t c = 0; c < table.schema().columns.size(); ++c) {
-        db_.mem().ClearExtentPlacement(table.column_base(c));
-      }
-      open->state = RepairState::kReverted;
-    } else {
-      open->state = RepairState::kKept;
-    }
-    sched_events_.push_back({open->resolved_tsc, "repair " + Hex16(fp) + " " +
-                                                     open->table + " " +
-                                                     RepairStateName(open->state)});
-    return;
+  if (GuardedAction<RepairPayload>* open = repairs_.Find(fp)) {
+    ResolveGuarded(*open, config_.continuous.regression, sched_events_,
+                   [this](const RepairPayload& repair) {
+                     // Restore the default placement.
+                     const Table& table = db_.table(repair.table);
+                     for (size_t c = 0; c < table.schema().columns.size(); ++c) {
+                       db_.mem().ClearExtentPlacement(table.column_base(c));
+                     }
+                   });
+    return;  // One action per fingerprint: the loop never oscillates.
   }
   // Trigger: the first remote-DRAM-bound verdict on a pipeline that scans a base table. The
   // observed DAG names the worker that consumed each morsel, so the repair re-partitions the
@@ -628,27 +629,21 @@ void QueryService::StepPlacementRepair(QueryTicket& ticket) {
     if (map.empty()) {
       continue;
     }
-    RepairAction action;
-    action.fingerprint = fp;
-    action.plan_name = ticket.name;
-    action.table = table.name();
-    action.pipeline = v.pipeline;
-    action.decided_tsc = ServiceNowCycles();
-    sched_events_.push_back({action.decided_tsc, "repair " + Hex16(fp) + " " +
-                                                     action.table + " decided"});
+    GuardedAction<RepairPayload>* action = repairs_.Add(
+        {.fingerprint = fp,
+         .plan_name = ticket.name,
+         .payload = {table.name(), v.pipeline, std::move(map)}});
+    const uint64_t now = ServiceNowCycles();
+    Transition(*action, GuardState::kDecided, now, sched_events_);
     for (size_t c = 0; c < table.schema().columns.size(); ++c) {
-      db_.mem().SetExtentPlacement(table.column_base(c), map);
+      db_.mem().SetExtentPlacement(table.column_base(c), action->payload.placement);
     }
-    action.placement = std::move(map);
-    action.state = RepairState::kApplied;
-    action.applied_tsc = action.decided_tsc;
     // The guard's yardstick: everything in the windows up to and including this (pre-repair)
     // execution. JudgeRegression rolls up strictly after this watermark, so only post-apply
     // executions are measured against it.
-    repair_baseline_.Snapshot(windows_, config_.continuous.regression.min_samples);
-    sched_events_.push_back({action.applied_tsc, "repair " + Hex16(fp) + " " +
-                                                     action.table + " applied"});
-    repairs_.Add(std::move(action));
+    action->baseline =
+        SnapshotPlanBaseline(windows_, fp, config_.continuous.regression.min_samples);
+    Transition(*action, GuardState::kApplied, now, sched_events_);
     return;  // At most one new action per completion.
   }
 }
@@ -682,13 +677,10 @@ void QueryService::ProcessRecompiles(bool final) {
     // the candidate never ran.
     if (cache_.Peek(old_entry->fingerprint) != old_entry) {
       if (reopt_job) {
-        ReoptAction* action = reopts_.Find(old_entry->fingerprint.structure);
-        if (action != nullptr && action->state == ReoptState::kDecided) {
-          action->state = ReoptState::kReverted;
-          action->resolved_tsc = ServiceNowCycles();
-          action->previous.reset();
-          reopt_events_.push_back({action->resolved_tsc,
-                                   "reopt " + Hex16(action->fingerprint) + " reverted"});
+        GuardedAction<ReoptPayload>* action = reopts_.Find(old_entry->fingerprint.structure);
+        if (action != nullptr && action->state == GuardState::kDecided) {
+          Transition(*action, GuardState::kReverted, ServiceNowCycles(), reopt_events_);
+          action->payload.previous.reset();
         }
       }
       recompile_jobs_.erase(recompile_jobs_.begin());
@@ -750,15 +742,13 @@ void QueryService::ProcessRecompiles(bool final) {
     // old shared_ptr drain on the old code (its segments stay registered in the code map).
     cache_.Insert(entry);
     if (reopt_job) {
-      ReoptAction* action = reopts_.Find(entry->fingerprint.structure);
-      DFP_CHECK(action != nullptr && action->state == ReoptState::kDecided);
-      action->state = ReoptState::kApplied;
-      action->applied_tsc = swapped_at;
+      GuardedAction<ReoptPayload>* action = reopts_.Find(entry->fingerprint.structure);
+      DFP_CHECK(action != nullptr && action->state == GuardState::kDecided);
       // The guard's yardstick: everything in the windows up to the swap. JudgeRegression rolls
       // up strictly after this watermark, so only candidate executions are measured against it.
-      reopt_baseline_.Snapshot(windows_, config_.reopt.guard.min_samples);
-      reopt_events_.push_back(
-          {swapped_at, "reopt " + Hex16(entry->fingerprint.structure) + " applied"});
+      action->baseline = SnapshotPlanBaseline(windows_, action->fingerprint,
+                                              config_.reopt.guard.min_samples);
+      Transition(*action, GuardState::kApplied, swapped_at, reopt_events_);
     } else {
       cache_.NoteTierSwap();
       controller_.MarkSwapped(entry->fingerprint.structure, swapped_at);

@@ -43,11 +43,11 @@
 #include <vector>
 
 #include "src/continuous/governor.h"
+#include "src/continuous/guard.h"
 #include "src/continuous/regression.h"
 #include "src/continuous/window.h"
 #include "src/critpath/report.h"
 #include "src/critpath/slack.h"
-#include "src/service/placement_repair.h"
 #include "src/engine/database.h"
 #include "src/engine/parallel.h"
 #include "src/engine/result.h"
@@ -56,6 +56,7 @@
 #include "src/reopt/cardstore.h"
 #include "src/reopt/controller.h"
 #include "src/service/fingerprint.h"
+#include "src/service/placement_repair.h"
 #include "src/service/plan_cache.h"
 #include "src/service/service_profile.h"
 #include "src/tiering/controller.h"
@@ -82,8 +83,8 @@ struct ContinuousConfig {
   WindowConfig window;
   GovernorConfig governor;
   RegressionThresholds regression;
-  // Pushed one finding at a time as DetectRegressions() flags it (see DefaultRegressionAlert
-  // for the stderr one-liner); null = no push alerting, findings are pull-only.
+  // Pushed one finding at a time as DetectRegressions() flags it; null = no push alerting,
+  // findings are pull-only.
   RegressionAlertFn regression_alert;
 };
 
@@ -256,20 +257,20 @@ class QueryService {
 
   // Profile-feedback scheduling views: the per-fingerprint expected-slack store (fed from
   // every completed execution's DAG, persisted in service state), the placement-repair audit
-  // log (render with RenderRepairTimeline), the scheduling-action sideband lines (v6 `sched`
+  // log (render with RenderGuardTimeline), the scheduling-action sideband lines (`sched`
   // stream lines), the pool-wide slack-policy counters summed over all sessions, and the count
   // of submissions rejected for an infeasible deadline.
   const SlackStore& slack() const { return slack_; }
-  const RepairLog& repairs() const { return repairs_; }
+  const GuardLog<RepairPayload>& repairs() const { return repairs_; }
   const std::vector<SampleStreamEvent>& sched_events() const { return sched_events_; }
   const SchedStats& sched_stats() const { return sched_stats_; }
   uint64_t infeasible_rejections() const { return infeasible_rejections_; }
 
   // Re-optimization views (src/reopt/): the per-fingerprint measured-cardinality store
-  // (render with RenderCardStore), the re-plan audit log (render with RenderReoptTimeline),
+  // (render with RenderCardStore), the re-plan audit log (render with RenderGuardTimeline),
   // and the decided/applied/kept/reverted sideband lines (`reopt` stream lines).
   const CardStore& cards() const { return cards_; }
-  const ReoptLog& reopts() const { return reopts_; }
+  const GuardLog<ReoptPayload>& reopts() const { return reopts_; }
   const std::vector<SampleStreamEvent>& reopt_events() const { return reopt_events_; }
 
   // Coordinated cache invalidation (sharded service, src/shard/): drops every cached plan and
@@ -327,6 +328,12 @@ class QueryService {
   // fingerprint's measured cardinalities diverged past the threshold, and resolves an applied
   // swap (keep/revert) once the regression guard has evidence.
   void StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry);
+  // The resolve step both loops share: once an applied action's post-apply windows hold
+  // enough evidence, keeps it on a clean verdict or calls `revert(payload)` on a regressed one,
+  // and logs the transition to `events`. Returns true when the action resolved.
+  template <typename Payload, typename Revert>
+  bool ResolveGuarded(GuardedAction<Payload>& action, const RegressionThresholds& thresholds,
+                      std::vector<SampleStreamEvent>& events, Revert revert);
   void ChargeSerialWork(uint64_t cycles);  // Compile/lookup work: to the least-loaded lane.
   // True while some active session executes `entry`'s code.
   bool EntryBusy(const CachedPlanPtr& entry) const;
@@ -345,15 +352,11 @@ class QueryService {
   TierController controller_;
   CriticalityTracker critpath_;
   SlackStore slack_;
-  RepairLog repairs_;
-  // The placement-repair guard measures against its own snapshot, taken the moment an action
-  // is applied — the user-facing baseline_ (SnapshotBaseline/DetectRegressions) must not be
-  // clobbered by the loop's internal bookkeeping.
-  BaselineStore repair_baseline_;
+  // Each guarded action carries its own pre-apply baseline, so neither loop touches the
+  // user-facing baseline_ (SnapshotBaseline/DetectRegressions) or another action's yardstick.
+  GuardLog<RepairPayload> repairs_;
   CardStore cards_;
-  ReoptLog reopts_;
-  // Like repair_baseline_: the reopt guard's private pre-swap snapshot.
-  BaselineStore reopt_baseline_;
+  GuardLog<ReoptPayload> reopts_;
   SchedStats sched_stats_;
   uint64_t infeasible_rejections_ = 0;
   uint64_t seen_catalog_version_;

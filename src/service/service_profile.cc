@@ -47,27 +47,6 @@ void ServiceProfile::RecordCompile(const PlanFingerprint& fingerprint, const std
 }
 
 void ServiceProfile::RecordExecution(const PlanFingerprint& fingerprint,
-                                     const CompiledQuery& query, const ProfilingSession& session,
-                                     uint64_t execute_cycles) {
-  FleetPlanProfile& plan = PlanFor(fingerprint, query.name);
-  ++plan.executions;
-  plan.execute_cycles += execute_cycles;
-  total_execute_cycles_ += execute_cycles;
-
-  OperatorProfile profile = BuildOperatorProfile(session, query);
-  for (const OperatorCost& cost : profile.operators) {
-    FleetOperatorCost& fleet = plan.operators[cost.op];
-    fleet.op = cost.op;
-    if (fleet.label.empty()) {
-      fleet.label = cost.label;
-    }
-    fleet.samples += cost.samples;
-    plan.samples += cost.samples;
-    total_operator_samples_ += cost.samples;
-  }
-}
-
-void ServiceProfile::RecordExecution(const PlanFingerprint& fingerprint,
                                      const CompiledQuery& query, const OperatorProfile& profile,
                                      uint64_t execute_cycles) {
   FleetPlanProfile& plan = PlanFor(fingerprint, query.name);
@@ -234,7 +213,7 @@ void WriteServiceProfile(const ServiceProfile& profile, const WindowedProfile& w
 void WriteServiceState(const ServiceProfile& profile, const WindowedProfile& windows,
                        const BaselineStore& baselines, uint64_t service_clock_cycles,
                        std::ostream& out, const SlackStore* slack, const CardStore* cards,
-                       const ReoptLog* reopts) {
+                       const GuardLog<ReoptPayload>* reopts) {
   WriteServiceProfile(profile, windows, out);
   out << "clock " << service_clock_cycles << "\n";
   for (const auto& [fingerprint, baseline] : baselines.baselines()) {
@@ -274,10 +253,11 @@ void WriteServiceState(const ServiceProfile& profile, const WindowedProfile& win
     }
   }
   if (reopts != nullptr) {
-    for (const ReoptAction& action : reopts->actions()) {
-      out << "reopt " << Hex16(action.fingerprint) << " " << ReoptStateName(action.state) << " "
+    for (const GuardedAction<ReoptPayload>& action : reopts->actions()) {
+      const ReoptPayload& reopt = action.payload;
+      out << "reopt " << Hex16(action.fingerprint) << " " << GuardStateName(action.state) << " "
           << action.decided_tsc << " " << action.applied_tsc << " " << action.resolved_tsc << " "
-          << action.divergence_pct << " " << action.reordered << " " << action.semi_join << " "
+          << reopt.divergence_pct << " " << reopt.reordered << " " << reopt.semi_join << " "
           << action.plan_name << "\n";
     }
   }
@@ -285,7 +265,8 @@ void WriteServiceState(const ServiceProfile& profile, const WindowedProfile& win
 
 ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows,
                                   BaselineStore* baselines, uint64_t* service_clock_cycles,
-                                  SlackStore* slack, CardStore* cards, ReoptLog* reopts) {
+                                  SlackStore* slack, CardStore* cards,
+                                  GuardLog<ReoptPayload>* reopts) {
   ExpectHeader(in, kProfileHeader);
   ServiceProfile profile;
   // Window names arrive on plan lines; remember them so the loaded series carry them too.
@@ -457,20 +438,20 @@ ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows,
       }
     } else if (kind == "reopt") {
       std::string state;
-      ReoptAction action;
+      GuardedAction<ReoptPayload> action;
       uint64_t reordered = 0;
       uint64_t semi_join = 0;
       if (!(stream >> state >> action.decided_tsc >> action.applied_tsc >>
-            action.resolved_tsc >> action.divergence_pct >> reordered >> semi_join) ||
-          !ReoptStateFromName(state, &action.state)) {
+            action.resolved_tsc >> action.payload.divergence_pct >> reordered >> semi_join) ||
+          !GuardStateFromName(state, &action.state)) {
         Malformed(line);
       }
       action.fingerprint = fingerprint;
-      action.reordered = reordered != 0;
-      action.semi_join = semi_join != 0;
+      action.payload.reordered = reordered != 0;
+      action.payload.semi_join = semi_join != 0;
       action.plan_name = RestOfLine(stream);
-      if (reopts != nullptr) {
-        reopts->Add(std::move(action));
+      if (reopts != nullptr && reopts->Add(std::move(action)) == nullptr) {
+        throw Error("service profile has a second reopt line for plan " + key);
       }
     } else {
       Malformed(line);

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/continuous/guard.h"
 #include "src/continuous/regression.h"
 #include "src/continuous/window.h"
 #include "src/engine/exec_plan.h"
@@ -24,9 +25,9 @@
 
 namespace dfp {
 
-class SlackStore;  // src/critpath/slack.h — expected-slack persistence.
-class CardStore;   // src/reopt/cardstore.h — measured-cardinality persistence.
-class ReoptLog;    // src/reopt/controller.h — re-optimization audit trail.
+class SlackStore;     // src/critpath/slack.h — expected-slack persistence.
+class CardStore;      // src/reopt/cardstore.h — measured-cardinality persistence.
+struct ReoptPayload;  // src/reopt/controller.h — re-optimization audit trail entries.
 
 struct FleetOperatorCost {
   OperatorId op = kNoOperator;
@@ -68,13 +69,9 @@ class ServiceProfile {
   void RecordCompile(const PlanFingerprint& fingerprint, const std::string& name,
                      uint64_t compile_cycles, bool cache_hit);
 
-  // Folds one execution's resolved samples into the fingerprint's totals. `session` must be
-  // resolved; `query` supplies operator labels.
-  void RecordExecution(const PlanFingerprint& fingerprint, const CompiledQuery& query,
-                       const ProfilingSession& session, uint64_t execute_cycles);
-
-  // Same, from a prebuilt per-operator aggregation — callers that also feed a WindowedProfile
-  // build the OperatorProfile once and hand it to both, keeping the two views in agreement.
+  // Folds one execution's per-operator aggregation into the fingerprint's totals — callers
+  // that also feed a WindowedProfile build the OperatorProfile once and hand it to both,
+  // keeping the two views in agreement.
   void RecordExecution(const PlanFingerprint& fingerprint, const CompiledQuery& query,
                        const OperatorProfile& profile, uint64_t execute_cycles);
 
@@ -152,7 +149,8 @@ void WriteServiceProfile(const ServiceProfile& profile, const WindowedProfile& w
 void WriteServiceState(const ServiceProfile& profile, const WindowedProfile& windows,
                        const BaselineStore& baselines, uint64_t service_clock_cycles,
                        std::ostream& out, const SlackStore* slack = nullptr,
-                       const CardStore* cards = nullptr, const ReoptLog* reopts = nullptr);
+                       const CardStore* cards = nullptr,
+                       const GuardLog<ReoptPayload>* reopts = nullptr);
 
 // Inverse of WriteServiceProfile/WriteServiceState. When `windows` is non-null, window lines
 // are reconstituted into it (it keeps its configured ring bound; the file's windowcfg line
@@ -162,12 +160,13 @@ void WriteServiceState(const ServiceProfile& profile, const WindowedProfile& win
 // the writer left off); `cards` and `reopts`, when non-null, receive the cardinality store and
 // re-optimization audit trail (loaded actions carry no replaced entry — the cache is cold — so
 // an applied action resolves as reverted at its next completion). Throws dfp::Error on
-// malformed input and on any header but v6.
+// malformed input, on any header but v6, and — when loading `reopts` — on a second reopt line
+// for one fingerprint.
 ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows = nullptr,
                                   BaselineStore* baselines = nullptr,
                                   uint64_t* service_clock_cycles = nullptr,
                                   SlackStore* slack = nullptr, CardStore* cards = nullptr,
-                                  ReoptLog* reopts = nullptr);
+                                  GuardLog<ReoptPayload>* reopts = nullptr);
 
 }  // namespace dfp
 

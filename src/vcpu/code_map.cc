@@ -82,13 +82,4 @@ const CodeSegment* CodeMap::FindByIp(uint64_t ip) const {
   return &segment;
 }
 
-uint32_t CodeMap::FunctionIdByName(const std::string& name) const {
-  for (const FuncInfo& info : functions_) {
-    if (info.name == name) {
-      return info.id;
-    }
-  }
-  DFP_UNREACHABLE();
-}
-
 }  // namespace dfp

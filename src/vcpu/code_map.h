@@ -77,9 +77,6 @@ class CodeMap {
   const std::vector<CodeSegment>& segments() const { return segments_; }
   const std::vector<FuncInfo>& functions() const { return functions_; }
 
-  // Looks up a function id by name; aborts if absent.
-  uint32_t FunctionIdByName(const std::string& name) const;
-
  private:
   // Segments are spaced out in the IP space so that ranges never collide and an IP's segment is
   // recoverable by shifting.

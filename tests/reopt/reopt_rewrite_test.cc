@@ -305,49 +305,5 @@ TEST(ReoptCardStore, EwmaDivergenceAndAgeOut) {
   EXPECT_NE(rendered.find("0000000000000def"), std::string::npos);
 }
 
-TEST(ReoptController, LogLifecycleAndTimeline) {
-  ReoptLog log;
-  ReoptAction action;
-  action.fingerprint = 0x11;
-  action.plan_name = "q_join";
-  action.description = "reorder 1,0";
-  action.divergence_pct = 400;
-  action.decided_tsc = 10;
-  log.Add(action);
-  EXPECT_EQ(log.applied(), 0u);
-  ReoptAction* open = log.Find(0x11);
-  ASSERT_NE(open, nullptr);
-  open->state = ReoptState::kApplied;
-  open->applied_tsc = 20;
-  EXPECT_EQ(log.applied(), 1u);
-  open->state = ReoptState::kKept;
-  open->resolved_tsc = 30;
-  EXPECT_EQ(log.kept(), 1u);
-  EXPECT_EQ(log.reverted(), 0u);
-
-  ReoptAction second;
-  second.fingerprint = 0x22;
-  second.plan_name = "q_other";
-  second.state = ReoptState::kReverted;
-  log.Add(second);
-  EXPECT_EQ(log.reverted(), 1u);
-
-  const std::string timeline = RenderReoptTimeline(log);
-  EXPECT_NE(timeline.find("q_join"), std::string::npos);
-  EXPECT_NE(timeline.find("[kept]"), std::string::npos);
-  EXPECT_NE(timeline.find("[reverted]"), std::string::npos);
-  EXPECT_NE(timeline.find("reorder 1,0"), std::string::npos);
-  EXPECT_NE(timeline.find("divergence=400%"), std::string::npos);
-
-  for (ReoptState state : {ReoptState::kDecided, ReoptState::kApplied, ReoptState::kKept,
-                           ReoptState::kReverted}) {
-    ReoptState parsed;
-    ASSERT_TRUE(ReoptStateFromName(ReoptStateName(state), &parsed));
-    EXPECT_EQ(parsed, state);
-  }
-  ReoptState parsed;
-  EXPECT_FALSE(ReoptStateFromName("bogus", &parsed));
-}
-
 }  // namespace
 }  // namespace dfp

@@ -3,7 +3,8 @@
 // atomically; the guard keeps a winning candidate and reverts an injected pessimizing rewrite;
 // results stay bit-identical through decide, apply, keep, and revert; the CardStore and reopt
 // log round-trip through the service profile; reopt sideband lines round-trip through sample
-// streams; and the whole loop is deterministic across double runs.
+// streams; a second fingerprint's re-plan applying mid-guard leaves the first action's verdict
+// and timing alone; and the whole loop is deterministic across double runs.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -56,18 +57,21 @@ std::unique_ptr<Database> MakeDb(const ServiceConfig& config) {
 // stream. `part_first` picks which join sits at the bottom of the spine. The part filter
 // passes only `part_bound` of the table's 2000 keys, so its finalized estimate (2000 rows,
 // derived from the bound) is the injected misestimate the loop must correct.
-PhysicalOpPtr SpinePlan(Database& db, bool part_first, int64_t part_bound) {
+// Other payload columns make another structural fingerprint with the same misestimate.
+PhysicalOpPtr SpinePlan(Database& db, bool part_first, int64_t part_bound,
+                        const std::string& supplier_payload = "s_acctbal",
+                        const std::string& part_payload = "p_retailprice") {
   PlanBuilder supplier = PlanBuilder::Scan(db.table("supplier"));
   PlanBuilder part = PlanBuilder::Scan(db.table("part"));
   part.FilterBy(MakeBinary(BinOp::kLt, part.Col("p_partkey"),
                            MakeLiteral(ColumnType::kInt64, part_bound)));
   PlanBuilder plan = PlanBuilder::Scan(db.table("lineitem"));
   if (part_first) {
-    plan.JoinWith(std::move(part), {"l_partkey"}, {"p_partkey"}, {"p_retailprice"});
-    plan.JoinWith(std::move(supplier), {"l_suppkey"}, {"s_suppkey"}, {"s_acctbal"});
+    plan.JoinWith(std::move(part), {"l_partkey"}, {"p_partkey"}, {part_payload});
+    plan.JoinWith(std::move(supplier), {"l_suppkey"}, {"s_suppkey"}, {supplier_payload});
   } else {
-    plan.JoinWith(std::move(supplier), {"l_suppkey"}, {"s_suppkey"}, {"s_acctbal"});
-    plan.JoinWith(std::move(part), {"l_partkey"}, {"p_partkey"}, {"p_retailprice"});
+    plan.JoinWith(std::move(supplier), {"l_suppkey"}, {"s_suppkey"}, {supplier_payload});
+    plan.JoinWith(std::move(part), {"l_partkey"}, {"p_partkey"}, {part_payload});
   }
   return plan.Build();
 }
@@ -94,11 +98,11 @@ int RunUntilResolved(QueryService& service, Database& db, bool part_first, int64
   while (runs < max_runs) {
     RunSpine(service, db, part_first, part_bound);
     ++runs;
-    const ReoptAction* action = service.reopts().actions().empty()
+    const GuardedAction<ReoptPayload>* action = service.reopts().actions().empty()
                                     ? nullptr
                                     : &service.reopts().actions().front();
     if (action != nullptr &&
-        (action->state == ReoptState::kKept || action->state == ReoptState::kReverted)) {
+        (action->state == GuardState::kKept || action->state == GuardState::kReverted)) {
       break;
     }
   }
@@ -133,14 +137,14 @@ TEST(ReoptService, MisestimateTriggersReplanAndGuardKeepsTheWinner) {
   ASSERT_FALSE(service.reopts().actions().empty());
   EXPECT_GE(static_cast<uint64_t>(runs), config.reopt.min_executions);
   EXPECT_EQ(service.reopts().actions().front().fingerprint, fp);
-  EXPECT_TRUE(service.reopts().actions().front().reordered);
-  EXPECT_GE(service.reopts().actions().front().divergence_pct, 400u);
+  EXPECT_TRUE(service.reopts().actions().front().payload.reordered);
+  EXPECT_GE(service.reopts().actions().front().payload.divergence_pct, 400u);
   EXPECT_TRUE(HasEvent(service.reopt_events(), "decided"));
 
   RunUntilResolved(service, *db, false, 50, 12);
   ASSERT_EQ(service.reopts().actions().size(), 1u);
-  const ReoptAction& action = service.reopts().actions().front();
-  EXPECT_EQ(action.state, ReoptState::kKept);
+  const GuardedAction<ReoptPayload>& action = service.reopts().actions().front();
+  EXPECT_EQ(action.state, GuardState::kKept);
   EXPECT_GT(action.applied_tsc, action.decided_tsc);
   EXPECT_GE(action.resolved_tsc, action.applied_tsc);
   EXPECT_EQ(service.reopts().kept(), 1u);
@@ -162,7 +166,7 @@ TEST(ReoptService, MisestimateTriggersReplanAndGuardKeepsTheWinner) {
   RunSpine(service, *db, false, 50);
   EXPECT_EQ(service.reopts().actions().size(), 1u);
 
-  const std::string timeline = RenderReoptTimeline(service.reopts());
+  const std::string timeline = RenderGuardTimeline(service.reopts());
   EXPECT_NE(timeline.find("q_spine"), std::string::npos);
   EXPECT_NE(timeline.find("[kept]"), std::string::npos);
   EXPECT_NE(timeline.find("reorder"), std::string::npos);
@@ -182,8 +186,8 @@ TEST(ReoptService, GuardRevertsInjectedPessimizingRewrite) {
 
   RunUntilResolved(service, *db, true, 50, 16);
   ASSERT_EQ(service.reopts().actions().size(), 1u);
-  const ReoptAction& action = service.reopts().actions().front();
-  EXPECT_EQ(action.state, ReoptState::kReverted);
+  const GuardedAction<ReoptPayload>& action = service.reopts().actions().front();
+  EXPECT_EQ(action.state, GuardState::kReverted);
   EXPECT_EQ(service.reopts().kept(), 0u);
   EXPECT_EQ(service.reopts().reverted(), 1u);
   EXPECT_TRUE(HasEvent(service.reopt_events(), "decided"));
@@ -200,8 +204,62 @@ TEST(ReoptService, GuardRevertsInjectedPessimizingRewrite) {
   EXPECT_TRUE(Result::Equivalent(service.ticket(first).result, service.ticket(last).result,
                                  false, &diff))
       << diff;
-  const std::string timeline = RenderReoptTimeline(service.reopts());
+  const std::string timeline = RenderGuardTimeline(service.reopts());
   EXPECT_NE(timeline.find("reverted"), std::string::npos);
+}
+
+// q_spine's guarded re-plan from apply to verdict. With `overlap` set, a second spine family
+// (another fingerprint) decides and applies its own re-plan after kOverlapAfter of q_spine's
+// post-apply runs, while q_spine's guard is still measuring.
+constexpr int kOverlapAfter = 2;
+
+struct GuardTrack {
+  int post_apply_runs = 0;
+  GuardState state = GuardState::kDecided;
+};
+
+GuardTrack TrackSpineGuard(bool overlap) {
+  ServiceConfig config = ReoptConfigFor();
+  // A spine run yields ~9.1k samples at this period: six pre-apply runs clear the snapshot's
+  // min_samples floor, and the guard needs four post-apply runs to judge.
+  config.reopt.min_executions = 6;
+  config.reopt.guard.min_samples = 30000;
+  auto db = MakeDb(config);
+  QueryService service(*db, config);
+  const uint64_t fp = service.ticket(RunSpine(service, *db, false, 50)).fingerprint.structure;
+  auto action = [&service, fp] { return service.reopts().Find(fp); };
+  for (int run = 0; run < 8 && action() == nullptr; ++run) {
+    RunSpine(service, *db, false, 50);
+  }
+  GuardTrack track;
+  if (action() == nullptr || action()->state != GuardState::kApplied) {
+    return track;
+  }
+  while (track.post_apply_runs < 16 && action()->state == GuardState::kApplied) {
+    if (overlap && track.post_apply_runs == kOverlapAfter) {
+      for (int run = 0; run < 8 && service.reopts().applied() < 2; ++run) {
+        service.Submit(SpinePlan(*db, false, 50, "s_nationkey", "p_size"), "q_other_spine");
+        service.Drain();
+      }
+      EXPECT_EQ(service.reopts().applied(), 2u);
+    }
+    RunSpine(service, *db, false, 50);
+    ++track.post_apply_runs;
+  }
+  track.state = action()->state;
+  return track;
+}
+
+TEST(ReoptService, OverlappingGuardsJudgeEachActionAgainstItsOwnBaseline) {
+  // Each guarded action measures against the baseline taken at its own apply, so another
+  // fingerprint's apply must not move it: the first action resolves after as many post-apply
+  // runs, with the same verdict, as when it runs alone.
+  const GuardTrack alone = TrackSpineGuard(false);
+  ASSERT_EQ(alone.state, GuardState::kKept);
+  ASSERT_GT(alone.post_apply_runs, kOverlapAfter);
+  const GuardTrack overlapped = TrackSpineGuard(true);
+  EXPECT_EQ(overlapped.post_apply_runs, alone.post_apply_runs);
+  EXPECT_EQ(overlapped.state, alone.state);
 }
 
 TEST(ReoptService, ReoptSidebandRoundTripsThroughSampleStreams) {
@@ -276,10 +334,10 @@ TEST(ReoptService, CardsAndReoptLogRoundTripThroughServiceProfileV6) {
   const PlanCards* cards = restarted.cards().Find(fp);
   ASSERT_NE(cards, nullptr);
   EXPECT_EQ(cards->operators.begin()->second.observed_rows, observed);
-  const ReoptAction* action = restarted.reopts().Find(fp);
+  const GuardedAction<ReoptPayload>* action = restarted.reopts().Find(fp);
   ASSERT_NE(action, nullptr);
-  EXPECT_EQ(action->state, ReoptState::kKept);
-  EXPECT_EQ(action->previous, nullptr);
+  EXPECT_EQ(action->state, GuardState::kKept);
+  EXPECT_EQ(action->payload.previous, nullptr);
   restarted.SaveState();
   std::ifstream rein(config.state_path);
   std::stringstream rebuffer;
@@ -311,7 +369,7 @@ TEST(ReoptService, DoubleRunReoptLoopIsDeterministic) {
                       service.ServiceNowCycles(), state, nullptr, &service.cards(),
                       &service.reopts());
     artifacts->push_back(state.str());
-    artifacts->push_back(RenderReoptTimeline(service.reopts()));
+    artifacts->push_back(RenderGuardTimeline(service.reopts()));
     artifacts->push_back(RenderCardStore(service.cards()));
     return service.reopts().kept();
   };

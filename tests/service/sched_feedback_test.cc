@@ -270,10 +270,10 @@ int RunUntilResolved(QueryService& service, Database& db, int max_runs) {
   while (runs < max_runs) {
     RunOne(service, db, "q6");
     ++runs;
-    const RepairAction* action =
+    const GuardedAction<RepairPayload>* action =
         service.repairs().actions().empty() ? nullptr : &service.repairs().actions().front();
     if (action != nullptr &&
-        (action->state == RepairState::kKept || action->state == RepairState::kReverted)) {
+        (action->state == GuardState::kKept || action->state == GuardState::kReverted)) {
       break;
     }
   }
@@ -299,16 +299,16 @@ TEST(SchedFeedback, RepairKeptWhenRelocationWins) {
   // Exactly one action: decided and applied at the first completion, kept once the guard has
   // post-apply evidence.
   ASSERT_EQ(service.repairs().actions().size(), 1u);
-  EXPECT_EQ(service.repairs().actions().front().state, RepairState::kApplied);
+  EXPECT_EQ(service.repairs().actions().front().state, GuardState::kApplied);
   EXPECT_TRUE(HasEvent(service.sched_events(), "decided"));
   EXPECT_TRUE(HasEvent(service.sched_events(), "applied"));
 
   RunUntilResolved(service, *db, 8);
   ASSERT_EQ(service.repairs().actions().size(), 1u);
-  const RepairAction& action = service.repairs().actions().front();
-  EXPECT_EQ(action.state, RepairState::kKept);
-  EXPECT_EQ(action.table, "lineitem");
-  EXPECT_FALSE(action.placement.empty());
+  const GuardedAction<RepairPayload>& action = service.repairs().actions().front();
+  EXPECT_EQ(action.state, GuardState::kKept);
+  EXPECT_EQ(action.payload.table, "lineitem");
+  EXPECT_FALSE(action.payload.placement.empty());
   EXPECT_EQ(service.repairs().applied(), 1u);
   EXPECT_EQ(service.repairs().reverted(), 0u);
   EXPECT_TRUE(HasEvent(service.sched_events(), "kept"));
@@ -327,7 +327,7 @@ TEST(SchedFeedback, RepairKeptWhenRelocationWins) {
       << diff;
 
   // The audit trail renders tier-timeline-style.
-  const std::string timeline = RenderRepairTimeline(service.repairs());
+  const std::string timeline = RenderGuardTimeline(service.repairs());
   EXPECT_NE(timeline.find("lineitem"), std::string::npos);
   EXPECT_NE(timeline.find("kept"), std::string::npos);
 }
@@ -342,12 +342,12 @@ TEST(SchedFeedback, RepairRevertedWhenPessimized) {
   const TicketId first = RunOne(service, *db, "q6");
   ASSERT_EQ(service.ticket(first).status, TicketStatus::kDone);
   ASSERT_EQ(service.repairs().actions().size(), 1u);
-  EXPECT_EQ(service.repairs().actions().front().state, RepairState::kApplied);
+  EXPECT_EQ(service.repairs().actions().front().state, GuardState::kApplied);
 
   RunUntilResolved(service, *db, 8);
   ASSERT_EQ(service.repairs().actions().size(), 1u);
-  const RepairAction& action = service.repairs().actions().front();
-  EXPECT_EQ(action.state, RepairState::kReverted);
+  const GuardedAction<RepairPayload>& action = service.repairs().actions().front();
+  EXPECT_EQ(action.state, GuardState::kReverted);
   EXPECT_EQ(service.repairs().applied(), 0u);
   EXPECT_EQ(service.repairs().reverted(), 1u);
   EXPECT_TRUE(HasEvent(service.sched_events(), "reverted"));
@@ -369,7 +369,7 @@ TEST(SchedFeedback, RepairRevertedWhenPessimized) {
   EXPECT_TRUE(Result::Equivalent(service.ticket(first).result, service.ticket(last).result,
                                  true, &diff))
       << diff;
-  const std::string timeline = RenderRepairTimeline(service.repairs());
+  const std::string timeline = RenderGuardTimeline(service.repairs());
   EXPECT_NE(timeline.find("reverted"), std::string::npos);
 }
 

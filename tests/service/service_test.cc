@@ -366,6 +366,19 @@ TEST(QueryServiceTest, ServiceProfileRoundTripsThroughText) {
   EXPECT_THROW(ReadServiceProfile(bad_header), Error);
   std::istringstream orphan_op("# dfp service profile v6\nop 0000000000000001 3 5 scan\n");
   EXPECT_THROW(ReadServiceProfile(orphan_op), Error);
+  // A state file holds at most one reopt action per fingerprint; a second line is refused
+  // instead of shadowing (or being shadowed by) the first.
+  const std::string reopt = "reopt 0000000000000001 kept 10 20 30 400 1 0 q_spine\n";
+  std::istringstream one_reopt("# dfp service profile v6\n" + reopt);
+  GuardLog<ReoptPayload> reopts;
+  ReadServiceProfile(one_reopt, nullptr, nullptr, nullptr, nullptr, nullptr, &reopts);
+  ASSERT_EQ(reopts.actions().size(), 1u);
+  EXPECT_EQ(reopts.actions().front().state, GuardState::kKept);
+  std::istringstream duplicate_reopt("# dfp service profile v6\n" + reopt + reopt);
+  GuardLog<ReoptPayload> duplicate_sink;
+  EXPECT_THROW(ReadServiceProfile(duplicate_reopt, nullptr, nullptr, nullptr, nullptr, nullptr,
+                                  &duplicate_sink),
+               Error);
 }
 
 TEST(QueryServiceTest, WeightedFairSchedulingLetsHeavySessionsOvertake) {
