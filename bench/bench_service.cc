@@ -686,10 +686,10 @@ int Main() {
   shard_config.merge_sampling = DefaultMergeSampling();
   constexpr uint32_t kBenchShards = 4;
   // One DatabaseConfig for every database in this scenario (shards, 1-shard tower, unsharded
-  // reference): the 1-shard byte-identity gate requires identical region layouts, and the
-  // trimmed regions let seven databases coexist. Sized for the 4-shard coordinator (the
-  // staging-ring head room is unused elsewhere — ShardArenaBytes degenerates to
-  // ServiceArenaBytes at 1 shard).
+  // reference): the 1-shard byte-identity gate requires identical region layouts. The trimmed
+  // sizes stay because region sizes fix every simulated address, and so every BENCH_*.json
+  // number. Sized for the 4-shard coordinator (the staging-ring head room is unused elsewhere —
+  // ShardArenaBytes degenerates to ServiceArenaBytes at 1 shard).
   DatabaseConfig shard_db_config;
   shard_db_config.columns_bytes = 64ull << 20;
   shard_db_config.strings_bytes = 8ull << 20;

@@ -1,14 +1,22 @@
 #include "src/vcpu/vmem.h"
 
+#include <new>
+
 namespace dfp {
 
-VMem::VMem(uint64_t capacity) : bytes_(capacity, 0), next_base_(64) {
+VMem::VMem(uint64_t capacity) : capacity_(capacity), next_base_(64) {
   // The first 64 bytes are reserved so that address 0 acts as a null pointer and small
   // accidental offsets fault visibly in tests.
+  DFP_CHECK(capacity >= next_base_);
+  bytes_.reset(static_cast<uint8_t*>(std::calloc(capacity, 1)));
+  if (bytes_ == nullptr) {
+    throw std::bad_alloc();
+  }
 }
 
 uint32_t VMem::CreateRegion(const std::string& name, uint64_t size) {
-  DFP_CHECK(next_base_ + size <= bytes_.size());
+  // next_base_ <= capacity_ always holds, so the subtraction cannot wrap.
+  DFP_CHECK(size <= capacity_ - next_base_);
   MemRegion region;
   region.name = name;
   region.base = next_base_;
@@ -23,7 +31,7 @@ VAddr VMem::Alloc(uint32_t region_id, uint64_t bytes, uint64_t align) {
   DFP_CHECK(align > 0 && (align & (align - 1)) == 0);
   MemRegion& region = regions_[region_id];
   uint64_t offset = (region.used + align - 1) & ~(align - 1);
-  DFP_CHECK(offset + bytes <= region.size);
+  DFP_CHECK(offset <= region.size && bytes <= region.size - offset);
   region.used = offset + bytes;
   return region.base + offset;
 }
@@ -31,7 +39,7 @@ VAddr VMem::Alloc(uint32_t region_id, uint64_t bytes, uint64_t align) {
 void VMem::ResetRegion(uint32_t region_id) {
   DFP_CHECK(region_id < regions_.size());
   MemRegion& region = regions_[region_id];
-  std::memset(bytes_.data() + region.base, 0, region.used);
+  std::memset(bytes_.get() + region.base, 0, region.used);
   region.used = 0;
 }
 

@@ -8,8 +8,10 @@
 #define DFP_SRC_VCPU_VMEM_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,8 +53,11 @@ using PartitionMap = std::vector<PartitionSlice>;
 
 class VMem {
  public:
-  // `capacity` is the total arena size in bytes; the arena is allocated eagerly so that
-  // addresses are stable for the lifetime of the VMem.
+  // `capacity` is the total arena size in bytes, at least the 64 reserved null-page bytes. The
+  // whole address range is reserved up front, so addresses are stable for the lifetime of the
+  // VMem, but a page costs host memory only once something first touches it. Fresh bytes, and
+  // the bytes of a reset region, read zero. Throws std::bad_alloc when the range cannot be
+  // reserved.
   explicit VMem(uint64_t capacity);
 
   // Creates a named region of `size` bytes. Regions are carved out sequentially.
@@ -67,31 +72,33 @@ class VMem {
   // allocations see fresh zero-initialized memory.
   void ResetRegion(uint32_t region);
 
-  // Raw accessors. Bounds-checked in debug builds via DFP_CHECK.
+  // Raw accessors, bounds-checked via DFP_CHECK. `capacity_ - sizeof(T)` cannot wrap
+  // (capacity_ >= 64), so an address near 2^64, such as a null base plus a negative
+  // displacement, fails the check.
   uint8_t* Data(VAddr addr) {
-    DFP_CHECK(addr < bytes_.size());
-    return bytes_.data() + addr;
+    DFP_CHECK(addr < capacity_);
+    return bytes_.get() + addr;
   }
   const uint8_t* Data(VAddr addr) const {
-    DFP_CHECK(addr < bytes_.size());
-    return bytes_.data() + addr;
+    DFP_CHECK(addr < capacity_);
+    return bytes_.get() + addr;
   }
 
   template <typename T>
   T Read(VAddr addr) const {
-    DFP_CHECK(addr + sizeof(T) <= bytes_.size());
+    DFP_CHECK(addr <= capacity_ - sizeof(T));
     T value;
-    std::memcpy(&value, bytes_.data() + addr, sizeof(T));
+    std::memcpy(&value, bytes_.get() + addr, sizeof(T));
     return value;
   }
 
   template <typename T>
   void Write(VAddr addr, T value) {
-    DFP_CHECK(addr + sizeof(T) <= bytes_.size());
-    std::memcpy(bytes_.data() + addr, &value, sizeof(T));
+    DFP_CHECK(addr <= capacity_ - sizeof(T));
+    std::memcpy(bytes_.get() + addr, &value, sizeof(T));
   }
 
-  uint64_t capacity() const { return bytes_.size(); }
+  uint64_t capacity() const { return capacity_; }
   // First address not yet carved into a region (where the next CreateRegion would start).
   uint64_t next_base() const { return next_base_; }
   const std::vector<MemRegion>& regions() const { return regions_; }
@@ -117,7 +124,14 @@ class VMem {
   const PartitionMap* ExtentPlacement(VAddr base) const;
 
  private:
-  std::vector<uint8_t> bytes_;
+  struct FreeDeleter {
+    void operator()(uint8_t* bytes) const { std::free(bytes); }
+  };
+
+  // From calloc: the allocator serves arenas this large from fresh zero pages, so the host
+  // commits a page only when it is first touched.
+  std::unique_ptr<uint8_t[], FreeDeleter> bytes_;
+  uint64_t capacity_;
   std::vector<MemRegion> regions_;
   std::vector<MemExtent> partitioned_;
   std::map<VAddr, PartitionMap> placements_;

@@ -1,9 +1,22 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <fstream>
 
 #include "src/vcpu/vmem.h"
 
 namespace dfp {
 namespace {
+
+// Resident set size of this process in bytes (the second field of /proc/self/statm).
+uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size_pages = 0;
+  uint64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  EXPECT_TRUE(statm) << "cannot read /proc/self/statm";
+  return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
 
 TEST(VMem, RegionCarving) {
   VMem mem(1 << 20);
@@ -50,6 +63,42 @@ TEST(VMem, DeathOnRegionOverflow) {
   uint32_t region = mem.CreateRegion("tiny", 16);
   mem.Alloc(region, 16);
   EXPECT_DEATH(mem.Alloc(region, 1), "DFP_CHECK");
+  // Sizes whose sum with the current offset or base wraps past 2^64 must not pass as small.
+  EXPECT_DEATH(mem.Alloc(region, ~uint64_t{0} - 15), "DFP_CHECK");
+  // 2^64 - 101 bytes wraps once next_base() exceeds 100.
+  mem.CreateRegion("pad", 4096);
+  EXPECT_DEATH(mem.CreateRegion("wrapped", ~uint64_t{0} - 100), "DFP_CHECK");
+}
+
+TEST(VMem, DeathOnWrappedAddress) {
+  VMem mem(1 << 20);
+  // A null base plus displacement -8: the access's end wraps to 0, just before the arena.
+  const VAddr wrapped = ~uint64_t{0} - 7;
+  EXPECT_DEATH(mem.Read<uint64_t>(wrapped), "DFP_CHECK");
+  EXPECT_DEATH(mem.Write<uint64_t>(wrapped, 1), "DFP_CHECK");
+}
+
+TEST(VMem, UntouchedArenaIsNotResident) {
+  constexpr uint64_t kTouchedPages = 16;
+  constexpr uint64_t kStride = 60ull << 20;
+  const uint64_t before = ResidentBytes();
+  VMem mem(1ull << 30);
+  uint32_t state = mem.CreateRegion("state", 4096);
+  uint32_t sparse = mem.CreateRegion("sparse", kTouchedPages * kStride);
+  for (uint64_t page = 0; page < kTouchedPages; ++page) {
+    mem.Write<uint64_t>(mem.Alloc(sparse, kStride), page + 1);
+  }
+  EXPECT_LT(ResidentBytes(), before + (64ull << 20));
+
+  // Fresh bytes read zero, on a touched page and on an untouched one.
+  const VAddr base = mem.region(sparse).base;
+  EXPECT_EQ(mem.Read<uint64_t>(base), 1u);
+  EXPECT_EQ(mem.Read<uint64_t>(base + 8), 0u);
+  EXPECT_EQ(mem.Read<uint64_t>(base + kStride / 2), 0u);
+  // So do the bytes of a reset region.
+  mem.Write<uint64_t>(mem.Alloc(state, 8), ~uint64_t{0});
+  mem.ResetRegion(state);
+  EXPECT_EQ(mem.Read<uint64_t>(mem.Alloc(state, 8)), 0u);
 }
 
 }  // namespace
