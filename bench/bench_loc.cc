@@ -58,7 +58,15 @@ size_t CountDir(const std::string& dir) {
 }
 
 int Main(int argc, char** argv) {
-  std::string root = argc > 1 ? argv[1] : DFP_SOURCE_ROOT;
+  const std::string root = argc > 1 ? argv[1] : DFP_SOURCE_ROOT;
+  // Every count below is relative to the root, and a missing directory counts as 0 lines, so
+  // a wrong root (say, a stray flag) would report an empty tree and pass.
+  if (DIR* src = opendir((root + "/src").c_str())) {
+    closedir(src);
+  } else {
+    std::fprintf(stderr, "bench_loc: no readable src/ under source root '%s'\n", root.c_str());
+    return 1;
+  }
   std::printf("==================================================================\n");
   std::printf("Experiment: implementation size per component\n");
   std::printf("Reproduces: Table 3\n");

@@ -15,8 +15,8 @@
 //    fingerprint (must flag the shift).
 //  - Fleet record/replay: a mixed workload is recorded into a text trace, replayed twice on
 //    fresh services (zero diff both times, byte-identical JSON reports — the CI determinism
-//    gate), then replayed under what-if knobs: 10x session load must degrade through
-//    admission rejections, and a scheduler swap must shift timing without touching results.
+//    gate), then replayed as what-ifs: 10x session load must degrade through admission
+//    rejections, and an edited scheduler must shift timing without touching results.
 //  - Sharded multi-node service (src/shard/): fan-out queries over a 4-shard range-partitioned
 //    catalog must return results identical to the unsharded engine, the coordinator's Merge
 //    operator and CROSS_NODE traffic must show up in the hierarchical fleet aggregate (whose
@@ -455,16 +455,14 @@ int Main() {
   // Each replay runs against its own identically generated database: the service compiles
   // code and carves session regions out of its database, so reusing one would shift every
   // address (and therefore every sample stream).
-  auto run_replay = [&](const WhatIfKnobs& knobs) {
+  auto run_replay = [&](const ReplayOptions& replay_options) {
     DatabaseConfig replay_db_config;
-    replay_db_config.extra_bytes = ServiceArenaBytes(ReplayServiceConfig(trace, knobs));
+    replay_db_config.extra_bytes = ServiceArenaBytes(replay_options.config.value_or(trace.knobs));
     auto replay_db = std::make_unique<Database>(replay_db_config);
     GenerateTpch(*replay_db, options);
-    ReplayOptions replay_options;
-    replay_options.knobs = knobs;
     const ReplayRun run = ReplayTrace(*replay_db, trace, replay_options);
     ReplayReport report = DiffTraces(trace, run.trace);
-    report.session_multiplier = knobs.session_multiplier;
+    report.session_multiplier = replay_options.session_multiplier;
     return report;
   };
 
@@ -487,7 +485,7 @@ int Main() {
   // (b) What breaks at 10x sessions? Every recorded query submitted ten times back to back:
   // the bounded admission queue must shed the surplus (rejections, not crashes or timeouts),
   // and everything admitted must still finish.
-  WhatIfKnobs tenx;
+  ReplayOptions tenx;
   tenx.session_multiplier = 10;
   const ReplayReport replay_10x = run_replay(tenx);
   const bool replay_10x_ok =
@@ -505,8 +503,9 @@ int Main() {
               replay_10x_ok ? "[ok]" : "[FAIL: load not shed through admission control]");
 
   // (c) Scheduler A/B on recorded traffic: a central run queue changes timing, never results.
-  WhatIfKnobs central;
-  central.scheduler = static_cast<int>(SchedulerPolicy::kCentral);
+  ReplayOptions central;
+  central.config = trace.knobs;
+  central.config->parallel.scheduler = SchedulerPolicy::kCentral;
   const ReplayReport replay_sched = run_replay(central);
   const bool replay_sched_ok = replay_sched.results_diverged == 0 &&
                                replay_sched.replayed_completed == replay_sched.recorded_completed;
@@ -518,9 +517,10 @@ int Main() {
   // (d) Slack scheduling flipped on over the recorded traffic: the store learns across the
   // trace's repeated q6 variants and reorders their later scans — timing may move, results
   // must not.
-  WhatIfKnobs slack_knobs;
-  slack_knobs.slack_scheduling = 1;
-  const ReplayReport replay_slack = run_replay(slack_knobs);
+  ReplayOptions slack_what_if;
+  slack_what_if.config = trace.knobs;
+  slack_what_if.config->sched.slack_scheduling = true;
+  const ReplayReport replay_slack = run_replay(slack_what_if);
   const bool replay_slack_ok = replay_slack.results_diverged == 0 &&
                                replay_slack.replayed_completed == replay_slack.recorded_completed;
   std::printf("what-if slack scheduling: cycles %llu -> %llu, results %s\n",
@@ -631,7 +631,6 @@ int Main() {
     repair_config.sched.placement_repair = true;
     repair_config.profiling.period = 10007;
     repair_config.continuous.window.width_cycles = 1'000'000;
-    repair_config.continuous.regression.share_drift = 10.0;
     repair_config.continuous.regression.remote_share_drift = 0.015;
     DatabaseConfig repair_db_config;
     repair_db_config.extra_bytes = ServiceArenaBytes(repair_config);
@@ -863,10 +862,8 @@ int Main() {
   // never move a result: the gate is zero result divergence with every query completing.
   ReplayReport shard_replay;
   {
-    WhatIfKnobs shard_knobs;
-    shard_knobs.shard_count = kBenchShards;
     ShardServiceConfig shard_replay_config;
-    shard_replay_config.service = ReplayServiceConfig(trace, shard_knobs);
+    shard_replay_config.service = trace.knobs;
     shard_replay_config.merge_sampling = DefaultMergeSampling();
     ShardCatalogConfig replay_catalog_config;
     replay_catalog_config.shards = kBenchShards;
@@ -877,7 +874,6 @@ int Main() {
     replay_catalog_config.tpch = options;
     ShardCatalog replay_catalog(replay_catalog_config);
     ReplayOptions shard_replay_options;
-    shard_replay_options.knobs = shard_knobs;
     shard_replay_options.shards = &replay_catalog;
     const ReplayRun shard_replay_run =
         ReplayTrace(replay_catalog.db(0), trace, shard_replay_options);

@@ -3,7 +3,7 @@
 // arrival cycle, session weight/deadline, admission outcome — into a versioned text trace.
 // Replaying that trace on the same build reproduces the recording bit for bit (the service is
 // a pure function of its configuration and submission sequence), which turns "did this commit
-// change serving behavior?" into a diff of two replay reports. What-if knobs then answer
+// change serving behavior?" into a diff of two replay reports. What-if replays then answer
 // capacity questions offline: here, "what breaks at 10x the recorded session load?" — the
 // bounded admission queue must shed the surplus as rejections, not crashes.
 //
@@ -99,7 +99,7 @@ int main() {
   const WorkloadTrace trace = ReadTrace(in);
   std::printf("wrote and re-read %s\n\n", trace_path);
 
-  // --- Replay 1: identity knobs — must reproduce the recording bit for bit ---
+  // --- Replay 1: the recorded config — must reproduce the recording bit for bit ---
   std::printf("=== Identity replay (zero-diff contract) ===\n");
   ReplayReport identity;
   {
@@ -113,19 +113,14 @@ int main() {
   std::printf("=== What-if: 10x session load ===\n");
   ReplayReport scaled;
   {
-    WhatIfKnobs knobs;
-    knobs.session_multiplier = 10;
-    DatabaseConfig db_config;
-    db_config.extra_bytes = ServiceArenaBytes(ReplayServiceConfig(trace, knobs));
-    auto db = std::make_unique<Database>(db_config);
-    TpchOptions options;
-    options.scale = 0.01;
-    GenerateTpch(*db, options);
+    // Load scaling changes the traffic, not the service: the recorded config still sizes the
+    // database.
+    auto db = MakeDb(trace.knobs);
     ReplayOptions replay_options;
-    replay_options.knobs = knobs;
+    replay_options.session_multiplier = 10;
     const ReplayRun run = ReplayTrace(*db, trace, replay_options);
     scaled = DiffTraces(trace, run.trace);
-    scaled.session_multiplier = knobs.session_multiplier;
+    scaled.session_multiplier = replay_options.session_multiplier;
     std::printf("%s\n", RenderReplayReport(scaled).c_str());
   }
 

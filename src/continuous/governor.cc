@@ -19,7 +19,6 @@ double GovernorPlanState::OverheadShare() const {
 SamplingGovernor::SamplingGovernor(GovernorConfig config) : config_(config) {
   DFP_CHECK(config_.overhead_budget > 0 && config_.min_period >= 1 &&
             config_.min_period <= config_.max_period);
-  DFP_CHECK(config_.smoothing > 0 && config_.smoothing <= 1.0);
 }
 
 uint64_t SamplingGovernor::Clamp(uint64_t period) const {
@@ -81,8 +80,10 @@ void SamplingGovernor::Observe(uint64_t fingerprint, const std::string& name,
     const double solved = events_per_obs * cps / (config_.overhead_budget * base_per_obs);
     target = Clamp(static_cast<uint64_t>(solved + 0.5));
   }
-  const double blended = config_.smoothing * static_cast<double>(target) +
-                         (1.0 - config_.smoothing) * static_cast<double>(state.period);
+  // EWMA weight of the newest analytic solve (1.0 would jump straight to it).
+  constexpr double kSmoothing = 0.7;
+  const double blended = kSmoothing * static_cast<double>(target) +
+                         (1.0 - kSmoothing) * static_cast<double>(state.period);
   state.period = Clamp(static_cast<uint64_t>(blended + 0.5));
 }
 

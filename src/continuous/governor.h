@@ -33,8 +33,6 @@ struct GovernorConfig {
   // Clamp range for chosen periods (events between samples).
   uint64_t min_period = 500;
   uint64_t max_period = 5'000'000;
-  // EWMA weight of the newest analytic solve (1.0 = jump straight to it).
-  double smoothing = 0.7;
 };
 
 // Per-fingerprint tuning state, exposed for reports and benchmarks.

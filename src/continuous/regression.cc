@@ -12,18 +12,41 @@
 namespace dfp {
 namespace {
 
-// Per-fingerprint diff shared by DetectRegressions and JudgeRegression: fills `finding` from
-// `base` vs `current` and returns true when any check fired. `current` must already have
-// enough samples (the callers gate on thresholds.min_samples).
-bool DiffAgainstBaseline(const PlanBaseline& base, const WindowRollup& current,
-                         const RegressionThresholds& thresholds, RegressionFinding* finding) {
+// Operators below this share in both baseline and current are ignored (noise floor).
+constexpr double kMinShare = 0.05;
+// Absolute drift in an operator's share of attributed samples that fires a finding.
+constexpr double kShareDrift = 0.10;
+// Sampled shares are estimates: at n samples a share is only resolved to a few points. The
+// drift must additionally exceed this many two-proportion standard errors
+// (z * sqrt(p(1-p)(1/n_base + 1/n_current)), pooled p) before it counts — otherwise sparse
+// windows fire on sampling jitter, e.g. when the governor coarsens the period. Exact counters
+// (cycles/row, remote share) carry no such margin.
+constexpr double kShareNoiseZ = 3.0;
+// Current cycles-per-row must exceed baseline * ratio to fire.
+constexpr double kCyclesPerRowRatio = 1.25;
+
+// The whole-plan rate checks DetectRegressions and JudgeRegression share: fills `finding`'s
+// rates from `base` vs `current` and returns true when either check fired. `current` must
+// already have enough samples (the callers gate on thresholds.min_samples).
+bool DiffRates(const PlanBaseline& base, const WindowRollup& current,
+               const RegressionThresholds& thresholds, RegressionFinding* finding) {
   finding->fingerprint = base.fingerprint;
   finding->name = base.name;
   finding->baseline_cycles_per_row = base.cycles_per_row;
   finding->current_cycles_per_row = current.CyclesPerRow();
   finding->baseline_remote_share = base.remote_share;
   finding->current_remote_share = current.RemoteDramShare();
+  finding->cycles_per_row_regressed =
+      base.cycles_per_row > 0 &&
+      finding->current_cycles_per_row > base.cycles_per_row * kCyclesPerRowRatio;
+  finding->remote_regressed = finding->current_remote_share - finding->baseline_remote_share >
+                              thresholds.remote_share_drift;
+  return finding->cycles_per_row_regressed || finding->remote_regressed;
+}
 
+// The operator-mix check (DetectRegressions only): records every operator above the noise
+// floor in `finding->drifts` and returns true when one drifted.
+bool DiffMix(const PlanBaseline& base, const WindowRollup& current, RegressionFinding* finding) {
   // Union of operators on either side, in operator-id order.
   std::set<OperatorId> ops;
   for (const auto& [op, stats] : base.operators) {
@@ -43,9 +66,7 @@ bool DiffAgainstBaseline(const PlanBaseline& base, const WindowRollup& current,
                                                     : base_it->second.label;
     drift.baseline_share = base.OperatorShare(op);
     drift.current_share = current.OperatorShare(op);
-    const bool above_floor = drift.baseline_share >= thresholds.min_share ||
-                             drift.current_share >= thresholds.min_share;
-    if (!above_floor) {
+    if (drift.baseline_share < kMinShare && drift.current_share < kMinShare) {
       continue;
     }
     const uint64_t base_hits = base_it != base.operators.end() ? base_it->second.samples : 0;
@@ -57,18 +78,11 @@ bool DiffAgainstBaseline(const PlanBaseline& base, const WindowRollup& current,
                   (1.0 / static_cast<double>(base.samples) +
                    1.0 / static_cast<double>(current.samples)));
     drift.flagged = std::abs(drift.current_share - drift.baseline_share) >
-                    thresholds.share_drift + thresholds.share_noise_z * stderr_drift;
+                    kShareDrift + kShareNoiseZ * stderr_drift;
     finding->share_regressed |= drift.flagged;
     finding->drifts.push_back(std::move(drift));
   }
-
-  finding->cycles_per_row_regressed =
-      base.cycles_per_row > 0 &&
-      finding->current_cycles_per_row > base.cycles_per_row * thresholds.cycles_per_row_ratio;
-  finding->remote_regressed = finding->current_remote_share - finding->baseline_remote_share >
-                              thresholds.remote_share_drift;
-  return finding->share_regressed || finding->cycles_per_row_regressed ||
-         finding->remote_regressed;
+  return finding->share_regressed;
 }
 
 }  // namespace
@@ -150,7 +164,8 @@ std::vector<RegressionFinding> DetectRegressions(const BaselineStore& baseline,
 
     RegressionFinding finding;
     finding.shard_id = shard_id;
-    if (DiffAgainstBaseline(*base, current, thresholds, &finding)) {
+    const bool mix = DiffMix(*base, current, &finding);
+    if (DiffRates(*base, current, thresholds, &finding) || mix) {
       if (alert) {
         alert(finding);
       }
@@ -167,8 +182,8 @@ GuardVerdict JudgeRegression(const PlanBaseline& baseline, const WindowedProfile
     return GuardVerdict::kInsufficientEvidence;
   }
   RegressionFinding finding;
-  return DiffAgainstBaseline(baseline, current, thresholds, &finding) ? GuardVerdict::kRegressed
-                                                                      : GuardVerdict::kClean;
+  return DiffRates(baseline, current, thresholds, &finding) ? GuardVerdict::kRegressed
+                                                            : GuardVerdict::kClean;
 }
 
 std::string RenderRegressionReport(const std::vector<RegressionFinding>& findings) {

@@ -7,7 +7,9 @@
 // executions — and flags fingerprints whose mix drifted: an operator's share of attributed
 // samples moved beyond a threshold, cycles-per-row grew beyond a ratio, or the remote-DRAM
 // share of sampled loads rose. Findings render as a side-by-side cost-annotated diff
-// ("HashJoin probe 21% -> 38%, +remote") via RenderCostDiff.
+// ("HashJoin probe 21% -> 38%, +remote") via RenderCostDiff. A guard (JudgeRegression) checks
+// only the two whole-plan rates: the action it judges may renumber operators (a re-planned
+// candidate) or move cost between them on purpose (a re-placed scan).
 //
 // Because the whole engine is deterministic, re-running an identical workload reproduces the
 // baseline mix exactly — the detector is silent on identical reruns by construction, which the
@@ -26,19 +28,9 @@
 
 namespace dfp {
 
+// The configurable half of the drift checks; the operator-mix and cycles-per-row thresholds
+// are constants of src/continuous/regression.cc.
 struct RegressionThresholds {
-  // Operators below this share in both baseline and current are ignored (noise floor).
-  double min_share = 0.05;
-  // Absolute drift in an operator's share of attributed samples that fires a finding.
-  double share_drift = 0.10;
-  // Sampled shares are estimates: at n samples a share is only resolved to a few points. The
-  // drift must additionally exceed `share_noise_z` two-proportion standard errors
-  // (z * sqrt(p(1-p)(1/n_base + 1/n_current)), pooled p) before it counts — otherwise sparse
-  // windows fire on sampling jitter, e.g. when the governor coarsens the period. Exact
-  // counters (cycles/row, remote share) carry no such margin.
-  double share_noise_z = 3.0;
-  // Current cycles-per-row must exceed baseline * ratio to fire.
-  double cycles_per_row_ratio = 1.25;
   // Absolute rise of REMOTE_DRAM events per sampled load that fires.
   double remote_share_drift = 0.10;
   // Post-baseline aggregates with fewer attributed samples than this are skipped entirely
@@ -90,7 +82,7 @@ struct OperatorDrift {
   std::string label;
   double baseline_share = 0;
   double current_share = 0;
-  bool flagged = false;  // |current - baseline| > share_drift (above the noise floor).
+  bool flagged = false;  // Drifted past the share threshold plus its noise margin.
 };
 
 // One fingerprint that drifted beyond the thresholds.
@@ -137,8 +129,9 @@ enum class GuardVerdict : uint8_t {
   kRegressed,             // The action made the fingerprint worse — revert it.
 };
 
-// Judges `baseline`'s fingerprint's post-watermark windows against it using the same drift
-// checks as DetectRegressions (src/continuous/guard.h runs the lifecycle around it).
+// Judges `baseline`'s fingerprint's post-watermark windows against it on cycles-per-row and
+// remote-DRAM share only — never the operator mix (src/continuous/guard.h runs the lifecycle
+// around it).
 GuardVerdict JudgeRegression(const PlanBaseline& baseline, const WindowedProfile& profile,
                              const RegressionThresholds& thresholds = RegressionThresholds());
 

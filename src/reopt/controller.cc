@@ -5,14 +5,6 @@
 
 namespace dfp {
 
-RegressionThresholds ReoptGuardThresholds() {
-  RegressionThresholds thresholds;
-  // Shares live in [0,1]: a drift threshold of 2.0 can never fire. The candidate's operator
-  // ids do not correspond to the baseline's, so the mix comparison is meaningless here.
-  thresholds.share_drift = 2.0;
-  return thresholds;
-}
-
 std::string ReoptPayload::Detail() const {
   std::string detail = "divergence=" + std::to_string(divergence_pct) + "%";
   if (!description.empty()) {

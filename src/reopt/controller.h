@@ -6,7 +6,9 @@
 // injected (src/plan/rewrite.h), and the candidate compiles on the background recompile lane at
 // the entry's current tier. The swap is guarded, not trusted — it runs the same decided ->
 // applied -> kept/reverted lifecycle as placement repair (src/continuous/guard.h): a baseline
-// is snapshotted at swap time and JudgeRegression over the post-swap windows keeps or reverts.
+// is snapshotted at swap time and JudgeRegression over the post-swap windows keeps or reverts,
+// under the service's continuous.regression thresholds. A re-planned candidate gets fresh
+// operator ids from FinalizePlan, which is one reason a guard never compares operator mixes.
 // Every transition lands in the sample stream as a `reopt` line and in RenderGuardTimeline's
 // rendering.
 #ifndef DFP_SRC_REOPT_CONTROLLER_H_
@@ -17,17 +19,10 @@
 #include <vector>
 
 #include "src/continuous/guard.h"
-#include "src/continuous/regression.h"
 #include "src/plan/rewrite.h"
 #include "src/service/plan_cache.h"
 
 namespace dfp {
-
-// Guard thresholds for judging a swapped candidate. A re-planned candidate gets fresh operator
-// ids from FinalizePlan, so the per-operator share-drift check would fire on every swap by
-// construction; the verdict rests on the id-independent whole-plan rates instead
-// (cycles-per-row ratio and remote-DRAM share).
-RegressionThresholds ReoptGuardThresholds();
 
 struct ReoptConfig {
   // Off by default: re-optimization changes compiled code and schedules, so it is opt-in like
@@ -44,7 +39,6 @@ struct ReoptConfig {
   // Fault injection: rewrite to the WORST measured join order instead of the best. The guard
   // must catch and revert it — tests and the bench drive the revert path this way.
   bool pessimize = false;
-  RegressionThresholds guard = ReoptGuardThresholds();
 };
 
 // Payload of a re-optimization guarded action (src/continuous/guard.h). kDecided spans the

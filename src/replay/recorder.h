@@ -40,8 +40,8 @@ class TraceRecorder {
   const WorkloadTrace& Finish(const QueryService& service);
 
   const WorkloadTrace& trace() const { return trace_; }
-  // Per-query serialized sample streams (index = seq - 1; empty string when the execution was
-  // unprofiled or keep_streams was off).
+  // Per-query serialized sample streams (index = seq - 1; empty string when the execution
+  // timed out or keep_streams was off).
   const std::vector<std::string>& streams() const { return streams_; }
 
  private:

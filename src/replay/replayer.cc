@@ -70,25 +70,20 @@ bool QueryDiverged(const TraceQuery& a, const TraceQuery& b) {
          a.samples != b.samples || a.stream_hash != b.stream_hash;
 }
 
-// Shard-count what-if: the recorded traffic re-runs against an N-shard ShardedService. The
+// Sharded replay: the recorded traffic re-runs against an N-shard ShardedService. The
 // coordinator owns the sub-tickets (one per shard for fan-out queries), so there is no single
 // TraceRecorder to capture the run; the replayed trace is assembled by hand — the submission
 // half copied from the recording, the completion half observed from coordinator tickets.
 // Streams and samples are deliberately left zero (a sharded run's streams carry shard tokens
-// and cannot match the recording byte-wise anyway); the gate for this what-if is results_diverged == 0.
+// and cannot match the recording byte-wise anyway); the gate is results_diverged == 0.
 ReplayRun ReplayTraceSharded(ShardCatalog& catalog, const WorkloadTrace& trace,
-                             const ReplayOptions& options) {
-  if (catalog.shards() != options.knobs.shard_count) {
-    throw Error("shard-count what-if: ShardCatalog size does not match knobs.shard_count");
-  }
+                             const ServiceConfig& service_config, uint32_t multiplier) {
   if (catalog.catalog_version() != trace.catalog_version) {
     throw Error(StrFormat("replay catalog mismatch: trace recorded at catalog version %llu, "
                           "shard catalog is at %llu",
                           static_cast<unsigned long long>(trace.catalog_version),
                           static_cast<unsigned long long>(catalog.catalog_version())));
   }
-  const uint32_t multiplier = std::max<uint32_t>(1, options.knobs.session_multiplier);
-
   // Parse every plan template once per shard, template-major: every shard heap interns the
   // same literal strings in the same order, preserving the cross-shard reference alignment
   // (src/shard/partition.h).
@@ -101,8 +96,7 @@ ReplayRun ReplayTraceSharded(ShardCatalog& catalog, const WorkloadTrace& trace,
   }
 
   ShardServiceConfig config;
-  config.service = ReplayServiceConfig(trace, options.knobs);
-  config.service.state_path.clear();
+  config.service = service_config;
   config.merge_sampling = DefaultMergeSampling();
   ShardedService service(catalog, config);
 
@@ -151,7 +145,7 @@ ReplayRun ReplayTraceSharded(ShardCatalog& catalog, const WorkloadTrace& trace,
   ReplayRun run;
   run.trace.catalog_version = trace.catalog_version;
   run.trace.start_cycles = 0;
-  run.trace.knobs = CaptureKnobs(config.service);
+  run.trace.knobs = service_config;
   for (TicketId id = 1; id <= service.ticket_count(); ++id) {
     const ShardTicket& ticket = service.ticket(id);
     const TraceQuery& recorded = trace.query(submitted_seq[id - 1]);
@@ -202,62 +196,11 @@ ReplayRun ReplayTraceSharded(ShardCatalog& catalog, const WorkloadTrace& trace,
 
 }  // namespace
 
-bool WhatIfKnobs::IsIdentity() const {
-  return session_multiplier == 1 && scheduler == -1 && max_active_sessions == 0 &&
-         queue_depth == 0 && workers == 0 && tiering_enabled == -1 && break_even_ratio == 0 &&
-         code_budget_bytes == 0 && governor_enabled == -1 && governor_budget == 0 &&
-         slack_scheduling == -1 && reopt == -1 && shard_count == 0;
-}
-
-ServiceConfig ReplayServiceConfig(const WorkloadTrace& trace, const WhatIfKnobs& knobs) {
-  ServiceConfig config = trace.knobs;
-  if (knobs.scheduler >= 0) {
-    config.parallel.scheduler = static_cast<SchedulerPolicy>(knobs.scheduler);
-  }
-  if (knobs.max_active_sessions != 0) {
-    config.max_active_sessions = knobs.max_active_sessions;
-  }
-  if (knobs.queue_depth != 0) {
-    config.queue_depth = knobs.queue_depth;
-  }
-  if (knobs.workers != 0) {
-    config.parallel.workers = knobs.workers;
-  }
-  if (knobs.tiering_enabled >= 0) {
-    config.tiering.enabled = knobs.tiering_enabled != 0;
-  }
-  if (knobs.break_even_ratio != 0) {
-    config.tiering.break_even_ratio = knobs.break_even_ratio;
-  }
-  if (knobs.code_budget_bytes != 0) {
-    config.code_budget_bytes = knobs.code_budget_bytes;
-  }
-  if (knobs.governor_enabled >= 0) {
-    config.continuous.governor.enabled = knobs.governor_enabled != 0;
-  }
-  if (knobs.governor_budget != 0) {
-    config.continuous.governor.overhead_budget = knobs.governor_budget;
-  }
-  if (knobs.slack_scheduling >= 0) {
-    config.sched.slack_scheduling = knobs.slack_scheduling != 0;
-  }
-  if (knobs.reopt >= 0) {
-    config.reopt.enabled = knobs.reopt != 0;
-    if (config.reopt.enabled) {
-      // Reopt candidates install through the parameterized cache; forcing the loop on against
-      // a trace recorded without tiering forces tiering on too.
-      config.tiering.enabled = true;
-    }
-  }
-  return config;
-}
-
 ReplayRun ReplayTrace(Database& db, const WorkloadTrace& trace, const ReplayOptions& options) {
-  if (options.knobs.shard_count > 0) {
-    if (options.shards == nullptr) {
-      throw Error("shard-count what-if requires ReplayOptions::shards");
-    }
-    return ReplayTraceSharded(*options.shards, trace, options);
+  const ServiceConfig config = CaptureKnobs(options.config.value_or(trace.knobs));
+  const uint32_t multiplier = std::max<uint32_t>(1, options.session_multiplier);
+  if (options.shards != nullptr) {
+    return ReplayTraceSharded(*options.shards, trace, config, multiplier);
   }
   if (db.catalog_version() != trace.catalog_version) {
     throw Error(StrFormat("replay catalog mismatch: trace recorded at catalog version %llu, "
@@ -265,15 +208,13 @@ ReplayRun ReplayTrace(Database& db, const WorkloadTrace& trace, const ReplayOpti
                           static_cast<unsigned long long>(trace.catalog_version),
                           static_cast<unsigned long long>(db.catalog_version())));
   }
-  const uint32_t multiplier = std::max<uint32_t>(1, options.knobs.session_multiplier);
-
   // Parse every plan template once; clones are cut per submission.
   std::map<uint64_t, PhysicalOpPtr> templates;
   for (const PlanTemplate& entry : trace.templates) {
     templates.emplace(entry.structure, ParsePlanText(entry.plan_text, db));
   }
 
-  QueryService service(db, ReplayServiceConfig(trace, options.knobs));
+  QueryService service(db, config);
   TraceRecorder recorder;
   recorder.set_keep_streams(options.keep_streams);
   service.AttachRecorder(recorder);

@@ -13,15 +13,17 @@
 // tier timelines, an all-zero diff. Any deviation is a real behavior change, which is what the
 // differential replay tests and the CI determinism job detect.
 //
-// What-if knobs answer capacity questions against recorded traffic without touching
-// production: "what breaks at 10x sessions?" is session_multiplier = 10 (admission rejections
-// appear in the report); scheduler policy, tier break-even, cache budget, and governor budget
-// can be overridden the same way.
+// A what-if answers a capacity question against recorded traffic without touching
+// production. It is an edited copy of the recorded configuration: "what if tiering were off?"
+// replays with `config = trace.knobs` and `config.tiering.enabled = false`. Load scaling is
+// separate, because it changes the traffic rather than the service: "what breaks at 10x
+// sessions?" is session_multiplier = 10 (admission rejections appear in the report).
 #ifndef DFP_SRC_REPLAY_REPLAYER_H_
 #define DFP_SRC_REPLAY_REPLAYER_H_
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,57 +32,29 @@
 
 namespace dfp {
 
-class ShardCatalog;  // src/shard/partition.h — shard-count what-if replays.
-
-// Overrides applied on top of a trace's recorded knobs. Zero / -1 = keep the recorded value.
-struct WhatIfKnobs {
-  // Load scaling: submit every recorded query this many times (same plan, same literals,
-  // back to back at its recorded schedule position). Queue overflow then rejects naturally.
-  uint32_t session_multiplier = 1;
-  int scheduler = -1;                // SchedulerPolicy underlying value; -1 = recorded.
-  uint32_t max_active_sessions = 0;  // 0 = recorded.
-  uint32_t queue_depth = 0;          // 0 = recorded.
-  uint32_t workers = 0;              // 0 = recorded.
-  int tiering_enabled = -1;          // -1 = recorded, 0/1 = force off/on.
-  double break_even_ratio = 0;       // 0 = recorded.
-  uint64_t code_budget_bytes = 0;    // 0 = recorded.
-  int governor_enabled = -1;         // -1 = recorded, 0/1 = force off/on.
-  double governor_budget = 0;        // 0 = recorded.
-  // Slack-directed deque ordering (src/critpath/slack.h): -1 = recorded, 0/1 = force off/on.
-  // The policy only permutes schedules, so a what-if flip changes timing but never results —
-  // bench_service gates on exactly that.
-  int slack_scheduling = -1;
-  // Closed-loop re-optimization (src/reopt/): -1 = recorded, 0/1 = force off/on. A reopt
-  // what-if changes compiled code, plan shapes, and timing, but a rewritten plan computes the
-  // same relation — the gate is results_diverged == 0, like the shard-count what-if.
-  int reopt = -1;
-  // Replay the recorded traffic against an N-shard ShardedService (src/shard/) instead of a
-  // single QueryService: 0 = recorded topology (unsharded). Requires ReplayOptions::shards to
-  // supply a matching ShardCatalog. Sharding re-partitions execution but never results, so a
-  // shard-count what-if gates on results_diverged == 0 even though timing and streams change.
-  uint32_t shard_count = 0;
-
-  // True when every field keeps the recorded value — the zero-diff contract applies.
-  bool IsIdentity() const;
-};
-
-// The service configuration a replay will run under: the trace's recorded knobs with `knobs`
-// overrides applied. Exposed so callers can size the Database (extra_bytes must cover
-// ServiceArenaBytes of this config) before calling ReplayTrace.
-ServiceConfig ReplayServiceConfig(const WorkloadTrace& trace, const WhatIfKnobs& knobs = {});
+class ShardCatalog;  // src/shard/partition.h — sharded replays.
 
 struct ReplayOptions {
-  WhatIfKnobs knobs;
+  // The service configuration to replay under, reduced through CaptureKnobs: only knob-table
+  // fields take effect. Unset = the trace's recorded knobs, the zero-diff identity replay. A
+  // caller passing its own config sizes the Database for ServiceArenaBytes of it.
+  std::optional<ServiceConfig> config;
+  // Submit every recorded query this many times (same plan, same literals, back to back at its
+  // recorded schedule position). Queue overflow then rejects naturally.
+  uint32_t session_multiplier = 1;
   // Retain each replayed query's serialized sample stream (byte-identity diffing).
   bool keep_streams = false;
   // Retain each completed query's serialized critical-path analysis (SerializeAnalysis of its
   // task DAG and pipeline verdicts, src/critpath/) — the replay DAG-identity tests compare
   // these against the recorded run byte for byte.
   bool keep_dags = false;
-  // Shard catalog for a shard-count what-if (knobs.shard_count > 0): must hold exactly
-  // knobs.shard_count shards of the SAME dataset and DatabaseConfig the trace was recorded
-  // against (the replayed literal bindings carry packed string references, valid on the shard
-  // heaps through the intern-replay invariant of src/shard/partition.h). Borrowed, not owned.
+  // When set, the recorded traffic re-runs against a ShardedService (src/shard/) over this
+  // catalog, one shard per catalog shard, instead of a single QueryService. The catalog must
+  // hold the SAME dataset and DatabaseConfig the trace was recorded against (the replayed
+  // literal bindings carry packed string references, valid on the shard heaps through the
+  // intern-replay invariant of src/shard/partition.h). Sharding re-partitions execution but
+  // never results, so such a replay gates on results_diverged == 0 even though timing and
+  // streams change. Borrowed, not owned.
   ShardCatalog* shards = nullptr;
 };
 
@@ -94,9 +68,10 @@ struct ReplayRun {
   std::vector<std::string> dag_texts;  // Per completed query, in ticket order; keep_dags.
 };
 
-// Replays `trace` against `db`. Throws dfp::Error when the catalog version does not match the
-// recording, when a plan template is missing or malformed, or when a rebuilt plan's
-// fingerprint disagrees with the recorded one (corrupt or mismatched trace).
+// Replays `trace` against `db` (or, with options.shards set, against that catalog). Throws
+// dfp::Error when the catalog version does not match the recording, when a plan template is
+// missing or malformed, when a rebuilt plan's fingerprint disagrees with the recorded one
+// (corrupt or mismatched trace), or when CheckServiceConfig refuses the replay config.
 ReplayRun ReplayTrace(Database& db, const WorkloadTrace& trace,
                       const ReplayOptions& options = {});
 
@@ -128,7 +103,7 @@ struct ReplayFingerprintDiff {
 // every fingerprint row — matched exactly.
 struct ReplayReport {
   bool identical = false;
-  bool knobs_identical = false;  // False for any what-if run, by construction.
+  bool knobs_identical = false;  // False when the replay ran under an edited config.
   uint32_t session_multiplier = 1;
   uint64_t recorded_queries = 0;
   uint64_t replayed_queries = 0;

@@ -17,7 +17,7 @@
 namespace dfp {
 namespace {
 
-constexpr const char* kTraceHeader = "# dfp trace v4";
+constexpr const char* kTraceHeader = "# dfp trace v5";
 
 [[noreturn]] void Malformed(const std::string& line) {
   throw Error("malformed trace line: '" + line + "'");
@@ -228,6 +228,7 @@ WorkloadTrace ReadTrace(std::istream& in) {
       ParseKnob(token.substr(prefix.size()), field(trace.knobs), line);
     });
     RejectTrailing(stream, line);
+    CheckServiceConfig(trace.knobs);
   }
 
   // Body: templates, then the event schedule, then the summary block. The writer emits them in

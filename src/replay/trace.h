@@ -6,7 +6,7 @@
 //
 //  - the service knobs the traffic ran under (the knob table below: scheduler, session limits,
 //    sampling, tiering, the closed loops and their guard thresholds...), so a replay
-//    reconstructs the same configuration and a what-if run overrides parts of it;
+//    reconstructs the same configuration and a what-if run replays an edited copy of it;
 //  - one serialized plan template per structural fingerprint (src/replay/plan_codec.h), plus
 //    per-query literal bindings, so every submission can be rebuilt without the SQL front end;
 //  - the submission schedule: per query its arrival service-clock TSC, session weight, deadline,
@@ -43,7 +43,8 @@ uint64_t Fnv1a64(const std::string& bytes);
 // its parser all walk this one list, so a row added here is recorded, replayed and diffed with
 // no other change. Left out on purpose: `state_path` and `continuous.regression_alert` (process
 // wiring; replay always starts from a fresh service, see TraceRecorder) and
-// `parallel.shard_id` (assigned per shard by the coordinator).
+// `parallel.shard_id` (assigned per shard by the coordinator). A config value nothing sets is
+// a constant beside its reader, not a row.
 template <typename Visit>
 void ForEachKnob(Visit&& visit) {
 #define DFP_KNOB(path) visit(#path, [](auto& config) -> auto& { return config.path; })
@@ -53,12 +54,10 @@ void ForEachKnob(Visit&& visit) {
   DFP_KNOB(parallel.numa_nodes);
   DFP_KNOB(max_active_sessions);
   DFP_KNOB(queue_depth);
-  DFP_KNOB(default_deadline_cycles);
   DFP_KNOB(code_budget_bytes);
   DFP_KNOB(session_hashtables_bytes);
   DFP_KNOB(session_state_bytes);
   DFP_KNOB(session_output_bytes);
-  DFP_KNOB(profile_executions);
   DFP_KNOB(profiling.event);
   DFP_KNOB(profiling.period);
   DFP_KNOB(profiling.capture_address);
@@ -66,14 +65,6 @@ void ForEachKnob(Visit&& visit) {
   DFP_KNOB(profiling.tag_all_instructions);
   DFP_KNOB(profiling.enable_sampling);
   DFP_KNOB(profiling.packed_tags);
-  DFP_KNOB(compile_costs.base_cycles);
-  DFP_KNOB(compile_costs.per_ir_instr);
-  DFP_KNOB(compile_costs.per_machine_instr);
-  DFP_KNOB(compile_costs.cache_lookup_cycles);
-  DFP_KNOB(compile_costs.baseline_base_cycles);
-  DFP_KNOB(compile_costs.baseline_per_ir_instr);
-  DFP_KNOB(compile_costs.baseline_per_machine_instr);
-  DFP_KNOB(compile_costs.patch_per_site_cycles);
   DFP_KNOB(continuous.windows_enabled);
   DFP_KNOB(continuous.window.width_cycles);
   DFP_KNOB(continuous.window.ring_windows);
@@ -81,12 +72,7 @@ void ForEachKnob(Visit&& visit) {
   DFP_KNOB(continuous.governor.overhead_budget);
   DFP_KNOB(continuous.governor.min_period);
   DFP_KNOB(continuous.governor.max_period);
-  DFP_KNOB(continuous.governor.smoothing);
-  // The regression thresholds drive the placement-repair guard's keep/revert verdict.
-  DFP_KNOB(continuous.regression.min_share);
-  DFP_KNOB(continuous.regression.share_drift);
-  DFP_KNOB(continuous.regression.share_noise_z);
-  DFP_KNOB(continuous.regression.cycles_per_row_ratio);
+  // The regression thresholds drive both guards' keep/revert verdicts.
   DFP_KNOB(continuous.regression.remote_share_drift);
   DFP_KNOB(continuous.regression.min_samples);
   DFP_KNOB(tiering.enabled);
@@ -95,7 +81,6 @@ void ForEachKnob(Visit&& visit) {
   DFP_KNOB(sched.slack_scheduling);
   DFP_KNOB(sched.placement_repair);
   DFP_KNOB(sched.deadline_admission);
-  DFP_KNOB(sched.slack_max_age);
   DFP_KNOB(sched.repair_pessimize);
   DFP_KNOB(reopt.enabled);
   DFP_KNOB(reopt.divergence_pct);
@@ -103,12 +88,6 @@ void ForEachKnob(Visit&& visit) {
   DFP_KNOB(reopt.semi_join_reduction);
   DFP_KNOB(reopt.semi_join_blowup_pct);
   DFP_KNOB(reopt.pessimize);
-  DFP_KNOB(reopt.guard.min_share);
-  DFP_KNOB(reopt.guard.share_drift);
-  DFP_KNOB(reopt.guard.share_noise_z);
-  DFP_KNOB(reopt.guard.cycles_per_row_ratio);
-  DFP_KNOB(reopt.guard.remote_share_drift);
-  DFP_KNOB(reopt.guard.min_samples);
 #undef DFP_KNOB
 }
 
@@ -145,7 +124,7 @@ struct TraceQuery {
   uint64_t completed_at_cycles = 0;
   uint64_t result_rows = 0;
   uint64_t samples = 0;
-  uint64_t stream_hash = 0;  // FNV-1a of the WriteSamples() text; 0 when unprofiled.
+  uint64_t stream_hash = 0;  // FNV-1a of the WriteSamples() text; 0 when timed out.
 };
 
 // One plan family's recorded aggregate, diffed per fingerprint by the ReplayReport.
@@ -207,7 +186,7 @@ struct WorkloadTrace {
 };
 
 // Line-oriented text format:
-//   # dfp trace v4
+//   # dfp trace v5
 //   catalog <version>
 //   start <cycles>
 //   knobs <path>=<value> ...  (every ForEachKnob row, in table order; integers, flags and enums
@@ -224,8 +203,8 @@ struct WorkloadTrace {
 //   fp <structure-hex> <execs> <cycles> <p50> <p95> <max> <topsamples> <top-token> <name-token>
 //   end
 // Name tokens are percent-encoded (src/replay/plan_codec.h); hashes and fingerprints are 16
-// lowercase hex digits. The reader refuses any header but v4 and throws dfp::Error on
-// truncation or malformed lines.
+// lowercase hex digits. The reader refuses any header but v5 and throws dfp::Error on
+// truncation, malformed lines, or a `knobs` line CheckServiceConfig refuses.
 void WriteTrace(const WorkloadTrace& trace, std::ostream& out);
 std::string EncodeTraceText(const WorkloadTrace& trace);
 

@@ -20,6 +20,30 @@ uint64_t ServiceArenaBytes(const ServiceConfig& config) {
   return config.max_active_sessions * per_session;
 }
 
+void CheckServiceConfig(const ServiceConfig& config) {
+  auto require = [](bool ok, const char* what) {
+    if (!ok) {
+      throw Error(std::string("invalid service config: ") + what);
+    }
+  };
+  require(config.parallel.workers >= 1 && config.parallel.workers <= 64,
+          "parallel.workers must be in 1..64");
+  require(config.max_active_sessions >= 1, "max_active_sessions must be at least 1");
+  require(config.session_hashtables_bytes != 0 && config.session_state_bytes != 0 &&
+              config.session_output_bytes != 0,
+          "session region sizes must be nonzero");
+  // Re-optimization installs candidates through the parameterized cache's atomic swap and
+  // re-binds their immediates; without tiering there is no patchable entry to swap.
+  require(!config.reopt.enabled || config.tiering.enabled, "reopt.enabled requires tiering");
+  const WindowConfig& window = config.continuous.window;
+  require(window.width_cycles >= 1, "continuous.window.width_cycles must be at least 1");
+  require(window.ring_windows >= 1, "continuous.window.ring_windows must be at least 1");
+  const GovernorConfig& governor = config.continuous.governor;
+  require(governor.overhead_budget > 0, "continuous.governor.overhead_budget must be positive");
+  require(governor.min_period >= 1 && governor.min_period <= governor.max_period,
+          "continuous.governor needs 1 <= min_period <= max_period");
+}
+
 // One in-flight query: its own virtual worker pool (inside `run`) over its slot's private
 // regions. The object is heap-allocated so the SamplingConfig and run stay pinned while the
 // active list grows and shrinks.
@@ -32,6 +56,15 @@ struct QueryService::ActiveSession {
 
 namespace {
 
+// The compile cost model the service charges (src/service/plan_cache.h): calibration, not a
+// deployment knob.
+constexpr CompileCostModel kCompileCosts;
+
+ServiceConfig Checked(ServiceConfig config) {
+  CheckServiceConfig(config);
+  return config;
+}
+
 // Creates a scratch region whose base is congruent to `model_base` modulo the cache-congruence
 // stride, burning the gap as an anonymous pad region when needed.
 uint32_t CreateCongruentRegion(Database& db, const std::string& name, uint64_t size,
@@ -39,6 +72,12 @@ uint32_t CreateCongruentRegion(Database& db, const std::string& name, uint64_t s
   const uint64_t stride = kCacheCongruenceBytes;
   const uint64_t next = db.mem().next_base();
   const uint64_t pad = (model_base % stride + stride - next % stride) % stride;
+  // The config sizes the slots and the caller sizes the arena, so running out is a mismatch
+  // between the two (say, a replayed trace asking for more sessions), not an engine bug.
+  const uint64_t room = db.mem().capacity() - next;
+  if (pad > room || size > room - pad) {
+    throw Error("service session slots exceed the database's extra_bytes head room at " + name);
+  }
   if (pad != 0) {
     db.CreateScratchRegion(name + ".pad", pad);
   }
@@ -74,18 +113,13 @@ void Transition(GuardedAction<Payload>& action, GuardState state, uint64_t tsc,
 
 QueryService::QueryService(Database& db, ServiceConfig config)
     : db_(db),
-      config_(std::move(config)),
+      config_(Checked(std::move(config))),
       cache_(config_.code_budget_bytes, config_.tiering.enabled),
       windows_(config_.continuous.window),
       governor_(config_.continuous.governor),
       controller_(config_.tiering),
-      slack_(config_.sched.slack_max_age),
       seen_catalog_version_(db.catalog_version()),
       lane_cycles_(config_.parallel.workers, 0) {
-  DFP_CHECK(config_.max_active_sessions >= 1);
-  // Re-optimization installs candidates through the parameterized cache's atomic swap and
-  // re-binds their immediates; without tiering there is no patchable entry to swap.
-  DFP_CHECK(!config_.reopt.enabled || config_.tiering.enabled);
   LoadState();
   // One region set per session slot, each congruent to the engine's shared regions so a
   // session's cache behavior matches a standalone run on the shared regions exactly.
@@ -148,8 +182,7 @@ TicketId QueryService::Submit(PhysicalOpPtr plan, std::string name, uint64_t dea
   ticket->name = std::move(name);
   ticket->fingerprint = FingerprintPlan(*plan, db_.catalog_version());
   ticket->weight = std::max<uint32_t>(1, weight);
-  ticket->deadline_cycles =
-      deadline_cycles != 0 ? deadline_cycles : config_.default_deadline_cycles;
+  ticket->deadline_cycles = deadline_cycles;
   // Slack-aware admission: a deadline below the fingerprint's expected critical-path length
   // cannot be met even on an idle pool (the path is the lower bound of any schedule), so the
   // query is bounced at submission instead of burning pool time and timing out mid-run. An
@@ -253,7 +286,7 @@ bool QueryService::Admit(TicketId id) {
   CachedPlanPtr entry = cache_.Lookup(ticket.fingerprint);
   if (entry != nullptr) {
     ticket.cache_hit = true;
-    ticket.compile_cycles = config_.compile_costs.cache_lookup_cycles;
+    ticket.compile_cycles = kCompileCosts.cache_lookup_cycles;
     if (parameterized) {
       // Re-bind the cached code to this ticket's literals (zero sites when they already
       // match). The Tagging Dictionary snapshot is untouched: a patched plan attributes
@@ -275,7 +308,7 @@ bool QueryService::Admit(TicketId id) {
       if (ticket.patched_sites > 0) {
         cache_.NotePatchedHit();
         ticket.compile_cycles +=
-            ticket.patched_sites * config_.compile_costs.patch_per_site_cycles;
+            ticket.patched_sites * kCompileCosts.patch_per_site_cycles;
       }
     }
     ticket.pending_plan.reset();  // The cached artifact replaces the submitted plan.
@@ -298,15 +331,14 @@ bool QueryService::Admit(TicketId id) {
     }
     entry = std::make_shared<CachedPlan>();
     entry->query = CompileQuery(db_, std::move(ticket.pending_plan),
-                                config_.profile_executions ? &compile_session : nullptr,
-                                ticket.name, options);
+                                &compile_session, ticket.name, options);
     entry->query.session = nullptr;  // The compile session dies here; executions bring their own.
     entry->fingerprint = ticket.fingerprint;
     entry->name = ticket.name;
     entry->dictionary = compile_session.dictionary();
     entry->catalog_version = db_.catalog_version();
     entry->code_bytes = CompiledCodeBytes(entry->query, db_.code_map());
-    entry->compile_cycles = EstimateCompileCycles(entry->query, config_.compile_costs, tier);
+    entry->compile_cycles = EstimateCompileCycles(entry->query, kCompileCosts, tier);
     entry->tier = tier;
     // The expr -> slot map points into the plan CompileQuery just took ownership of (it lives
     // in entry->query.plan), so the bindings stay resolvable for background recompiles.
@@ -332,31 +364,25 @@ bool QueryService::Admit(TicketId id) {
   session->slot = slot;
   ticket.plan = entry;
 
-  SamplingConfig sampling;
-  const SamplingConfig* sampling_ptr = nullptr;
-  if (config_.profile_executions) {
-    // The governor (when enabled) overrides the configured period with the fingerprint's tuned
-    // one, so each plan family converges on its own overhead-budgeted sampling rate.
-    ProfilingConfig profiling = config_.profiling;
-    profiling.period =
-        governor_.PeriodFor(ticket.fingerprint.structure, config_.profiling.period);
-    ticket.sampling_period = profiling.period;
-    ticket.session = std::make_unique<ProfilingSession>(profiling);
-    // The snapshot taken at compile time makes warm executions resolve exactly like the cold one.
-    ticket.session->dictionary() = entry->dictionary;
-    sampling = ticket.session->MakeSamplingConfig();
-    // Criticality-weighted periods (empty until a critical-path analysis of this fingerprint
-    // exists): on-path pipelines sample finer than the base period, off-path ones coarser.
-    sampling.pipeline_periods = governor_.PipelinePeriods(
-        ticket.fingerprint.structure, profiling.period, entry->query.pipelines.size());
-    sampling_ptr = &sampling;
-  }
+  // The governor (when enabled) overrides the configured period with the fingerprint's tuned
+  // one, so each plan family converges on its own overhead-budgeted sampling rate.
+  ProfilingConfig profiling = config_.profiling;
+  profiling.period = governor_.PeriodFor(ticket.fingerprint.structure, config_.profiling.period);
+  ticket.sampling_period = profiling.period;
+  ticket.session = std::make_unique<ProfilingSession>(profiling);
+  // The snapshot taken at compile time makes warm executions resolve exactly like the cold one.
+  ticket.session->dictionary() = entry->dictionary;
+  SamplingConfig sampling = ticket.session->MakeSamplingConfig();
+  // Criticality-weighted periods (empty until a critical-path analysis of this fingerprint
+  // exists): on-path pipelines sample finer than the base period, off-path ones coarser.
+  sampling.pipeline_periods = governor_.PipelinePeriods(
+      ticket.fingerprint.structure, profiling.period, entry->query.pipelines.size());
   // Slack-directed scheduling: hand the run this fingerprint's expected-slack profile (null on
   // the first execution, or when the feature is off — either way the run deals FIFO deques).
   const PlanSlack* slack_hint =
       config_.sched.slack_scheduling ? slack_.Find(ticket.fingerprint.structure) : nullptr;
   session->run = std::make_unique<ParallelRun>(db_, entry->query, config_.parallel, regions,
-                                               sampling_ptr, id, slack_hint);
+                                               &sampling, id, slack_hint);
   ticket.status = TicketStatus::kRunning;
   active_.push_back(std::move(session));
   return true;
@@ -419,26 +445,21 @@ bool QueryService::StepSession(ActiveSession& session) {
 
   // The per-operator aggregation is built once and shared by the cumulative fleet profile and
   // the windowed profile, so both views always agree on attribution.
-  OperatorProfile profile;
-  if (ticket.session != nullptr) {
-    // Stamp every sample with the tier the code that produced it was compiled at, so profiles
-    // can attribute cost per tier even across a mid-stream promotion.
-    std::vector<Sample> samples = session.run->TakeMergedSamples();
-    if (session.entry->tier != PlanTier::kOptimized) {
-      for (Sample& sample : samples) {
-        sample.tier = static_cast<uint8_t>(session.entry->tier);
-      }
+  // Stamp every sample with the tier the code that produced it was compiled at, so profiles can
+  // attribute cost per tier even across a mid-stream promotion.
+  std::vector<Sample> samples = session.run->TakeMergedSamples();
+  if (session.entry->tier != PlanTier::kOptimized) {
+    for (Sample& sample : samples) {
+      sample.tier = static_cast<uint8_t>(session.entry->tier);
     }
-    ticket.session->RecordExecution(std::move(samples), ticket.execute_cycles,
-                                    session.run->merged_counters(), config_.parallel.workers);
-    ticket.session->Resolve(db_.code_map());
-    profile = BuildOperatorProfile(*ticket.session, session.entry->query);
-    governor_.Observe(ticket.fingerprint.structure, ticket.name, ticket.sampling_overhead,
-                      ticket.busy_cycles,
-                      session.run->merged_counters()[config_.profiling.event],
-                      ticket.sampling_period);
   }
-  // Unprofiled executions still count toward the fleet's execute-cycle totals (empty profile).
+  ticket.session->RecordExecution(std::move(samples), ticket.execute_cycles,
+                                  session.run->merged_counters(), config_.parallel.workers);
+  ticket.session->Resolve(db_.code_map());
+  const OperatorProfile profile = BuildOperatorProfile(*ticket.session, session.entry->query);
+  governor_.Observe(ticket.fingerprint.structure, ticket.name, ticket.sampling_overhead,
+                    ticket.busy_cycles, session.run->merged_counters()[config_.profiling.event],
+                    ticket.sampling_period);
   fleet_.RecordExecution(ticket.fingerprint, session.entry->query, profile,
                          ticket.execute_cycles);
   if (config_.continuous.windows_enabled) {
@@ -468,7 +489,7 @@ bool QueryService::StepSession(ActiveSession& session) {
   // compile lane. The swap happens between steps, in ProcessRecompiles.
   if (config_.tiering.enabled && session.entry->tier == PlanTier::kBaseline) {
     const uint64_t opt_cycles =
-        EstimateCompileCycles(session.entry->query, config_.compile_costs, PlanTier::kOptimized);
+        EstimateCompileCycles(session.entry->query, kCompileCosts, PlanTier::kOptimized);
     if (controller_.Observe(ticket.fingerprint.structure, ticket.name, windows_,
                             ticket.execute_cycles, opt_cycles, ticket.completed_at_cycles,
                             critpath_.CriticalWorkCycles(ticket.fingerprint.structure))) {
@@ -504,14 +525,14 @@ bool QueryService::StepSession(ActiveSession& session) {
 
 template <typename Payload, typename Revert>
 bool QueryService::ResolveGuarded(GuardedAction<Payload>& action,
-                                  const RegressionThresholds& thresholds,
                                   std::vector<SampleStreamEvent>& events, Revert revert) {
   if (action.state != GuardState::kApplied || !action.baseline) {
     return false;
   }
   // Re-measure: judge the windows that arrived after the apply against the action's own
   // pre-apply snapshot. Insufficient evidence keeps measuring.
-  const GuardVerdict verdict = JudgeRegression(*action.baseline, windows_, thresholds);
+  const GuardVerdict verdict =
+      JudgeRegression(*action.baseline, windows_, config_.continuous.regression);
   if (verdict == GuardVerdict::kInsufficientEvidence) {
     return false;
   }
@@ -532,13 +553,11 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
       // Loaded from a persisted profile: the swap did not survive the restart (a cold cache
       // re-admits the original plan), so the honest resolution is a revert.
       Transition(*open, GuardState::kReverted, ServiceNowCycles(), reopt_events_);
-    } else if (ResolveGuarded(*open, config_.reopt.guard, reopt_events_,
-                              [this](const ReoptPayload& reopt) {
-                                // Re-insert the replaced entry: its machine code never left
-                                // the code map, so this is the apply's atomic pointer swap in
-                                // the other direction.
-                                cache_.Insert(reopt.previous);
-                              })) {
+    } else if (ResolveGuarded(*open, reopt_events_, [this](const ReoptPayload& reopt) {
+                 // Re-insert the replaced entry: its machine code never left the code map, so
+                 // this is the apply's atomic pointer swap in the other direction.
+                 cache_.Insert(reopt.previous);
+               })) {
       open->payload.previous.reset();
     }
     return;  // One action per fingerprint: the loop never oscillates.
@@ -576,7 +595,7 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
   job.candidate_plan = std::move(rewrite.plan);
   job.literal_permutation = ReoptLiteralPermutation(*entry->query.plan, observed,
                                                    rewrite_options);
-  job.compile_cycles = EstimateCompileCycles(entry->query, config_.compile_costs, entry->tier);
+  job.compile_cycles = EstimateCompileCycles(entry->query, kCompileCosts, entry->tier);
   const uint64_t start = std::max(ServiceNowCycles(), recompile_lane_busy_cycles_);
   job.ready_at_cycles = start + job.compile_cycles;
   recompile_lane_busy_cycles_ = job.ready_at_cycles;
@@ -593,14 +612,13 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
 void QueryService::StepPlacementRepair(QueryTicket& ticket) {
   const uint64_t fp = ticket.fingerprint.structure;
   if (GuardedAction<RepairPayload>* open = repairs_.Find(fp)) {
-    ResolveGuarded(*open, config_.continuous.regression, sched_events_,
-                   [this](const RepairPayload& repair) {
-                     // Restore the default placement.
-                     const Table& table = db_.table(repair.table);
-                     for (size_t c = 0; c < table.schema().columns.size(); ++c) {
-                       db_.mem().ClearExtentPlacement(table.column_base(c));
-                     }
-                   });
+    ResolveGuarded(*open, sched_events_, [this](const RepairPayload& repair) {
+      // Restore the default placement.
+      const Table& table = db_.table(repair.table);
+      for (size_t c = 0; c < table.schema().columns.size(); ++c) {
+        db_.mem().ClearExtentPlacement(table.column_base(c));
+      }
+    });
     return;  // One action per fingerprint: the loop never oscillates.
   }
   // Trigger: the first remote-DRAM-bound verdict on a pipeline that scans a base table. The
@@ -708,9 +726,8 @@ void QueryService::ProcessRecompiles(bool final) {
     PlanLiterals literals = ExtractLiterals(*plan);
     options.literals = &literals;
     auto entry = std::make_shared<CachedPlan>();
-    entry->query = CompileQuery(db_, std::move(plan),
-                                config_.profile_executions ? &compile_session : nullptr,
-                                old_entry->name, options);
+    entry->query = CompileQuery(db_, std::move(plan), &compile_session, old_entry->name,
+                                options);
     entry->query.session = nullptr;
     entry->fingerprint = old_entry->fingerprint;
     entry->name = old_entry->name;
@@ -747,7 +764,7 @@ void QueryService::ProcessRecompiles(bool final) {
       // The guard's yardstick: everything in the windows up to the swap. JudgeRegression rolls
       // up strictly after this watermark, so only candidate executions are measured against it.
       action->baseline = SnapshotPlanBaseline(windows_, action->fingerprint,
-                                              config_.reopt.guard.min_samples);
+                                              config_.continuous.regression.min_samples);
       Transition(*action, GuardState::kApplied, swapped_at, reopt_events_);
     } else {
       cache_.NoteTierSwap();

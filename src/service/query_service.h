@@ -102,8 +102,6 @@ struct SchedFeedbackConfig {
   // Reject at submission any deadline below the fingerprint's expected critical-path length —
   // infeasible even on an idle machine, so queueing it only wastes pool time.
   bool deadline_admission = false;
-  // SlackStore entries unobserved for this many generations age out (fingerprint churn bound).
-  uint64_t slack_max_age = 64;
   // Fault injection for tests/benches: rotate every repair placement one node over, so the
   // "repair" provably regresses and the guard must revert it.
   bool repair_pessimize = false;
@@ -115,9 +113,6 @@ struct ServiceConfig {
   // Concurrency limits: in-flight sessions and the bounded submission queue behind them.
   uint32_t max_active_sessions = 2;
   uint32_t queue_depth = 16;
-  // Per-session deadline in simulated cycles of that session's own run; 0 = none. A Submit()
-  // argument overrides it per query.
-  uint64_t default_deadline_cycles = 0;
   // Plan cache budget over generated machine-code bytes.
   uint64_t code_budget_bytes = 1ull << 20;
   // Per-session private scratch region sizes. Must be multiples of kCacheCongruenceBytes so the
@@ -126,11 +121,8 @@ struct ServiceConfig {
   uint64_t session_hashtables_bytes = 48ull << 20;
   uint64_t session_state_bytes = 512ull * 1024;
   uint64_t session_output_bytes = 24ull << 20;
-  // Profiling of served queries (the always-on facility). When off, queries still execute and
-  // the fleet profile still counts executions/cycles, just without operator attribution.
-  bool profile_executions = true;
+  // Profiling of served queries (the always-on facility): every execution is sampled.
   ProfilingConfig profiling;
-  CompileCostModel compile_costs;
   // Continuous-profiling subsystem (src/continuous): windowed fleet profiles, the adaptive
   // sampling governor, and the regression thresholds DetectRegressions() diffs with.
   ContinuousConfig continuous;
@@ -154,6 +146,13 @@ struct ServiceConfig {
 
 // Head room a DatabaseConfig needs in `extra_bytes` to host `config`'s session slots.
 uint64_t ServiceArenaBytes(const ServiceConfig& config);
+
+// Throws dfp::Error when `config` cannot run: no session slot, a zero-byte session region,
+// re-optimization without tiering, an empty window ring or zero window width, a governor
+// budget or period range the governor cannot solve in, or a worker count outside 1..64. The
+// QueryService constructor and ReadTrace both call it, so a bad config or trace `knobs` line
+// fails as an error, never as an abort.
+void CheckServiceConfig(const ServiceConfig& config);
 
 using TicketId = uint32_t;
 
@@ -190,7 +189,7 @@ struct QueryTicket {
   SamplingOverhead sampling_overhead;
   uint64_t busy_cycles = 0;
   Result result;
-  // This execution's profile (resolved), when the service profiles executions.
+  // This execution's profile (resolved); null for rejected and timed-out tickets.
   std::unique_ptr<ProfilingSession> session;
   std::vector<WorkerMetrics> worker_metrics;
   // Task boundaries of this execution (morsels, host steps, sorts) in completion order — the
@@ -212,12 +211,13 @@ struct QueryTicket {
 class QueryService {
  public:
   // Carves the per-session scratch regions out of `db`'s extra arena head room; `db` must have
-  // been configured with `extra_bytes >= ServiceArenaBytes(config)`.
+  // been configured with `extra_bytes >= ServiceArenaBytes(config)`. Throws dfp::Error when
+  // CheckServiceConfig refuses `config` or the slots do not fit the head room.
   QueryService(Database& db, ServiceConfig config = ServiceConfig());
   ~QueryService();
 
   // Enqueues a query. Returns its ticket id immediately; status is kQueued, or kRejected when
-  // the queue is full. `deadline_cycles` overrides the config default (0 = use default).
+  // the queue is full. `deadline_cycles` bounds the session's own run (0 = none).
   // `weight` is the session's weighted-fair-queuing share: a weight-w session receives w work
   // units per scheduler round (default 1 = the historical round-robin slice).
   TicketId Submit(PhysicalOpPtr plan, std::string name, uint64_t deadline_cycles = 0,
@@ -332,8 +332,8 @@ class QueryService {
   // enough evidence, keeps it on a clean verdict or calls `revert(payload)` on a regressed one,
   // and logs the transition to `events`. Returns true when the action resolved.
   template <typename Payload, typename Revert>
-  bool ResolveGuarded(GuardedAction<Payload>& action, const RegressionThresholds& thresholds,
-                      std::vector<SampleStreamEvent>& events, Revert revert);
+  bool ResolveGuarded(GuardedAction<Payload>& action, std::vector<SampleStreamEvent>& events,
+                      Revert revert);
   void ChargeSerialWork(uint64_t cycles);  // Compile/lookup work: to the least-loaded lane.
   // True while some active session executes `entry`'s code.
   bool EntryBusy(const CachedPlanPtr& entry) const;

@@ -13,7 +13,7 @@ uint64_t ShardArenaBytes(const ShardServiceConfig& config, uint32_t shards) {
   // staging ring per remote shard.
   uint64_t bytes = ServiceArenaBytes(config.service);
   if (shards > 1) {
-    bytes += static_cast<uint64_t>(shards - 1) * config.merge.stage_bytes;
+    bytes += static_cast<uint64_t>(shards - 1) * kMergeStageBytes;
   }
   return bytes;
 }
@@ -41,7 +41,7 @@ ShardedService::ShardedService(ShardCatalog& catalog, ShardServiceConfig config)
     shards_.push_back(std::make_unique<QueryService>(catalog_.db(s), shard_config));
   }
   if (catalog_.shards() > 1) {
-    merger_ = std::make_unique<ShardMerger>(catalog_, config_.merge, config_.merge_sampling);
+    merger_ = std::make_unique<ShardMerger>(catalog_, config_.merge_sampling);
   }
   seen_catalog_version_ = catalog_.catalog_version();
 }
@@ -204,7 +204,7 @@ FleetAggregate ShardedService::AggregateFleet() const {
     }
     leaves.push_back(std::move(coordinator));
   }
-  return AggregateShards(std::move(leaves), config_.rollup_cost_per_entry);
+  return AggregateShards(std::move(leaves));
 }
 
 void ShardedService::SnapshotBaselines() {

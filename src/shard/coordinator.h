@@ -59,13 +59,9 @@ struct ShardServiceConfig {
   // on the copies it hands to shards beyond 0 (per-shard persistence would need per-shard
   // paths).
   ServiceConfig service;
-  // Coordinator merge cost model (staging rings live in shard 0's extra arena).
-  MergeCosts merge;
   // Sampling of the coordinator's merge work. capture_address makes the staged-cell samples
   // carry the cross-node flag (`X` tokens).
   SamplingConfig merge_sampling;
-  // Modeled per-entry cost of one aggregation-tree level (src/shard/aggtree.h).
-  uint64_t rollup_cost_per_entry = kRollupCyclesPerEntry;
 };
 
 // Extra-arena head room shard 0's DatabaseConfig needs: the per-session scratch slots of its

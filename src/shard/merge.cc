@@ -12,6 +12,9 @@
 namespace dfp {
 namespace {
 
+// Host instructions charged per merged cell (hash probe + accumulate amortized).
+constexpr uint32_t kInstrsPerCell = 6;
+
 using Row = std::vector<int64_t>;
 
 struct KeyHash {
@@ -102,9 +105,8 @@ int64_t FinalizePartial(const MergeAggSpec& spec, const PartialAcc& acc) {
 
 }  // namespace
 
-ShardMerger::ShardMerger(ShardCatalog& catalog, MergeCosts costs, SamplingConfig sampling)
+ShardMerger::ShardMerger(ShardCatalog& catalog, SamplingConfig sampling)
     : catalog_(catalog),
-      costs_(costs),
       pmu_(catalog.db(0).pmu_costs()),
       cpu_(catalog.db(0).mem(), catalog.db(0).code_map(), pmu_),
       numa_(NumaConfig{}) {
@@ -115,9 +117,9 @@ ShardMerger::ShardMerger(ShardCatalog& catalog, MergeCosts costs, SamplingConfig
   stage_offset_.resize(catalog_.shards(), 0);
   for (uint32_t s = 1; s < catalog_.shards(); ++s) {
     const uint32_t region = catalog_.db(0).CreateScratchRegion(
-        "shard.stage" + std::to_string(s), costs_.stage_bytes);
+        "shard.stage" + std::to_string(s), kMergeStageBytes);
     stage_base_[s] = catalog_.db(0).mem().region(region).base;
-    numa_.AddCrossNode(stage_base_[s], costs_.stage_bytes, static_cast<uint8_t>(s));
+    numa_.AddCrossNode(stage_base_[s], kMergeStageBytes, static_cast<uint8_t>(s));
   }
   numa_.Seal();
   cpu_.ConfigureNuma(&numa_, 0);
@@ -125,7 +127,7 @@ ShardMerger::ShardMerger(ShardCatalog& catalog, MergeCosts costs, SamplingConfig
 
 int64_t ShardMerger::StageCell(uint32_t shard, int64_t payload) {
   const VAddr addr = stage_base_[shard] + stage_offset_[shard];
-  stage_offset_[shard] = (stage_offset_[shard] + sizeof(int64_t)) % costs_.stage_bytes;
+  stage_offset_[shard] = (stage_offset_[shard] + sizeof(int64_t)) % kMergeStageBytes;
   catalog_.db(0).mem().Write<int64_t>(addr, payload);
   cpu_.HostLoad(segment_, addr);
   return payload;
@@ -250,7 +252,7 @@ MergeOutcome ShardMerger::Merge(const MergeRecipe& recipe, const std::vector<Res
     input_schema = &stage->output;
   }
 
-  cpu_.HostWork(segment_, costs_.instrs_per_cell * outcome.merged_cells);
+  cpu_.HostWork(segment_, kInstrsPerCell * outcome.merged_cells);
   outcome.merge_cycles = cpu_.tsc() - tsc_start;
   outcome.result = Result(recipe.final_output, std::move(rows));
   return outcome;

@@ -39,12 +39,8 @@ namespace dfp {
 inline constexpr OperatorId kMergeOperatorId = 0xFFFFFFF0u;
 inline constexpr const char* kMergeOperatorLabel = "Merge";
 
-struct MergeCosts {
-  // Bytes of each per-remote-shard staging ring (wraps when a result exceeds it).
-  uint64_t stage_bytes = 64ull * 1024;
-  // Host instructions charged per merged cell (hash probe + accumulate amortized).
-  uint32_t instrs_per_cell = 6;
-};
+// Bytes of each per-remote-shard staging ring (wraps when a result exceeds it).
+inline constexpr uint64_t kMergeStageBytes = 64ull * 1024;
 
 // One fan-out merge, accounted.
 struct MergeOutcome {
@@ -58,9 +54,9 @@ struct MergeOutcome {
 class ShardMerger {
  public:
   // Builds the coordinator's staging topology on `catalog` shard 0: one staging ring per
-  // remote shard (carved from shard 0's extra arena — budget (shards-1) * stage_bytes there),
-  // registered as that shard's memory in a cross-node NumaMap.
-  ShardMerger(ShardCatalog& catalog, MergeCosts costs, SamplingConfig sampling);
+  // remote shard (carved from shard 0's extra arena — budget (shards-1) * kMergeStageBytes
+  // there), registered as that shard's memory in a cross-node NumaMap.
+  ShardMerger(ShardCatalog& catalog, SamplingConfig sampling);
 
   // Combines per-shard partial results (indexed by shard) into the final result per `recipe`.
   MergeOutcome Merge(const MergeRecipe& recipe, const std::vector<Result>& partials);
@@ -79,7 +75,6 @@ class ShardMerger {
   int64_t StageCell(uint32_t shard, int64_t payload);
 
   ShardCatalog& catalog_;
-  MergeCosts costs_;
   Pmu pmu_;
   Cpu cpu_;
   NumaMap numa_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/continuous/regression.h"
@@ -183,6 +184,55 @@ TEST(RegressionDetector, DisappearedAndNewOperatorsBothDiff) {
   EXPECT_DOUBLE_EQ(findings[0].drifts[1].current_share, 0.0);
   EXPECT_EQ(findings[0].drifts[2].label, "HashAgg");
   EXPECT_TRUE(findings[0].drifts[2].flagged);
+}
+
+// --- The guard policy: JudgeRegression weighs cycles/row and remote share, never the mix ---
+
+// A window ring holding one baseline execution of fingerprint 0x1 (5000 cycles over 50 rows,
+// 2 of 100 loads remote, 1000 samples), snapshotted, plus one post-apply execution.
+GuardVerdict JudgeOneRun(const OperatorProfile& after, uint64_t after_cycles,
+                         uint64_t after_remote,
+                         const RegressionThresholds& thresholds = RegressionThresholds()) {
+  WindowedProfile windows(SmallConfig());
+  windows.Record(0x1, "q", 10, MakeProfile({{1, "Scan", 790}, {2, "HashJoin probe", 210}}),
+                 MakeCounters(100, 2), 5000, 50, 100);
+  const std::optional<PlanBaseline> baseline =
+      SnapshotPlanBaseline(windows, 0x1, thresholds.min_samples);
+  EXPECT_TRUE(baseline.has_value());
+  windows.Record(0x1, "q", 1010, after, MakeCounters(100, after_remote), after_cycles, 50, 100);
+  return JudgeRegression(*baseline, windows, thresholds);
+}
+
+TEST(RegressionGuard, OperatorMixShiftWithFlatCountersIsClean) {
+  // The same 21% -> 38% probe shift DetectRegressions flags as a mix regression: a guarded
+  // action may move cost between operators on purpose, so the guard keeps it.
+  const OperatorProfile shifted = MakeProfile({{1, "Scan", 620}, {2, "HashJoin probe", 380}});
+  EXPECT_EQ(JudgeOneRun(shifted, 5000, 2), GuardVerdict::kClean);
+}
+
+TEST(RegressionGuard, CyclesPerRowAboveRatioRegresses) {
+  const OperatorProfile mix = MakeProfile({{1, "Scan", 790}, {2, "HashJoin probe", 210}});
+  // 1.24x the baseline's cycles/row stays under the 1.25x ratio; 1.30x crosses it.
+  EXPECT_EQ(JudgeOneRun(mix, 6200, 2), GuardVerdict::kClean);
+  EXPECT_EQ(JudgeOneRun(mix, 6500, 2), GuardVerdict::kRegressed);
+}
+
+TEST(RegressionGuard, RemoteShareRiseAboveDriftRegresses) {
+  const OperatorProfile mix = MakeProfile({{1, "Scan", 790}, {2, "HashJoin probe", 210}});
+  // Remote share 0.02 -> 0.11 is a 0.09 rise, under the default 0.10; 0.02 -> 0.13 is over.
+  EXPECT_EQ(JudgeOneRun(mix, 5000, 11), GuardVerdict::kClean);
+  EXPECT_EQ(JudgeOneRun(mix, 5000, 13), GuardVerdict::kRegressed);
+  RegressionThresholds tight;
+  tight.remote_share_drift = 0.05;
+  EXPECT_EQ(JudgeOneRun(mix, 5000, 11, tight), GuardVerdict::kRegressed);
+}
+
+TEST(RegressionGuard, FewerPostApplySamplesThanMinSamplesIsInsufficient) {
+  // 19 post-apply samples under the default floor of 20, even with both rates regressed.
+  const OperatorProfile sparse = MakeProfile({{1, "Scan", 15}, {2, "HashJoin probe", 4}});
+  EXPECT_EQ(JudgeOneRun(sparse, 50000, 90), GuardVerdict::kInsufficientEvidence);
+  const OperatorProfile enough = MakeProfile({{1, "Scan", 16}, {2, "HashJoin probe", 4}});
+  EXPECT_EQ(JudgeOneRun(enough, 50000, 90), GuardVerdict::kRegressed);
 }
 
 // --- End-to-end: the service scenario the CI determinism job runs ---

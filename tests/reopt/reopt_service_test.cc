@@ -223,7 +223,7 @@ GuardTrack TrackSpineGuard(bool overlap) {
   // A spine run yields ~9.1k samples at this period: six pre-apply runs clear the snapshot's
   // min_samples floor, and the guard needs four post-apply runs to judge.
   config.reopt.min_executions = 6;
-  config.reopt.guard.min_samples = 30000;
+  config.continuous.regression.min_samples = 30000;
   auto db = MakeDb(config);
   QueryService service(*db, config);
   const uint64_t fp = service.ticket(RunSpine(service, *db, false, 50)).fingerprint.structure;

@@ -1,8 +1,8 @@
 // Differential replay tests: recording a mixed warm/cold/tiered workload and replaying it on
 // the same build must reproduce every observation — byte-identical sample streams, identical
-// service-profile text, identical tier timelines, an all-zero ReplayReport. What-if knobs must
-// flag exactly their intended delta, and scaled replays must degrade through admission
-// control, not crashes.
+// service-profile text, identical tier timelines, an all-zero ReplayReport. A what-if replay
+// under an edited ServiceConfig must flag exactly its intended delta, and scaled replays must
+// degrade through admission control, not crashes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -160,7 +160,8 @@ TEST(ReplayServiceTest, MutatedKnobReplayFlagsIntendedDeltaAndNothingElse) {
   // no baseline compiles, no swaps, an empty baseline slice in the timeline.
   auto replay_db = MakeDb(config);
   ReplayOptions options;
-  options.knobs.tiering_enabled = 0;
+  options.config = recording.trace.knobs;
+  options.config->tiering.enabled = false;
   const ReplayRun run = ReplayTrace(*replay_db, recording.trace, options);
   const ReplayReport report = DiffTraces(recording.trace, run.trace);
 
@@ -186,10 +187,10 @@ TEST(ReplayServiceTest, TenXSessionMultiplierDegradesThroughAdmissionControl) {
 
   auto replay_db = MakeDb(config);
   ReplayOptions options;
-  options.knobs.session_multiplier = 10;
+  options.session_multiplier = 10;
   const ReplayRun run = ReplayTrace(*replay_db, recording.trace, options);
   ReplayReport report = DiffTraces(recording.trace, run.trace);
-  report.session_multiplier = options.knobs.session_multiplier;
+  report.session_multiplier = options.session_multiplier;
 
   EXPECT_FALSE(report.identical);
   EXPECT_EQ(report.replayed_queries, 10 * report.recorded_queries);
@@ -209,7 +210,8 @@ TEST(ReplayServiceTest, SchedulerWhatIfKeepsResultsWhileTimingShifts) {
 
   auto replay_db = MakeDb(config);
   ReplayOptions options;
-  options.knobs.scheduler = static_cast<int>(SchedulerPolicy::kCentral);
+  options.config = recording.trace.knobs;
+  options.config->parallel.scheduler = SchedulerPolicy::kCentral;
   const ReplayRun run = ReplayTrace(*replay_db, recording.trace, options);
   const ReplayReport report = DiffTraces(recording.trace, run.trace);
 
@@ -385,7 +387,8 @@ TEST(ReplayServiceTest, ReoptWhatIfChangesCodeButNeverResults) {
 
   auto replay_db = MakeDb(config);
   ReplayOptions options;
-  options.knobs.reopt = 1;
+  options.config = recording.trace.knobs;
+  options.config->reopt.enabled = true;
   const ReplayRun run = ReplayTrace(*replay_db, recording.trace, options);
   const ReplayReport report = DiffTraces(recording.trace, run.trace);
   EXPECT_FALSE(report.knobs_identical);

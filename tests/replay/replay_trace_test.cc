@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/replay/plan_codec.h"
@@ -48,7 +49,7 @@ WorkloadTrace RandomTrace(uint64_t seed) {
   trace.knobs.tiering.enabled = rng.Below(2) != 0;
   trace.knobs.tiering.break_even_ratio = 0.25 * static_cast<double>(1 + rng.Below(8));
   trace.knobs.continuous.governor.overhead_budget = 0.01 * static_cast<double>(1 + rng.Below(5));
-  trace.knobs.compile_costs.base_cycles = rng.Below(1u << 20);
+  trace.knobs.code_budget_bytes = rng.Below(1u << 20);
 
   PlanTemplate tmpl;
   tmpl.structure = rng.Next();
@@ -259,10 +260,10 @@ TEST(TraceFormatTest, SeededRandomTracesReachSerializationFixedPoint) {
 
 TEST(TraceFormatTest, OneHeaderWrittenAndEveryOtherRefused) {
   const std::string text = EncodeTraceText(RandomTrace(7));
-  ASSERT_EQ(text.rfind("# dfp trace v4\n", 0), 0u);
+  ASSERT_EQ(text.rfind("# dfp trace v5\n", 0), 0u);
 
-  for (int version = 1; version <= 5; ++version) {
-    if (version == 4) {
+  for (int version = 1; version <= 6; ++version) {
+    if (version == 5) {
       continue;
     }
     std::istringstream in("# dfp trace v" + std::to_string(version) +
@@ -337,7 +338,7 @@ TEST(TraceFormatTest, KnobsRoundTripThroughServiceConfig) {
     EXPECT_NE(field(config), field(defaults)) << name;
     ++rows;
   });
-  EXPECT_EQ(rows, 61u);
+  EXPECT_EQ(rows, 39u);
 
   WorkloadTrace trace = RandomTrace(5);
   trace.knobs = CaptureKnobs(config);
@@ -372,6 +373,41 @@ TEST(TraceFormatTest, KnobsRoundTripThroughServiceConfig) {
   corrupt(" continuous.governor.overhead_budget=", " continuous.governor.overhead_budget=x");
   corrupt(" parallel.workers=5 parallel.morsel_rows=1 ",
           " parallel.morsel_rows=1 parallel.workers=5 ");
+}
+
+TEST(TraceFormatTest, KnobsThatCannotRunAreRefusedAtRead) {
+  // Each knobs line parses, but the service it describes would trip an internal invariant on
+  // replay; ReadTrace refuses it as a dfp::Error instead.
+  const std::vector<std::pair<const char*, void (*)(ServiceConfig&)>> cases = {
+      {"max_active_sessions=0", [](ServiceConfig& c) { c.max_active_sessions = 0; }},
+      {"session_hashtables_bytes=0", [](ServiceConfig& c) { c.session_hashtables_bytes = 0; }},
+      {"session_state_bytes=0", [](ServiceConfig& c) { c.session_state_bytes = 0; }},
+      {"session_output_bytes=0", [](ServiceConfig& c) { c.session_output_bytes = 0; }},
+      {"reopt without tiering",
+       [](ServiceConfig& c) {
+         c.reopt.enabled = true;
+         c.tiering.enabled = false;
+       }},
+      {"window.width_cycles=0", [](ServiceConfig& c) { c.continuous.window.width_cycles = 0; }},
+      {"window.ring_windows=0", [](ServiceConfig& c) { c.continuous.window.ring_windows = 0; }},
+      {"governor.min_period=0", [](ServiceConfig& c) { c.continuous.governor.min_period = 0; }},
+      {"governor.min_period>max_period",
+       [](ServiceConfig& c) { c.continuous.governor.min_period = 6'000'000; }},
+      {"governor.overhead_budget=0",
+       [](ServiceConfig& c) { c.continuous.governor.overhead_budget = 0; }},
+      {"parallel.workers=0", [](ServiceConfig& c) { c.parallel.workers = 0; }},
+      {"parallel.workers=65", [](ServiceConfig& c) { c.parallel.workers = 65; }},
+  };
+  for (const auto& [name, mutate] : cases) {
+    WorkloadTrace trace = RandomTrace(3);
+    mutate(trace.knobs);
+    std::istringstream in(EncodeTraceText(trace));
+    EXPECT_THROW(ReadTrace(in), Error) << name;
+    EXPECT_THROW(CheckServiceConfig(trace.knobs), Error) << name;
+  }
+  // The unmutated trace reads back.
+  std::istringstream in(EncodeTraceText(RandomTrace(3)));
+  EXPECT_NO_THROW(ReadTrace(in));
 }
 
 TEST(TraceFormatTest, Fnv1a64MatchesReferenceVectors) {

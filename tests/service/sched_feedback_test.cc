@@ -242,11 +242,10 @@ ServiceConfig RepairConfig() {
   // rollup resolve on the very next execution.
   config.profiling.period = 10007;
   config.continuous.window.width_cycles = 1'000'000;
-  // The repair legitimately shifts the operator sample mix, so the mix check is disabled and
-  // the guard rides on the remote-share drift the re-partition actually targets. The default
-  // 0.10 drift is sized for whole-table migrations; the injected rotation moves the share by
-  // ~0.02 (measured deterministically), so the test pins a matching threshold.
-  config.continuous.regression.share_drift = 10.0;
+  // The guard rides on the remote-share drift the re-partition actually targets (a guard
+  // never judges the operator mix, which the repair legitimately shifts). The default 0.10
+  // drift is sized for whole-table migrations; the injected rotation moves the share by ~0.02
+  // (measured deterministically), so the test pins a matching threshold.
   config.continuous.regression.remote_share_drift = 0.015;
   return config;
 }

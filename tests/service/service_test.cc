@@ -80,6 +80,24 @@ TEST(QueryServiceTest, SessionRegionsAreCacheCongruentToSharedRegions) {
   }
 }
 
+TEST(QueryServiceTest, ConfigsThatCannotRunThrowInsteadOfAborting) {
+  const ServiceConfig config = TestConfig();
+  DatabaseConfig db_config;
+  db_config.extra_bytes = ServiceArenaBytes(config);
+  Database db(db_config);
+  // CheckServiceConfig runs before any member is built.
+  ServiceConfig no_slot = config;
+  no_slot.max_active_sessions = 0;
+  EXPECT_THROW({ QueryService service(db, no_slot); }, Error);
+  ServiceConfig reopt_alone = config;
+  reopt_alone.reopt.enabled = true;
+  EXPECT_THROW({ QueryService service(db, reopt_alone); }, Error);
+  // One slot more than the database's head room holds: an error, not an arena abort.
+  ServiceConfig crowded = config;
+  crowded.max_active_sessions = 3;
+  EXPECT_THROW({ QueryService service(db, crowded); }, Error);
+}
+
 TEST(QueryServiceTest, WarmHitAddsNoCodeAndMatchesColdRun) {
   ServiceConfig config = TestConfig();
   auto db = MakeDb(config);
@@ -112,7 +130,7 @@ TEST(QueryServiceTest, WarmHitAddsNoCodeAndMatchesColdRun) {
   EXPECT_EQ(service.plan_cache().stats().misses, 1u);
 
   // The warm execution pays only the lookup, not the compile.
-  EXPECT_EQ(warm_ticket.compile_cycles, config.compile_costs.cache_lookup_cycles);
+  EXPECT_EQ(warm_ticket.compile_cycles, CompileCostModel().cache_lookup_cycles);
   EXPECT_GT(cold_ticket.compile_cycles, 100u * warm_ticket.compile_cycles);
 
   // Bit-identical results, both equal to the sequential engine's.

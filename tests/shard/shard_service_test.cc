@@ -1,7 +1,7 @@
 // ShardedService: fan-out results must be identical to the unsharded engine, routed queries
 // must stay whole on one shard, the coordinator's Merge operator and CROSS_NODE traffic must
 // be observable, catalog-version bumps must invalidate every shard's plan cache in one step,
-// the 1-shard tower must be byte-identical to a plain QueryService, and a shard_count what-if
+// the 1-shard tower must be byte-identical to a plain QueryService, and a shard-count what-if
 // replay of a recorded trace must never move a result.
 #include <gtest/gtest.h>
 
@@ -312,22 +312,9 @@ TEST(ShardReplay, ShardCountWhatIfNeverMovesResults) {
     trace = recorder.trace();
   }
 
-  WhatIfKnobs knobs;
-  knobs.shard_count = 2;
-  EXPECT_FALSE(knobs.IsIdentity());
-
-  // The shard catalog is mandatory for a shard-count what-if.
-  {
-    auto bare_db = std::make_unique<Database>(TestDbConfig(1));
-    GenerateTpch(*bare_db, options);
-    ReplayOptions missing;
-    missing.knobs = knobs;
-    EXPECT_THROW(ReplayTrace(*bare_db, trace, missing), Error);
-  }
-
+  // The catalog's shard count is the topology the trace replays onto.
   ShardCatalog catalog = MakeCatalog(2);
   ReplayOptions replay_options;
-  replay_options.knobs = knobs;
   replay_options.shards = &catalog;
   const ReplayRun run = ReplayTrace(catalog.db(0), trace, replay_options);
   const ReplayReport report = DiffTraces(trace, run.trace);
@@ -338,7 +325,7 @@ TEST(ShardReplay, ShardCountWhatIfNeverMovesResults) {
   EXPECT_EQ(report.replayed_queries, report.recorded_queries);
   EXPECT_EQ(report.replayed_completed, report.recorded_completed);
   // Note knobs_identical stays true: each shard runs the RECORDED service configuration —
-  // shard_count changes topology, not knobs.
+  // the shard count changes topology, not knobs.
   EXPECT_TRUE(report.knobs_identical);
   EXPECT_FALSE(run.service_profile_text.empty());
 }
