@@ -42,10 +42,8 @@ int Main() {
       probe_pipeline = artifact.pipeline.id;
     }
   }
-  ListingOptions listing;
-  listing.pipeline = probe_pipeline;
   std::printf("--- Figure 6b: probe pipeline IR annotated with samples and operators ---\n%s\n",
-              RenderAnnotatedListing(session, query, listing).c_str());
+              RenderAnnotatedListing(session, query, probe_pipeline).c_str());
 
   std::printf("--- Attribution ---\n%s\n", RenderAttributionStats(session.Stats()).c_str());
   std::printf(

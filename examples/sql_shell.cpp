@@ -48,9 +48,8 @@ void RunStatement(Database& db, QueryEngine& engine, const ShellOptions& options
       std::printf("%s", RenderAttributionStats(session->Stats()).c_str());
       if (options.listing) {
         for (const PipelineArtifact& artifact : query.pipelines) {
-          ListingOptions listing_options;
-          listing_options.pipeline = artifact.pipeline.id;
-          std::printf("\n%s", RenderAnnotatedListing(*session, query, listing_options).c_str());
+          std::printf("\n%s",
+                      RenderAnnotatedListing(*session, query, artifact.pipeline.id).c_str());
         }
       }
     }

@@ -27,14 +27,10 @@ void VerifyOrDie(const IrFunction& function, const char* phase) {
 
 EmittedFunction CompileFunction(IrFunction& function, const CompileOptions& options,
                                 CompileStats* stats) {
-  if (options.verify) {
-    VerifyOrDie(function, "pre-optimization");
-  }
+  VerifyOrDie(function, "pre-optimization");
   if (options.optimize) {
     RunOptimizationPipeline(function, options.lineage);
-    if (options.verify) {
-      VerifyOrDie(function, "post-optimization");
-    }
+    VerifyOrDie(function, "post-optimization");
   }
   Allocation allocation = AllocateRegisters(function, options.reserve_tag_register);
   EmittedFunction emitted = EmitMachineCode(function, allocation);

@@ -17,8 +17,6 @@ struct CompileOptions {
   bool reserve_tag_register = false;
   // Receives lineage notifications from optimization passes (the Tagging Dictionary).
   LineageListener* lineage = nullptr;
-  // Run the IR verifier before and after optimization (aborts on structural errors).
-  bool verify = true;
 };
 
 struct CompileStats {
@@ -28,7 +26,8 @@ struct CompileStats {
   uint16_t spill_slots = 0;
 };
 
-// Optimizes `function` in place, then lowers it. Aborts on verification failure.
+// Optimizes `function` in place, then lowers it. The IR verifier runs before and after
+// optimization; the compile aborts on a structural error.
 EmittedFunction CompileFunction(IrFunction& function, const CompileOptions& options,
                                 CompileStats* stats = nullptr);
 

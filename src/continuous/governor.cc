@@ -16,13 +16,25 @@ double GovernorPlanState::OverheadShare() const {
          static_cast<double>(busy_cycles - overhead_cycles);
 }
 
-SamplingGovernor::SamplingGovernor(GovernorConfig config) : config_(config) {
-  DFP_CHECK(config_.overhead_budget > 0 && config_.min_period >= 1 &&
-            config_.min_period <= config_.max_period);
+namespace {
+
+uint64_t Clamp(uint64_t period) {
+  return std::clamp(period, kMinSamplingPeriod, kMaxSamplingPeriod);
 }
 
-uint64_t SamplingGovernor::Clamp(uint64_t period) const {
-  return std::clamp(period, config_.min_period, config_.max_period);
+// Rounds a solved period into the clamp range; a solve too large for any period (or not a
+// number) saturates at the ceiling instead of overflowing the integer conversion.
+uint64_t ClampSolved(double period) {
+  if (!(period < static_cast<double>(kMaxSamplingPeriod))) {
+    return kMaxSamplingPeriod;
+  }
+  return Clamp(static_cast<uint64_t>(std::max(period, 0.0) + 0.5));
+}
+
+}  // namespace
+
+SamplingGovernor::SamplingGovernor(GovernorConfig config) : config_(config) {
+  DFP_CHECK(config_.overhead_budget > 0);
 }
 
 uint64_t SamplingGovernor::PeriodFor(uint64_t fingerprint, uint64_t default_period) const {
@@ -78,13 +90,13 @@ void SamplingGovernor::Observe(uint64_t fingerprint, const std::string& name,
     const double base_per_obs = static_cast<double>(cum_base) /
                                 static_cast<double>(state.observations);
     const double solved = events_per_obs * cps / (config_.overhead_budget * base_per_obs);
-    target = Clamp(static_cast<uint64_t>(solved + 0.5));
+    target = ClampSolved(solved);
   }
   // EWMA weight of the newest analytic solve (1.0 would jump straight to it).
   constexpr double kSmoothing = 0.7;
   const double blended = kSmoothing * static_cast<double>(target) +
                          (1.0 - kSmoothing) * static_cast<double>(state.period);
-  state.period = Clamp(static_cast<uint64_t>(blended + 0.5));
+  state.period = ClampSolved(blended);
 }
 
 void SamplingGovernor::ObserveCriticality(uint64_t fingerprint, const std::string& name,
@@ -133,13 +145,13 @@ std::vector<uint64_t> SamplingGovernor::PipelinePeriods(uint64_t fingerprint,
         p < state.pipeline_criticality_pct.size() ? state.pipeline_criticality_pct[p] : 0;
     if (share > mean_share) {
       // Above the mean (the critical path's owner): strictly below the base (the clamp floor
-      // cannot collide — the base itself is already clamped to >= min_period).
+      // cannot collide — the base itself is already clamped to >= kMinSamplingPeriod).
       periods[p] = std::max<uint64_t>(1, base_period * 100 / (100 + share - mean_share));
     } else if (share < mean_share) {
       // Below the mean (off-path, or barely on it): strictly above the base by the mirrored
       // factor, bounded by the clamp ceiling.
       const uint64_t denom = std::max<uint64_t>(1, 100 - (mean_share - share));
-      periods[p] = std::min(config_.max_period,
+      periods[p] = std::min(kMaxSamplingPeriod,
                             std::max(base_period + 1, base_period * 100 / denom));
     } else {
       periods[p] = base_period;  // At the mean: nothing to redistribute.
@@ -173,8 +185,8 @@ std::string SamplingGovernor::Render() const {
   std::snprintf(line, sizeof(line),
                 "=== Sampling governor (budget %.2f%%, period [%llu, %llu]) ===\n",
                 100.0 * config_.overhead_budget,
-                static_cast<unsigned long long>(config_.min_period),
-                static_cast<unsigned long long>(config_.max_period));
+                static_cast<unsigned long long>(kMinSamplingPeriod),
+                static_cast<unsigned long long>(kMaxSamplingPeriod));
   out << line;
   for (const auto& [fingerprint, state] : plans_) {
     std::snprintf(line, sizeof(line),

@@ -1,7 +1,7 @@
 // Adaptive sampling governor: auto-tunes the PMU sampling period per plan fingerprint so that
 // measured profiling overhead stays under a configurable budget.
 //
-// The simulated PMU charges real cycles for every sample capture and buffer flush (PmuCosts),
+// The simulated PMU charges real cycles for every sample capture and buffer flush (src/pmu/pmu.h),
 // and the Pmu now reports exactly what it charged (SamplingOverhead). The governor closes the
 // loop: after each execution it observes (overhead cycles, busy cycles, armed-event count,
 // period used) and solves for the period that puts the plan's CUMULATIVE overhead share at the
@@ -30,10 +30,11 @@ struct GovernorConfig {
   bool enabled = false;
   // Target ceiling for sampling overhead as a share of non-overhead execution cycles.
   double overhead_budget = 0.02;
-  // Clamp range for chosen periods (events between samples).
-  uint64_t min_period = 500;
-  uint64_t max_period = 5'000'000;
 };
+
+// Clamp range for chosen periods (events between samples).
+inline constexpr uint64_t kMinSamplingPeriod = 500;
+inline constexpr uint64_t kMaxSamplingPeriod = 5'000'000;
 
 // Per-fingerprint tuning state, exposed for reports and benchmarks.
 struct GovernorPlanState {
@@ -100,8 +101,6 @@ class SamplingGovernor {
   std::string Render() const;
 
  private:
-  uint64_t Clamp(uint64_t period) const;
-
   GovernorConfig config_;
   std::map<uint64_t, GovernorPlanState> plans_;
 };

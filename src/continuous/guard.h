@@ -61,7 +61,7 @@ struct GuardedAction {
   uint64_t applied_tsc = 0;
   uint64_t resolved_tsc = 0;  // Kept/reverted timestamp; 0 until resolved.
   // This fingerprint's rollup at apply time, the yardstick the guard judges by. Unset before
-  // the apply, when the fingerprint had fewer than the guard's min_samples then, and for
+  // the apply, when the fingerprint had fewer than kRegressionMinSamples then, and for
   // actions loaded from a state file.
   std::optional<PlanBaseline> baseline{};
   Payload payload{};

@@ -27,7 +27,7 @@ constexpr double kCyclesPerRowRatio = 1.25;
 
 // The whole-plan rate checks DetectRegressions and JudgeRegression share: fills `finding`'s
 // rates from `base` vs `current` and returns true when either check fired. `current` must
-// already have enough samples (the callers gate on thresholds.min_samples).
+// already have enough samples (the callers gate on kRegressionMinSamples).
 bool DiffRates(const PlanBaseline& base, const WindowRollup& current,
                const RegressionThresholds& thresholds, RegressionFinding* finding) {
   finding->fingerprint = base.fingerprint;
@@ -99,10 +99,10 @@ double PlanBaseline::OperatorShare(OperatorId op) const {
 }
 
 std::optional<PlanBaseline> SnapshotPlanBaseline(const WindowedProfile& profile,
-                                                 uint64_t fingerprint, uint64_t min_samples) {
+                                                 uint64_t fingerprint) {
   const ProfileWindow* latest = profile.LatestWindow(fingerprint);
   WindowRollup rollup = profile.RollUp(fingerprint);
-  if (latest == nullptr || rollup.samples < min_samples) {
+  if (latest == nullptr || rollup.samples < kRegressionMinSamples) {
     return std::nullopt;
   }
   PlanBaseline baseline;
@@ -116,12 +116,11 @@ std::optional<PlanBaseline> SnapshotPlanBaseline(const WindowedProfile& profile,
   return baseline;
 }
 
-void BaselineStore::Snapshot(const WindowedProfile& profile, uint64_t min_samples) {
+void BaselineStore::Snapshot(const WindowedProfile& profile) {
   baselines_.clear();
   for (const auto& [fingerprint, series] : profile.plans()) {
     (void)series;
-    if (std::optional<PlanBaseline> baseline =
-            SnapshotPlanBaseline(profile, fingerprint, min_samples)) {
+    if (std::optional<PlanBaseline> baseline = SnapshotPlanBaseline(profile, fingerprint)) {
       baselines_[fingerprint] = std::move(*baseline);
     }
   }
@@ -158,7 +157,7 @@ std::vector<RegressionFinding> DetectRegressions(const BaselineStore& baseline,
     }
     // Everything that arrived since the snapshot; pre-baseline windows never dilute the diff.
     const WindowRollup current = profile.RollUpSince(fingerprint, base->watermark + 1);
-    if (current.samples < thresholds.min_samples) {
+    if (current.samples < kRegressionMinSamples) {
       continue;
     }
 
@@ -178,7 +177,7 @@ std::vector<RegressionFinding> DetectRegressions(const BaselineStore& baseline,
 GuardVerdict JudgeRegression(const PlanBaseline& baseline, const WindowedProfile& profile,
                              const RegressionThresholds& thresholds) {
   const WindowRollup current = profile.RollUpSince(baseline.fingerprint, baseline.watermark + 1);
-  if (current.samples < thresholds.min_samples) {
+  if (current.samples < kRegressionMinSamples) {
     return GuardVerdict::kInsufficientEvidence;
   }
   RegressionFinding finding;

@@ -28,14 +28,15 @@
 
 namespace dfp {
 
-// The configurable half of the drift checks; the operator-mix and cycles-per-row thresholds
+// Baselines and post-baseline aggregates with fewer attributed samples than this are skipped
+// entirely (quantization guard: at N samples the share resolution is 1/N).
+inline constexpr uint64_t kRegressionMinSamples = 20;
+
+// The configurable part of the drift checks; the operator-mix and cycles-per-row thresholds
 // are constants of src/continuous/regression.cc.
 struct RegressionThresholds {
   // Absolute rise of REMOTE_DRAM events per sampled load that fires.
   double remote_share_drift = 0.10;
-  // Post-baseline aggregates with fewer attributed samples than this are skipped entirely
-  // (quantization guard: at N samples the share resolution is 1/N).
-  uint64_t min_samples = 20;
 };
 
 // Frozen per-fingerprint reference mix.
@@ -51,16 +52,16 @@ struct PlanBaseline {
   double OperatorShare(OperatorId op) const;
 };
 
-// Snapshot of `fingerprint`'s current rollup, or nullopt when it has fewer than `min_samples`
-// attributed samples (or no windows at all).
+// Snapshot of `fingerprint`'s current rollup, or nullopt when it has fewer than
+// kRegressionMinSamples attributed samples (or no windows at all).
 std::optional<PlanBaseline> SnapshotPlanBaseline(const WindowedProfile& profile,
-                                                 uint64_t fingerprint, uint64_t min_samples);
+                                                 uint64_t fingerprint);
 
 class BaselineStore {
  public:
   // Replaces the stored baselines with a snapshot of `profile`'s current rollups. Fingerprints
-  // whose rollup has fewer than `min_samples` attributed samples are not snapshotted.
-  void Snapshot(const WindowedProfile& profile, uint64_t min_samples = 0);
+  // whose rollup has fewer than kRegressionMinSamples attributed samples are not snapshotted.
+  void Snapshot(const WindowedProfile& profile);
 
   bool empty() const { return baselines_.empty(); }
   const std::map<uint64_t, PlanBaseline>& baselines() const { return baselines_; }
@@ -109,8 +110,8 @@ using RegressionAlertFn = std::function<void(const RegressionFinding&)>;
 
 // Diffs each fingerprint's post-watermark window aggregate against its `baseline` entry.
 // Fingerprints without a baseline, without post-watermark windows, or with fewer than
-// min_samples attributed post-watermark samples are skipped. Each finding is stamped with
-// `shard_id` and then pushed through `alert` when one is set.
+// kRegressionMinSamples attributed post-watermark samples are skipped. Each finding is stamped
+// with `shard_id` and then pushed through `alert` when one is set.
 std::vector<RegressionFinding> DetectRegressions(
     const BaselineStore& baseline, const WindowedProfile& profile,
     const RegressionThresholds& thresholds = RegressionThresholds(),

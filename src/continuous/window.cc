@@ -43,7 +43,7 @@ double WindowRollup::OperatorShare(OperatorId op) const {
 }
 
 WindowedProfile::WindowedProfile(WindowConfig config) : config_(config) {
-  DFP_CHECK(config_.width_cycles > 0 && config_.ring_windows >= 1);
+  DFP_CHECK(config_.width_cycles > 0);
 }
 
 ProfileWindow& WindowedProfile::WindowFor(PlanWindowSeries& series, uint64_t index) {
@@ -52,7 +52,7 @@ ProfileWindow& WindowedProfile::WindowFor(PlanWindowSeries& series, uint64_t ind
     ProfileWindow window;
     window.index = index;
     series.windows.push_back(std::move(window));
-    while (series.windows.size() > config_.ring_windows) {
+    while (series.windows.size() > kRingWindows) {
       series.windows.pop_front();
     }
   }
@@ -183,7 +183,7 @@ const ProfileWindow* WindowedProfile::LatestWindow(uint64_t fingerprint) const {
 std::string WindowedProfile::Render() const {
   std::ostringstream out;
   out << "=== Windowed fleet profile (width " << config_.width_cycles << " cyc, ring "
-      << config_.ring_windows << ") ===\n";
+      << kRingWindows << ") ===\n";
   for (const auto& [fingerprint, series] : plans_) {
     out << "plan " << Hex16(fingerprint) << "  " << series.name << "\n";
     for (const ProfileWindow& window : series.windows) {
@@ -221,7 +221,7 @@ std::string WindowedProfile::Render() const {
 
 void WindowedProfile::WriteJson(std::ostream& out) const {
   out << "{\"width_cycles\":" << config_.width_cycles
-      << ",\"ring_windows\":" << config_.ring_windows << ",\"plans\":[";
+      << ",\"ring_windows\":" << kRingWindows << ",\"plans\":[";
   bool first_plan = true;
   for (const auto& [fingerprint, series] : plans_) {
     if (!first_plan) {
@@ -275,7 +275,7 @@ void WindowedProfile::LoadWindow(uint64_t fingerprint, const std::string& name,
     throw Error("service profile window lines out of order");
   }
   series.windows.push_back(std::move(window));
-  while (series.windows.size() > config_.ring_windows) {
+  while (series.windows.size() > kRingWindows) {
     series.windows.pop_front();
   }
 }

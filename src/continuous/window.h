@@ -5,7 +5,7 @@
 // service clock at completion time (window index = service TSC / width). A window holds the
 // per-operator sample histogram (sample counts plus period-scaled cycle estimates), cache-miss
 // and REMOTE_DRAM event counters, and latency quantiles of the executions that completed inside
-// it. Only the newest `ring_windows` windows per fingerprint are retained, so the structure is a
+// it. Only the newest kRingWindows windows per fingerprint are retained, so the structure is a
 // bounded sliding history rather than an ever-growing log. Roll-up, text rendering, and a
 // deterministic JSON export make the windows consumable offline; the service-profile text format
 // (v2) embeds them next to the cumulative counters (see src/service/service_profile.h).
@@ -33,9 +33,10 @@ struct WindowConfig {
   // Width of one window in simulated service-clock cycles. The default is ~5 simulated ms at
   // the 4 GHz clock — several queries per window at the experiment scales.
   uint64_t width_cycles = 20'000'000;
-  // Windows retained per fingerprint; older windows fall off the ring.
-  size_t ring_windows = 8;
 };
+
+// Windows retained per fingerprint; older windows fall off the ring.
+inline constexpr size_t kRingWindows = 8;
 
 // One operator's slice of one window.
 struct WindowOperatorStats {

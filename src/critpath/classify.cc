@@ -1,9 +1,15 @@
 #include "src/critpath/classify.h"
 
 #include "src/util/check.h"
+#include "src/vcpu/cache.h"
+#include "src/vcpu/cost_model.h"
 
 namespace dfp {
 namespace {
+
+constexpr uint64_t kMemBoundPct = 15;     // Reclaimable-stall share that leaves compute-bound.
+constexpr uint64_t kRemoteSharePct = 50;  // Remote share of the stall estimate for remote-DRAM.
+constexpr uint64_t kStealPct = 50;        // Stolen-cycle share of the pipeline for steal-starved.
 
 uint64_t SatSub(uint64_t a, uint64_t b) { return a > b ? a - b : 0; }
 
@@ -35,8 +41,7 @@ Bottleneck BottleneckFromName(const std::string& name) {
   throw Error("unknown bottleneck label: '" + name + "'");
 }
 
-PipelineVerdict ClassifyPipeline(const PipelineCriticality& p,
-                                 const ClassifierThresholds& thresholds) {
+PipelineVerdict ClassifyPipeline(const PipelineCriticality& p) {
   PipelineVerdict verdict;
   verdict.pipeline = p.pipeline;
   verdict.cycles = p.cycles;
@@ -47,10 +52,10 @@ PipelineVerdict ClassifyPipeline(const PipelineCriticality& p,
   // streaming roofline and is left in the compute baseline (header comment).
   const uint64_t l2_hits = SatSub(p.l1_misses, p.l2_misses);
   const uint64_t l3_hits = SatSub(p.l2_misses, p.l3_misses);
-  verdict.remote_stall_cycles = p.remote_dram * thresholds.remote_penalty_cycles;
-  verdict.mem_stall_cycles = l2_hits * thresholds.l2_hit_cycles +
-                             l3_hits * thresholds.l3_hit_cycles + verdict.remote_stall_cycles;
-  if (p.tasks == 0 || p.cycles < thresholds.min_cycles) {
+  verdict.remote_stall_cycles = p.remote_dram * kRemoteDramPenaltyCycles;
+  verdict.mem_stall_cycles = l2_hits * kL2Cache.latency + l3_hits * kL3Cache.latency +
+                             verdict.remote_stall_cycles;
+  if (p.tasks == 0 || p.cycles == 0) {
     verdict.label = Bottleneck::kInsufficientData;
     return verdict;
   }
@@ -59,10 +64,10 @@ PipelineVerdict ClassifyPipeline(const PipelineCriticality& p,
                                  ? 0
                                  : 100 * verdict.remote_stall_cycles / verdict.mem_stall_cycles;
   verdict.stolen_pct = 100 * p.stolen_cycles / p.cycles;
-  if (verdict.stolen_pct >= thresholds.steal_pct) {
+  if (verdict.stolen_pct >= kStealPct) {
     verdict.label = Bottleneck::kStealStarved;
-  } else if (verdict.mem_stall_pct >= thresholds.mem_bound_pct) {
-    verdict.label = verdict.remote_share_pct >= thresholds.remote_share_pct
+  } else if (verdict.mem_stall_pct >= kMemBoundPct) {
+    verdict.label = verdict.remote_share_pct >= kRemoteSharePct
                         ? Bottleneck::kRemoteDramBound
                         : Bottleneck::kCacheBound;
   } else {
@@ -71,12 +76,11 @@ PipelineVerdict ClassifyPipeline(const PipelineCriticality& p,
   return verdict;
 }
 
-std::vector<PipelineVerdict> ClassifyPipelines(const TaskDag& dag,
-                                               const ClassifierThresholds& thresholds) {
+std::vector<PipelineVerdict> ClassifyPipelines(const TaskDag& dag) {
   std::vector<PipelineVerdict> verdicts;
   verdicts.reserve(dag.pipelines.size());
   for (const PipelineCriticality& p : dag.pipelines) {
-    verdicts.push_back(ClassifyPipeline(p, thresholds));
+    verdicts.push_back(ClassifyPipeline(p));
   }
   return verdicts;
 }

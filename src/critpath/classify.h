@@ -3,28 +3,29 @@
 // For each pipeline of a task DAG the classifier estimates how many of its cycles were
 // *reclaimable* memory stalls by pricing the counter deltas with the VCPU cost model's
 // latencies: an access that stopped at L2 costs the L2 hit latency, one that stopped at L3 the
-// L3 hit latency, and a remote-DRAM access the NUMA penalty — the same constants the simulator
-// charged, so the estimate is exact accounting, not a guess. The local-DRAM latency of a miss
-// is deliberately NOT counted: for a streaming operator that traffic is compulsory — it IS the
-// memory roofline — and a pipeline at that roofline has nothing to reclaim from placement or
-// access pattern. Each label names the remedy:
+// L3 hit latency (kL2Cache/kL3Cache, src/vcpu/cache.h), and a remote-DRAM access the NUMA
+// penalty (kRemoteDramPenaltyCycles) — the same constants the simulator charged, so the
+// estimate is exact accounting, not a guess. The local-DRAM latency of a miss is deliberately
+// NOT counted: for a streaming operator that traffic is compulsory — it IS the memory roofline
+// — and a pipeline at that roofline has nothing to reclaim from placement or access pattern.
+// Each label names the remedy:
 //
-//   steal-starved      stolen-task cycles  >= steal_pct% of the pipeline's cycles — the
-//                      pipeline's home deques drained and workers lived off steals; fix the
-//                      partitioning, not the code.
-//   remote-DRAM-bound  reclaimable stall >= mem_bound_pct% of cycles AND the remote-penalty
-//                      share of it is >= remote_share_pct% — the misses go to the wrong
-//                      socket; fix placement or scheduling.
-//   cache-bound        reclaimable stall >= mem_bound_pct% with cache-hierarchy hit latency
+//   steal-starved      stolen-task cycles  >= 50% of the pipeline's cycles — the pipeline's
+//                      home deques drained and workers lived off steals; fix the partitioning,
+//                      not the code.
+//   remote-DRAM-bound  reclaimable stall >= 15% of cycles AND the remote-penalty share of it
+//                      is >= 50% — the misses go to the wrong socket; fix placement or
+//                      scheduling.
+//   cache-bound        reclaimable stall >= 15% with cache-hierarchy hit latency
 //                      dominating — fix the access pattern.
 //   compute-bound      everything else: the cycles are instruction execution plus compulsory
 //                      streaming traffic — the pipeline sits on its roofline; optimize the
 //                      kernel itself.
 //
-// A pipeline without tasks (or below min_cycles) gets the explicit insufficient-data label
-// instead of a division by zero or a coin-flip between labels. All rules are integer
-// comparisons over counters and fixed thresholds, so verdicts are bit-reproducible and a
-// replayed trace classifies identically to the recorded run.
+// A pipeline without tasks or cycles gets the explicit insufficient-data label instead of a
+// division by zero or a coin-flip between labels. All rules are integer comparisons over
+// counters and fixed thresholds, so verdicts are bit-reproducible and a replayed trace
+// classifies identically to the recorded run.
 #ifndef DFP_SRC_CRITPATH_CLASSIFY_H_
 #define DFP_SRC_CRITPATH_CLASSIFY_H_
 
@@ -51,19 +52,6 @@ const char* BottleneckName(Bottleneck label);
 // Inverse of BottleneckName; throws dfp::Error on an unknown name.
 Bottleneck BottleneckFromName(const std::string& name);
 
-// Cycle prices of the memory hierarchy, mirroring vcpu/cache.h and vcpu/cost_model.h. Kept as
-// explicit integers here so classification of a recorded stream does not depend on the live
-// simulator's configuration — the stream's counters were produced under these defaults.
-struct ClassifierThresholds {
-  uint64_t l2_hit_cycles = 12;          // CacheConfig::l2_latency.
-  uint64_t l3_hit_cycles = 42;          // CacheConfig::l3_latency.
-  uint64_t remote_penalty_cycles = 130; // kRemoteDramPenaltyCycles.
-  uint64_t min_cycles = 1;              // Below this the verdict is insufficient-data.
-  uint64_t mem_bound_pct = 15;          // Reclaimable-stall share that leaves compute-bound.
-  uint64_t remote_share_pct = 50;       // Remote share of the stall estimate for remote-DRAM.
-  uint64_t steal_pct = 50;              // Stolen-cycle share of the pipeline for steal-starved.
-};
-
 struct PipelineVerdict {
   uint32_t pipeline = 0;
   Bottleneck label = Bottleneck::kInsufficientData;
@@ -78,12 +66,10 @@ struct PipelineVerdict {
 
 // Classifies one pipeline's aggregates (rules above, applied in order: insufficient-data,
 // steal-starved, remote-DRAM-bound, cache-bound, compute-bound).
-PipelineVerdict ClassifyPipeline(const PipelineCriticality& p,
-                                 const ClassifierThresholds& thresholds = {});
+PipelineVerdict ClassifyPipeline(const PipelineCriticality& p);
 
 // Classifies every pipeline of the DAG, ascending by pipeline id.
-std::vector<PipelineVerdict> ClassifyPipelines(const TaskDag& dag,
-                                               const ClassifierThresholds& thresholds = {});
+std::vector<PipelineVerdict> ClassifyPipelines(const TaskDag& dag);
 
 }  // namespace dfp
 

@@ -107,7 +107,7 @@ void SlackStore::Observe(uint64_t fingerprint, const std::string& name, const Ta
   // Age out fingerprints the service stopped seeing: their placement hints would be applied to
   // plans whose schedules may have drifted arbitrarily far from the folded observations.
   for (auto it = plans_.begin(); it != plans_.end();) {
-    if (generation_ - it->second.generation > max_age_) {
+    if (generation_ - it->second.generation > kSlackMaxAge) {
       it = plans_.erase(it);
     } else {
       ++it;

@@ -12,7 +12,7 @@
 //
 // The rollup is pure integer arithmetic over recorded DAGs, so a service that observes the
 // same execution sequence always holds the same store — expected slack is as deterministic as
-// the schedules it summarizes. Plans that stop being observed age out after `max_age`
+// the schedules it summarizes. Plans that stop being observed age out after kSlackMaxAge
 // generations (one generation per Observe call), keeping the store bounded under fingerprint
 // churn. The store round-trips through the service state file (src/service/service_profile.h).
 #ifndef DFP_SRC_CRITPATH_SLACK_H_
@@ -63,13 +63,14 @@ struct PlanSlack {
   const StepSlack* FindStep(uint32_t step, uint32_t pipeline) const;
 };
 
+// Generations a plan survives without a fold before it ages out of the store.
+inline constexpr uint64_t kSlackMaxAge = 64;
+
 class SlackStore {
  public:
-  explicit SlackStore(uint64_t max_age = 64) : max_age_(max_age) {}
-
   // Folds one completed execution's DAG. Advances the store generation, updates the
   // fingerprint's EWMAs (new = (3*old + observed) / 4, integer), and ages out plans whose last
-  // fold is more than max_age generations stale.
+  // fold is more than kSlackMaxAge generations stale.
   void Observe(uint64_t fingerprint, const std::string& name, const TaskDag& dag);
 
   const PlanSlack* Find(uint64_t fingerprint) const;
@@ -79,7 +80,6 @@ class SlackStore {
   uint64_t ExpectedCriticalPathCycles(uint64_t fingerprint) const;
 
   uint64_t generation() const { return generation_; }
-  uint64_t max_age() const { return max_age_; }
   const std::map<uint64_t, PlanSlack>& plans() const { return plans_; }
 
   // Persistence hooks (service state file): the reader reconstructs a store entry for entry.
@@ -88,7 +88,6 @@ class SlackStore {
   void SetLoadedGeneration(uint64_t generation) { generation_ = generation; }
 
  private:
-  uint64_t max_age_;
   uint64_t generation_ = 0;
   std::map<uint64_t, PlanSlack> plans_;
 };

@@ -13,13 +13,13 @@ uint64_t TotalBytes(const DatabaseConfig& config) {
 
 }  // namespace
 
-Database::Database(DatabaseConfig config) : config_(config), mem_(TotalBytes(config)) {
+Database::Database(DatabaseConfig config) : mem_(TotalBytes(config)) {
   columns_region_ = mem_.CreateRegion("columns", config.columns_bytes);
-  strings_region_ = mem_.CreateRegion("strings", config.strings_bytes);
+  const uint32_t strings_region = mem_.CreateRegion("strings", config.strings_bytes);
   hashtables_region_ = mem_.CreateRegion("hashtables", config.hashtables_bytes);
   state_region_ = mem_.CreateRegion("state", config.state_bytes);
   output_region_ = mem_.CreateRegion("output", config.output_bytes);
-  strings_ = std::make_unique<StringHeap>(&mem_, strings_region_);
+  strings_ = std::make_unique<StringHeap>(&mem_, strings_region);
   runtime_ = std::make_unique<Runtime>(&mem_, &code_map_, hashtables_region_);
 }
 

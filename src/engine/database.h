@@ -28,7 +28,6 @@ struct DatabaseConfig {
   // Extra arena head room for regions created after start-up (the query service carves its
   // per-session scratch regions out of this; 0 means no service sessions can be hosted).
   uint64_t extra_bytes = 0;
-  PmuCosts pmu_costs;
 };
 
 class Database {
@@ -39,10 +38,7 @@ class Database {
   CodeMap& code_map() { return code_map_; }
   Runtime& runtime() { return *runtime_; }
   StringHeap& strings() { return *strings_; }
-  const PmuCosts& pmu_costs() const { return config_.pmu_costs; }
 
-  uint32_t columns_region() const { return columns_region_; }
-  uint32_t strings_region() const { return strings_region_; }
   uint32_t hashtables_region() const { return hashtables_region_; }
   uint32_t state_region() const { return state_region_; }
   uint32_t output_region() const { return output_region_; }
@@ -72,11 +68,9 @@ class Database {
   void ResetScratch();
 
  private:
-  DatabaseConfig config_;
   VMem mem_;
   CodeMap code_map_;
   uint32_t columns_region_;
-  uint32_t strings_region_;
   uint32_t hashtables_region_;
   uint32_t state_region_;
   uint32_t output_region_;

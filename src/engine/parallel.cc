@@ -37,15 +37,6 @@ uint64_t ResolveMorselRows(const ParallelConfig& config, const PipelineArtifact&
 
 namespace {
 
-// The NUMA topology of one run: nodes default to one per worker and never exceed the pool size,
-// so every node has at least one worker to own its deque.
-NumaConfig MakeNumaConfig(const ParallelConfig& config) {
-  NumaConfig numa;
-  numa.nodes = config.numa_nodes != 0 ? config.numa_nodes : config.workers;
-  numa.nodes = std::min(numa.nodes, config.workers);
-  return numa;
-}
-
 // Bare LIMIT pipelines produce "the first N tuples the scan emits": their result depends on
 // morsel completion order, so they must keep the table-order central dispatch. (LIMIT under a
 // sort runs on a sequential sort-scan pipeline and never reaches the morsel scheduler.)
@@ -65,7 +56,7 @@ bool OrderSensitive(const PipelineArtifact& artifact) {
 // shadow call stack, tag register), sharing the database's memory and code map.
 struct ParallelRun::Worker {
   Worker(Database& db, uint32_t id, uint32_t session_id)
-      : pmu(db.pmu_costs()), cpu(db.mem(), db.code_map(), pmu) {
+      : cpu(db.mem(), db.code_map(), pmu) {
     cpu.set_worker_id(id);
     cpu.set_session_id(session_id);
   }
@@ -81,7 +72,7 @@ ParallelRun::ParallelRun(Database& db, CompiledQuery& query, const ParallelConfi
                          ScratchRegions regions, const SamplingConfig* sampling,
                          uint32_t session_id, const PlanSlack* slack)
     : db_(db), query_(query), config_(config), regions_(regions),
-      numa_(MakeNumaConfig(config)), slack_(slack) {
+      numa_(config.workers), slack_(slack) {
   DFP_CHECK(query.parallel);  // Must be compiled with CodegenOptions::parallel.
   DFP_CHECK(config.workers >= 1 && config.workers <= 64);
 
@@ -482,7 +473,6 @@ Result ParallelRun::Finish() {
   merged_counters_ = PmuCounters();
   merged_cache_stats_ = CacheStats();
   merged_cpu_stats_ = CpuStats();
-  merged_numa_stats_ = NumaStats();
   merged_sampling_overhead_ = SamplingOverhead();
   total_busy_cycles_ = 0;
   worker_metrics_.clear();
@@ -513,9 +503,6 @@ Result ParallelRun::Finish() {
     merged_cpu_stats_.calls += metrics.cpu_stats.calls;
     merged_cpu_stats_.max_stack_depth =
         std::max(merged_cpu_stats_.max_stack_depth, metrics.cpu_stats.max_stack_depth);
-    merged_numa_stats_.local_accesses += metrics.numa_stats.local_accesses;
-    merged_numa_stats_.remote_accesses += metrics.numa_stats.remote_accesses;
-    merged_numa_stats_.remote_dram += metrics.numa_stats.remote_dram;
     merged_sampling_overhead_ += metrics.sampling_overhead;
     total_busy_cycles_ += metrics.busy_cycles;
     worker_metrics_.push_back(metrics);
@@ -554,14 +541,13 @@ Result QueryEngine::ExecuteParallel(CompiledQuery& query, const ParallelConfig& 
 
   last_cycles_ = run.WallCycles();
   last_sched_stats_ = run.sched_stats();
-  last_counters_ = run.merged_counters();
   last_cache_stats_ = run.merged_cache_stats();
   last_cpu_stats_ = run.merged_cpu_stats();
   last_sampling_overhead_ = run.merged_sampling_overhead();
   last_worker_metrics_ = run.worker_metrics();
   last_task_boundaries_ = run.TakeTaskBoundaries();
   if (session != nullptr) {
-    session->RecordExecution(run.TakeMergedSamples(), last_cycles_, last_counters_,
+    session->RecordExecution(run.TakeMergedSamples(), last_cycles_, run.merged_counters(),
                              config.workers);
   }
   return result;

@@ -61,10 +61,6 @@ struct ParallelConfig {
   // a non-zero value forces that fixed size (Umbra uses adaptive sizes; we size per query).
   uint64_t morsel_rows = 0;
   SchedulerPolicy scheduler = SchedulerPolicy::kWorkStealing;
-  // NUMA nodes of the simulated topology. 0 (the default) gives every worker its own node —
-  // the most adversarial placement, and the one that makes locality visible at any pool size.
-  // Values above `workers` are clamped so every node has at least one worker.
-  uint32_t numa_nodes = 0;
   // Service shard this pool belongs to (1-based; 0 = unsharded). Stamped into every sample the
   // pool's workers take so fan-out attribution survives the coordinator's merge.
   uint32_t shard_id = 0;
@@ -166,13 +162,10 @@ class ParallelRun {
   const PmuCounters& merged_counters() const { return merged_counters_; }
   const CacheStats& merged_cache_stats() const { return merged_cache_stats_; }
   const CpuStats& merged_cpu_stats() const { return merged_cpu_stats_; }
-  const NumaStats& merged_numa_stats() const { return merged_numa_stats_; }
   // Measured sampling cost summed over all worker buffers, and the pool's total busy cycles —
   // the measured-overhead-per-executed-cycle pair the sampling governor regulates on.
   const SamplingOverhead& merged_sampling_overhead() const { return merged_sampling_overhead_; }
   uint64_t total_busy_cycles() const { return total_busy_cycles_; }
-  // Topology of this run (valid from construction).
-  const NumaMap& numa_map() const { return numa_; }
   // The per-worker sample streams merged by (tsc, worker id); empty without sampling.
   std::vector<Sample> TakeMergedSamples() { return std::move(merged_samples_); }
 
@@ -180,7 +173,6 @@ class ParallelRun {
   // per-task PMU counter deltas — the substrate the critical-path subsystem (src/critpath/)
   // builds its DAG from, and what sample streams serialize as `task` lines. Collected
   // unconditionally: the records are a byproduct of the schedule, not of sampling.
-  const std::vector<TaskBoundary>& task_boundaries() const { return task_boundaries_; }
   std::vector<TaskBoundary> TakeTaskBoundaries() { return std::move(task_boundaries_); }
 
   // Slack-policy counters of this run (all zero when constructed without a slack profile).
@@ -233,7 +225,6 @@ class ParallelRun {
   PmuCounters merged_counters_;
   CacheStats merged_cache_stats_;
   CpuStats merged_cpu_stats_;
-  NumaStats merged_numa_stats_;
   SamplingOverhead merged_sampling_overhead_;
   uint64_t total_busy_cycles_ = 0;
   std::vector<Sample> merged_samples_;

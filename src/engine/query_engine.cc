@@ -17,7 +17,7 @@ Result QueryEngine::Execute(CompiledQuery& query) {
   db_->ResetScratch();
   last_worker_metrics_.clear();
   last_task_boundaries_.clear();
-  Pmu pmu(db_->pmu_costs());
+  Pmu pmu;
   ProfilingSession* session = query.session;
   if (session != nullptr) {
     pmu.Configure(session->MakeSamplingConfig());
@@ -81,7 +81,6 @@ Result QueryEngine::Execute(CompiledQuery& query) {
   }
 
   last_cycles_ = cpu.tsc();
-  last_counters_ = pmu.counters();
   last_cache_stats_ = cpu.cache().stats();
   last_cpu_stats_ = cpu.stats();
   last_sampling_overhead_ = pmu.overhead();

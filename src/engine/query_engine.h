@@ -49,7 +49,6 @@ class QueryEngine {
   // the simulated wall clock (max over workers), counters and cache stats are summed across
   // workers, and last_worker_metrics() has the per-worker breakdown (empty after Execute()).
   uint64_t last_cycles() const { return last_cycles_; }
-  const PmuCounters& last_counters() const { return last_counters_; }
   const CacheStats& last_cache_stats() const { return last_cache_stats_; }
   const CpuStats& last_cpu_stats() const { return last_cpu_stats_; }
   const std::vector<WorkerMetrics>& last_worker_metrics() const { return last_worker_metrics_; }
@@ -65,7 +64,6 @@ class QueryEngine {
  private:
   Database* db_;
   uint64_t last_cycles_ = 0;
-  PmuCounters last_counters_;
   CacheStats last_cache_stats_;
   CpuStats last_cpu_stats_;
   SamplingOverhead last_sampling_overhead_;

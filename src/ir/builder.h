@@ -43,7 +43,6 @@ class IrBuilder {
 
   uint32_t CreateBlock(std::string name) { return function_->AddBlock(std::move(name)); }
   void SetInsertPoint(uint32_t block) { current_block_ = block; }
-  uint32_t current_block() const { return current_block_; }
   IrFunction& function() { return *function_; }
 
   // --- Emission helpers. Value-producing helpers return the destination virtual register. ---

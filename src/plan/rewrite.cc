@@ -35,6 +35,9 @@ void InjectCardinalities(PhysicalOp& root, const CardinalityMap& observed) {
 
 namespace {
 
+// The semi-join gate: observed build rows at least this many percent of the plan-time estimate.
+constexpr uint64_t kSemiJoinBlowupPct = 300;
+
 // Location of the topmost reorderable join spine: the unique_ptr slot holding its top join plus
 // the ancestor chain from the root down to that slot (root-first, with the child index taken).
 struct SpineSite {
@@ -327,7 +330,7 @@ ReoptRewrite ReoptimizePlan(const PhysicalOp& original, const CardinalityMap& ob
       auto est = planned.find(join->child(0)->id);
       const uint64_t planned_rows = est == planned.end() ? 0 : est->second;
       const uint64_t ratio = 100 * obs->second / std::max<uint64_t>(planned_rows, 1);
-      if (ratio >= options.semi_join_blowup_pct && ratio > best_ratio) {
+      if (ratio >= kSemiJoinBlowupPct && ratio > best_ratio) {
         best = join;
         best_ratio = ratio;
       }

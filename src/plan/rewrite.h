@@ -33,10 +33,9 @@ struct ReoptRewriteOptions {
   // Sort spine joins by DESCENDING observed build rows: deliberately the worst order. Fault
   // injection so tests and the bench can force the guard's revert path.
   bool pessimize = false;
-  // Enable the semi-join-reduction insertion (gated on measured build-side blowup).
+  // Enable the semi-join-reduction insertion (gated on measured build-side blowup: observed
+  // build rows at least 3x the plan-time estimate).
   bool semi_join_reduction = false;
-  // Insert the reduction when observed build rows >= blowup_pct/100 x the plan-time estimate.
-  uint64_t semi_join_blowup_pct = 300;
 };
 
 struct ReoptRewrite {

@@ -17,22 +17,21 @@ uint64_t SamplingConfig::SampleBytes(uint64_t callstack_depth) const {
 }
 
 uint64_t Pmu::Record(Sample sample) {
-  uint64_t capture = costs_.record_base;
+  uint64_t capture = kRecordCycles;
   if (config_.capture_registers) {
-    capture += costs_.record_registers;
+    capture += kRecordRegistersCycles;
   }
   if (config_.capture_callstack) {
-    capture += costs_.record_callstack_base +
-               costs_.record_callstack_per_frame * sample.callstack.size();
+    capture += kRecordCallstackCycles + kRecordCallstackFrameCycles * sample.callstack.size();
   }
   samples_.push_back(std::move(sample));
   overhead_.capture_cycles += capture;
   ++overhead_.samples;
   uint64_t cost = capture;
-  if (++buffered_ >= costs_.buffer_capacity) {
+  if (++buffered_ >= kPebsBufferSamples) {
     buffered_ = 0;
-    cost += costs_.flush_cost;
-    overhead_.flush_cycles += costs_.flush_cost;
+    cost += kBufferFlushCycles;
+    overhead_.flush_cycles += kBufferFlushCycles;
     ++overhead_.flushes;
   }
   return cost;

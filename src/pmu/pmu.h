@@ -37,17 +37,15 @@ struct SamplingConfig {
   uint64_t SampleBytes(uint64_t callstack_depth = 0) const;
 };
 
-// Cycle costs of the sampling machinery. Defaults are calibrated against the numbers reported in
-// the paper's Section 6.2 (35% overhead for IP+time at a 5000-event period, +3% for registers,
-// 529% for call-stack sampling).
-struct PmuCosts {
-  uint64_t record_base = 6700;             // PEBS assist + amortized kernel buffer handling.
-  uint64_t record_registers = 580;         // Extra state captured per sample.
-  uint64_t record_callstack_base = 95000;  // Interrupt entry/exit for stack-walking samples.
-  uint64_t record_callstack_per_frame = 400;
-  uint64_t buffer_capacity = 4096;         // Samples per PEBS buffer.
-  uint64_t flush_cost = 60000;             // Kernel involvement when the buffer fills.
-};
+// Cycle costs of the sampling machinery, calibrated against the numbers reported in the paper's
+// Section 6.2 (35% overhead for IP+time at a 5000-event period, +3% for registers, 529% for
+// call-stack sampling).
+inline constexpr uint64_t kRecordCycles = 6700;  // PEBS assist + amortized kernel buffer handling.
+inline constexpr uint64_t kRecordRegistersCycles = 580;  // Extra state captured per sample.
+inline constexpr uint64_t kRecordCallstackCycles = 95000;  // Interrupt entry/exit for stacks.
+inline constexpr uint64_t kRecordCallstackFrameCycles = 400;
+inline constexpr uint64_t kPebsBufferSamples = 4096;  // Samples per PEBS buffer.
+inline constexpr uint64_t kBufferFlushCycles = 60000;  // Kernel involvement when the buffer fills.
 
 struct PmuCounters {
   uint64_t values[kPmuEventCount] = {};
@@ -79,8 +77,6 @@ struct SamplingOverhead {
 
 class Pmu {
  public:
-  explicit Pmu(PmuCosts costs = PmuCosts()) : costs_(costs) {}
-
   void Configure(const SamplingConfig& config) {
     config_ = config;
     armed_counter_ = 0;
@@ -88,7 +84,6 @@ class Pmu {
     overhead_ = SamplingOverhead();
   }
   const SamplingConfig& config() const { return config_; }
-  const PmuCosts& costs() const { return costs_; }
 
   // Re-arms the sampling period without disturbing the armed counter or the buffer — the
   // hardware analogue of rewriting the PEBS reset value between overflows. Used by ParallelRun
@@ -130,7 +125,6 @@ class Pmu {
   // overhead of this buffer.
   const SamplingOverhead& overhead() const { return overhead_; }
 
-  void ResetCounters() { counters_ = PmuCounters(); }
   void Reset() {
     counters_ = PmuCounters();
     samples_.clear();
@@ -140,7 +134,6 @@ class Pmu {
   }
 
  private:
-  PmuCosts costs_;
   SamplingConfig config_;
   PmuCounters counters_;
   SamplingOverhead overhead_;

@@ -21,12 +21,10 @@ class AbstractionTracker {
     DFP_CHECK(!stack_.empty());
     stack_.pop_back();
   }
-  bool HasActive() const { return !stack_.empty(); }
   Id Active() const {
     DFP_CHECK(!stack_.empty());
     return stack_.back();
   }
-  size_t depth() const { return stack_.size(); }
 
  private:
   std::vector<Id> stack_;

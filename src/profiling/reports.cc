@@ -69,17 +69,14 @@ std::string RenderAnnotatedPlan(const OperatorProfile& profile, const CompiledQu
 }
 
 std::string RenderAnnotatedListing(const ProfilingSession& session, const CompiledQuery& query,
-                                   const ListingOptions& options) {
-  DFP_CHECK(options.pipeline < query.pipelines.size());
-  const PipelineArtifact& artifact = query.pipelines[options.pipeline];
+                                   uint32_t pipeline) {
+  DFP_CHECK(pipeline < query.pipelines.size());
+  const PipelineArtifact& artifact = query.pipelines[pipeline];
 
   // Per-IR-instruction sample counts for this pipeline's segment.
   std::unordered_map<uint32_t, uint64_t> per_instr;
   uint64_t pipeline_samples = 0;
   for (const ResolvedSample& sample : session.resolved()) {
-    if (!options.window.Contains(sample.tsc)) {
-      continue;
-    }
     if (sample.segment == artifact.segment && sample.ir_id != kNoIrId) {
       ++per_instr[sample.ir_id];
       ++pipeline_samples;
@@ -117,9 +114,6 @@ std::string RenderAnnotatedListing(const ProfilingSession& session, const Compil
       continue;
     }
     const uint64_t count = per_instr.count(line.instr_id) != 0 ? per_instr[line.instr_id] : 0;
-    if (count == 0 && options.hide_cold_lines) {
-      continue;
-    }
     // Operator attribution through Log B + Log A.
     std::string owner;
     const std::vector<TaskId>* tasks = dictionary.TasksOf(line.instr_id);
@@ -362,15 +356,15 @@ std::string RenderTaskTupleCounts(const CompiledQuery& query,
 }
 
 std::string RenderMachineListing(const ProfilingSession& session, const CompiledQuery& query,
-                                 const CodeMap& code_map, const ListingOptions& options) {
-  DFP_CHECK(options.pipeline < query.pipelines.size());
-  const PipelineArtifact& artifact = query.pipelines[options.pipeline];
+                                 const CodeMap& code_map, uint32_t pipeline) {
+  DFP_CHECK(pipeline < query.pipelines.size());
+  const PipelineArtifact& artifact = query.pipelines[pipeline];
   const CodeSegment& segment = code_map.segment(artifact.segment);
 
   std::unordered_map<uint64_t, uint64_t> per_offset;
   uint64_t total = 0;
   for (const ResolvedSample& sample : session.resolved()) {
-    if (sample.segment == artifact.segment && options.window.Contains(sample.tsc)) {
+    if (sample.segment == artifact.segment) {
       ++per_offset[sample.ip - segment.base_ip];
       ++total;
     }
@@ -380,9 +374,6 @@ std::string RenderMachineListing(const ProfilingSession& session, const Compiled
                               static_cast<unsigned long long>(total));
   for (size_t offset = 0; offset < segment.code.size(); ++offset) {
     const uint64_t count = per_offset.count(offset) != 0 ? per_offset[offset] : 0;
-    if (count == 0 && options.hide_cold_lines) {
-      continue;
-    }
     std::string share =
         count > 0 && total > 0
             ? PercentString(static_cast<double>(count) / static_cast<double>(total))

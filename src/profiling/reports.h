@@ -56,16 +56,10 @@ std::string RenderAnnotatedPlan(const OperatorProfile& profile, const CompiledQu
 
 // --- Annotated IR listing (Figure 6b) ---
 
-struct ListingOptions {
-  uint32_t pipeline = 0;
-  bool hide_cold_lines = false;  // Omit lines without samples.
-  TimeWindow window;
-};
-
-// Renders one pipeline's optimized VIR with per-line sample percentage and task/operator
-// attribution, plus per-block subtotals.
+// Renders pipeline `pipeline`'s optimized VIR with per-line sample percentage and
+// task/operator attribution, plus per-block subtotals.
 std::string RenderAnnotatedListing(const ProfilingSession& session, const CompiledQuery& query,
-                                   const ListingOptions& options = ListingOptions());
+                                   uint32_t pipeline = 0);
 
 // --- Operator activity over time (Figures 7 / 11) ---
 
@@ -130,8 +124,7 @@ ActivityTimeline BuildLocalityTimeline(const ProfilingSession& session, size_t b
 // markers, and the IR id each instruction was lowered from. This is the level a conventional
 // profiler stops at; the annotated IR listing and plan views are what Tailored Profiling adds.
 std::string RenderMachineListing(const ProfilingSession& session, const CompiledQuery& query,
-                                 const CodeMap& code_map,
-                                 const ListingOptions& options = ListingOptions());
+                                 const CodeMap& code_map, uint32_t pipeline = 0);
 
 // --- Attribution statistics (Table 2) ---
 

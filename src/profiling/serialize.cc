@@ -86,11 +86,14 @@ Sample ParseSample(std::istringstream& stream, const std::string& line) {
       if (!(stream >> depth)) {
         Malformed(line);
       }
-      sample.callstack.resize(depth);
-      for (uint64_t& ip : sample.callstack) {
+      // The depth comes from the input: frames are read one at a time, so a depth the line
+      // cannot back fails as malformed before it sizes anything.
+      for (size_t i = 0; i < depth; ++i) {
+        uint64_t ip = 0;
         if (!(stream >> ip)) {
           Malformed(line);
         }
+        sample.callstack.push_back(ip);
       }
     } else {
       Malformed(line);

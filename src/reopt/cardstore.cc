@@ -71,7 +71,7 @@ void CardStore::Observe(uint64_t fingerprint, const std::string& name,
     entry.generation = generation_;
   }
   for (auto it = plans_.begin(); it != plans_.end();) {
-    if (it->second.generation + max_age < generation_) {
+    if (it->second.generation + kCardMaxAge < generation_) {
       it = plans_.erase(it);
     } else {
       ++it;

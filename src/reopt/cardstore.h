@@ -40,8 +40,12 @@ struct PlanCards {
   std::map<OperatorId, CardEntry> operators;
 };
 
+// Generations a plan survives unobserved before it ages out of the CardStore.
+inline constexpr uint64_t kCardMaxAge = 512;
+
 // Per-fingerprint cardinality accumulator. A generation is one Observe call; plans unobserved
-// for `max_age` generations age out, so a retired fingerprint cannot pin memory forever.
+// for more than kCardMaxAge generations age out, so a retired fingerprint cannot pin memory
+// forever.
 class CardStore {
  public:
   // Folds one execution's observed rows (and the plan-time estimates they contradict or
@@ -63,8 +67,6 @@ class CardStore {
   // store generation so a restarted service resumes from its pre-restart measurements.
   PlanCards& LoadPlan(uint64_t fingerprint) { return plans_[fingerprint]; }
   void SetLoadedGeneration(uint64_t generation) { generation_ = generation; }
-
-  uint64_t max_age = 512;
 
  private:
   uint64_t generation_ = 0;

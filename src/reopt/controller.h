@@ -24,21 +24,18 @@
 
 namespace dfp {
 
-struct ReoptConfig {
+// Trigger: the fingerprint's worst observed/estimated ratio must reach this many percent
+// (400 = measurements 4x off the estimates that picked the join order).
+inline constexpr uint64_t kReoptDivergencePct = 400;
+// Executions before a fingerprint's EWMAs are trusted enough to re-plan.
+inline constexpr uint64_t kReoptMinExecutions = 3;
+
+// The loop's switch plus the rewrite options it re-plans with (`pessimize` is the fault
+// injection the bench and the guard tests drive the revert path with).
+struct ReoptConfig : ReoptRewriteOptions {
   // Off by default: re-optimization changes compiled code and schedules, so it is opt-in like
   // every other closed-loop feature (byte-identical reruns stay the default contract).
   bool enabled = false;
-  // Trigger: the fingerprint's worst observed/estimated ratio must reach this many percent
-  // (400 = measurements 4x off the estimates that picked the join order).
-  uint64_t divergence_pct = 400;
-  // Executions before a fingerprint's EWMAs are trusted enough to re-plan.
-  uint64_t min_executions = 3;
-  // Enable the semi-join-reduction insertion, gated on measured build-side blowup.
-  bool semi_join_reduction = false;
-  uint64_t semi_join_blowup_pct = 300;
-  // Fault injection: rewrite to the WORST measured join order instead of the best. The guard
-  // must catch and revert it — tests and the bench drive the revert path this way.
-  bool pessimize = false;
 };
 
 // Payload of a re-optimization guarded action (src/continuous/guard.h). kDecided spans the

@@ -81,11 +81,14 @@ ExprPtr ParseExpr(std::istream& in) {
   expr->un = static_cast<UnOp>(un);
   expr->agg = static_cast<AggOp>(agg);
   expr->pattern = DecodeToken(pattern_token);
-  expr->list.resize(list_size);
-  for (int64_t& candidate : expr->list) {
+  // Counts come from the input: elements are read one at a time, so a count the line cannot
+  // back fails as malformed before it sizes anything.
+  for (size_t i = 0; i < list_size; ++i) {
+    int64_t candidate = 0;
     if (!(stream >> candidate)) {
       Malformed(line);
     }
+    expr->list.push_back(candidate);
   }
   size_t whens = 0;
   int has_left = 0;
@@ -185,26 +188,25 @@ PhysicalOpPtr ParseOp(std::istream& in, const Database& db) {
     }
     op->table = &db.table(table_name);
   }
-  op->output.resize(outputs);
-  for (OutputColumn& column : op->output) {
+  for (size_t i = 0; i < outputs; ++i) {
     std::string name_token;
     int type = 0;
     if (!(stream >> name_token >> type) || type < 0 || type > kMaxColumnType) {
       Malformed(line);
     }
-    column.name = DecodeToken(name_token);
-    column.type = static_cast<ColumnType>(type);
+    op->output.push_back({DecodeToken(name_token), static_cast<ColumnType>(type)});
   }
   auto read_slots = [&stream, &line](std::vector<int>& slots) {
     size_t count = 0;
     if (!(stream >> count)) {
       Malformed(line);
     }
-    slots.resize(count);
-    for (int& slot : slots) {
+    for (size_t i = 0; i < count; ++i) {
+      int slot = 0;
       if (!(stream >> slot)) {
         Malformed(line);
       }
+      slots.push_back(slot);
     }
   };
   read_slots(op->build_keys);
@@ -215,13 +217,14 @@ PhysicalOpPtr ParseOp(std::istream& in, const Database& db) {
   if (!(stream >> sorts)) {
     Malformed(line);
   }
-  op->sort_items.resize(sorts);
-  for (SortItem& item : op->sort_items) {
+  for (size_t i = 0; i < sorts; ++i) {
+    SortItem item;
     int descending = 0;
     if (!(stream >> item.slot >> descending) || descending < 0 || descending > 1) {
       Malformed(line);
     }
     item.descending = descending != 0;
+    op->sort_items.push_back(item);
   }
   size_t exprs = 0;
   if (!(stream >> exprs)) {
@@ -231,11 +234,9 @@ PhysicalOpPtr ParseOp(std::istream& in, const Database& db) {
   if (stream >> trailing) {
     Malformed(line);
   }
-  op->exprs.reserve(exprs);
   for (size_t i = 0; i < exprs; ++i) {
     op->exprs.push_back(ParseExpr(in));
   }
-  op->children.reserve(children);
   for (size_t i = 0; i < children; ++i) {
     op->children.push_back(ParseOp(in, db));
   }

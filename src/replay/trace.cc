@@ -17,7 +17,7 @@
 namespace dfp {
 namespace {
 
-constexpr const char* kTraceHeader = "# dfp trace v5";
+constexpr const char* kTraceHeader = "# dfp trace v6";
 
 [[noreturn]] void Malformed(const std::string& line) {
   throw Error("malformed trace line: '" + line + "'");
@@ -293,7 +293,7 @@ WorkloadTrace ReadTrace(std::istream& in) {
       } else {
         Malformed(line);
       }
-      q.literals.reserve(bindings);
+      // `bindings` comes from the input: read one at a time, never reserved up front.
       for (size_t i = 0; i < bindings; ++i) {
         std::string kind_token;
         if (!(stream >> kind_token)) {

@@ -51,10 +51,7 @@ void ForEachKnob(Visit&& visit) {
   DFP_KNOB(parallel.workers);
   DFP_KNOB(parallel.morsel_rows);
   DFP_KNOB(parallel.scheduler);
-  DFP_KNOB(parallel.numa_nodes);
   DFP_KNOB(max_active_sessions);
-  DFP_KNOB(queue_depth);
-  DFP_KNOB(code_budget_bytes);
   DFP_KNOB(session_hashtables_bytes);
   DFP_KNOB(session_state_bytes);
   DFP_KNOB(session_output_bytes);
@@ -67,26 +64,18 @@ void ForEachKnob(Visit&& visit) {
   DFP_KNOB(profiling.packed_tags);
   DFP_KNOB(continuous.windows_enabled);
   DFP_KNOB(continuous.window.width_cycles);
-  DFP_KNOB(continuous.window.ring_windows);
   DFP_KNOB(continuous.governor.enabled);
   DFP_KNOB(continuous.governor.overhead_budget);
-  DFP_KNOB(continuous.governor.min_period);
-  DFP_KNOB(continuous.governor.max_period);
-  // The regression thresholds drive both guards' keep/revert verdicts.
+  // The remote-share threshold drives both guards' keep/revert verdicts.
   DFP_KNOB(continuous.regression.remote_share_drift);
-  DFP_KNOB(continuous.regression.min_samples);
   DFP_KNOB(tiering.enabled);
   DFP_KNOB(tiering.break_even_ratio);
-  DFP_KNOB(tiering.min_executions);
   DFP_KNOB(sched.slack_scheduling);
   DFP_KNOB(sched.placement_repair);
   DFP_KNOB(sched.deadline_admission);
   DFP_KNOB(sched.repair_pessimize);
   DFP_KNOB(reopt.enabled);
-  DFP_KNOB(reopt.divergence_pct);
-  DFP_KNOB(reopt.min_executions);
   DFP_KNOB(reopt.semi_join_reduction);
-  DFP_KNOB(reopt.semi_join_blowup_pct);
   DFP_KNOB(reopt.pessimize);
 #undef DFP_KNOB
 }
@@ -186,7 +175,7 @@ struct WorkloadTrace {
 };
 
 // Line-oriented text format:
-//   # dfp trace v5
+//   # dfp trace v6
 //   catalog <version>
 //   start <cycles>
 //   knobs <path>=<value> ...  (every ForEachKnob row, in table order; integers, flags and enums
@@ -203,7 +192,7 @@ struct WorkloadTrace {
 //   fp <structure-hex> <execs> <cycles> <p50> <p95> <max> <topsamples> <top-token> <name-token>
 //   end
 // Name tokens are percent-encoded (src/replay/plan_codec.h); hashes and fingerprints are 16
-// lowercase hex digits. The reader refuses any header but v5 and throws dfp::Error on
+// lowercase hex digits. The reader refuses any header but v6 and throws dfp::Error on
 // truncation, malformed lines, or a `knobs` line CheckServiceConfig refuses.
 void WriteTrace(const WorkloadTrace& trace, std::ostream& out);
 std::string EncodeTraceText(const WorkloadTrace& trace);

@@ -52,7 +52,6 @@ class HashTableView {
   HashTableView(const VMem& mem, VAddr table) : mem_(mem), table_(table) {}
 
   uint64_t count() const { return mem_.Read<uint64_t>(table_ + kHtCount); }
-  uint64_t entry_size() const { return mem_.Read<uint64_t>(table_ + kHtEntrySize); }
 
   // Addresses of all entries, enumerated directory-slot by directory-slot (the same order
   // generated table scans over the hash table observe).
@@ -60,10 +59,6 @@ class HashTableView {
 
   // Addresses of the entries in the chain for `hash`.
   std::vector<VAddr> Chain(uint64_t hash) const;
-
-  uint64_t PayloadU64(VAddr entry, int64_t offset) const {
-    return mem_.Read<uint64_t>(entry + kHtEntryPayload + offset);
-  }
 
  private:
   const VMem& mem_;

@@ -80,10 +80,10 @@ void Runtime::BuildHtInsert() {
   b.Ret(Value::Reg(bump));
 
   EmittedFunction emitted = CompileFunction(fn, RuntimeCompileOptions());
-  ht_insert_segment_ =
+  const uint32_t segment =
       code_map_->AddSegment(SegmentKind::kRuntime, "rt_ht_insert", std::move(emitted.code));
-  ht_insert_fn_ = code_map_->AddFunction("rt_ht_insert", ht_insert_segment_, 0,
-                                         emitted.spill_slots, emitted.num_args);
+  ht_insert_fn_ = code_map_->AddFunction("rt_ht_insert", segment, 0, emitted.spill_slots,
+                                         emitted.num_args);
 }
 
 void Runtime::BuildHtInsertLocked() {

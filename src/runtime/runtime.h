@@ -60,9 +60,6 @@ class Runtime {
   uint32_t RegisterSortSpec(SortSpec spec);
   uint32_t RegisterPattern(std::string pattern);
 
-  // Machine-code segments of the compiled shared functions (for listings and tests).
-  uint32_t ht_insert_segment() const { return ht_insert_segment_; }
-
  private:
   void BuildHtInsert();
   void BuildHtInsertLocked();
@@ -75,7 +72,6 @@ class Runtime {
   uint32_t hashtable_region_;
 
   uint32_t ht_insert_fn_ = 0;
-  uint32_t ht_insert_segment_ = 0;
   uint32_t ht_insert_locked_fn_ = 0;
   uint32_t ht_lookup_fn_ = 0;
   uint32_t sort_fn_ = 0;

@@ -58,7 +58,7 @@ void PlanCache::Insert(CachedPlanPtr entry) {
   entries_[key] = Slot{std::move(entry), lru_.begin()};
   stats_.resident_entries = entries_.size();
 
-  while (stats_.resident_code_bytes > code_budget_bytes_ && entries_.size() > 1) {
+  while (stats_.resident_code_bytes > kCodeBudgetBytes && entries_.size() > 1) {
     const Key victim = lru_.back();
     auto it = entries_.find(victim);
     stats_.resident_code_bytes -= it->second.entry->code_bytes;

@@ -7,8 +7,8 @@
 // shared_ptrs: an entry evicted while a session still executes it stays alive until the session
 // finishes.
 //
-// Eviction is LRU under a configurable code-memory budget (the paper's always-on production
-// framing: generated code is a resource to manage, not a one-shot byproduct). Catalog changes
+// Eviction is LRU under a fixed code-memory budget (the paper's always-on production framing:
+// generated code is a resource to manage, not a one-shot byproduct). Catalog changes
 // invalidate the whole cache; the catalog version is also mixed into every fingerprint, so a
 // stale entry could never be looked up again anyway — invalidation just reclaims its budget.
 #ifndef DFP_SRC_SERVICE_PLAN_CACHE_H_
@@ -96,14 +96,16 @@ struct PlanCacheStats {
   uint64_t tier_swaps = 0;
 };
 
+// Budget over the cache's resident generated machine-code bytes.
+inline constexpr uint64_t kCodeBudgetBytes = 1ull << 20;
+
 class PlanCache {
  public:
   // In parameterized mode (tiering enabled) entries key on (structure, pinned): one entry
   // serves every literal binding of a plan family, and a Lookup hit may require patching
   // (caller compares `fingerprint.literals`). Otherwise the key is (structure, literals) and
   // hits are always exact — the historical behavior, bit-for-bit.
-  explicit PlanCache(uint64_t code_budget_bytes, bool parameterized = false)
-      : code_budget_bytes_(code_budget_bytes), parameterized_(parameterized) {}
+  explicit PlanCache(bool parameterized) : parameterized_(parameterized) {}
 
   // Returns the entry for `fingerprint` (bumping it to most-recently-used and counting a hit),
   // or null (counting a miss).
@@ -127,8 +129,6 @@ class PlanCache {
   void NoteTierSwap() { ++stats_.tier_swaps; }
 
   const PlanCacheStats& stats() const { return stats_; }
-  uint64_t code_budget_bytes() const { return code_budget_bytes_; }
-  bool parameterized() const { return parameterized_; }
 
  private:
   using Key = std::pair<uint64_t, uint64_t>;  // (structure, literals) or (structure, pinned).
@@ -142,7 +142,6 @@ class PlanCache {
     return {fingerprint.structure, parameterized_ ? fingerprint.pinned : fingerprint.literals};
   }
 
-  uint64_t code_budget_bytes_;
   bool parameterized_;
   std::map<Key, Slot> entries_;
   std::list<Key> lru_;  // Front = most recently used.

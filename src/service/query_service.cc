@@ -1,7 +1,9 @@
 #include "src/service/query_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <type_traits>
 #include <utility>
 
 #include "src/engine/codegen.h"
@@ -35,13 +37,22 @@ void CheckServiceConfig(const ServiceConfig& config) {
   // Re-optimization installs candidates through the parameterized cache's atomic swap and
   // re-binds their immediates; without tiering there is no patchable entry to swap.
   require(!config.reopt.enabled || config.tiering.enabled, "reopt.enabled requires tiering");
-  const WindowConfig& window = config.continuous.window;
-  require(window.width_cycles >= 1, "continuous.window.width_cycles must be at least 1");
-  require(window.ring_windows >= 1, "continuous.window.ring_windows must be at least 1");
-  const GovernorConfig& governor = config.continuous.governor;
-  require(governor.overhead_budget > 0, "continuous.governor.overhead_budget must be positive");
-  require(governor.min_period >= 1 && governor.min_period <= governor.max_period,
-          "continuous.governor needs 1 <= min_period <= max_period");
+  require(config.profiling.period >= 1, "profiling.period must be at least 1");
+  require(config.continuous.window.width_cycles >= 1,
+          "continuous.window.width_cycles must be at least 1");
+  require(config.continuous.governor.overhead_budget > 0,
+          "continuous.governor.overhead_budget must be positive");
+  // A ratio, share or budget is a finite non-negative number; NaN would silently fail every
+  // comparison it meets, and infinity overflows the integer thresholds derived from it.
+  ForEachKnob([&](const char* name, auto field) {
+    if constexpr (std::is_floating_point_v<std::decay_t<decltype(field(config))>>) {
+      const double value = field(config);
+      if (!std::isfinite(value) || value < 0) {
+        throw Error(std::string("invalid service config: ") + name +
+                    " must be finite and non-negative");
+      }
+    }
+  });
 }
 
 // One in-flight query: its own virtual worker pool (inside `run`) over its slot's private
@@ -114,7 +125,7 @@ void Transition(GuardedAction<Payload>& action, GuardState state, uint64_t tsc,
 QueryService::QueryService(Database& db, ServiceConfig config)
     : db_(db),
       config_(Checked(std::move(config))),
-      cache_(config_.code_budget_bytes, config_.tiering.enabled),
+      cache_(config_.tiering.enabled),
       windows_(config_.continuous.window),
       governor_(config_.continuous.governor),
       controller_(config_.tiering),
@@ -207,7 +218,7 @@ TicketId QueryService::Submit(PhysicalOpPtr plan, std::string name, uint64_t dea
       return tickets_.back()->id;
     }
   }
-  if (queue_.size() >= config_.queue_depth) {
+  if (queue_.size() >= kQueueDepth) {
     ticket->status = TicketStatus::kRejected;
     tickets_.push_back(std::move(ticket));
     if (recorder_ != nullptr) {
@@ -566,11 +577,11 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
   // Trigger: enough executions to trust the EWMAs, worst divergence past the threshold, and no
   // recompile of this family already on the lane (re-plan from the swapped result instead).
   const PlanCards* cards = cards_.Find(fp);
-  if (cards == nullptr || cards->executions < config_.reopt.min_executions) {
+  if (cards == nullptr || cards->executions < kReoptMinExecutions) {
     return;
   }
   const uint64_t divergence = cards_.MaxDivergencePct(fp);
-  if (divergence < config_.reopt.divergence_pct) {
+  if (divergence < kReoptDivergencePct) {
     return;
   }
   for (const RecompileJob& job : recompile_jobs_) {
@@ -582,19 +593,14 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
   for (const auto& [op, card] : cards->operators) {
     observed[op] = std::max<uint64_t>(card.observed_rows, 1);
   }
-  ReoptRewriteOptions rewrite_options;
-  rewrite_options.pessimize = config_.reopt.pessimize;
-  rewrite_options.semi_join_reduction = config_.reopt.semi_join_reduction;
-  rewrite_options.semi_join_blowup_pct = config_.reopt.semi_join_blowup_pct;
-  ReoptRewrite rewrite = ReoptimizePlan(*entry->query.plan, observed, rewrite_options);
+  ReoptRewrite rewrite = ReoptimizePlan(*entry->query.plan, observed, config_.reopt);
   if (!rewrite.changed) {
     return;
   }
   RecompileJob job;
   job.source = entry;
   job.candidate_plan = std::move(rewrite.plan);
-  job.literal_permutation = ReoptLiteralPermutation(*entry->query.plan, observed,
-                                                   rewrite_options);
+  job.literal_permutation = ReoptLiteralPermutation(*entry->query.plan, observed, config_.reopt);
   job.compile_cycles = EstimateCompileCycles(entry->query, kCompileCosts, entry->tier);
   const uint64_t start = std::max(ServiceNowCycles(), recompile_lane_busy_cycles_);
   job.ready_at_cycles = start + job.compile_cycles;
@@ -639,11 +645,8 @@ void QueryService::StepPlacementRepair(QueryTicket& ticket) {
       continue;  // Sort-scan / group-scan pipelines have no extents to move.
     }
     const Table& table = *pipeline.steps[0].op->table;
-    uint32_t nodes = config_.parallel.numa_nodes != 0 ? config_.parallel.numa_nodes
-                                                      : config_.parallel.workers;
-    nodes = std::min(nodes, config_.parallel.workers);
-    PartitionMap map =
-        ComputeConsumerPlacement(ticket.dag, v.pipeline, nodes, config_.sched.repair_pessimize);
+    PartitionMap map = ComputeConsumerPlacement(ticket.dag, v.pipeline, config_.parallel.workers,
+                                                config_.sched.repair_pessimize);
     if (map.empty()) {
       continue;
     }
@@ -659,15 +662,14 @@ void QueryService::StepPlacementRepair(QueryTicket& ticket) {
     // The guard's yardstick: everything in the windows up to and including this (pre-repair)
     // execution. JudgeRegression rolls up strictly after this watermark, so only post-apply
     // executions are measured against it.
-    action->baseline =
-        SnapshotPlanBaseline(windows_, fp, config_.continuous.regression.min_samples);
+    action->baseline = SnapshotPlanBaseline(windows_, fp);
     Transition(*action, GuardState::kApplied, now, sched_events_);
     return;  // At most one new action per completion.
   }
 }
 
 void QueryService::SnapshotBaseline() {
-  baseline_.Snapshot(windows_, config_.continuous.regression.min_samples);
+  baseline_.Snapshot(windows_);
 }
 
 std::vector<RegressionFinding> QueryService::DetectRegressions() const {
@@ -763,8 +765,7 @@ void QueryService::ProcessRecompiles(bool final) {
       DFP_CHECK(action != nullptr && action->state == GuardState::kDecided);
       // The guard's yardstick: everything in the windows up to the swap. JudgeRegression rolls
       // up strictly after this watermark, so only candidate executions are measured against it.
-      action->baseline = SnapshotPlanBaseline(windows_, action->fingerprint,
-                                              config_.continuous.regression.min_samples);
+      action->baseline = SnapshotPlanBaseline(windows_, action->fingerprint);
       Transition(*action, GuardState::kApplied, swapped_at, reopt_events_);
     } else {
       cache_.NoteTierSwap();

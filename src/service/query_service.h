@@ -74,6 +74,10 @@ class TraceRecorder;  // src/replay/recorder.h — capture half of fleet record/
 // identical to a standalone run's.
 inline constexpr uint64_t kCacheCongruenceBytes = 512ull * 1024;
 
+// Depth of the bounded submission queue behind the active sessions; a submission past it is
+// rejected.
+inline constexpr size_t kQueueDepth = 16;
+
 // Configuration of the continuous-profiling layer the service runs on top of the fleet profile.
 // Windows are passive (they only aggregate what the always-on profiling already collects) and
 // default on; the governor actively retunes sampling periods between executions — which changes
@@ -110,11 +114,8 @@ struct SchedFeedbackConfig {
 struct ServiceConfig {
   // Execution pool shared (time-sliced) by all active sessions.
   ParallelConfig parallel;
-  // Concurrency limits: in-flight sessions and the bounded submission queue behind them.
+  // In-flight sessions (the queue behind them holds kQueueDepth submissions).
   uint32_t max_active_sessions = 2;
-  uint32_t queue_depth = 16;
-  // Plan cache budget over generated machine-code bytes.
-  uint64_t code_budget_bytes = 1ull << 20;
   // Per-session private scratch region sizes. Must be multiples of kCacheCongruenceBytes so the
   // regions of consecutive slots stay mutually congruent; the Database's `extra_bytes` must
   // cover max_active_sessions * (sum + up to 3 * kCacheCongruenceBytes padding).
@@ -148,8 +149,9 @@ struct ServiceConfig {
 uint64_t ServiceArenaBytes(const ServiceConfig& config);
 
 // Throws dfp::Error when `config` cannot run: no session slot, a zero-byte session region,
-// re-optimization without tiering, an empty window ring or zero window width, a governor
-// budget or period range the governor cannot solve in, or a worker count outside 1..64. The
+// re-optimization without tiering, a zero sampling period or window width, a governor budget
+// that is not positive, a double knob that is negative or not finite, or a worker count
+// outside 1..64. The
 // QueryService constructor and ReadTrace both call it, so a bad config or trace `knobs` line
 // fails as an error, never as an abort.
 void CheckServiceConfig(const ServiceConfig& config);
@@ -243,7 +245,7 @@ class QueryService {
   const CriticalityTracker& criticality() const { return critpath_; }
 
   // Freezes the current window rollups as the regression baseline (fingerprints with fewer than
-  // the configured min_samples are skipped), and diffs the newest windows against it.
+  // kRegressionMinSamples are skipped), and diffs the newest windows against it.
   void SnapshotBaseline();
   const BaselineStore& baseline() const { return baseline_; }
   std::vector<RegressionFinding> DetectRegressions() const;

@@ -16,7 +16,7 @@
 namespace dfp {
 namespace {
 
-constexpr const char* kProfileHeader = "# dfp service profile v6";
+constexpr const char* kProfileHeader = "# dfp service profile v7";
 
 [[noreturn]] void Malformed(const std::string& line) {
   throw Error("malformed service profile line: '" + line + "'");
@@ -179,8 +179,7 @@ std::string DoubleKey(double value) {
 void WriteServiceProfile(const ServiceProfile& profile, const WindowedProfile& windows,
                          std::ostream& out) {
   out << kProfileHeader << "\n";
-  out << "windowcfg " << windows.config().width_cycles << " " << windows.config().ring_windows
-      << "\n";
+  out << "windowcfg " << windows.config().width_cycles << "\n";
   for (const auto& [fingerprint, plan] : profile.plans()) {
     out << "plan " << Hex16(fingerprint) << " " << plan.executions << " " << plan.cache_hits
         << " " << plan.cache_misses << " " << plan.compile_cycles << " " << plan.execute_cycles
@@ -281,7 +280,7 @@ ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows,
     stream >> kind;
     if (kind == "windowcfg") {
       WindowConfig config;
-      if (!(stream >> config.width_cycles >> config.ring_windows)) {
+      if (!(stream >> config.width_cycles)) {
         Malformed(line);
       }
       if (windows != nullptr) {

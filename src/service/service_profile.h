@@ -83,8 +83,6 @@ class ServiceProfile {
                          const std::string& bottleneck);
 
   const std::map<uint64_t, FleetPlanProfile>& plans() const { return plans_; }
-  uint64_t total_compile_cycles() const { return total_compile_cycles_; }
-  uint64_t total_execute_cycles() const { return total_execute_cycles_; }
   uint64_t total_operator_samples() const { return total_operator_samples_; }
 
   // The K hottest operators across all fingerprints, by cumulative samples (ties broken by
@@ -116,8 +114,8 @@ class ServiceProfile {
 // clock, the frozen regression baselines, the expected-slack store the slack-directed
 // scheduler and deadline admission read (src/critpath/slack.h), and the measured-cardinality
 // store and re-optimization audit trail (src/reopt/):
-//   # dfp service profile v6
-//   windowcfg <width-cycles> <ring-windows>
+//   # dfp service profile v7
+//   windowcfg <width-cycles>
 //   plan <fingerprint-hex> <executions> <hits> <misses> <compile-cycles> <execute-cycles> <name...>
 //   op <fingerprint-hex> <operator-id> <samples> <label...>
 //   crit <fingerprint-hex> <critical-cycles> <top-share-pct> <bottleneck>

@@ -126,7 +126,7 @@ FleetAggregate MergePair(FleetAggregate a, const FleetAggregate& b) {
   return a;
 }
 
-FleetAggregate AggregateShards(std::vector<FleetAggregate> leaves, uint64_t cost_per_entry) {
+FleetAggregate AggregateShards(std::vector<FleetAggregate> leaves) {
   if (leaves.empty()) {
     return FleetAggregate{};
   }
@@ -149,7 +149,7 @@ FleetAggregate AggregateShards(std::vector<FleetAggregate> leaves, uint64_t cost
   // Bounded per-level cost: every level touches each plan entry of the final union once. A
   // pure function of the leaf set (levels from the count, entries from the union), so any
   // aggregation order reports the same cost.
-  root.rollup_cycles = static_cast<uint64_t>(levels) * root.plans.size() * cost_per_entry;
+  root.rollup_cycles = static_cast<uint64_t>(levels) * root.plans.size() * kRollupCyclesPerEntry;
   return root;
 }
 

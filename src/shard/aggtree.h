@@ -5,7 +5,7 @@
 // view: each shard contributes a leaf, leaves merge pairwise up a balanced binary tree, and the
 // root is the cross-shard profile the operator reads. The cost of the roll-up is bounded per
 // level — each level touches every plan entry once — and modeled as
-// levels * entries * cost_per_entry cycles, with levels = ceil(log2 leaves).
+// levels * entries * kRollupCyclesPerEntry cycles, with levels = ceil(log2 leaves).
 //
 // Determinism is load-bearing: MergePair is commutative and associative (counters sum, names
 // and bottleneck verdicts reduce by total orders, latency sketches vector-add), so aggregating
@@ -69,12 +69,13 @@ struct FleetAggregate {
   std::map<uint64_t, FleetPlanRollup> plans;  // Keyed by fingerprint (deterministic order).
   uint32_t leaves = 0;
   // Filled by AggregateShards on the root only: tree depth and the modeled roll-up cost
-  // (levels * plan entries * cost_per_entry) — a pure function of the leaf SET, not the order.
+  // (levels * plan entries * kRollupCyclesPerEntry) — a pure function of the leaf SET, not the
+  // order.
   uint32_t levels = 0;
   uint64_t rollup_cycles = 0;
 };
 
-// Default modeled cost of merging one plan entry at one tree level.
+// Modeled cost of merging one plan entry at one tree level.
 inline constexpr uint64_t kRollupCyclesPerEntry = 400;
 
 // Builds one shard's leaf from its service's cumulative profile and live window latencies.
@@ -84,8 +85,7 @@ FleetAggregate BuildShardLeaf(const ServiceProfile& profile, const WindowedProfi
 FleetAggregate MergePair(FleetAggregate a, const FleetAggregate& b);
 
 // Rolls the shard leaves up a balanced binary tree and stamps the root's levels/rollup_cycles.
-FleetAggregate AggregateShards(std::vector<FleetAggregate> leaves,
-                               uint64_t cost_per_entry = kRollupCyclesPerEntry);
+FleetAggregate AggregateShards(std::vector<FleetAggregate> leaves);
 
 // Deterministic text report and JSON export (fixed key order; integer values plus names).
 std::string RenderFleetAggregate(const FleetAggregate& fleet, size_t top_k = 10);

@@ -107,9 +107,8 @@ int64_t FinalizePartial(const MergeAggSpec& spec, const PartialAcc& acc) {
 
 ShardMerger::ShardMerger(ShardCatalog& catalog, SamplingConfig sampling)
     : catalog_(catalog),
-      pmu_(catalog.db(0).pmu_costs()),
       cpu_(catalog.db(0).mem(), catalog.db(0).code_map(), pmu_),
-      numa_(NumaConfig{}) {
+      numa_(1) {
   pmu_.Configure(sampling);
   segment_ = catalog_.db(0).code_map().AddHostSegment(SegmentKind::kKernel, "shard.merge",
                                                       64ull * 1024);

@@ -1,5 +1,6 @@
 #include "src/sql/lexer.h"
 
+#include <algorithm>
 #include <cctype>
 #include <unordered_set>
 
@@ -8,6 +9,31 @@
 
 namespace dfp {
 namespace {
+
+// The numeric literal `sql[start, end)` (digits, and for a decimal one '.' and the first two
+// fraction digits) as an int64 scaled by 10^`scale`, or a dfp::Error when it does not fit.
+int64_t ParseNumber(const std::string& sql, size_t start, size_t end, int scale) {
+  int64_t value = 0;
+  bool fits = true;
+  int fraction = -1;  // Fraction digits consumed so far; -1 before the point.
+  for (size_t i = start; i < end && fraction < scale; ++i) {
+    if (sql[i] == '.') {
+      fraction = 0;
+      continue;
+    }
+    fits = fits && !__builtin_mul_overflow(value, 10, &value) &&
+           !__builtin_add_overflow(value, sql[i] - '0', &value);
+    fraction += fraction >= 0;
+  }
+  for (int pad = std::max(fraction, 0); pad < scale; ++pad) {
+    fits = fits && !__builtin_mul_overflow(value, 10, &value);
+  }
+  if (!fits) {
+    throw Error(StrFormat("numeric literal '%s' at offset %zu is out of range",
+                          sql.substr(start, end - start).c_str(), start));
+  }
+  return value;
+}
 
 const std::unordered_set<std::string>& Keywords() {
   static const std::unordered_set<std::string> kKeywords = {
@@ -40,20 +66,16 @@ std::vector<Token> Tokenize(const std::string& sql) {
       if (i < n && sql[i] == '.' && i + 1 < n &&
           std::isdigit(static_cast<unsigned char>(sql[i + 1]))) {
         ++i;
-        size_t frac_start = i;
         while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) {
           ++i;
         }
         token.kind = TokenKind::kDecimal;
         token.text = sql.substr(start, i - start);
-        int64_t whole = std::stoll(sql.substr(start, frac_start - 1 - start));
-        std::string frac = sql.substr(frac_start, i - frac_start);
-        frac.resize(2, '0');  // Scale-2 decimals.
-        token.decimal_value = whole * 100 + std::stoll(frac.substr(0, 2));
+        token.decimal_value = ParseNumber(sql, start, i, 2);  // Scale-2 decimals.
       } else {
         token.kind = TokenKind::kInt;
         token.text = sql.substr(start, i - start);
-        token.int_value = std::stoll(token.text);
+        token.int_value = ParseNumber(sql, start, i, 0);
       }
       tokens.push_back(std::move(token));
       continue;

@@ -36,7 +36,6 @@ class StringHeap {
             StringRefLen(packed)};
   }
 
-  size_t interned_count() const { return interned_.size(); }
 
   // Every interned string in heap-address (= first-intern) order. Replaying this sequence into
   // a fresh heap over an identically configured arena reproduces every packed reference bit for

@@ -56,7 +56,6 @@ class TableBuilder {
   void SetDate(size_t column, int32_t days) { current_[column] = days; }
   void SetDouble(size_t column, double value);
   void SetString(size_t column, std::string_view text);
-  void SetBool(size_t column, bool value) { current_[column] = value ? 1 : 0; }
 
   uint64_t row_count() const { return rows_ - (in_row_ ? 1 : 0); }
 

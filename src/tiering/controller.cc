@@ -1,6 +1,7 @@
 #include "src/tiering/controller.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace dfp {
 
@@ -14,7 +15,7 @@ bool TierController::Observe(uint64_t fingerprint, const std::string& name,
   TierState& state = state_[fingerprint];
   ++state.executions;
   state.cumulative_cycles += execute_cycles;
-  if (state.promoted || state.executions < config_.min_executions) {
+  if (state.promoted || state.executions < kTierMinExecutions) {
     return false;
   }
   // Critical-path evidence when the caller supplies it (cycles that gated latency); otherwise
@@ -27,8 +28,10 @@ bool TierController::Observe(uint64_t fingerprint, const std::string& name,
     const WindowRollup rollup = windows.RollUp(fingerprint);
     evidence = std::max(rollup.execute_cycles, state.cumulative_cycles);
   }
-  const uint64_t threshold = static_cast<uint64_t>(
-      config_.break_even_ratio * static_cast<double>(optimizing_compile_cycles));
+  // Saturating: a ratio too large for any cycle count (or not a number) never promotes.
+  const double scaled = config_.break_even_ratio * static_cast<double>(optimizing_compile_cycles);
+  const uint64_t threshold = scaled < 0x1p64 ? static_cast<uint64_t>(std::max(scaled, 0.0))
+                                             : std::numeric_limits<uint64_t>::max();
   if (evidence < threshold) {
     return false;
   }

@@ -28,9 +28,10 @@ struct TieringConfig {
   // the estimated optimizing-tier compile cost (classic break-even: at 1.0 the recompile has
   // paid for itself if the plan keeps its recent execution rate).
   double break_even_ratio = 1.0;
-  // Never promote before this many completed executions (one-shot queries stay on baseline).
-  uint64_t min_executions = 2;
 };
+
+// Never promote before this many completed executions (one-shot queries stay on baseline).
+inline constexpr uint64_t kTierMinExecutions = 2;
 
 }  // namespace dfp
 

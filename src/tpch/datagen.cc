@@ -11,6 +11,9 @@
 namespace dfp {
 namespace {
 
+// Every generated database draws from this one seed, so a scale names one dataset.
+constexpr uint64_t kTpchSeed = 19920401;
+
 constexpr std::array<const char*, 25> kNations = {
     "ALGERIA", "ARGENTINA", "BRAZIL",  "CANADA",         "EGYPT",   "ETHIOPIA",     "FRANCE",
     "GERMANY", "INDIA",     "INDONESIA", "IRAN",         "IRAQ",    "JAPAN",        "JORDAN",
@@ -61,7 +64,7 @@ TpchRowCounts TpchCountsForScale(double scale) {
 }
 
 TpchRowCounts GenerateTpch(Database& db, const TpchOptions& options) {
-  Random rng(options.seed);
+  Random rng(kTpchSeed);
   TpchRowCounts counts = TpchCountsForScale(options.scale);
 
   // --- region ---

@@ -16,7 +16,6 @@ namespace dfp {
 
 struct TpchOptions {
   double scale = 0.01;  // Fraction of TPC-H SF1 row counts.
-  uint64_t seed = 19920401;
   // When set, o_orderdate grows monotonically with o_orderkey. Used by the Figure 11
   // reproduction: lineitem is clustered on l_orderkey, so a date filter on orders makes probe
   // matches arrive clustered in time (all matches first, then none).

@@ -41,16 +41,6 @@ class Random {
   // True with probability `p`.
   bool Chance(double p) { return UniformDouble() < p; }
 
-  // Random lowercase alphabetic string of the given length.
-  std::string AlphaString(int length) {
-    std::string out;
-    out.reserve(static_cast<size_t>(length));
-    for (int i = 0; i < length; ++i) {
-      out.push_back(static_cast<char>('a' + Uniform(0, 25)));
-    }
-    return out;
-  }
-
  private:
   static uint64_t SplitMix(uint64_t x) {
     x += 0x9E3779B97F4A7C15ull;

@@ -6,14 +6,15 @@
 
 namespace dfp {
 
-CacheLevel::CacheLevel(const CacheLevelConfig& config, uint32_t line_bytes)
+static_assert(std::has_single_bit(kCacheLineBytes));
+
+CacheLevel::CacheLevel(const CacheLevelConfig& config)
     : ways_(config.ways), latency_(config.latency) {
-  DFP_CHECK(line_bytes > 0 && (line_bytes & (line_bytes - 1)) == 0);
-  uint64_t line_count = config.size_bytes / line_bytes;
+  uint64_t line_count = config.size_bytes / kCacheLineBytes;
   DFP_CHECK(line_count % ways_ == 0);
   set_count_ = static_cast<uint32_t>(line_count / ways_);
   DFP_CHECK(set_count_ > 0 && (set_count_ & (set_count_ - 1)) == 0);
-  line_shift_ = static_cast<uint32_t>(std::countr_zero(line_bytes));
+  line_shift_ = static_cast<uint32_t>(std::countr_zero(kCacheLineBytes));
   lines_.resize(line_count);
 }
 
@@ -47,12 +48,6 @@ void CacheLevel::Reset() {
   tick_ = 0;
 }
 
-CacheHierarchy::CacheHierarchy(const CacheConfig& config)
-    : config_(config),
-      l1_(config.l1, config.line_bytes),
-      l2_(config.l2, config.line_bytes),
-      l3_(config.l3, config.line_bytes) {}
-
 CacheAccessResult CacheHierarchy::Access(VAddr addr) {
   ++stats_.accesses;
   if (l1_.Access(addr)) {
@@ -67,7 +62,7 @@ CacheAccessResult CacheHierarchy::Access(VAddr addr) {
     return {3, l3_.latency()};
   }
   ++stats_.l3_misses;
-  return {4, config_.memory_latency};
+  return {4, kMemoryLatencyCycles};
 }
 
 void CacheHierarchy::Reset() {

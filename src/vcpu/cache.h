@@ -25,13 +25,13 @@ struct CacheLevelConfig {
   uint32_t latency = 0;  // Cycles to serve a hit at this level.
 };
 
-struct CacheConfig {
-  uint32_t line_bytes = 64;
-  CacheLevelConfig l1{32 * 1024, 8, 4};
-  CacheLevelConfig l2{256 * 1024, 4, 12};
-  CacheLevelConfig l3{8 * 1024 * 1024, 16, 42};
-  uint32_t memory_latency = 220;
-};
+// The simulated core's cache geometry: a Skylake-class 32 KiB L1 and 256 KiB L2 and an 8 MiB
+// L3, 64-byte lines, and the local-DRAM latency of an access that misses all three.
+inline constexpr uint32_t kCacheLineBytes = 64;
+inline constexpr CacheLevelConfig kL1Cache{32 * 1024, 8, 4};
+inline constexpr CacheLevelConfig kL2Cache{256 * 1024, 4, 12};
+inline constexpr CacheLevelConfig kL3Cache{8 * 1024 * 1024, 16, 42};
+inline constexpr uint32_t kMemoryLatencyCycles = 220;
 
 struct CacheStats {
   uint64_t accesses = 0;
@@ -44,7 +44,7 @@ struct CacheStats {
 // linear scan cheap).
 class CacheLevel {
  public:
-  CacheLevel(const CacheLevelConfig& config, uint32_t line_bytes);
+  explicit CacheLevel(const CacheLevelConfig& config);
 
   // Returns true on hit; on miss the line is installed (allocate-on-miss for loads and stores).
   bool Access(VAddr addr);
@@ -68,17 +68,15 @@ class CacheLevel {
 
 class CacheHierarchy {
  public:
-  explicit CacheHierarchy(const CacheConfig& config = CacheConfig());
+  CacheHierarchy() : l1_(kL1Cache), l2_(kL2Cache), l3_(kL3Cache) {}
 
   // Simulates a data access (loads and stores both allocate).
   CacheAccessResult Access(VAddr addr);
 
   const CacheStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = CacheStats(); }
   void Reset();
 
  private:
-  CacheConfig config_;
   CacheLevel l1_;
   CacheLevel l2_;
   CacheLevel l3_;

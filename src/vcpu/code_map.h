@@ -75,7 +75,6 @@ class CodeMap {
   CodeSegment& mutable_segment(uint32_t id) { return segments_[id]; }
   const FuncInfo& function(uint32_t id) const { return functions_[id]; }
   const std::vector<CodeSegment>& segments() const { return segments_; }
-  const std::vector<FuncInfo>& functions() const { return functions_; }
 
  private:
   // Segments are spaced out in the IP space so that ranges never collide and an IP's segment is

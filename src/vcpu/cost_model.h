@@ -25,8 +25,9 @@ inline constexpr double CyclesToNs(uint64_t cycles) {
 }
 
 // Extra latency of a DRAM access served by a remote NUMA node's memory controller (one
-// interconnect hop), added on top of CacheConfig::memory_latency. Roughly the local/remote
-// delta of a two-socket Skylake-SP (~90ns local, ~140ns remote at 4.2 GHz ≈ 130 cycles).
+// interconnect hop), added on top of kMemoryLatencyCycles (src/vcpu/cache.h). Roughly the
+// local/remote delta of a two-socket Skylake-SP (~90ns local, ~140ns remote at 4.2 GHz ≈ 130
+// cycles).
 inline constexpr uint32_t kRemoteDramPenaltyCycles = 130;
 
 // Extra latency of a memory access served by another *machine node* (a different shard's

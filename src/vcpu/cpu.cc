@@ -22,8 +22,8 @@ inline uint64_t RotateRight(uint64_t value, uint64_t amount) {
 
 }  // namespace
 
-Cpu::Cpu(VMem& mem, const CodeMap& code_map, Pmu& pmu, CacheConfig cache_config)
-    : mem_(mem), code_map_(code_map), pmu_(pmu), cache_(cache_config) {
+Cpu::Cpu(VMem& mem, const CodeMap& code_map, Pmu& pmu)
+    : mem_(mem), code_map_(code_map), pmu_(pmu) {
   frames_.reserve(64);
 }
 
@@ -362,7 +362,7 @@ void Cpu::NumaAccess(VAddr addr, int hit_level, uint32_t* cost, uint8_t* mem_nod
     *cross = true;
     ++numa_stats_.cross_node_accesses;
     if (hit_level >= 4) {
-      *cost += numa_->cross_node_penalty();
+      *cost += kCrossNodePenaltyCycles;
       ++numa_stats_.cross_node_dram;
       *sample_due |= pmu_.Tick(PmuEvent::kCrossNode);
     }
@@ -382,7 +382,7 @@ void Cpu::NumaAccess(VAddr addr, int hit_level, uint32_t* cost, uint8_t* mem_nod
   // The interconnect only matters when the access actually leaves the socket: cache hits are
   // served locally regardless of the line's home node, so charge only misses to memory.
   if (hit_level >= 4) {
-    *cost += numa_->remote_dram_penalty();
+    *cost += kRemoteDramPenaltyCycles;
     ++numa_stats_.remote_dram;
     *sample_due |= pmu_.Tick(PmuEvent::kRemoteDram);
   }

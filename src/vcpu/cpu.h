@@ -31,7 +31,7 @@ struct CpuStats {
 
 class Cpu {
  public:
-  Cpu(VMem& mem, const CodeMap& code_map, Pmu& pmu, CacheConfig cache_config = CacheConfig());
+  Cpu(VMem& mem, const CodeMap& code_map, Pmu& pmu);
 
   // Calls a function (compiled or host) and runs it to completion. Returns its result.
   uint64_t CallFunction(uint32_t func_id, std::span<const uint64_t> args);
@@ -41,10 +41,8 @@ class Cpu {
 
   VMem& mem() { return mem_; }
   const CodeMap& code_map() const { return code_map_; }
-  Pmu& pmu() { return pmu_; }
   const CacheHierarchy& cache() const { return cache_; }
   const CpuStats& stats() const { return stats_; }
-  uint64_t tag_register() const { return tag_reg_; }
 
   // Identity of this VCPU in a worker pool; stamped into every sample it takes.
   void set_worker_id(uint32_t id) { worker_id_ = id; }
@@ -53,12 +51,10 @@ class Cpu {
   // Query session this VCPU is currently executing for (service layer); stamped into every
   // sample so concurrent sessions' streams can be demultiplexed. 0 outside the service.
   void set_session_id(uint32_t id) { session_id_ = id; }
-  uint32_t session_id() const { return session_id_; }
 
   // Service shard this VCPU belongs to (1-based; 0 = unsharded). Stamped into every sample so
   // fan-out attribution survives the coordinator's fleet roll-up (the stream's `D` token).
   void set_shard_id(uint32_t id) { shard_id_ = id; }
-  uint32_t shard_id() const { return shard_id_; }
 
   // Pins this VCPU to `node` of the topology described by `numa` (borrowed; must outlive the
   // CPU or be cleared). Null disables the NUMA model: flat memory, as on single-node runs.

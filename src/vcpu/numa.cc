@@ -5,6 +5,12 @@
 #include "src/util/check.h"
 
 namespace dfp {
+namespace {
+
+// Interleave granularity of shared scratch regions (per-node stripe size).
+constexpr uint64_t kInterleaveBytes = 64ull * 1024;
+
+}  // namespace
 
 void NumaMap::AddPartitioned(VAddr base, uint64_t size) {
   DFP_CHECK(!sealed_);
@@ -82,7 +88,7 @@ uint8_t NumaMap::NodeOf(VAddr addr) const {
     return kNoNumaNode;
   }
   if (span.interleaved) {
-    return static_cast<uint8_t>((offset / config_.interleave_bytes) % config_.nodes);
+    return static_cast<uint8_t>((offset / kInterleaveBytes) % nodes_);
   }
   if (span.custom >= 0) {
     // Custom range partition: first slice whose end fraction lies past this offset.
@@ -94,11 +100,11 @@ uint8_t NumaMap::NodeOf(VAddr addr) const {
     if (slice == map.end()) {
       slice = map.end() - 1;
     }
-    return static_cast<uint8_t>(slice->node % config_.nodes);
+    return static_cast<uint8_t>(slice->node % nodes_);
   }
   // Range partition: equal contiguous shares, so element i of an N-element array lands on the
   // same node as morsel rows [i, ...) of an N-row scan.
-  return static_cast<uint8_t>(offset * config_.nodes / span.size);
+  return static_cast<uint8_t>(offset * nodes_ / span.size);
 }
 
 uint8_t NumaMap::MachineNodeOf(VAddr addr) const {

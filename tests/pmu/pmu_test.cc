@@ -52,8 +52,7 @@ TEST(Pmu, OnlyArmedEventTriggers) {
 }
 
 TEST(Pmu, RecordCostsGrowWithCapturedState) {
-  PmuCosts costs;
-  Pmu base(costs);
+  Pmu base;
   SamplingConfig config;
   config.enabled = true;
   base.Configure(config);
@@ -61,13 +60,13 @@ TEST(Pmu, RecordCostsGrowWithCapturedState) {
 
   SamplingConfig reg_config = config;
   reg_config.capture_registers = true;
-  Pmu with_regs(costs);
+  Pmu with_regs;
   with_regs.Configure(reg_config);
   uint64_t with_registers = with_regs.Record(Sample{});
 
   SamplingConfig stack_config = config;
   stack_config.capture_callstack = true;
-  Pmu with_stack(costs);
+  Pmu with_stack;
   with_stack.Configure(stack_config);
   Sample stack_sample;
   stack_sample.callstack = {1, 2, 3};
@@ -79,17 +78,16 @@ TEST(Pmu, RecordCostsGrowWithCapturedState) {
 }
 
 TEST(Pmu, BufferFlushChargedPeriodically) {
-  PmuCosts costs;
-  costs.buffer_capacity = 4;
-  Pmu pmu(costs);
+  Pmu pmu;
   SamplingConfig config;
   config.enabled = true;
   pmu.Configure(config);
   uint64_t total = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (uint64_t i = 0; i < 2 * kPebsBufferSamples; ++i) {
     total += pmu.Record(Sample{});
   }
-  EXPECT_EQ(total, 8 * costs.record_base + 2 * costs.flush_cost);
+  EXPECT_EQ(total, 2 * kPebsBufferSamples * kRecordCycles + 2 * kBufferFlushCycles);
+  EXPECT_EQ(pmu.overhead().flushes, 2u);
 }
 
 TEST(Pmu, SampleBytesAccounting) {

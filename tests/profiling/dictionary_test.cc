@@ -8,7 +8,6 @@ namespace {
 
 TEST(AbstractionTracker, StackDiscipline) {
   AbstractionTracker<uint32_t> tracker;
-  EXPECT_FALSE(tracker.HasActive());
   tracker.Push(1);
   tracker.Push(2);
   EXPECT_EQ(tracker.Active(), 2u);

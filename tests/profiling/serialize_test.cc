@@ -187,11 +187,13 @@ TEST(Serialize, OptionalTokensParseInAnyCombination) {
 
 TEST(Serialize, RejectsTruncatedAndUnknownSampleTokens) {
   // A token missing its payload, a short register or callstack list, or a token the format
-  // does not define is malformed: the loader fails cleanly instead of guessing.
+  // does not define is malformed: the loader fails cleanly instead of guessing. A callstack
+  // depth the line cannot back is malformed too, never an allocation.
   for (const char* line : {"sample 100 16777217 0 W", "sample 100 16777217 0 W x",
                            "sample 100 16777217 0 G", "sample 100 16777217 0 S 3 1 2",
                            "sample 100 16777217 0 R 1 2 3", "sample 100 16777217 0 Q 1",
-                           "sample 100 16777217"}) {
+                           "sample 100 16777217", "sample 1 2 3 S 99999999999999999",
+                           "sample 1 2 3 S 2305843009213693951"}) {
     std::stringstream stream(std::string("# dfp samples v8\n") + line + "\n");
     EXPECT_THROW(ReadSamples(stream), Error) << line;
   }

@@ -102,7 +102,6 @@ TEST_P(ReoptDifferentialTest, RewrittenPlansReturnBitIdenticalRows) {
   ReoptRewriteOptions options;
   options.pessimize = rng.Chance(0.25);  // The worst order must be wrong-order, not wrong-rows.
   options.semi_join_reduction = rng.Chance(0.5);
-  options.semi_join_blowup_pct = 150;
 
   ReoptRewrite rewrite = ReoptimizePlan(*original, observed, options);
   if (!rewrite.changed) {

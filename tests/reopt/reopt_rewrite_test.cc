@@ -293,12 +293,12 @@ TEST(ReoptCardStore, EwmaDivergenceAndAgeOut) {
   EXPECT_EQ(store.Find(0xabc)->operators.at(3).observed_rows, (3 * 100 + 500) / 4u);
   EXPECT_EQ(store.generation(), 2u);
 
-  // A plan unobserved for max_age generations ages out; the active plan survives.
-  store.max_age = 4;
-  store.Observe(0xdef, "r", observed, estimated);
-  for (int i = 0; i < 5; ++i) {
+  // A plan unobserved for more than kCardMaxAge generations ages out; the active plan survives.
+  for (uint64_t i = 0; i < kCardMaxAge; ++i) {
     store.Observe(0xdef, "r", observed, estimated);
   }
+  EXPECT_NE(store.Find(0xabc), nullptr);  // Exactly kCardMaxAge generations unobserved.
+  store.Observe(0xdef, "r", observed, estimated);
   EXPECT_EQ(store.Find(0xabc), nullptr);
   ASSERT_NE(store.Find(0xdef), nullptr);
   const std::string rendered = RenderCardStore(store);

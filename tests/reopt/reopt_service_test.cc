@@ -125,7 +125,7 @@ TEST(ReoptService, MisestimateTriggersReplanAndGuardKeepsTheWinner) {
   const PlanCards* cards = service.cards().Find(fp);
   ASSERT_NE(cards, nullptr);
   EXPECT_EQ(cards->executions, 1u);
-  EXPECT_GE(service.cards().MaxDivergencePct(fp), config.reopt.divergence_pct);
+  EXPECT_GE(service.cards().MaxDivergencePct(fp), kReoptDivergencePct);
 
   // Not before min_executions: the EWMAs need evidence before re-planning.
   EXPECT_TRUE(service.reopts().actions().empty());
@@ -135,7 +135,7 @@ TEST(ReoptService, MisestimateTriggersReplanAndGuardKeepsTheWinner) {
     ++runs;
   }
   ASSERT_FALSE(service.reopts().actions().empty());
-  EXPECT_GE(static_cast<uint64_t>(runs), config.reopt.min_executions);
+  EXPECT_GE(static_cast<uint64_t>(runs), kReoptMinExecutions);
   EXPECT_EQ(service.reopts().actions().front().fingerprint, fp);
   EXPECT_TRUE(service.reopts().actions().front().payload.reordered);
   EXPECT_GE(service.reopts().actions().front().payload.divergence_pct, 400u);
@@ -220,10 +220,10 @@ struct GuardTrack {
 
 GuardTrack TrackSpineGuard(bool overlap) {
   ServiceConfig config = ReoptConfigFor();
-  // A spine run yields ~9.1k samples at this period: six pre-apply runs clear the snapshot's
-  // min_samples floor, and the guard needs four post-apply runs to judge.
-  config.reopt.min_executions = 6;
-  config.continuous.regression.min_samples = 30000;
+  // A spine run yields 8-13 samples at this coarse period (~9.1k at 311): the pre-apply runs
+  // clear kRegressionMinSamples for the snapshot, and the guard needs three post-apply runs to
+  // gather that many again.
+  config.profiling.period = 300'000;
   auto db = MakeDb(config);
   QueryService service(*db, config);
   const uint64_t fp = service.ticket(RunSpine(service, *db, false, 50)).fingerprint.structure;
@@ -319,7 +319,7 @@ TEST(ReoptService, CardsAndReoptLogRoundTripThroughServiceProfileV6) {
   std::stringstream buffer;
   buffer << in.rdbuf();
   const std::string text = buffer.str();
-  EXPECT_NE(text.find("# dfp service profile v6"), std::string::npos);
+  EXPECT_NE(text.find("# dfp service profile v7"), std::string::npos);
   EXPECT_NE(text.find("\ncardgen "), std::string::npos);
   EXPECT_NE(text.find("\ncardplan "), std::string::npos);
   EXPECT_NE(text.find("\ncard "), std::string::npos);

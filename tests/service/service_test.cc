@@ -232,18 +232,22 @@ TEST(QueryServiceTest, ConcurrentSessionsKeepStandaloneProfiles) {
 TEST(QueryServiceTest, BoundedQueueRejectsOverflow) {
   ServiceConfig config = TestConfig();
   config.max_active_sessions = 1;
-  config.queue_depth = 2;
   auto db = MakeDb(config);
   QueryService service(*db, config);
 
-  TicketId first = service.Submit(Plan(*db, "q6"), "q6");
-  TicketId second = service.Submit(Plan(*db, "q6"), "q6");
+  // Sessions are admitted inside Drain, so kQueueDepth submissions fill the queue.
+  std::vector<TicketId> queued;
+  for (size_t i = 0; i < kQueueDepth; ++i) {
+    queued.push_back(service.Submit(Plan(*db, "q6"), "q6"));
+    EXPECT_EQ(service.ticket(queued.back()).status, TicketStatus::kQueued);
+  }
   TicketId third = service.Submit(Plan(*db, "q6"), "q6");  // Queue full.
   EXPECT_EQ(service.ticket(third).status, TicketStatus::kRejected);
 
   service.Drain();
-  EXPECT_EQ(service.ticket(first).status, TicketStatus::kDone);
-  EXPECT_EQ(service.ticket(second).status, TicketStatus::kDone);
+  for (TicketId id : queued) {
+    EXPECT_EQ(service.ticket(id).status, TicketStatus::kDone);
+  }
   EXPECT_EQ(service.ticket(third).status, TicketStatus::kRejected);
 
   // Rejected tickets never executed or compiled.
@@ -278,22 +282,47 @@ TEST(QueryServiceTest, DeadlineAbortsMidRun) {
 
 TEST(QueryServiceTest, CodeBudgetEvictsLeastRecentlyUsed) {
   ServiceConfig config = TestConfig();
-  config.code_budget_bytes = 1;  // Room for exactly one (always-kept) entry.
   auto db = MakeDb(config);
   QueryService service(*db, config);
-
-  service.Submit(Plan(*db, "q1"), "q1");
-  service.Drain();
-  service.Submit(Plan(*db, "q6"), "q6");  // Evicts q1.
-  service.Drain();
-  service.Submit(Plan(*db, "q1"), "q1");  // Recompile: q1 was evicted.
-  service.Drain();
-
+  // A wide aggregate compiles to tens of KiB of code, so a dozen literal variants (each its own
+  // exactly keyed entry: tiering is off) fill kCodeBudgetBytes.
+  std::string aggregates;
+  for (int i = 2; i < 800; ++i) {
+    aggregates += (aggregates.empty() ? "" : ", ") + std::string("sum(n_regionkey * ") +
+                  std::to_string(i) + ")";
+  }
+  auto submit = [&](int variant) {
+    const TicketId id = service.Submit(
+        PlanSql(*db, "select " + aggregates + " from nation where n_nationkey < " +
+                         std::to_string(variant)),
+        "wide");
+    service.Drain();
+    return id;
+  };
   const PlanCacheStats& stats = service.plan_cache().stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 3u);
+  submit(0);
+  const uint64_t entry_bytes = stats.resident_code_bytes;
+  const int capacity = static_cast<int>(kCodeBudgetBytes / entry_bytes);
+  ASSERT_GE(capacity, 3);
+  const TicketId first = submit(1);
+  for (int variant = 2; variant < capacity; ++variant) {
+    submit(variant);
+  }
+  ASSERT_EQ(stats.resident_code_bytes, entry_bytes * capacity);  // Full, nothing evicted yet.
+  ASSERT_EQ(stats.evictions, 0u);
+
+  submit(0);  // Hit: variant 0 becomes the most recently used entry.
+  EXPECT_EQ(stats.hits, 1u);
+  submit(capacity);  // Over budget: evicts the least recently used entry, variant 1.
+  EXPECT_EQ(stats.evictions, 1u);
+  const TicketId again = submit(1);  // Miss: recompiling variant 1 evicts variant 2.
+  EXPECT_EQ(stats.misses, static_cast<uint64_t>(capacity) + 2);
   EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.resident_entries, 1u);
+  submit(0);  // Hit: variant 0 stayed resident.
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.resident_entries, static_cast<uint64_t>(capacity));
+  EXPECT_LE(stats.resident_code_bytes, kCodeBudgetBytes);
+  EXPECT_EQ(service.ticket(again).result.rows(), service.ticket(first).result.rows());
 }
 
 TEST(QueryServiceTest, CatalogChangeInvalidatesCache) {
@@ -377,22 +406,21 @@ TEST(QueryServiceTest, ServiceProfileRoundTripsThroughText) {
   EXPECT_EQ(first.str(), second.str());
   EXPECT_EQ(reread.plans().size(), service.fleet_profile().plans().size());
   EXPECT_EQ(reread.total_operator_samples(), service.fleet_profile().total_operator_samples());
-  EXPECT_EQ(reread.total_execute_cycles(), service.fleet_profile().total_execute_cycles());
 
   // Malformed inputs are rejected, not guessed at.
   std::istringstream bad_header("# not a profile\n");
   EXPECT_THROW(ReadServiceProfile(bad_header), Error);
-  std::istringstream orphan_op("# dfp service profile v6\nop 0000000000000001 3 5 scan\n");
+  std::istringstream orphan_op("# dfp service profile v7\nop 0000000000000001 3 5 scan\n");
   EXPECT_THROW(ReadServiceProfile(orphan_op), Error);
   // A state file holds at most one reopt action per fingerprint; a second line is refused
   // instead of shadowing (or being shadowed by) the first.
   const std::string reopt = "reopt 0000000000000001 kept 10 20 30 400 1 0 q_spine\n";
-  std::istringstream one_reopt("# dfp service profile v6\n" + reopt);
+  std::istringstream one_reopt("# dfp service profile v7\n" + reopt);
   GuardLog<ReoptPayload> reopts;
   ReadServiceProfile(one_reopt, nullptr, nullptr, nullptr, nullptr, nullptr, &reopts);
   ASSERT_EQ(reopts.actions().size(), 1u);
   EXPECT_EQ(reopts.actions().front().state, GuardState::kKept);
-  std::istringstream duplicate_reopt("# dfp service profile v6\n" + reopt + reopt);
+  std::istringstream duplicate_reopt("# dfp service profile v7\n" + reopt + reopt);
   GuardLog<ReoptPayload> duplicate_sink;
   EXPECT_THROW(ReadServiceProfile(duplicate_reopt, nullptr, nullptr, nullptr, nullptr, nullptr,
                                   &duplicate_sink),

@@ -89,7 +89,7 @@ TEST(AggTree, MergePairCommutesAndAssociates) {
 }
 
 TEST(AggTree, ShuffledShardOrderRendersByteIdentical) {
-  const FleetAggregate reference = AggregateShards(MakeLeaves(), kRollupCyclesPerEntry);
+  const FleetAggregate reference = AggregateShards(MakeLeaves());
   const std::string reference_render = RenderFleetAggregate(reference);
   const std::string reference_json = JsonOf(reference);
 
@@ -105,7 +105,7 @@ TEST(AggTree, ShuffledShardOrderRendersByteIdentical) {
     for (size_t index : order) {
       shuffled.push_back(base[index]);
     }
-    const FleetAggregate root = AggregateShards(std::move(shuffled), kRollupCyclesPerEntry);
+    const FleetAggregate root = AggregateShards(std::move(shuffled));
     EXPECT_EQ(RenderFleetAggregate(root), reference_render);
     EXPECT_EQ(JsonOf(root), reference_json);
   }
@@ -114,17 +114,17 @@ TEST(AggTree, ShuffledShardOrderRendersByteIdentical) {
 TEST(AggTree, LevelsAndRollupCostArePureFunctionsOfTheLeafSet) {
   std::vector<FleetAggregate> one;
   one.push_back(MakeLeaf(0xA, "q6", 1, 1, 1));
-  const FleetAggregate single = AggregateShards(std::move(one), 500);
+  const FleetAggregate single = AggregateShards(std::move(one));
   EXPECT_EQ(single.levels, 0u);
   EXPECT_EQ(single.rollup_cycles, 0u);
   EXPECT_EQ(single.leaves, 1u);
 
   // Five leaves: 5 -> 3 -> 2 -> 1, three pairwise-merge rounds; cost = levels x union x rate.
-  const FleetAggregate root = AggregateShards(MakeLeaves(), 500);
+  const FleetAggregate root = AggregateShards(MakeLeaves());
   EXPECT_EQ(root.leaves, 5u);
   EXPECT_EQ(root.levels, 3u);
   EXPECT_EQ(root.plans.size(), 3u);
-  EXPECT_EQ(root.rollup_cycles, 3u * 3u * 500u);
+  EXPECT_EQ(root.rollup_cycles, 3u * 3u * kRollupCyclesPerEntry);
 }
 
 TEST(AggTree, MergeTakesLexicographicMinNameAndMaxBottleneck) {

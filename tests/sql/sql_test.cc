@@ -50,6 +50,21 @@ TEST(Lexer, RejectsUnterminatedString) {
   EXPECT_THROW(Tokenize("select #"), Error);
 }
 
+TEST(Lexer, NumericLiteralsOutOfRangeAreErrors) {
+  // Past int64, and a decimal whose scaled value (x100) is past int64: a dfp::Error naming
+  // the literal, never an uncaught std::out_of_range or a signed overflow.
+  EXPECT_THROW(Tokenize("select 99999999999999999999999 from lineitem limit 1"), Error);
+  EXPECT_THROW(Tokenize("select 99999999999999999.5"), Error);
+  EXPECT_THROW(Tokenize("select 9223372036854775808"), Error);
+  // The extremes that fit still lex.
+  std::vector<Token> tokens = Tokenize("select 9223372036854775807, 92233720368547758.07, 1.5");
+  ASSERT_EQ(tokens[1].kind, TokenKind::kInt);
+  EXPECT_EQ(tokens[1].int_value, INT64_MAX);
+  ASSERT_EQ(tokens[3].kind, TokenKind::kDecimal);
+  EXPECT_EQ(tokens[3].decimal_value, INT64_MAX);
+  EXPECT_EQ(tokens[5].decimal_value, 150);
+}
+
 TEST(Parser, ParsesFullSelect) {
   SelectStatement stmt = ParseSelect(
       "select a.x, sum(b.y) as total from t1 a, t2 b "

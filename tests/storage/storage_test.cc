@@ -31,7 +31,6 @@ TEST_F(StorageTest, StringHeapInternsAndReads) {
   EXPECT_EQ(heap->Get(a), "hello");
   EXPECT_EQ(heap->Get(b), "world");
   EXPECT_EQ(StringRefLen(a), 5u);
-  EXPECT_EQ(heap->interned_count(), 2u);
 }
 
 TEST_F(StorageTest, EmptyStringHasValidRef) {

@@ -211,25 +211,30 @@ TEST(TierLadderTest, TieredSamplesRoundTripWithEvents) {
 TEST(TierControllerTest, CriticalPathEvidencePicksPromotionsByLatency) {
   TieringConfig tiering;
   tiering.enabled = true;
-  tiering.min_executions = 1;
   tiering.break_even_ratio = 1.0;
   WindowedProfile windows;  // Empty windows: the legacy path falls back to cumulative cycles.
 
   // A wide-but-slack plan: it burns 10k cycles per execution but only 100 of them ever sit on
   // a query's critical path. Raw-cycle evidence would promote immediately; critical-path
   // evidence holds until the path work itself crosses break-even.
+  // The first kTierMinExecutions - 1 executions never promote, whatever the evidence.
+  static_assert(kTierMinExecutions == 2);
   TierController by_path(tiering);
   EXPECT_FALSE(by_path.Observe(0x1, "wide", windows, 10'000, 5'000, 1,
                                /*critical_path_cycles=*/100));
-  EXPECT_TRUE(by_path.Observe(0x1, "wide", windows, 10'000, 5'000, 2,
+  EXPECT_FALSE(by_path.Observe(0x1, "wide", windows, 10'000, 5'000, 2,
+                               /*critical_path_cycles=*/100));
+  EXPECT_TRUE(by_path.Observe(0x1, "wide", windows, 10'000, 5'000, 3,
                               /*critical_path_cycles=*/6'000));
   ASSERT_EQ(by_path.transitions().size(), 1u);
   EXPECT_EQ(by_path.transitions()[0].rollup_cycles, 6'000u);
 
   // Callers that pass no critical-path evidence keep the raw-cycle behavior (zero means "no
-  // analysis available", never "free promotion"): raw cycles promote on the first observation.
+  // analysis available", never "free promotion"): raw cycles promote on the first observation
+  // past the minimum.
   TierController no_evidence(tiering);
-  EXPECT_TRUE(no_evidence.Observe(0x1, "wide", windows, 10'000, 5'000, 1));
+  EXPECT_FALSE(no_evidence.Observe(0x1, "wide", windows, 10'000, 5'000, 1));
+  EXPECT_TRUE(no_evidence.Observe(0x1, "wide", windows, 10'000, 5'000, 2));
 }
 
 TEST(TierLadderTest, TieringOffKeepsOptimizedTierAndNoEvents) {

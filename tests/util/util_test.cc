@@ -105,15 +105,6 @@ TEST(Random, UniformInRange) {
   }
 }
 
-TEST(Random, AlphaStringHasRequestedLength) {
-  Random rng(7);
-  EXPECT_EQ(rng.AlphaString(12).size(), 12u);
-  for (char c : rng.AlphaString(64)) {
-    EXPECT_GE(c, 'a');
-    EXPECT_LE(c, 'z');
-  }
-}
-
 TEST(Str, LikeMatch) {
   EXPECT_TRUE(LikeMatch("chip", "chip"));
   EXPECT_TRUE(LikeMatch("microchip", "%chip"));

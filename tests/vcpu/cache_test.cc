@@ -24,12 +24,11 @@ TEST(Cache, SameLineHits) {
 }
 
 TEST(Cache, L1EvictionFallsBackToL2) {
-  CacheConfig config;
-  CacheHierarchy cache(config);
+  CacheHierarchy cache;
   // Fill one L1 set beyond its associativity: lines mapping to the same set are spaced by
   // (sets * line) = (32KB / 8 ways) = 4KB.
-  const uint64_t stride = config.l1.size_bytes / config.l1.ways;
-  for (uint64_t i = 0; i < config.l1.ways + 1; ++i) {
+  const uint64_t stride = kL1Cache.size_bytes / kL1Cache.ways;
+  for (uint64_t i = 0; i < kL1Cache.ways + 1; ++i) {
     cache.Access(0x10000 + i * stride);
   }
   // The first line was evicted from L1 but still sits in L2.
