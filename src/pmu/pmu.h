@@ -121,17 +121,9 @@ class Pmu {
   std::vector<Sample> TakeSamples() { return std::move(samples_); }
   const PmuCounters& counters() const { return counters_; }
 
-  // Cycles Record() charged for sampling since the last Configure()/Reset() — the measured
-  // overhead of this buffer.
+  // Cycles Record() charged for sampling since the last Configure() — the measured overhead of
+  // this buffer.
   const SamplingOverhead& overhead() const { return overhead_; }
-
-  void Reset() {
-    counters_ = PmuCounters();
-    samples_.clear();
-    armed_counter_ = 0;
-    buffered_ = 0;
-    overhead_ = SamplingOverhead();
-  }
 
  private:
   SamplingConfig config_;

@@ -30,8 +30,6 @@ class BranchPredictor {
     return predicted_taken != taken;
   }
 
-  void Reset() { counters_.assign(kTableSize, 1); }
-
  private:
   std::vector<uint8_t> counters_;
 };

@@ -5,47 +5,47 @@
 #include "src/util/check.h"
 
 namespace dfp {
+namespace {
 
 static_assert(std::has_single_bit(kCacheLineBytes));
+constexpr int kLineShift = std::countr_zero(kCacheLineBytes);
+
+}  // namespace
 
 CacheLevel::CacheLevel(const CacheLevelConfig& config)
     : ways_(config.ways), latency_(config.latency) {
-  uint64_t line_count = config.size_bytes / kCacheLineBytes;
-  DFP_CHECK(line_count % ways_ == 0);
-  set_count_ = static_cast<uint32_t>(line_count / ways_);
-  DFP_CHECK(set_count_ > 0 && (set_count_ & (set_count_ - 1)) == 0);
-  line_shift_ = static_cast<uint32_t>(std::countr_zero(kCacheLineBytes));
-  lines_.resize(line_count);
+  const uint64_t line_count = config.size_bytes / kCacheLineBytes;
+  DFP_CHECK(ways_ <= UINT8_MAX && line_count % ways_ == 0);
+  const uint64_t set_count = line_count / ways_;
+  DFP_CHECK(std::has_single_bit(set_count) && set_count <= UINT32_MAX);
+  set_mask_ = static_cast<uint32_t>(set_count - 1);
+  tag_shift_ = static_cast<uint32_t>(kLineShift + std::countr_zero(set_count));
+  tags_ = std::make_unique_for_overwrite<uint64_t[]>(line_count);
+  valid_ = std::make_unique<uint8_t[]>(set_count);
 }
 
 bool CacheLevel::Access(VAddr addr) {
-  uint64_t line_addr = addr >> line_shift_;
-  uint32_t set = static_cast<uint32_t>(line_addr & (set_count_ - 1));
-  uint64_t tag = line_addr >> std::countr_zero(static_cast<uint64_t>(set_count_));
-  Line* set_lines = &lines_[static_cast<size_t>(set) * ways_];
-  ++tick_;
-  uint32_t victim = 0;
-  uint64_t victim_age = ~0ull;
-  for (uint32_t way = 0; way < ways_; ++way) {
-    if (set_lines[way].tag == tag) {
-      set_lines[way].age = tick_;
+  const uint32_t set = static_cast<uint32_t>(addr >> kLineShift) & set_mask_;
+  const uint64_t tag = addr >> tag_shift_;
+  uint64_t* ranks = &tags_[static_cast<size_t>(set) * ways_];
+  const uint32_t valid = valid_[set];
+  // Search in MRU order while shifting each passed tag one rank down: the accessed tag lands in
+  // rank 0 and the tag displaced last fills the freed rank.
+  uint64_t carry = tag;
+  for (uint32_t rank = 0; rank < valid; ++rank) {
+    const uint64_t held = ranks[rank];
+    ranks[rank] = carry;
+    if (held == tag) {
       return true;
     }
-    if (set_lines[way].age < victim_age) {
-      victim_age = set_lines[way].age;
-      victim = way;
-    }
+    carry = held;
   }
-  set_lines[victim].tag = tag;
-  set_lines[victim].age = tick_;
+  // Miss: a set with a free way keeps every tag; a full set drops its LRU tag (`carry`).
+  if (valid < ways_) {
+    ranks[valid] = carry;
+    valid_[set] = static_cast<uint8_t>(valid + 1);
+  }
   return false;
-}
-
-void CacheLevel::Reset() {
-  for (Line& line : lines_) {
-    line = Line();
-  }
-  tick_ = 0;
 }
 
 CacheAccessResult CacheHierarchy::Access(VAddr addr) {
@@ -63,13 +63,6 @@ CacheAccessResult CacheHierarchy::Access(VAddr addr) {
   }
   ++stats_.l3_misses;
   return {4, kMemoryLatencyCycles};
-}
-
-void CacheHierarchy::Reset() {
-  l1_.Reset();
-  l2_.Reset();
-  l3_.Reset();
-  stats_ = CacheStats();
 }
 
 }  // namespace dfp

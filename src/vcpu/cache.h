@@ -7,7 +7,7 @@
 #define DFP_SRC_VCPU_CACHE_H_
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "src/vcpu/vmem.h"
 
@@ -40,8 +40,12 @@ struct CacheStats {
   uint64_t l3_misses = 0;
 };
 
-// One inclusive cache level. LRU is tracked with per-line ages (small associativity makes the
-// linear scan cheap).
+// One inclusive cache level with exact LRU replacement. Each set keeps the tags of its valid
+// ways in most-recently-used order, so a hit moves its tag to the front and a miss into a full
+// set drops the last one. That evicts exactly the line an age-stamped LRU would (every access
+// has a unique time and invalid ways fill first) while storing 8 bytes per way instead of a
+// {tag, age} pair. Ways past a set's valid count are never read, so a fresh level writes only
+// the counts, not the tag array.
 class CacheLevel {
  public:
   explicit CacheLevel(const CacheLevelConfig& config);
@@ -50,20 +54,14 @@ class CacheLevel {
   bool Access(VAddr addr);
 
   uint32_t latency() const { return latency_; }
-  void Reset();
 
  private:
-  struct Line {
-    uint64_t tag = ~0ull;
-    uint64_t age = 0;
-  };
-
   uint32_t ways_;
   uint32_t latency_;
-  uint32_t set_count_;
-  uint32_t line_shift_;
-  uint64_t tick_ = 0;
-  std::vector<Line> lines_;  // set-major: lines_[set * ways_ + way]
+  uint32_t set_mask_;
+  uint32_t tag_shift_;  // log2(kCacheLineBytes * set count): address bits above the set index.
+  std::unique_ptr<uint64_t[]> tags_;  // set-major: tags_[set * ways_ + rank], rank 0 = MRU.
+  std::unique_ptr<uint8_t[]> valid_;  // Valid ways per set: ranks [0, valid_[set]) hold tags.
 };
 
 class CacheHierarchy {
@@ -74,7 +72,6 @@ class CacheHierarchy {
   CacheAccessResult Access(VAddr addr);
 
   const CacheStats& stats() const { return stats_; }
-  void Reset();
 
  private:
   CacheLevel l1_;

@@ -1,5 +1,6 @@
 #include "src/vcpu/cpu.h"
 
+#include <array>
 #include <bit>
 
 #include "src/util/check.h"
@@ -11,6 +12,15 @@ namespace {
 inline int64_t AsSigned(uint64_t value) { return static_cast<int64_t>(value); }
 inline double AsDouble(uint64_t value) { return std::bit_cast<double>(value); }
 inline uint64_t FromDouble(double value) { return std::bit_cast<uint64_t>(value); }
+
+// BaseCost of every opcode value, read once per executed instruction.
+constexpr std::array<uint8_t, 256> kBaseCosts = [] {
+  std::array<uint8_t, 256> costs{};
+  for (size_t op = 0; op < costs.size(); ++op) {
+    costs[op] = static_cast<uint8_t>(BaseCost(static_cast<Opcode>(op)));
+  }
+  return costs;
+}();
 
 inline uint64_t RotateRight(uint64_t value, uint64_t amount) {
   amount &= 63u;
@@ -33,10 +43,7 @@ uint64_t Cpu::CallFunction(uint32_t func_id, std::span<const uint64_t> args) {
     return func.host(*this, args);
   }
   DFP_CHECK(frames_.size() < kMaxStackDepth);
-  Frame frame;
-  frame.seg = &code_map_.segment(func.segment);
-  frame.off = func.entry;
-  frame.spills.resize(func.spill_slots, 0);
+  Frame frame = EnterFrame(func);
   DFP_CHECK(args.size() <= kNumPhysRegs);
   for (size_t i = 0; i < args.size(); ++i) {
     frame.regs[i] = args[i];
@@ -46,6 +53,14 @@ uint64_t Cpu::CallFunction(uint32_t func_id, std::span<const uint64_t> args) {
   stats_.max_stack_depth = std::max<uint64_t>(stats_.max_stack_depth, frames_.size());
   Run(stop_depth);
   return ret_value_;
+}
+
+Cpu::Frame Cpu::EnterFrame(const FuncInfo& func) const {
+  Frame frame;
+  frame.seg = &code_map_.segment(func.segment);
+  frame.off = func.entry;
+  frame.spills.resize(func.spill_slots, 0);
+  return frame;
 }
 
 uint64_t Cpu::ReadArg(Frame& frame, const MArg& arg, uint32_t* extra_cost) {
@@ -62,152 +77,157 @@ uint64_t Cpu::ReadArg(Frame& frame, const MArg& arg, uint32_t* extra_cost) {
 }
 
 void Cpu::Run(size_t stop_depth) {
-  while (frames_.size() > stop_depth) {
-    Frame& fr = frames_.back();
-    DFP_CHECK(fr.off < fr.seg->code.size());
-    const MInstr& in = fr.seg->code[fr.off];
-    const uint64_t ip = fr.seg->base_ip + fr.off;
-    fr.off += 1;  // Fall-through; terminators overwrite. Suspended frames resume past the call.
+  // The active frame and its code position, held in locals. `off` is stored back into the frame
+  // when the frame suspends at a call, the only time another frame or a sample can read it, and
+  // loaded again when the frame becomes active. The cached code and length stay valid while the
+  // frame is active: it holds `seg` for its whole call, and plan patching rewrites immediates in
+  // place without resizing code. Run returns when the frame it was entered with returns.
+  Frame* fr = nullptr;
+  const MInstr* code = nullptr;
+  size_t code_len = 0;
+  uint64_t base_ip = 0;
+  uint32_t off = 0;
+  const auto activate = [&] {
+    fr = &frames_.back();
+    code = fr->seg->code.data();
+    code_len = fr->seg->code.size();
+    base_ip = fr->seg->base_ip;
+    off = fr->off;
+  };
+  activate();
+  for (;;) {
+    DFP_CHECK(off < code_len);
+    const MInstr& in = code[off];
+    const uint64_t ip = base_ip + off;
+    off += 1;  // Fall-through; terminators overwrite. Suspended frames resume past the call.
 
-    uint32_t cost = BaseCost(in.op);
+    uint32_t cost = kBaseCosts[static_cast<uint8_t>(in.op)];
     uint64_t sample_addr = 0;
-    uint8_t sample_node = kNoNumaNode;
-    bool sample_remote = false;
-    bool sample_cross = false;
+    DataAccess access;  // The instruction's data access, if any, for the sample.
     bool sample_due = false;
+    bool returned = false;  // The frame Run was entered with returned.
 
     // Operand fetch helpers. `a` may be an immediate (kConst / kSetTag); `b` may be an immediate
     // for binary operations.
     const uint64_t a = in.a_is_imm ? static_cast<uint64_t>(in.imm)
-                                   : (in.ra != kNoPhysReg ? ReadReg(fr, in.ra) : 0);
+                                   : (in.ra != kNoPhysReg ? ReadReg(*fr, in.ra) : 0);
     const uint64_t b = in.b_is_imm ? static_cast<uint64_t>(in.imm)
-                                   : (in.rb != kNoPhysReg ? ReadReg(fr, in.rb) : 0);
+                                   : (in.rb != kNoPhysReg ? ReadReg(*fr, in.rb) : 0);
 
     switch (in.op) {
       case Opcode::kConst:
       case Opcode::kMov:
-        WriteReg(fr, in.dst, a);
+        WriteReg(*fr, in.dst, a);
         break;
       case Opcode::kAdd:
-        WriteReg(fr, in.dst, a + b);
+        WriteReg(*fr, in.dst, a + b);
         break;
       case Opcode::kSub:
-        WriteReg(fr, in.dst, a - b);
+        WriteReg(*fr, in.dst, a - b);
         break;
       case Opcode::kMul:
-        WriteReg(fr, in.dst, a * b);
+        WriteReg(*fr, in.dst, a * b);
         break;
       case Opcode::kDiv:
         DFP_CHECK(b != 0);
-        WriteReg(fr, in.dst, static_cast<uint64_t>(AsSigned(a) / AsSigned(b)));
+        WriteReg(*fr, in.dst, static_cast<uint64_t>(AsSigned(a) / AsSigned(b)));
         break;
       case Opcode::kRem:
         DFP_CHECK(b != 0);
-        WriteReg(fr, in.dst, static_cast<uint64_t>(AsSigned(a) % AsSigned(b)));
+        WriteReg(*fr, in.dst, static_cast<uint64_t>(AsSigned(a) % AsSigned(b)));
         break;
       case Opcode::kAnd:
-        WriteReg(fr, in.dst, a & b);
+        WriteReg(*fr, in.dst, a & b);
         break;
       case Opcode::kOr:
-        WriteReg(fr, in.dst, a | b);
+        WriteReg(*fr, in.dst, a | b);
         break;
       case Opcode::kXor:
-        WriteReg(fr, in.dst, a ^ b);
+        WriteReg(*fr, in.dst, a ^ b);
         break;
       case Opcode::kShl:
-        WriteReg(fr, in.dst, a << (b & 63));
+        WriteReg(*fr, in.dst, a << (b & 63));
         break;
       case Opcode::kShr:
-        WriteReg(fr, in.dst, a >> (b & 63));
+        WriteReg(*fr, in.dst, a >> (b & 63));
         break;
       case Opcode::kRotr:
-        WriteReg(fr, in.dst, RotateRight(a, b));
+        WriteReg(*fr, in.dst, RotateRight(a, b));
         break;
       case Opcode::kNot:
-        WriteReg(fr, in.dst, ~a);
+        WriteReg(*fr, in.dst, ~a);
         break;
       case Opcode::kNeg:
-        WriteReg(fr, in.dst, static_cast<uint64_t>(-AsSigned(a)));
+        WriteReg(*fr, in.dst, static_cast<uint64_t>(-AsSigned(a)));
         break;
       case Opcode::kCmpEq:
-        WriteReg(fr, in.dst, a == b ? 1 : 0);
+        WriteReg(*fr, in.dst, a == b ? 1 : 0);
         break;
       case Opcode::kCmpNe:
-        WriteReg(fr, in.dst, a != b ? 1 : 0);
+        WriteReg(*fr, in.dst, a != b ? 1 : 0);
         break;
       case Opcode::kCmpLt:
-        WriteReg(fr, in.dst, AsSigned(a) < AsSigned(b) ? 1 : 0);
+        WriteReg(*fr, in.dst, AsSigned(a) < AsSigned(b) ? 1 : 0);
         break;
       case Opcode::kCmpLe:
-        WriteReg(fr, in.dst, AsSigned(a) <= AsSigned(b) ? 1 : 0);
+        WriteReg(*fr, in.dst, AsSigned(a) <= AsSigned(b) ? 1 : 0);
         break;
       case Opcode::kCmpGt:
-        WriteReg(fr, in.dst, AsSigned(a) > AsSigned(b) ? 1 : 0);
+        WriteReg(*fr, in.dst, AsSigned(a) > AsSigned(b) ? 1 : 0);
         break;
       case Opcode::kCmpGe:
-        WriteReg(fr, in.dst, AsSigned(a) >= AsSigned(b) ? 1 : 0);
+        WriteReg(*fr, in.dst, AsSigned(a) >= AsSigned(b) ? 1 : 0);
         break;
       case Opcode::kFAdd:
-        WriteReg(fr, in.dst, FromDouble(AsDouble(a) + AsDouble(b)));
+        WriteReg(*fr, in.dst, FromDouble(AsDouble(a) + AsDouble(b)));
         break;
       case Opcode::kFSub:
-        WriteReg(fr, in.dst, FromDouble(AsDouble(a) - AsDouble(b)));
+        WriteReg(*fr, in.dst, FromDouble(AsDouble(a) - AsDouble(b)));
         break;
       case Opcode::kFMul:
-        WriteReg(fr, in.dst, FromDouble(AsDouble(a) * AsDouble(b)));
+        WriteReg(*fr, in.dst, FromDouble(AsDouble(a) * AsDouble(b)));
         break;
       case Opcode::kFDiv:
-        WriteReg(fr, in.dst, FromDouble(AsDouble(a) / AsDouble(b)));
+        WriteReg(*fr, in.dst, FromDouble(AsDouble(a) / AsDouble(b)));
         break;
       case Opcode::kFNeg:
-        WriteReg(fr, in.dst, FromDouble(-AsDouble(a)));
+        WriteReg(*fr, in.dst, FromDouble(-AsDouble(a)));
         break;
       case Opcode::kFCmpEq:
-        WriteReg(fr, in.dst, AsDouble(a) == AsDouble(b) ? 1 : 0);
+        WriteReg(*fr, in.dst, AsDouble(a) == AsDouble(b) ? 1 : 0);
         break;
       case Opcode::kFCmpNe:
-        WriteReg(fr, in.dst, AsDouble(a) != AsDouble(b) ? 1 : 0);
+        WriteReg(*fr, in.dst, AsDouble(a) != AsDouble(b) ? 1 : 0);
         break;
       case Opcode::kFCmpLt:
-        WriteReg(fr, in.dst, AsDouble(a) < AsDouble(b) ? 1 : 0);
+        WriteReg(*fr, in.dst, AsDouble(a) < AsDouble(b) ? 1 : 0);
         break;
       case Opcode::kFCmpLe:
-        WriteReg(fr, in.dst, AsDouble(a) <= AsDouble(b) ? 1 : 0);
+        WriteReg(*fr, in.dst, AsDouble(a) <= AsDouble(b) ? 1 : 0);
         break;
       case Opcode::kFCmpGt:
-        WriteReg(fr, in.dst, AsDouble(a) > AsDouble(b) ? 1 : 0);
+        WriteReg(*fr, in.dst, AsDouble(a) > AsDouble(b) ? 1 : 0);
         break;
       case Opcode::kFCmpGe:
-        WriteReg(fr, in.dst, AsDouble(a) >= AsDouble(b) ? 1 : 0);
+        WriteReg(*fr, in.dst, AsDouble(a) >= AsDouble(b) ? 1 : 0);
         break;
       case Opcode::kSiToFp:
-        WriteReg(fr, in.dst, FromDouble(static_cast<double>(AsSigned(a))));
+        WriteReg(*fr, in.dst, FromDouble(static_cast<double>(AsSigned(a))));
         break;
       case Opcode::kFpToSi:
-        WriteReg(fr, in.dst, static_cast<uint64_t>(static_cast<int64_t>(AsDouble(a))));
+        WriteReg(*fr, in.dst, static_cast<uint64_t>(static_cast<int64_t>(AsDouble(a))));
         break;
       case Opcode::kCrc32:
-        WriteReg(fr, in.dst, Crc32u64(static_cast<uint32_t>(a), b));
+        WriteReg(*fr, in.dst, Crc32u64(static_cast<uint32_t>(a), b));
         break;
       case Opcode::kLoad1:
       case Opcode::kLoad2:
       case Opcode::kLoad4:
       case Opcode::kLoad8: {
         const VAddr addr = a + static_cast<VAddr>(static_cast<int64_t>(in.disp));
-        CacheAccessResult res = cache_.Access(addr);
-        cost += res.latency;
-        sample_due |= pmu_.Tick(PmuEvent::kLoads);
-        if (res.hit_level >= 2) {
-          sample_due |= pmu_.Tick(PmuEvent::kL1Miss);
-        }
-        if (res.hit_level >= 3) {
-          sample_due |= pmu_.Tick(PmuEvent::kL2Miss);
-        }
-        if (res.hit_level >= 4) {
-          sample_due |= pmu_.Tick(PmuEvent::kL3Miss);
-        }
-        NumaAccess(addr, res.hit_level, &cost, &sample_node, &sample_remote, &sample_cross,
-                   &sample_due);
+        access = AccessData(addr);
+        cost += access.latency + access.numa_penalty;
+        sample_due |= access.sample_due | pmu_.Tick(PmuEvent::kLoads);
         sample_addr = addr;
         uint64_t value = 0;
         switch (in.op) {
@@ -224,7 +244,7 @@ void Cpu::Run(size_t stop_depth) {
             value = mem_.Read<uint64_t>(addr);
             break;
         }
-        WriteReg(fr, in.dst, value);
+        WriteReg(*fr, in.dst, value);
         break;
       }
       case Opcode::kStore1:
@@ -232,18 +252,9 @@ void Cpu::Run(size_t stop_depth) {
       case Opcode::kStore4:
       case Opcode::kStore8: {
         const VAddr addr = b + static_cast<VAddr>(static_cast<int64_t>(in.disp));
-        CacheAccessResult res = cache_.Access(addr);
-        if (res.hit_level >= 2) {
-          sample_due |= pmu_.Tick(PmuEvent::kL1Miss);
-        }
-        if (res.hit_level >= 3) {
-          sample_due |= pmu_.Tick(PmuEvent::kL2Miss);
-        }
-        if (res.hit_level >= 4) {
-          sample_due |= pmu_.Tick(PmuEvent::kL3Miss);
-        }
-        NumaAccess(addr, res.hit_level, &cost, &sample_node, &sample_remote, &sample_cross,
-                   &sample_due);
+        access = AccessData(addr);
+        cost += access.numa_penalty;  // The store buffer hides the cache latency.
+        sample_due |= access.sample_due;
         sample_addr = addr;  // PEBS records store addresses too (cache-miss profiles).
         switch (in.op) {
           case Opcode::kStore1:
@@ -262,10 +273,10 @@ void Cpu::Run(size_t stop_depth) {
         break;
       }
       case Opcode::kSelect:
-        WriteReg(fr, in.dst, a != 0 ? b : ReadReg(fr, in.rc));
+        WriteReg(*fr, in.dst, a != 0 ? b : ReadReg(*fr, in.rc));
         break;
       case Opcode::kBr:
-        fr.off = in.target0;
+        off = in.target0;
         break;
       case Opcode::kCondBr: {
         const bool taken = a != 0;
@@ -273,17 +284,20 @@ void Cpu::Run(size_t stop_depth) {
           cost += BranchPredictor::kMissPenalty;
           sample_due |= pmu_.Tick(PmuEvent::kBranchMiss);
         }
-        fr.off = taken ? in.target0 : in.target1;
+        off = taken ? in.target0 : in.target1;
         break;
       }
       case Opcode::kCall: {
         const FuncInfo& callee = code_map_.function(in.callee);
         uint64_t arg_values[kNumPhysRegs] = {};
         DFP_CHECK(in.args.size() <= kNumPhysRegs);
+        uint32_t arg_cost = 0;
         for (size_t i = 0; i < in.args.size(); ++i) {
-          arg_values[i] = ReadArg(fr, in.args[i], &cost);
+          arg_values[i] = ReadArg(*fr, in.args[i], &arg_cost);
         }
+        cost += arg_cost;
         ++stats_.calls;
+        fr->off = off;  // Suspends this frame: the callee's call stacks read its call site.
         if (callee.is_host) {
           // Charge the call cost and the instruction event before running the host body so that
           // host-side samples observe a consistent clock.
@@ -291,52 +305,54 @@ void Cpu::Run(size_t stop_depth) {
           ++stats_.instructions;
           sample_due |= pmu_.Tick(PmuEvent::kInstrRetired);
           if (sample_due) {
-            TakeSample(ip, sample_addr, sample_node, sample_remote, sample_cross);
+            TakeSample(ip, sample_addr, access);
           }
           uint64_t result =
               callee.host(*this, std::span<const uint64_t>(arg_values, in.args.size()));
           // `fr` may be dangling if the host function re-entered the VCPU; re-resolve.
-          Frame& caller = frames_.back();
+          fr = &frames_.back();
           if (in.dst != kNoPhysReg) {
-            WriteReg(caller, in.dst, result);
+            WriteReg(*fr, in.dst, result);
           }
           continue;  // Costs already charged.
         }
         DFP_CHECK(frames_.size() < kMaxStackDepth);
-        Frame frame;
-        frame.seg = &code_map_.segment(callee.segment);
-        frame.off = callee.entry;
+        Frame frame = EnterFrame(callee);
         frame.ret_dst = in.dst;
-        frame.spills.resize(callee.spill_slots, 0);
         for (size_t i = 0; i < in.args.size(); ++i) {
           frame.regs[i] = arg_values[i];
         }
         frames_.push_back(std::move(frame));
+        activate();
         stats_.max_stack_depth = std::max<uint64_t>(stats_.max_stack_depth, frames_.size());
         break;
       }
       case Opcode::kRet: {
         const uint64_t value = (in.ra != kNoPhysReg || in.a_is_imm) ? a : 0;
-        const uint8_t ret_dst = fr.ret_dst;
+        const uint8_t ret_dst = fr->ret_dst;
         frames_.pop_back();
         if (frames_.size() <= stop_depth) {
           ret_value_ = value;
-        } else if (ret_dst != kNoPhysReg) {
-          WriteReg(frames_.back(), ret_dst, value);
+          returned = true;
+          break;
+        }
+        activate();
+        if (ret_dst != kNoPhysReg) {
+          WriteReg(*fr, ret_dst, value);
         }
         break;
       }
       case Opcode::kGetTag:
-        WriteReg(fr, in.dst, tag_reg_);
+        WriteReg(*fr, in.dst, tag_reg_);
         break;
       case Opcode::kSetTag:
         tag_reg_ = a;
         break;
       case Opcode::kLoadSpill:
-        WriteReg(fr, in.dst, fr.spills[in.spill_slot]);
+        WriteReg(*fr, in.dst, fr->spills[in.spill_slot]);
         break;
       case Opcode::kStoreSpill:
-        fr.spills[in.spill_slot] = a;
+        fr->spills[in.spill_slot] = a;
         break;
     }
 
@@ -344,51 +360,65 @@ void Cpu::Run(size_t stop_depth) {
     ++stats_.instructions;
     sample_due |= pmu_.Tick(PmuEvent::kInstrRetired);
     if (sample_due) {
-      TakeSample(ip, sample_addr, sample_node, sample_remote, sample_cross);
+      TakeSample(ip, sample_addr, access);
+    }
+    if (returned) {
+      return;
     }
   }
 }
 
-void Cpu::NumaAccess(VAddr addr, int hit_level, uint32_t* cost, uint8_t* mem_node, bool* remote,
-                     bool* cross, bool* sample_due) {
-  if (numa_ == nullptr) {
-    return;
+Cpu::DataAccess Cpu::AccessData(VAddr addr) {
+  const CacheAccessResult res = cache_.Access(addr);
+  DataAccess access;
+  access.latency = res.latency;
+  if (res.hit_level >= 2) {
+    access.sample_due |= pmu_.Tick(PmuEvent::kL1Miss);
   }
-  const uint8_t machine = numa_->MachineNodeOf(addr);
-  if (machine != kLocalMachineNode) {
+  if (res.hit_level >= 3) {
+    access.sample_due |= pmu_.Tick(PmuEvent::kL2Miss);
+  }
+  if (res.hit_level >= 4) {
+    access.sample_due |= pmu_.Tick(PmuEvent::kL3Miss);
+  }
+  if (numa_ == nullptr) {
+    return access;
+  }
+  const NumaPlace place = numa_->Locate(addr);
+  if (place.machine != kLocalMachineNode) {
     // Memory homed on another machine node: a shard-fabric hop, costlier than any cross-socket
     // path. The sample reports the owning machine node in `mem_node` with the cross flag set.
-    *mem_node = machine;
-    *cross = true;
+    access.mem_node = place.machine;
+    access.cross = true;
     ++numa_stats_.cross_node_accesses;
-    if (hit_level >= 4) {
-      *cost += kCrossNodePenaltyCycles;
+    if (res.hit_level >= 4) {
+      access.numa_penalty = kCrossNodePenaltyCycles;
       ++numa_stats_.cross_node_dram;
-      *sample_due |= pmu_.Tick(PmuEvent::kCrossNode);
+      access.sample_due |= pmu_.Tick(PmuEvent::kCrossNode);
     }
-    return;
+    return access;
   }
-  const uint8_t node = numa_->NodeOf(addr);
-  if (node == kNoNumaNode) {
-    return;
+  if (place.node == kNoNumaNode) {
+    return access;
   }
-  *mem_node = node;
-  if (node == node_id_) {
+  access.mem_node = place.node;
+  if (place.node == node_id_) {
     ++numa_stats_.local_accesses;
-    return;
+    return access;
   }
-  *remote = true;
+  access.remote = true;
   ++numa_stats_.remote_accesses;
   // The interconnect only matters when the access actually leaves the socket: cache hits are
   // served locally regardless of the line's home node, so charge only misses to memory.
-  if (hit_level >= 4) {
-    *cost += kRemoteDramPenaltyCycles;
+  if (res.hit_level >= 4) {
+    access.numa_penalty = kRemoteDramPenaltyCycles;
     ++numa_stats_.remote_dram;
-    *sample_due |= pmu_.Tick(PmuEvent::kRemoteDram);
+    access.sample_due |= pmu_.Tick(PmuEvent::kRemoteDram);
   }
+  return access;
 }
 
-void Cpu::TakeSample(uint64_t ip, uint64_t addr, uint8_t mem_node, bool remote, bool cross) {
+void Cpu::TakeSample(uint64_t ip, uint64_t addr, DataAccess access) {
   const SamplingConfig& config = pmu_.config();
   if (!config.enabled) {
     return;
@@ -402,9 +432,9 @@ void Cpu::TakeSample(uint64_t ip, uint64_t addr, uint8_t mem_node, bool remote, 
   sample.stolen = stolen_work_;
   if (config.capture_address) {
     sample.addr = addr;
-    sample.mem_node = mem_node;
-    sample.numa_remote = remote;
-    sample.cross_node = cross;
+    sample.mem_node = access.mem_node;
+    sample.numa_remote = access.remote;
+    sample.cross_node = access.cross;
   }
   if (config.capture_registers) {
     sample.has_registers = true;
@@ -449,7 +479,7 @@ void Cpu::HostWork(uint32_t segment_id, uint64_t instrs) {
     stats_.instructions += chunk;
     if (pmu_.Tick(PmuEvent::kInstrRetired, chunk)) {
       const uint64_t ip = segment.base_ip + (host_ip_counter_++ % segment.virtual_size);
-      TakeSample(ip, 0);
+      TakeSample(ip, 0, DataAccess());
     }
     remaining -= chunk;
   }
@@ -457,28 +487,14 @@ void Cpu::HostWork(uint32_t segment_id, uint64_t instrs) {
 
 void Cpu::HostLoad(uint32_t segment_id, VAddr addr) {
   const CodeSegment& segment = code_map_.segment(segment_id);
-  CacheAccessResult res = cache_.Access(addr);
-  uint32_t cost = res.latency;
+  const DataAccess access = AccessData(addr);
   ++stats_.instructions;
   bool sample_due = pmu_.Tick(PmuEvent::kInstrRetired);
-  sample_due |= pmu_.Tick(PmuEvent::kLoads);
-  if (res.hit_level >= 2) {
-    sample_due |= pmu_.Tick(PmuEvent::kL1Miss);
-  }
-  if (res.hit_level >= 3) {
-    sample_due |= pmu_.Tick(PmuEvent::kL2Miss);
-  }
-  if (res.hit_level >= 4) {
-    sample_due |= pmu_.Tick(PmuEvent::kL3Miss);
-  }
-  uint8_t mem_node = kNoNumaNode;
-  bool remote = false;
-  bool cross = false;
-  NumaAccess(addr, res.hit_level, &cost, &mem_node, &remote, &cross, &sample_due);
-  cycles_ += cost;
+  sample_due |= pmu_.Tick(PmuEvent::kLoads) | access.sample_due;
+  cycles_ += access.latency + access.numa_penalty;
   if (sample_due) {
     const uint64_t ip = segment.base_ip + (host_ip_counter_++ % segment.SizeIps());
-    TakeSample(ip, addr, mem_node, remote, cross);
+    TakeSample(ip, addr, access);
   }
 }
 

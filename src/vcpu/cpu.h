@@ -95,16 +95,25 @@ class Cpu {
 
   static constexpr size_t kMaxStackDepth = 1024;
 
+  // A fresh frame positioned at the entry of compiled function `func`.
+  Frame EnterFrame(const FuncInfo& func) const;
   void Run(size_t stop_depth);
-  void TakeSample(uint64_t ip, uint64_t addr, uint8_t mem_node = kNoNumaNode,
-                  bool remote = false, bool cross = false);
-  // Resolves the NUMA placement of a data access: counts local/remote traffic, charges the
-  // remote-DRAM penalty when the access missed to memory, and reports the node/remote/cross
-  // triple for sample stamping. `hit_level` is the cache level that served the access. Memory
-  // homed on another *machine node* (cross-node span) pays the fabric penalty instead and
-  // ticks CROSS_NODE.
-  void NumaAccess(VAddr addr, int hit_level, uint32_t* cost, uint8_t* mem_node, bool* remote,
-                  bool* cross, bool* sample_due);
+  // One data access as the cache hierarchy and the NUMA model served it.
+  struct DataAccess {
+    uint32_t latency = 0;       // Cycles the cache level that served it takes.
+    uint32_t numa_penalty = 0;  // Remote-DRAM or cross-node cycles, paid on a miss to memory.
+    uint8_t mem_node = kNoNumaNode;  // Sample fields: the owning node, remote, cross-node.
+    bool remote = false;
+    bool cross = false;
+    bool sample_due = false;  // A miss or NUMA event reached its sampling period.
+  };
+
+  void TakeSample(uint64_t ip, uint64_t addr, DataAccess access);
+  // Runs a data access through the cache hierarchy, ticks its miss events, and resolves its NUMA
+  // placement: counts local/remote traffic and prices the remote-DRAM penalty when the access
+  // missed to memory. Memory homed on another *machine node* (cross-node span) pays the fabric
+  // penalty instead and ticks CROSS_NODE.
+  DataAccess AccessData(VAddr addr);
   uint64_t ReadArg(Frame& frame, const MArg& arg, uint32_t* extra_cost);
 
   uint64_t ReadReg(const Frame& frame, uint8_t reg) const {

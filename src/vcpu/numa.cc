@@ -66,59 +66,72 @@ void NumaMap::Seal() {
   for (size_t i = 1; i < spans_.size(); ++i) {
     DFP_CHECK(spans_[i - 1].base + spans_[i - 1].size <= spans_[i].base);
   }
+  // Cut every span into runs of one placement, filling the gaps between spans with unplaced
+  // pieces. The boundaries are the exact offsets where the per-address rules below change value:
+  //   range partition:  node = offset * nodes / size        (share k starts at ceil(k*size/nodes))
+  //   custom partition: slice = first whose end_frac > offset * kPlacementDenom / size
+  //                     (slice j starts at ceil(end_frac[j-1] * size / kPlacementDenom))
+  //   interleaved:      node = (offset / kInterleaveBytes) % nodes
+  //   cross-node:       machine = the span's machine node, no socket node
+  lo_ = spans_.empty() ? 0 : spans_.front().base;
+  pieces_.clear();
+  VAddr cursor = lo_;
+  for (const Span& span : spans_) {
+    AddPiece(cursor, span.base, NumaPlace{});
+    const VAddr end = span.base + span.size;
+    if (span.machine != kLocalMachineNode) {
+      AddPiece(span.base, end, NumaPlace{span.machine, kNoNumaNode});
+    } else if (span.interleaved) {
+      for (uint64_t stripe = 0; stripe * kInterleaveBytes < span.size; ++stripe) {
+        const VAddr begin = span.base + stripe * kInterleaveBytes;
+        AddPiece(begin, std::min(end, begin + kInterleaveBytes),
+                 NumaPlace{kLocalMachineNode, static_cast<uint8_t>(stripe % nodes_)});
+      }
+    } else if (span.custom >= 0) {
+      // First byte of the slice that starts at fraction `frac`.
+      const auto at = [&](uint64_t frac) {
+        return span.base + (frac * span.size + kPlacementDenom - 1) / kPlacementDenom;
+      };
+      uint64_t start_frac = 0;
+      for (const PartitionSlice& slice : customs_[span.custom]) {
+        AddPiece(at(start_frac), at(slice.end_frac),
+                 NumaPlace{kLocalMachineNode, static_cast<uint8_t>(slice.node % nodes_)});
+        start_frac = slice.end_frac;
+      }
+    } else {
+      // Equal contiguous shares, so element i of an N-element array lands on the same node as
+      // morsel rows [i, ...) of an N-row scan. `at(k)` is the first byte of node k's share.
+      const auto at = [&](uint64_t k) { return span.base + (k * span.size + nodes_ - 1) / nodes_; };
+      for (uint64_t k = 0; k < nodes_; ++k) {
+        AddPiece(at(k), at(k + 1), NumaPlace{kLocalMachineNode, static_cast<uint8_t>(k)});
+      }
+    }
+    cursor = end;
+  }
+  // Past the last span: unplaced up to the end of its chunk, then the scan's sentinel.
+  pieces_.push_back(Piece{cursor, NumaPlace{}});
+  pieces_.push_back(Piece{~0ull, NumaPlace{}});
+
+  static_assert(kInterleaveBytes == 1ull << kChunkShift);
+  const uint64_t chunks = (cursor - lo_ + kInterleaveBytes - 1) >> kChunkShift;
+  chunks_.resize(chunks);
+  uint32_t piece = 0;
+  for (uint64_t c = 0; c < chunks; ++c) {
+    const VAddr chunk_base = lo_ + (c << kChunkShift);
+    while (pieces_[piece + 1].begin <= chunk_base) {
+      ++piece;
+    }
+    const bool split = pieces_[piece + 1].begin < chunk_base + kInterleaveBytes;
+    chunks_[c] = Chunk{pieces_[piece].place, split, piece};
+  }
   sealed_ = true;
 }
 
-uint8_t NumaMap::NodeOf(VAddr addr) const {
-  DFP_CHECK(sealed_);
-  // Last span whose base is <= addr (spans are sorted and disjoint).
-  auto it = std::upper_bound(spans_.begin(), spans_.end(), addr,
-                             [](VAddr a, const Span& span) { return a < span.base; });
-  if (it == spans_.begin()) {
-    return kNoNumaNode;
+void NumaMap::AddPiece(VAddr begin, VAddr end, NumaPlace place) {
+  if (begin >= end || (!pieces_.empty() && pieces_.back().place == place)) {
+    return;
   }
-  const Span& span = *(it - 1);
-  const uint64_t offset = addr - span.base;
-  if (offset >= span.size) {
-    return kNoNumaNode;
-  }
-  if (span.machine != kLocalMachineNode) {
-    // Another machine node's memory: socket-level placement does not apply; the cross-node
-    // path (MachineNodeOf) owns the attribution.
-    return kNoNumaNode;
-  }
-  if (span.interleaved) {
-    return static_cast<uint8_t>((offset / kInterleaveBytes) % nodes_);
-  }
-  if (span.custom >= 0) {
-    // Custom range partition: first slice whose end fraction lies past this offset.
-    const PartitionMap& map = customs_[span.custom];
-    const uint64_t frac = offset * kPlacementDenom / span.size;
-    auto slice = std::upper_bound(
-        map.begin(), map.end(), frac,
-        [](uint64_t f, const PartitionSlice& s) { return f < s.end_frac; });
-    if (slice == map.end()) {
-      slice = map.end() - 1;
-    }
-    return static_cast<uint8_t>(slice->node % nodes_);
-  }
-  // Range partition: equal contiguous shares, so element i of an N-element array lands on the
-  // same node as morsel rows [i, ...) of an N-row scan.
-  return static_cast<uint8_t>(offset * nodes_ / span.size);
-}
-
-uint8_t NumaMap::MachineNodeOf(VAddr addr) const {
-  DFP_CHECK(sealed_);
-  auto it = std::upper_bound(spans_.begin(), spans_.end(), addr,
-                             [](VAddr a, const Span& span) { return a < span.base; });
-  if (it == spans_.begin()) {
-    return kLocalMachineNode;
-  }
-  const Span& span = *(it - 1);
-  if (addr - span.base >= span.size) {
-    return kLocalMachineNode;
-  }
-  return span.machine;
+  pieces_.push_back(Piece{begin, place});
 }
 
 }  // namespace dfp

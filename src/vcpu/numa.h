@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/pmu/sample.h"
+#include "src/util/check.h"
 #include "src/vcpu/cost_model.h"
 #include "src/vcpu/vmem.h"
 
@@ -33,6 +34,18 @@ struct NumaStats {
   uint64_t remote_dram = 0;      // Remote accesses that missed to DRAM and paid the penalty.
   uint64_t cross_node_accesses = 0;  // Accesses to another machine node's memory (any level).
   uint64_t cross_node_dram = 0;      // Cross-machine accesses that missed and paid the fabric hop.
+};
+
+// Where one address lives. `machine` is the machine node whose memory serves it, or
+// kLocalMachineNode for the accessing core's own machine. `node` is the socket node owning it on
+// that machine, or kNoNumaNode for memory outside any partitioned or interleaved span (code,
+// strings, other sessions' regions), which is uniformly reachable and never remote, and for
+// another machine's memory, where socket-level placement does not apply.
+struct NumaPlace {
+  uint8_t machine = kLocalMachineNode;
+  uint8_t node = kNoNumaNode;
+
+  bool operator==(const NumaPlace&) const = default;
 };
 
 // Resolves addresses to node ids for one run's topology of `nodes` sockets. Constructed per
@@ -62,16 +75,28 @@ class NumaMap {
   // cross-socket path.
   void AddCrossNode(VAddr base, uint64_t size, uint8_t machine_node);
 
-  // Call after registration, before lookups: sorts the span table for binary search.
+  // Call after registration, before lookups: cuts the spans into pieces of one placement each
+  // and indexes them by 64 KiB chunk.
   void Seal();
 
-  // Node owning `addr`, or kNoNumaNode for memory outside any registered span (code, strings,
-  // other sessions' regions): such memory is treated as uniformly reachable and never remote.
-  uint8_t NodeOf(VAddr addr) const;
-
-  // Machine node whose memory serves `addr`, or kLocalMachineNode for everything not registered
-  // via AddCrossNode (all of the accessing node's own memory).
-  uint8_t MachineNodeOf(VAddr addr) const;
+  // Placement of `addr`. O(1) and division-free: one chunk-table read, plus, in a chunk that
+  // holds piece boundaries, a forward scan over the pieces that start before `addr`.
+  NumaPlace Locate(VAddr addr) const {
+    DFP_CHECK(sealed_);
+    const uint64_t index = (addr - lo_) >> kChunkShift;  // Wraps past the table below lo_.
+    if (index >= chunks_.size()) {
+      return NumaPlace{};
+    }
+    const Chunk& chunk = chunks_[index];
+    if (!chunk.split) {
+      return chunk.place;
+    }
+    uint32_t piece = chunk.first_piece;
+    while (pieces_[piece + 1].begin <= addr) {
+      ++piece;
+    }
+    return pieces_[piece].place;
+  }
 
  private:
   struct Span {
@@ -81,11 +106,36 @@ class NumaMap {
     int32_t custom = -1;  // Index into customs_, or -1 for the default equal-share split.
     uint8_t machine = kLocalMachineNode;  // Owning machine node for cross-node spans.
   };
+  // Addresses [begin, next piece's begin) share one placement.
+  struct Piece {
+    VAddr begin = 0;
+    NumaPlace place;
+  };
+  // One 64 KiB chunk of the table: its placement if one piece covers it, otherwise the piece
+  // holding its first byte.
+  struct Chunk {
+    NumaPlace place;
+    bool split = false;
+    uint32_t first_piece = 0;
+  };
+
+  static constexpr int kChunkShift = 16;  // 64 KiB chunks: one interleave stripe each.
+
+  // Appends [begin, end) with `place`, merging it into the last piece when they match.
+  void AddPiece(VAddr begin, VAddr end, NumaPlace place);
 
   uint32_t nodes_;
   std::vector<Span> spans_;  // Sorted by base after Seal(); spans never overlap.
   std::vector<PartitionMap> customs_;
   bool sealed_ = false;
+  // Built by Seal(): pieces_ tile [lo_, end of the last span) in address order, followed by an
+  // unplaced piece at that end and a sentinel at ~0. lo_ is the first span's base and chunks_[c]
+  // covers [lo_ + c * 64 KiB, lo_ + (c + 1) * 64 KiB). An interleaved span that starts a multiple
+  // of 64 KiB above lo_, as the database's regions do, has one stripe per chunk, so its lookups
+  // read one entry.
+  VAddr lo_ = 0;
+  std::vector<Piece> pieces_;
+  std::vector<Chunk> chunks_;
 };
 
 }  // namespace dfp

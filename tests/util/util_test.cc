@@ -27,6 +27,40 @@ TEST(Hash, Crc32ZeroOfZeroSeed) {
   EXPECT_EQ(Crc32u64(0, 0), 0u);
 }
 
+// The byte-at-a-time CRC32-C loop: the definition the table-driven Crc32u64 must reproduce.
+uint32_t ByteWiseCrc32u64(uint32_t seed, uint64_t value) {
+  uint32_t crc = seed;
+  for (int i = 0; i < 64; i += 8) {
+    crc ^= static_cast<uint8_t>(value >> i);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+    }
+  }
+  return crc;
+}
+
+TEST(Hash, Crc32MatchesByteWiseLoop) {
+  for (uint64_t stream = 1; stream <= 8; ++stream) {
+    Random rng(stream);
+    for (int i = 0; i < 20000; ++i) {
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      const uint64_t value = rng.Next();
+      ASSERT_EQ(Crc32u64(seed, value), ByteWiseCrc32u64(seed, value)) << seed << " " << value;
+    }
+  }
+  // Edge values, and every single-bit value under the hashing seeds the code generator emits.
+  const uint32_t seeds[] = {0u, 0xFFFFFFFFu, static_cast<uint32_t>(kHashSeed1),
+                            static_cast<uint32_t>(kHashSeed2)};
+  for (uint32_t seed : seeds) {
+    for (uint64_t value : {0ull, ~0ull, 0x8000000000000000ull, 0x00000000FFFFFFFFull}) {
+      EXPECT_EQ(Crc32u64(seed, value), ByteWiseCrc32u64(seed, value));
+    }
+    for (int bit = 0; bit < 64; ++bit) {
+      EXPECT_EQ(Crc32u64(seed, 1ull << bit), ByteWiseCrc32u64(seed, 1ull << bit));
+    }
+  }
+}
+
 TEST(Hash, HashKeySpreadsHighBits) {
   // Directory indexing uses the hash's high bits (as the paper's generated code does with
   // `shr %11, 16`): sequential keys must land in many distinct buckets of a 1024-entry directory.

@@ -225,6 +225,38 @@ TEST(Cpu, DivisionByZeroTraps) {
       "DFP_CHECK");
 }
 
+// Registers hand-built machine code as a function and runs it on a fresh VCPU.
+void RunHandBuilt(std::vector<MInstr> code) {
+  VcpuHarness harness;
+  const uint32_t segment =
+      harness.code_map.AddSegment(SegmentKind::kGenerated, "hand_built", std::move(code));
+  harness.Run(harness.code_map.AddFunction("hand_built", segment, 0, 0, 0), {});
+}
+
+TEST(Cpu, RunningOffTheEndOfASegmentDies) {
+  MInstr set_r0;
+  set_r0.op = Opcode::kConst;
+  set_r0.dst = 0;
+  set_r0.a_is_imm = true;
+  set_r0.imm = 7;
+  MInstr ret;
+  ret.op = Opcode::kRet;
+  ret.ra = 0;
+  // Control reaches the end without a terminator: the fetch past the last instruction dies.
+  EXPECT_DEATH(RunHandBuilt({set_r0, set_r0}), "DFP_CHECK");
+  // A branch past the end of the segment dies at the target's fetch.
+  MInstr branch;
+  branch.op = Opcode::kBr;
+  branch.target0 = 3;
+  EXPECT_DEATH(RunHandBuilt({set_r0, branch, ret}), "DFP_CHECK");
+  // The same code with an in-range target runs to its return.
+  branch.target0 = 2;
+  VcpuHarness harness;
+  const uint32_t segment =
+      harness.code_map.AddSegment(SegmentKind::kGenerated, "ok", {set_r0, branch, ret});
+  EXPECT_EQ(harness.Run(harness.code_map.AddFunction("ok", segment, 0, 0, 0), {}), 7u);
+}
+
 TEST(Cpu, TagRegisterVisibleInSamples) {
   IrFunction fn("tagged", 0);
   IrIdAllocator ids;
