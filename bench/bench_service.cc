@@ -1145,7 +1145,7 @@ int Main() {
     json.Field("tier_timeline_baseline_samples", timeline.baseline_samples);
     json.Field("tier_timeline_optimized_samples", timeline.optimized_samples);
     json.Field("tier_transitions", timeline.transitions);
-    json.Field("tier_events", static_cast<uint64_t>(tiered.tier_events().size()));
+    json.Field("tier_events", timeline.transitions + timeline.swapped);
     json.Field("replay_identical", replay1.identical);
     json.Field("replay_reports_match", replay_reports_match);
     json.Field("replay_recorded_queries", replay1.recorded_queries);

@@ -6,12 +6,11 @@
 // then judges the windows that arrive afterwards against that snapshot (JudgeRegression) and
 // keeps the change or reverts it (kKept / kReverted). Placement repair
 // (src/service/placement_repair.h) and re-optimization (src/reopt/controller.h) both run this
-// lifecycle; each contributes only a payload — what it changed and how to describe it. A
-// payload type P provides:
+// lifecycle; each contributes only a payload — what it changed and how to describe it. The log
+// is the one record of each decision. A payload type P provides:
 //
-//   static constexpr const char* kName;  // Sideband line kind and timeline title ("reopt").
+//   static constexpr const char* kName;  // Timeline title ("reopt").
 //   static constexpr const char* kNone;  // What an empty timeline lists none of.
-//   std::string Subject() const;         // Sideband tokens between fingerprint and state.
 //   std::string Detail() const;          // Timeline text between state and timestamps.
 #ifndef DFP_SRC_CONTINUOUS_GUARD_H_
 #define DFP_SRC_CONTINUOUS_GUARD_H_
@@ -65,6 +64,13 @@ struct GuardedAction {
   // actions loaded from a state file.
   std::optional<PlanBaseline> baseline{};
   Payload payload{};
+
+  // Moves to `next` and stamps its TSC: resolved_tsc for kept and reverted.
+  void Transition(GuardState next, uint64_t tsc) {
+    state = next;
+    (next == GuardState::kDecided   ? decided_tsc
+     : next == GuardState::kApplied ? applied_tsc : resolved_tsc) = tsc;
+  }
 };
 
 // Append-only audit log, in decision order.

@@ -64,8 +64,8 @@ bool DiffMix(const PlanBaseline& base, const WindowRollup& current, RegressionFi
     auto cur_it = current.operators.find(op);
     drift.label = cur_it != current.operators.end() ? cur_it->second.label
                                                     : base_it->second.label;
-    drift.baseline_share = base.OperatorShare(op);
-    drift.current_share = current.OperatorShare(op);
+    drift.baseline_share = OperatorShare(base.operators, base.samples, op);
+    drift.current_share = OperatorShare(current.operators, current.samples, op);
     if (drift.baseline_share < kMinShare && drift.current_share < kMinShare) {
       continue;
     }
@@ -86,17 +86,6 @@ bool DiffMix(const PlanBaseline& base, const WindowRollup& current, RegressionFi
 }
 
 }  // namespace
-
-double PlanBaseline::OperatorShare(OperatorId op) const {
-  if (samples == 0) {
-    return 0;
-  }
-  auto it = operators.find(op);
-  if (it == operators.end()) {
-    return 0;
-  }
-  return static_cast<double>(it->second.samples) / static_cast<double>(samples);
-}
 
 std::optional<PlanBaseline> SnapshotPlanBaseline(const WindowedProfile& profile,
                                                  uint64_t fingerprint) {

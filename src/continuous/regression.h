@@ -48,8 +48,6 @@ struct PlanBaseline {
   double cycles_per_row = 0;
   double remote_share = 0;
   std::map<OperatorId, WindowOperatorStats> operators;  // Sample mix at snapshot time.
-
-  double OperatorShare(OperatorId op) const;
 };
 
 // Snapshot of `fingerprint`'s current rollup, or nullopt when it has fewer than
@@ -67,7 +65,7 @@ class BaselineStore {
   const std::map<uint64_t, PlanBaseline>& baselines() const { return baselines_; }
   const PlanBaseline* Find(uint64_t fingerprint) const;
 
-  // Loading hooks used by ReadServiceProfile (v3): restore one persisted baseline (operator
+  // Loading hooks used by ReadServiceProfile: restore one persisted baseline (operator
   // rows arrive separately, after their baseline line) so a restarted service resumes
   // regression detection against its pre-restart reference mix.
   void AddLoadedBaseline(PlanBaseline baseline);

@@ -31,12 +31,10 @@ double WindowRollup::RemoteDramShare() const {
   return loads == 0 ? 0 : static_cast<double>(remote_dram) / static_cast<double>(loads);
 }
 
-double WindowRollup::OperatorShare(OperatorId op) const {
-  if (samples == 0) {
-    return 0;
-  }
+double OperatorShare(const std::map<OperatorId, WindowOperatorStats>& operators, uint64_t samples,
+                     OperatorId op) {
   auto it = operators.find(op);
-  if (it == operators.end()) {
+  if (samples == 0 || it == operators.end()) {
     return 0;
   }
   return static_cast<double>(it->second.samples) / static_cast<double>(samples);

@@ -8,7 +8,7 @@
 // it. Only the newest kRingWindows windows per fingerprint are retained, so the structure is a
 // bounded sliding history rather than an ever-growing log. Roll-up, text rendering, and a
 // deterministic JSON export make the windows consumable offline; the service-profile text format
-// (v2) embeds them next to the cumulative counters (see src/service/service_profile.h).
+// embeds them next to the cumulative counters (see src/service/service_profile.h).
 //
 // This layer is deliberately service-agnostic: it keys on the raw structural fingerprint hash
 // and consumes the same OperatorProfile/PmuCounters every report is built from, so it can also
@@ -110,9 +110,12 @@ struct WindowRollup {
 
   double CyclesPerRow() const;
   double RemoteDramShare() const;
-  // This operator's share of the rollup's attributed samples (0 when empty).
-  double OperatorShare(OperatorId op) const;
 };
+
+// `op`'s share of the `samples` attributed samples `operators` splits (0 when there are none):
+// the one share rule of rollups and regression baselines.
+double OperatorShare(const std::map<OperatorId, WindowOperatorStats>& operators, uint64_t samples,
+                     OperatorId op);
 
 class WindowedProfile {
  public:
@@ -154,7 +157,7 @@ class WindowedProfile {
   // is what the CI determinism job checks.
   void WriteJson(std::ostream& out) const;
 
-  // Loading hooks used by ReadServiceProfile (v2): windows and their operator rows arrive in
+  // Loading hooks used by ReadServiceProfile: windows and their operator rows arrive in
   // file order; the ring bound is enforced as they load.
   void LoadWindow(uint64_t fingerprint, const std::string& name, ProfileWindow window);
   void LoadWindowOperator(uint64_t fingerprint, uint64_t window_index, WindowOperatorStats stats);

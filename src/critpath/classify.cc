@@ -1,6 +1,5 @@
 #include "src/critpath/classify.h"
 
-#include "src/util/check.h"
 #include "src/vcpu/cache.h"
 #include "src/vcpu/cost_model.h"
 
@@ -29,16 +28,6 @@ const char* BottleneckName(Bottleneck label) {
       return "insufficient-data";
   }
   return "?";
-}
-
-Bottleneck BottleneckFromName(const std::string& name) {
-  for (int i = 0; i < kBottleneckLabels; ++i) {
-    const Bottleneck label = static_cast<Bottleneck>(i);
-    if (name == BottleneckName(label)) {
-      return label;
-    }
-  }
-  throw Error("unknown bottleneck label: '" + name + "'");
 }
 
 PipelineVerdict ClassifyPipeline(const PipelineCriticality& p) {

@@ -30,7 +30,6 @@
 #define DFP_SRC_CRITPATH_CLASSIFY_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/critpath/dag.h"
@@ -49,8 +48,6 @@ inline constexpr int kBottleneckLabels = 5;
 // Stable lowercase-hyphen names ("compute-bound", ...), used by reports and the service
 // profile's `crit` lines.
 const char* BottleneckName(Bottleneck label);
-// Inverse of BottleneckName; throws dfp::Error on an unknown name.
-Bottleneck BottleneckFromName(const std::string& name);
 
 struct PipelineVerdict {
   uint32_t pipeline = 0;

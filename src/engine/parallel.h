@@ -170,9 +170,9 @@ class ParallelRun {
   std::vector<Sample> TakeMergedSamples() { return std::move(merged_samples_); }
 
   // Task-boundary records of every work unit executed so far, in execution order, with
-  // per-task PMU counter deltas — the substrate the critical-path subsystem (src/critpath/)
-  // builds its DAG from, and what sample streams serialize as `task` lines. Collected
-  // unconditionally: the records are a byproduct of the schedule, not of sampling.
+  // per-task PMU counter deltas — what WriteSamples serializes as `task` lines and what the
+  // critical-path DAG (src/critpath/) is built from (a service ticket keeps only the DAG).
+  // Collected unconditionally: a byproduct of the schedule, not of sampling.
   std::vector<TaskBoundary> TakeTaskBoundaries() { return std::move(task_boundaries_); }
 
   // Slack-policy counters of this run (all zero when constructed without a slack profile).

@@ -109,23 +109,6 @@ inline bool IsTerminator(Opcode op) {
   return op == Opcode::kBr || op == Opcode::kCondBr || op == Opcode::kRet;
 }
 
-// Number of bytes accessed by a load/store opcode.
-inline uint32_t AccessBytes(Opcode op) {
-  switch (op) {
-    case Opcode::kLoad1:
-    case Opcode::kStore1:
-      return 1;
-    case Opcode::kLoad2:
-    case Opcode::kStore2:
-      return 2;
-    case Opcode::kLoad4:
-    case Opcode::kStore4:
-      return 4;
-    default:
-      return 8;
-  }
-}
-
 }  // namespace dfp
 
 #endif  // DFP_SRC_IR_OPCODE_H_

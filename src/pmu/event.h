@@ -20,8 +20,6 @@ enum class PmuEvent : uint8_t {
 
 inline constexpr int kPmuEventCount = static_cast<int>(PmuEvent::kEventCount);
 
-const char* PmuEventName(PmuEvent event);
-
 }  // namespace dfp
 
 #endif  // DFP_SRC_PMU_EVENT_H_

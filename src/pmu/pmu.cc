@@ -37,28 +37,4 @@ uint64_t Pmu::Record(Sample sample) {
   return cost;
 }
 
-const char* PmuEventName(PmuEvent event) {
-  switch (event) {
-    case PmuEvent::kInstrRetired:
-      return "INSTR_RETIRED";
-    case PmuEvent::kLoads:
-      return "MEM_LOADS";
-    case PmuEvent::kL1Miss:
-      return "L1_MISS";
-    case PmuEvent::kL2Miss:
-      return "L2_MISS";
-    case PmuEvent::kL3Miss:
-      return "L3_MISS";
-    case PmuEvent::kBranchMiss:
-      return "BRANCH_MISS";
-    case PmuEvent::kRemoteDram:
-      return "REMOTE_DRAM";
-    case PmuEvent::kCrossNode:
-      return "CROSS_NODE";
-    case PmuEvent::kEventCount:
-      break;
-  }
-  return "?";
-}
-
 }  // namespace dfp

@@ -198,24 +198,6 @@ std::string RenderActivityTimeline(const ActivityTimeline& timeline) {
   return RenderTimeSeriesChart(chart);
 }
 
-std::string ActivityTimelineCsv(const ActivityTimeline& timeline) {
-  std::string out = "bucket,start_ms";
-  for (const std::string& name : timeline.series_names) {
-    out += ",";
-    out += name;
-  }
-  out += "\n";
-  const size_t buckets = timeline.bucket_samples.empty() ? 0 : timeline.bucket_samples[0].size();
-  for (size_t b = 0; b < buckets; ++b) {
-    out += StrFormat("%zu,%.4f", b, CyclesToMs(b * timeline.bucket_cycles));
-    for (const std::vector<double>& series : timeline.bucket_samples) {
-      out += StrFormat(",%g", series[b]);
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 MemoryProfile BuildMemoryProfile(const ProfilingSession& session, const CompiledQuery& query,
                                  const TimeWindow& window) {
   MemoryProfile profile;

@@ -78,9 +78,8 @@ ActivityTimeline BuildActivityTimeline(const ProfilingSession& session,
 // visible on parallel runs. Works on any resolved session; single-threaded runs get one lane.
 ActivityTimeline BuildWorkerActivityTimeline(const ProfilingSession& session, size_t buckets);
 
-// Renders the timeline as an ASCII intensity chart; also exportable as CSV.
+// Renders the timeline as an ASCII intensity chart.
 std::string RenderActivityTimeline(const ActivityTimeline& timeline);
-std::string ActivityTimelineCsv(const ActivityTimeline& timeline);
 
 // --- Memory access profile (Figure 12) ---
 

@@ -169,38 +169,18 @@ TaggingDictionary ReadDictionary(std::istream& in) {
 }
 
 void WriteSamples(const std::vector<Sample>& samples, std::ostream& out,
-                  const SampleSideband& sideband) {
+                  const std::vector<TaskBoundary>& tasks) {
   out << kSamplesHeader << "\n";
   // Task boundaries come first, in execution order: they describe the schedule the samples were
   // taken under, and a reader rebuilding the task DAG should not have to scan the whole stream.
-  for (const TaskBoundary& task : sideband.tasks) {
+  for (const TaskBoundary& task : tasks) {
     out << "task " << task.start_tsc << " " << task.end_tsc << " " << task.worker_id << " "
         << static_cast<uint32_t>(task.kind) << " " << task.step << " " << task.pipeline << " "
         << task.morsel_begin << " " << task.morsel_end << " " << (task.stolen ? 1 : 0) << " "
         << task.instructions << " " << task.loads << " " << task.l1_misses << " "
         << task.l2_misses << " " << task.l3_misses << " " << task.remote_dram << "\n";
   }
-  // Annotations interleave in timestamp order: each precedes the first sample whose tsc passes
-  // its own. The channels keep independent cursors and flush in a fixed order, so double-run
-  // streams stay byte-identical.
-  struct Channel {
-    const char* kind;
-    const std::vector<SampleStreamEvent>& lines;
-    size_t next = 0;
-  };
-  Channel channels[] = {{"event", sideband.events}, {"sched", sideband.sched},
-                        {"reopt", sideband.reopt}};
-  auto flush_annotations = [&](uint64_t up_to_tsc) {
-    for (Channel& channel : channels) {
-      for (; channel.next < channel.lines.size() && channel.lines[channel.next].tsc <= up_to_tsc;
-           ++channel.next) {
-        const SampleStreamEvent& line = channel.lines[channel.next];
-        out << channel.kind << " " << line.tsc << " " << line.text << "\n";
-      }
-    }
-  };
   for (const Sample& sample : samples) {
-    flush_annotations(sample.tsc);
     out << "sample " << sample.tsc << " " << sample.ip << " " << sample.addr;
     if (sample.worker_id != 0) {
       out << " W " << sample.worker_id;
@@ -236,10 +216,9 @@ void WriteSamples(const std::vector<Sample>& samples, std::ostream& out,
     }
     out << "\n";
   }
-  flush_annotations(UINT64_MAX);
 }
 
-std::vector<Sample> ReadSamples(std::istream& in, SampleSideband* sideband) {
+std::vector<Sample> ReadSamples(std::istream& in, std::vector<TaskBoundary>* tasks) {
   ExpectHeader(in, kSamplesHeader);
   std::vector<Sample> samples;
   std::string line;
@@ -252,28 +231,14 @@ std::vector<Sample> ReadSamples(std::istream& in, SampleSideband* sideband) {
     stream >> kind;
     if (kind == "sample") {
       samples.push_back(ParseSample(stream, line));
-      continue;
-    }
-    if (kind != "task" && kind != "event" && kind != "sched" && kind != "reopt") {
+    } else if (kind != "task") {
       Malformed(line);
+    } else if (tasks == nullptr) {
+      throw Error("sample stream carries task lines but the reader has no task sink: '" + line +
+                  "'");
+    } else {
+      tasks->push_back(ParseTask(stream, line));
     }
-    if (sideband == nullptr) {
-      throw Error("sample stream carries " + kind +
-                  " lines but the reader has no sideband sink: '" + line + "'");
-    }
-    if (kind == "task") {
-      sideband->tasks.push_back(ParseTask(stream, line));
-      continue;
-    }
-    SampleStreamEvent event;
-    if (!(stream >> event.tsc)) {
-      Malformed(line);
-    }
-    event.text = RestOfLine(stream);
-    (kind == "event"   ? sideband->events
-     : kind == "sched" ? sideband->sched
-                       : sideband->reopt)
-        .push_back(std::move(event));
   }
   return samples;
 }

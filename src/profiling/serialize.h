@@ -8,35 +8,13 @@
 #ifndef DFP_SRC_PROFILING_SERIALIZE_H_
 #define DFP_SRC_PROFILING_SERIALIZE_H_
 
-#include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "src/pmu/sample.h"
 #include "src/profiling/tagging_dictionary.h"
 
 namespace dfp {
-
-// One timestamped annotation interleaved with a sample stream, mirroring perf's sideband
-// records. `text` is a single line without newlines.
-struct SampleStreamEvent {
-  uint64_t tsc = 0;
-  std::string text;
-};
-
-// Everything a sample stream carries besides its samples.
-struct SampleSideband {
-  // Executor task boundaries in execution order — the raw material of the per-query task DAG
-  // (src/critpath/).
-  std::vector<TaskBoundary> tasks = {};
-  // Three annotation channels, each ascending by tsc: tier transitions (src/tiering/),
-  // scheduling actions — placement repairs and infeasible-deadline rejections (src/service/) —
-  // and re-optimization decisions (src/reopt/).
-  std::vector<SampleStreamEvent> events = {};
-  std::vector<SampleStreamEvent> sched = {};
-  std::vector<SampleStreamEvent> reopt = {};
-};
 
 // Line-oriented text format:
 //   # dfp tagging dictionary v1
@@ -53,23 +31,20 @@ TaggingDictionary ReadDictionary(std::istream& in);
 //        <stolen> <instrs> <loads> <l1-miss> <l2-miss> <l3-miss> <remote-dram>
 //   sample <tsc> <ip> <addr> [W <worker>] [N <node> <remote> | X <machine-node>] [T] [G <tier>]
 //          [D <shard>] [R <16 register values>] [S <depth> <return-ips...>]
-//   event <tsc> <text...>
-//   sched <tsc> <text...>
-//   reopt <tsc> <text...>
 // A sample's optional tokens appear only when they differ from the default: W off worker 0, N
 // for a known home node or a remote access, X instead of N for a cross-machine access (the
 // node is then the owning machine), T for a stolen morsel, G for a non-optimized tier, D off
-// shard 0. Task lines form a block right after the header (they are a schedule, not a sample
-// timeline); annotation lines interleave by tsc, each before the first sample past its own,
-// and at equal tsc in event, sched, reopt order. A session id is never written: dumped streams
-// are per-session by construction (see src/pmu/sample.h).
+// shard 0. Task lines are the executor's task boundaries in execution order, the raw material
+// of the per-query task DAG (src/critpath/); they form a block right after the header (they
+// are a schedule, not a sample timeline). A session id is never written: dumped streams are
+// per-session by construction (see src/pmu/sample.h).
 void WriteSamples(const std::vector<Sample>& samples, std::ostream& out,
-                  const SampleSideband& sideband = {});
+                  const std::vector<TaskBoundary>& tasks = {});
 
 // Inverse of WriteSamples. Throws dfp::Error on malformed input and on any header but v8.
-// Sideband lines are appended to `sideband` in stream order; a stream that carries them is
-// rejected when read without a sink, rather than losing them silently.
-std::vector<Sample> ReadSamples(std::istream& in, SampleSideband* sideband = nullptr);
+// Task lines are appended to `tasks` in stream order; a stream that carries them is rejected
+// when read without a sink, rather than losing them silently.
+std::vector<Sample> ReadSamples(std::istream& in, std::vector<TaskBoundary>* tasks = nullptr);
 
 }  // namespace dfp
 

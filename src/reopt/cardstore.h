@@ -63,7 +63,7 @@ class CardStore {
   const std::map<uint64_t, PlanCards>& plans() const { return plans_; }
   uint64_t generation() const { return generation_; }
 
-  // Loading hooks used by ReadServiceProfile (v6): restore a persisted plan's cards and the
+  // Loading hooks used by ReadServiceProfile: restore a persisted plan's cards and the
   // store generation so a restarted service resumes from its pre-restart measurements.
   PlanCards& LoadPlan(uint64_t fingerprint) { return plans_[fingerprint]; }
   void SetLoadedGeneration(uint64_t generation) { generation_ = generation; }

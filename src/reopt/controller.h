@@ -9,8 +9,8 @@
 // is snapshotted at swap time and JudgeRegression over the post-swap windows keeps or reverts,
 // under the service's continuous.regression thresholds. A re-planned candidate gets fresh
 // operator ids from FinalizePlan, which is one reason a guard never compares operator mixes.
-// Every transition lands in the sample stream as a `reopt` line and in RenderGuardTimeline's
-// rendering.
+// The service's GuardLog<ReoptPayload> is the one record of every transition;
+// RenderGuardTimeline renders it and the service profile persists it.
 #ifndef DFP_SRC_REOPT_CONTROLLER_H_
 #define DFP_SRC_REOPT_CONTROLLER_H_
 
@@ -53,7 +53,6 @@ struct ReoptPayload {
   // Null once resolved, and for actions loaded from a persisted profile.
   CachedPlanPtr previous;
 
-  std::string Subject() const { return ""; }
   // "divergence=<pct>%[ <description>]".
   std::string Detail() const;
 };

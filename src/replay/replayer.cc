@@ -36,6 +36,39 @@ void ResetEstimates(PhysicalOp& op) {
   }
 }
 
+// Parsed plan templates by structure: one parse per database the replay submits to (one, or
+// one per shard).
+using PlanTemplates = std::map<uint64_t, std::vector<PhysicalOpPtr>>;
+
+// Rebuilds the plans of one submission of trace query `q`, one per parsed template of its
+// structure: a clone bound to the recorded literals, its default estimates re-derived. Throws
+// dfp::Error when the trace has no template for the structure, or when the first rebuilt plan's
+// fingerprint is not the recorded one.
+std::vector<PhysicalOpPtr> RebuildPlans(const PlanTemplates& templates, const TraceQuery& q,
+                                        uint64_t catalog_version) {
+  auto it = templates.find(q.fingerprint.structure);
+  if (it == templates.end()) {
+    throw Error("trace query " + std::to_string(q.seq) +
+                " references a structure with no plan template");
+  }
+  std::vector<PhysicalOpPtr> plans;
+  plans.reserve(it->second.size());
+  for (const PhysicalOpPtr& plan_template : it->second) {
+    PhysicalOpPtr plan = ClonePlan(*plan_template);
+    BindLiterals(*plan, q.literals);
+    ResetEstimates(*plan);
+    FinalizePlan(*plan);
+    plans.push_back(std::move(plan));
+  }
+  const PlanFingerprint rebuilt = FingerprintPlan(*plans[0], catalog_version);
+  if (rebuilt.structure != q.fingerprint.structure ||
+      rebuilt.literals != q.fingerprint.literals || rebuilt.pinned != q.fingerprint.pinned) {
+    throw Error("replayed plan fingerprint mismatch for trace query " + std::to_string(q.seq) +
+                " (" + q.name + "): corrupt trace or incompatible build");
+  }
+  return plans;
+}
+
 void AppendJsonString(const std::string& text, std::ostream& out) {
   out << '"';
   for (unsigned char c : text) {
@@ -86,13 +119,14 @@ ReplayRun ReplayTraceSharded(ShardCatalog& catalog, const WorkloadTrace& trace,
   }
   // Parse every plan template once per shard, template-major: every shard heap interns the
   // same literal strings in the same order, preserving the cross-shard reference alignment
-  // (src/shard/partition.h).
-  std::map<uint64_t, std::vector<PhysicalOpPtr>> templates;
+  // (src/shard/partition.h). A structure's first template wins, as in the unsharded replay.
+  PlanTemplates templates;
   for (const PlanTemplate& entry : trace.templates) {
-    std::vector<PhysicalOpPtr>& per_shard = templates[entry.structure];
+    std::vector<PhysicalOpPtr> per_shard;
     for (uint32_t s = 0; s < catalog.shards(); ++s) {
       per_shard.push_back(ParsePlanText(entry.plan_text, catalog.db(s)));
     }
+    templates.emplace(entry.structure, std::move(per_shard));
   }
 
   ShardServiceConfig config;
@@ -105,30 +139,9 @@ ReplayRun ReplayTraceSharded(ShardCatalog& catalog, const WorkloadTrace& trace,
     switch (event.kind) {
       case TraceEvent::Kind::kQuery: {
         const TraceQuery& q = trace.query(event.seq);
-        auto it = templates.find(q.fingerprint.structure);
-        if (it == templates.end()) {
-          throw Error("trace query " + std::to_string(q.seq) +
-                      " references a structure with no plan template");
-        }
         for (uint32_t copy = 0; copy < multiplier; ++copy) {
-          std::vector<PhysicalOpPtr> plans;
-          plans.reserve(catalog.shards());
-          for (uint32_t s = 0; s < catalog.shards(); ++s) {
-            PhysicalOpPtr plan = ClonePlan(*it->second[s]);
-            BindLiterals(*plan, q.literals);
-            ResetEstimates(*plan);
-            FinalizePlan(*plan);
-            plans.push_back(std::move(plan));
-          }
-          const PlanFingerprint rebuilt = FingerprintPlan(*plans[0], catalog.catalog_version());
-          if (rebuilt.structure != q.fingerprint.structure ||
-              rebuilt.literals != q.fingerprint.literals ||
-              rebuilt.pinned != q.fingerprint.pinned) {
-            throw Error("replayed plan fingerprint mismatch for trace query " +
-                        std::to_string(q.seq) + " (" + q.name +
-                        "): corrupt trace or incompatible build");
-          }
-          service.SubmitPlans(q.name, std::move(plans), q.deadline_cycles, q.weight);
+          service.SubmitPlans(q.name, RebuildPlans(templates, q, catalog.catalog_version()),
+                              q.deadline_cycles, q.weight);
           submitted_seq.push_back(q.seq);
         }
         break;
@@ -209,9 +222,11 @@ ReplayRun ReplayTrace(Database& db, const WorkloadTrace& trace, const ReplayOpti
                           static_cast<unsigned long long>(db.catalog_version())));
   }
   // Parse every plan template once; clones are cut per submission.
-  std::map<uint64_t, PhysicalOpPtr> templates;
+  PlanTemplates templates;
   for (const PlanTemplate& entry : trace.templates) {
-    templates.emplace(entry.structure, ParsePlanText(entry.plan_text, db));
+    std::vector<PhysicalOpPtr> parsed;
+    parsed.push_back(ParsePlanText(entry.plan_text, db));
+    templates.emplace(entry.structure, std::move(parsed));
   }
 
   QueryService service(db, config);
@@ -223,25 +238,9 @@ ReplayRun ReplayTrace(Database& db, const WorkloadTrace& trace, const ReplayOpti
     switch (event.kind) {
       case TraceEvent::Kind::kQuery: {
         const TraceQuery& q = trace.query(event.seq);
-        auto it = templates.find(q.fingerprint.structure);
-        if (it == templates.end()) {
-          throw Error("trace query " + std::to_string(q.seq) +
-                      " references a structure with no plan template");
-        }
         for (uint32_t copy = 0; copy < multiplier; ++copy) {
-          PhysicalOpPtr plan = ClonePlan(*it->second);
-          BindLiterals(*plan, q.literals);
-          ResetEstimates(*plan);
-          FinalizePlan(*plan);
-          const PlanFingerprint rebuilt = FingerprintPlan(*plan, db.catalog_version());
-          if (rebuilt.structure != q.fingerprint.structure ||
-              rebuilt.literals != q.fingerprint.literals ||
-              rebuilt.pinned != q.fingerprint.pinned) {
-            throw Error("replayed plan fingerprint mismatch for trace query " +
-                        std::to_string(q.seq) + " (" + q.name +
-                        "): corrupt trace or incompatible build");
-          }
-          service.Submit(std::move(plan), q.name, q.deadline_cycles, q.weight);
+          service.Submit(std::move(RebuildPlans(templates, q, db.catalog_version())[0]), q.name,
+                         q.deadline_cycles, q.weight);
         }
         break;
       }

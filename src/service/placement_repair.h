@@ -16,8 +16,8 @@
 // The action is guarded, not trusted: it runs the decided -> applied -> kept/reverted lifecycle
 // of src/continuous/guard.h — the service snapshots a baseline as it applies the map,
 // re-measures on the windows that arrive after, and keeps or reverts by the regression
-// detector's verdict. Every transition lands in the sample stream as a `sched` line and in
-// RenderGuardTimeline's rendering.
+// detector's verdict. The service's GuardLog<RepairPayload> is the one record of every
+// transition; RenderGuardTimeline renders it.
 #ifndef DFP_SRC_SERVICE_PLACEMENT_REPAIR_H_
 #define DFP_SRC_SERVICE_PLACEMENT_REPAIR_H_
 
@@ -49,7 +49,6 @@ struct RepairPayload {
   uint32_t pipeline = 0;   // The scan pipeline whose verdict triggered the action.
   PartitionMap placement;  // The installed map.
 
-  std::string Subject() const { return table; }
   // "pipeline <n> table <name> <slices> slice(s)".
   std::string Detail() const;
 };

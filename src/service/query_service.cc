@@ -12,7 +12,6 @@
 #include "src/replay/recorder.h"
 #include "src/tiering/patch.h"
 #include "src/util/check.h"
-#include "src/util/text_format.h"
 
 namespace dfp {
 
@@ -93,31 +92,6 @@ uint32_t CreateCongruentRegion(Database& db, const std::string& name, uint64_t s
     db.CreateScratchRegion(name + ".pad", pad);
   }
   return db.CreateScratchRegion(name, size);
-}
-
-// The one transition of a guarded action: sets `state`, stamps its TSC, and appends the
-// sideband line "<kind> <fingerprint>[ <subject>] <state>[ <note>]" to `events`.
-template <typename Payload>
-void Transition(GuardedAction<Payload>& action, GuardState state, uint64_t tsc,
-                std::vector<SampleStreamEvent>& events, const std::string& note = "") {
-  action.state = state;
-  if (state == GuardState::kDecided) {
-    action.decided_tsc = tsc;
-  } else if (state == GuardState::kApplied) {
-    action.applied_tsc = tsc;
-  } else {
-    action.resolved_tsc = tsc;
-  }
-  std::string text = std::string(Payload::kName) + " " + Hex16(action.fingerprint);
-  const std::string subject = action.payload.Subject();
-  if (!subject.empty()) {
-    text += " " + subject;
-  }
-  text += std::string(" ") + GuardStateName(state);
-  if (!note.empty()) {
-    text += " " + note;
-  }
-  events.push_back({tsc, std::move(text)});
 }
 
 }  // namespace
@@ -206,11 +180,6 @@ TicketId QueryService::Submit(PhysicalOpPtr plan, std::string name, uint64_t dea
       ticket->status = TicketStatus::kRejected;
       ticket->infeasible_deadline = true;
       ++infeasible_rejections_;
-      sched_events_.push_back(
-          {ServiceNowCycles(), "admission " + Hex16(ticket->fingerprint.structure) +
-                                   " infeasible deadline " +
-                                   std::to_string(ticket->deadline_cycles) + " expected " +
-                                   std::to_string(expected)});
       tickets_.push_back(std::move(ticket));
       if (recorder_ != nullptr) {
         recorder_->OnSubmit(*tickets_.back(), *plan, ServiceNowCycles());
@@ -434,8 +403,7 @@ bool QueryService::StepSession(ActiveSession& session) {
   // fleet tracker (reports), the governor (per-pipeline periods for the NEXT execution of this
   // fingerprint), and the service profile (`crit` lines). The tier controller reads the
   // tracker's cumulative critical work below.
-  ticket.task_boundaries = session.run->TakeTaskBoundaries();
-  ticket.dag = BuildTaskDag(ticket.task_boundaries);
+  ticket.dag = BuildTaskDag(session.run->TakeTaskBoundaries());
   ticket.verdicts = ClassifyPipelines(ticket.dag);
   if (!ticket.dag.nodes.empty()) {
     critpath_.Observe(ticket.fingerprint.structure, ticket.name, ticket.dag, ticket.verdicts);
@@ -511,9 +479,6 @@ bool QueryService::StepSession(ActiveSession& session) {
       job.compile_cycles = opt_cycles;
       recompile_lane_busy_cycles_ = job.ready_at_cycles;
       recompile_jobs_.push_back(std::move(job));
-      tier_events_.push_back({ticket.completed_at_cycles,
-                              "tier " + Hex16(ticket.fingerprint.structure) +
-                                  " baseline optimized decided"});
     }
   }
   // Closed-loop re-optimization: fold this execution's exact tuple counts into the cardinality
@@ -535,8 +500,7 @@ bool QueryService::StepSession(ActiveSession& session) {
 }
 
 template <typename Payload, typename Revert>
-bool QueryService::ResolveGuarded(GuardedAction<Payload>& action,
-                                  std::vector<SampleStreamEvent>& events, Revert revert) {
+bool QueryService::ResolveGuarded(GuardedAction<Payload>& action, Revert revert) {
   if (action.state != GuardState::kApplied || !action.baseline) {
     return false;
   }
@@ -550,9 +514,9 @@ bool QueryService::ResolveGuarded(GuardedAction<Payload>& action,
   if (verdict == GuardVerdict::kRegressed) {
     revert(action.payload);
   }
-  Transition(action, verdict == GuardVerdict::kRegressed ? GuardState::kReverted
-                                                         : GuardState::kKept,
-             ServiceNowCycles(), events);
+  action.Transition(
+      verdict == GuardVerdict::kRegressed ? GuardState::kReverted : GuardState::kKept,
+      ServiceNowCycles());
   return true;
 }
 
@@ -563,8 +527,8 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
     if (open->state == GuardState::kApplied && open->payload.previous == nullptr) {
       // Loaded from a persisted profile: the swap did not survive the restart (a cold cache
       // re-admits the original plan), so the honest resolution is a revert.
-      Transition(*open, GuardState::kReverted, ServiceNowCycles(), reopt_events_);
-    } else if (ResolveGuarded(*open, reopt_events_, [this](const ReoptPayload& reopt) {
+      open->Transition(GuardState::kReverted, ServiceNowCycles());
+    } else if (ResolveGuarded(*open, [this](const ReoptPayload& reopt) {
                  // Re-insert the replaced entry: its machine code never left the code map, so
                  // this is the apply's atomic pointer swap in the other direction.
                  cache_.Insert(reopt.previous);
@@ -611,14 +575,13 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
       {.fingerprint = fp,
        .plan_name = ticket.name,
        .payload = {rewrite.description, divergence, rewrite.reordered, rewrite.semi_join, entry}});
-  Transition(*action, GuardState::kDecided, ServiceNowCycles(), reopt_events_,
-             "divergence " + std::to_string(divergence) + "% " + rewrite.description);
+  action->Transition(GuardState::kDecided, ServiceNowCycles());
 }
 
 void QueryService::StepPlacementRepair(QueryTicket& ticket) {
   const uint64_t fp = ticket.fingerprint.structure;
   if (GuardedAction<RepairPayload>* open = repairs_.Find(fp)) {
-    ResolveGuarded(*open, sched_events_, [this](const RepairPayload& repair) {
+    ResolveGuarded(*open, [this](const RepairPayload& repair) {
       // Restore the default placement.
       const Table& table = db_.table(repair.table);
       for (size_t c = 0; c < table.schema().columns.size(); ++c) {
@@ -655,7 +618,7 @@ void QueryService::StepPlacementRepair(QueryTicket& ticket) {
          .plan_name = ticket.name,
          .payload = {table.name(), v.pipeline, std::move(map)}});
     const uint64_t now = ServiceNowCycles();
-    Transition(*action, GuardState::kDecided, now, sched_events_);
+    action->Transition(GuardState::kDecided, now);
     for (size_t c = 0; c < table.schema().columns.size(); ++c) {
       db_.mem().SetExtentPlacement(table.column_base(c), action->payload.placement);
     }
@@ -663,7 +626,7 @@ void QueryService::StepPlacementRepair(QueryTicket& ticket) {
     // execution. JudgeRegression rolls up strictly after this watermark, so only post-apply
     // executions are measured against it.
     action->baseline = SnapshotPlanBaseline(windows_, fp);
-    Transition(*action, GuardState::kApplied, now, sched_events_);
+    action->Transition(GuardState::kApplied, now);
     return;  // At most one new action per completion.
   }
 }
@@ -699,7 +662,7 @@ void QueryService::ProcessRecompiles(bool final) {
       if (reopt_job) {
         GuardedAction<ReoptPayload>* action = reopts_.Find(old_entry->fingerprint.structure);
         if (action != nullptr && action->state == GuardState::kDecided) {
-          Transition(*action, GuardState::kReverted, ServiceNowCycles(), reopt_events_);
+          action->Transition(GuardState::kReverted, ServiceNowCycles());
           action->payload.previous.reset();
         }
       }
@@ -766,12 +729,10 @@ void QueryService::ProcessRecompiles(bool final) {
       // The guard's yardstick: everything in the windows up to the swap. JudgeRegression rolls
       // up strictly after this watermark, so only candidate executions are measured against it.
       action->baseline = SnapshotPlanBaseline(windows_, action->fingerprint);
-      Transition(*action, GuardState::kApplied, swapped_at, reopt_events_);
+      action->Transition(GuardState::kApplied, swapped_at);
     } else {
       cache_.NoteTierSwap();
       controller_.MarkSwapped(entry->fingerprint.structure, swapped_at);
-      tier_events_.push_back({swapped_at, "tier " + Hex16(entry->fingerprint.structure) +
-                                              " baseline optimized swapped"});
     }
     recompile_jobs_.erase(recompile_jobs_.begin());
   }

@@ -51,7 +51,6 @@
 #include "src/engine/database.h"
 #include "src/engine/parallel.h"
 #include "src/engine/result.h"
-#include "src/profiling/serialize.h"
 #include "src/profiling/session.h"
 #include "src/reopt/cardstore.h"
 #include "src/reopt/controller.h"
@@ -194,11 +193,9 @@ struct QueryTicket {
   // This execution's profile (resolved); null for rejected and timed-out tickets.
   std::unique_ptr<ProfilingSession> session;
   std::vector<WorkerMetrics> worker_metrics;
-  // Task boundaries of this execution (morsels, host steps, sorts) in completion order — the
-  // raw material the critical-path DAG (src/critpath/) is rebuilt from.
-  std::vector<TaskBoundary> task_boundaries;
-  // Critical-path analysis of this execution: the realized task DAG and the per-pipeline
-  // bottleneck verdicts. Empty when the run produced no task boundaries.
+  // Critical-path analysis of this execution: the realized task DAG, rebuilt from the run's
+  // task boundaries (each node carries its TaskBoundary), and the per-pipeline bottleneck
+  // verdicts. Empty when the run produced no task boundaries.
   TaskDag dag;
   std::vector<PipelineVerdict> verdicts;
 
@@ -250,30 +247,27 @@ class QueryService {
   const BaselineStore& baseline() const { return baseline_; }
   std::vector<RegressionFinding> DetectRegressions() const;
 
-  // Tiering views: the promotion controller (break-even decisions and the transition log), the
-  // tier-transition sample-stream events (WriteSamples sideband format), and the count of
+  // Tiering views: the promotion controller (break-even decisions and the transition log,
+  // the one record of every promotion; render with RenderTierTimeline) and the count of
   // background recompilations still in flight.
   const TierController& tier_controller() const { return controller_; }
-  const std::vector<SampleStreamEvent>& tier_events() const { return tier_events_; }
   size_t pending_recompiles() const { return recompile_jobs_.size(); }
 
   // Profile-feedback scheduling views: the per-fingerprint expected-slack store (fed from
   // every completed execution's DAG, persisted in service state), the placement-repair audit
-  // log (render with RenderGuardTimeline), the scheduling-action sideband lines (`sched`
-  // stream lines), the pool-wide slack-policy counters summed over all sessions, and the count
-  // of submissions rejected for an infeasible deadline.
+  // log (the one record of every repair; render with RenderGuardTimeline), the pool-wide
+  // slack-policy counters summed over all sessions, and the count of submissions rejected for
+  // an infeasible deadline (each such ticket carries `infeasible_deadline`).
   const SlackStore& slack() const { return slack_; }
   const GuardLog<RepairPayload>& repairs() const { return repairs_; }
-  const std::vector<SampleStreamEvent>& sched_events() const { return sched_events_; }
   const SchedStats& sched_stats() const { return sched_stats_; }
   uint64_t infeasible_rejections() const { return infeasible_rejections_; }
 
   // Re-optimization views (src/reopt/): the per-fingerprint measured-cardinality store
-  // (render with RenderCardStore), the re-plan audit log (render with RenderGuardTimeline),
-  // and the decided/applied/kept/reverted sideband lines (`reopt` stream lines).
+  // (render with RenderCardStore) and the re-plan audit log (the one record of every re-plan;
+  // render with RenderGuardTimeline).
   const CardStore& cards() const { return cards_; }
   const GuardLog<ReoptPayload>& reopts() const { return reopts_; }
-  const std::vector<SampleStreamEvent>& reopt_events() const { return reopt_events_; }
 
   // Coordinated cache invalidation (sharded service, src/shard/): drops every cached plan and
   // pending background recompilation now, exactly as the catalog-version check in Admit()
@@ -331,11 +325,10 @@ class QueryService {
   // swap (keep/revert) once the regression guard has evidence.
   void StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry);
   // The resolve step both loops share: once an applied action's post-apply windows hold
-  // enough evidence, keeps it on a clean verdict or calls `revert(payload)` on a regressed one,
-  // and logs the transition to `events`. Returns true when the action resolved.
+  // enough evidence, keeps it on a clean verdict or calls `revert(payload)` on a regressed one.
+  // Returns true when the action resolved.
   template <typename Payload, typename Revert>
-  bool ResolveGuarded(GuardedAction<Payload>& action, std::vector<SampleStreamEvent>& events,
-                      Revert revert);
+  bool ResolveGuarded(GuardedAction<Payload>& action, Revert revert);
   void ChargeSerialWork(uint64_t cycles);  // Compile/lookup work: to the least-loaded lane.
   // True while some active session executes `entry`'s code.
   bool EntryBusy(const CachedPlanPtr& entry) const;
@@ -371,9 +364,6 @@ class QueryService {
   std::vector<uint64_t> lane_cycles_;
   std::vector<RecompileJob> recompile_jobs_;  // FIFO; background lane is serial.
   uint64_t recompile_lane_busy_cycles_ = 0;   // Background lane's busy-until mark.
-  std::vector<SampleStreamEvent> tier_events_;
-  std::vector<SampleStreamEvent> sched_events_;
-  std::vector<SampleStreamEvent> reopt_events_;
   TraceRecorder* recorder_ = nullptr;  // Not owned; null when not recording.
 };
 

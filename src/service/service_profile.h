@@ -158,7 +158,7 @@ void WriteServiceState(const ServiceProfile& profile, const WindowedProfile& win
 // the writer left off); `cards` and `reopts`, when non-null, receive the cardinality store and
 // re-optimization audit trail (loaded actions carry no replaced entry — the cache is cold — so
 // an applied action resolves as reverted at its next completion). Throws dfp::Error on
-// malformed input, on any header but v6, and — when loading `reopts` — on a second reopt line
+// malformed input, on any header but v7, and — when loading `reopts` — on a second reopt line
 // for one fingerprint.
 ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows = nullptr,
                                   BaselineStore* baselines = nullptr,

@@ -7,8 +7,8 @@
 //  - Fan-out. Plans scanning a range-partitioned fact table are decomposed
 //    (src/shard/decompose.h): the rewritten partial plan is submitted to EVERY shard, and at
 //    drain time the coordinator's tagged Merge operator (src/shard/merge.h) recombines the
-//    partials — staging remote cells across the shard fabric (CROSS_NODE PMU events, v7
-//    `X`-token samples) — into a result bit-identical to the unsharded engine's.
+//    partials — staging remote cells across the shard fabric (CROSS_NODE PMU events, `X`-token
+//    samples) — into a result bit-identical to the unsharded engine's.
 //  - Routed. Plans over replicated tables only run whole on the shard picked by the
 //    structural fingerprint (structure % shards), so repeated submissions of one family land
 //    on one shard's plan cache.

@@ -43,21 +43,7 @@ inline Opcode LoadOpcodeFor(ColumnType type) {
   }
 }
 
-inline Opcode StoreOpcodeFor(ColumnType type) {
-  switch (type) {
-    case ColumnType::kDate:
-      return Opcode::kStore4;
-    case ColumnType::kBool:
-      return Opcode::kStore1;
-    default:
-      return Opcode::kStore8;
-  }
-}
-
 const char* ColumnTypeName(ColumnType type);
-
-// True for types whose register payload is an IEEE double.
-inline bool IsFloatingType(ColumnType type) { return type == ColumnType::kDouble; }
 
 }  // namespace dfp
 

@@ -5,8 +5,8 @@
 // windowed execute cycles cross the break-even threshold derived from the CompileCostModel's
 // optimizing-tier estimate: at that point the plan's recent execution rate has already burned
 // more cycles than the recompile would cost. Promotions are one-shot per fingerprint and are
-// logged as TierTransitions, which feed the tier timeline report and the sample-stream event
-// log.
+// logged as TierTransitions, the one record of each promotion; the tier timeline report
+// (src/tiering/report.h) renders them.
 #ifndef DFP_SRC_TIERING_CONTROLLER_H_
 #define DFP_SRC_TIERING_CONTROLLER_H_
 

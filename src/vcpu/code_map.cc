@@ -4,20 +4,6 @@
 
 namespace dfp {
 
-const char* SegmentKindName(SegmentKind kind) {
-  switch (kind) {
-    case SegmentKind::kGenerated:
-      return "generated";
-    case SegmentKind::kRuntime:
-      return "runtime";
-    case SegmentKind::kKernel:
-      return "kernel";
-    case SegmentKind::kSyslib:
-      return "syslib";
-  }
-  return "?";
-}
-
 uint32_t CodeMap::AddSegment(SegmentKind kind, std::string name, std::vector<MInstr> code) {
   DFP_CHECK(code.size() < kSegmentSpacing);
   CodeSegment segment;

@@ -27,8 +27,6 @@ enum class SegmentKind : uint8_t {
   kSyslib,     // Host-modeled system libraries: string routines. Not covered by tagging.
 };
 
-const char* SegmentKindName(SegmentKind kind);
-
 struct CodeSegment {
   uint32_t id = 0;
   SegmentKind kind = SegmentKind::kGenerated;

@@ -20,10 +20,6 @@ inline constexpr double CyclesToMs(uint64_t cycles) {
   return static_cast<double>(cycles) / (kClockGhz * 1e6);
 }
 
-inline constexpr double CyclesToNs(uint64_t cycles) {
-  return static_cast<double>(cycles) / kClockGhz;
-}
-
 // Extra latency of a DRAM access served by a remote NUMA node's memory controller (one
 // interconnect hop), added on top of kMemoryLatencyCycles (src/vcpu/cache.h). Roughly the
 // local/remote delta of a two-socket Skylake-SP (~90ns local, ~140ns remote at 4.2 GHz ≈ 130

@@ -119,15 +119,4 @@ std::string MInstrToString(const MInstr& instr) {
   return text;
 }
 
-std::string RenderSegment(const CodeSegment& segment) {
-  std::string out = StrFormat("segment %u (%s) '%s', base ip 0x%llx, %zu instructions\n",
-                              segment.id, SegmentKindName(segment.kind), segment.name.c_str(),
-                              static_cast<unsigned long long>(segment.base_ip),
-                              segment.code.size());
-  for (size_t i = 0; i < segment.code.size(); ++i) {
-    out += StrFormat("  @%-5zu %s\n", i, MInstrToString(segment.code[i]).c_str());
-  }
-  return out;
-}
-
 }  // namespace dfp

@@ -13,9 +13,6 @@ namespace dfp {
 // One instruction, e.g. "r3 = add r1, 42" or "condbr r2, @12, @17".
 std::string MInstrToString(const MInstr& instr);
 
-// A whole segment with offsets, one instruction per line.
-std::string RenderSegment(const CodeSegment& segment);
-
 }  // namespace dfp
 
 #endif  // DFP_SRC_VCPU_DISASM_H_

@@ -1,5 +1,5 @@
-// WindowedProfile: ring bounds, quantiles, roll-up, deterministic JSON, and the
-// service-profile text round-trip.
+// WindowedProfile: ring bounds, quantiles, roll-up, the operator-share rule, deterministic JSON,
+// and the service-profile text round-trip.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -102,14 +102,28 @@ TEST(WindowedProfile, RollUpAggregatesRetainedWindows) {
   EXPECT_EQ(rollup.executions, 2u);
   EXPECT_EQ(rollup.samples, 200u);
   EXPECT_EQ(rollup.execute_cycles, 4000u);
-  EXPECT_DOUBLE_EQ(rollup.OperatorShare(1), 0.5);
-  EXPECT_DOUBLE_EQ(rollup.OperatorShare(2), 0.5);
+  EXPECT_DOUBLE_EQ(OperatorShare(rollup.operators, rollup.samples, 1), 0.5);
+  EXPECT_DOUBLE_EQ(OperatorShare(rollup.operators, rollup.samples, 2), 0.5);
   EXPECT_DOUBLE_EQ(rollup.CyclesPerRow(), 200.0);
   EXPECT_DOUBLE_EQ(rollup.RemoteDramShare(), 0.2);
   EXPECT_EQ(rollup.latency_max, 3000u);
 
   // Unknown fingerprints roll up empty instead of throwing.
   EXPECT_EQ(windows.RollUp(0xdead).executions, 0u);
+}
+
+TEST(WindowedProfile, OperatorShareIsZeroWithoutSamplesOrOperator) {
+  WindowedProfile windows(SmallConfig());
+  windows.Record(0x7, "q", 10, MakeProfile({{1, "Scan", 30}, {2, "Agg", 10}}),
+                 MakeCounters(10, 1, 0), 1000, 10, 100);
+  const WindowRollup rollup = windows.RollUp(0x7);
+  EXPECT_DOUBLE_EQ(OperatorShare(rollup.operators, rollup.samples, 1), 0.75);
+  EXPECT_EQ(OperatorShare(rollup.operators, rollup.samples, 3), 0);  // Unknown operator.
+  EXPECT_EQ(OperatorShare(rollup.operators, 0, 1), 0);               // No samples, no division.
+  // Regression baselines split their snapshot mix by the same rule.
+  const std::optional<PlanBaseline> baseline = SnapshotPlanBaseline(windows, 0x7);
+  ASSERT_TRUE(baseline.has_value());
+  EXPECT_DOUBLE_EQ(OperatorShare(baseline->operators, baseline->samples, 2), 0.25);
 }
 
 TEST(WindowedProfile, JsonExportIsDeterministic) {

@@ -1,10 +1,11 @@
 // The guarded-action lifecycle (src/continuous/guard.h), run with every payload that uses it —
 // placement repair and re-optimization: one action per fingerprint, the in-effect / kept /
-// reverted counts, the state-name round trip the state file relies on, and the shared
-// timeline layout with each payload's own detail.
+// reverted counts, the state-name round trip the state file relies on, the shared
+// timeline layout with each payload's own detail, and the TSC each transition stamps.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "src/continuous/guard.h"
 #include "src/reopt/controller.h"
@@ -81,6 +82,26 @@ TYPED_TEST(GuardLifecycle, LogLifecycleAndTimeline) {
   }
   GuardState parsed;
   EXPECT_FALSE(GuardStateFromName("bogus", &parsed));
+}
+
+TYPED_TEST(GuardLifecycle, TransitionStampsOnlyTheTscOfItsState) {
+  using Stamps = std::tuple<GuardState, uint64_t, uint64_t, uint64_t>;
+  auto stamps = [](const GuardedAction<TypeParam>& a) {
+    return Stamps(a.state, a.decided_tsc, a.applied_tsc, a.resolved_tsc);
+  };
+  GuardedAction<TypeParam> kept{.fingerprint = 0x11};
+  kept.Transition(GuardState::kDecided, 10);
+  EXPECT_EQ(stamps(kept), Stamps(GuardState::kDecided, 10, 0, 0));
+  kept.Transition(GuardState::kApplied, 20);
+  EXPECT_EQ(stamps(kept), Stamps(GuardState::kApplied, 10, 20, 0));
+  kept.Transition(GuardState::kKept, 30);
+  EXPECT_EQ(stamps(kept), Stamps(GuardState::kKept, 10, 20, 30));
+
+  // A change that never took effect goes from decided straight to reverted: no apply stamp.
+  GuardedAction<TypeParam> reverted{.fingerprint = 0x22};
+  reverted.Transition(GuardState::kDecided, 40);
+  reverted.Transition(GuardState::kReverted, 50);
+  EXPECT_EQ(stamps(reverted), Stamps(GuardState::kReverted, 40, 0, 50));
 }
 
 }  // namespace

@@ -62,7 +62,15 @@ TEST(CritPathService, TicketTrackerAndProfileCarryTheAnalysis) {
   ASSERT_FALSE(ticket.dag.nodes.empty());
   ASSERT_FALSE(ticket.verdicts.empty());
   EXPECT_GT(ticket.dag.critical_work_cycles, 0u);
-  EXPECT_EQ(ticket.dag.nodes.size(), ticket.task_boundaries.size());
+  // The nodes carry the run's task boundaries: rebuilding the DAG from them reproduces the
+  // analysis exactly.
+  std::vector<TaskBoundary> tasks;
+  for (const TaskNode& node : ticket.dag.nodes) {
+    tasks.push_back(node.task);
+  }
+  const TaskDag rebuilt = BuildTaskDag(tasks);
+  EXPECT_EQ(SerializeAnalysis(rebuilt, ClassifyPipelines(rebuilt)),
+            SerializeAnalysis(ticket.dag, ticket.verdicts));
 
   // Both executions folded into the tracker under one structural fingerprint.
   const uint64_t fp = service.ticket(first).fingerprint.structure;

@@ -222,14 +222,6 @@ TEST(Classifier, RulesFireInDocumentedOrder) {
   EXPECT_EQ(ClassifyPipeline(compute).label, Bottleneck::kComputeBound);
 }
 
-TEST(Classifier, NamesRoundTrip) {
-  for (int i = 0; i < kBottleneckLabels; ++i) {
-    const Bottleneck label = static_cast<Bottleneck>(i);
-    EXPECT_EQ(BottleneckFromName(BottleneckName(label)), label);
-  }
-  EXPECT_THROW(BottleneckFromName("definitely-not-a-label"), Error);
-}
-
 TEST(CritPath, RealRunAnalysisIsByteDeterministic) {
   Database& db = *SkewedDb();
   QueryEngine engine(&db);
@@ -362,14 +354,12 @@ TEST(CritPath, SampleStreamRebuildsTheIdenticalDag) {
   ASSERT_FALSE(boundaries.empty());
 
   std::ostringstream out;
-  WriteSamples(session.samples(), out, {.tasks = boundaries});
+  WriteSamples(session.samples(), out, boundaries);
 
   std::istringstream in(out.str());
-  SampleSideband sideband;
-  std::vector<Sample> samples = ReadSamples(in, &sideband);
+  std::vector<TaskBoundary> reread;
+  std::vector<Sample> samples = ReadSamples(in, &reread);
   EXPECT_EQ(samples.size(), session.samples().size());
-  EXPECT_TRUE(sideband.events.empty());
-  const std::vector<TaskBoundary>& reread = sideband.tasks;
   ASSERT_EQ(reread.size(), boundaries.size());
 
   const TaskDag live = BuildTaskDag(boundaries);

@@ -114,10 +114,6 @@ TEST_F(ReportsTest, TimelineBucketsCoverAllOperatorSamples) {
   AttributionStats stats = session.Stats();
   EXPECT_DOUBLE_EQ(total,
                    static_cast<double>(stats.operator_samples + stats.kernel_samples));
-  // CSV export has a header plus one line per bucket.
-  std::string csv = ActivityTimelineCsv(timeline);
-  size_t lines = static_cast<size_t>(std::count(csv.begin(), csv.end(), '\n'));
-  EXPECT_EQ(lines, 25u);
   std::string chart = RenderActivityTimeline(timeline);
   EXPECT_NE(chart.find("TheGroupBy"), std::string::npos);
 }

@@ -274,8 +274,9 @@ TEST(Serialize, RejectsMalformedInput) {
   }
 }
 
-TEST(Serialize, TierAndEventsRoundTrip) {
-  // Tier tokens and sideband events survive the round trip, events re-interleaved by tsc.
+TEST(Serialize, TierTokensRoundTrip) {
+  // A non-optimized tier is written as a G token and read back; the optimized tier is not
+  // written at all.
   std::vector<Sample> samples;
   {
     Sample baseline;
@@ -290,35 +291,23 @@ TEST(Serialize, TierAndEventsRoundTrip) {
     optimized.ip = 0x1000002;
     samples.push_back(optimized);
   }
-  SampleSideband sideband;
-  sideband.events = {{5, "tier 0000000000000001 baseline optimized decided"},
-                     {20, "tier 0000000000000001 baseline optimized swapped"},
-                     {99, "trailing event"}};
 
   std::stringstream stream;
-  WriteSamples(samples, stream, sideband);
-  const std::string text = stream.str();
-  // Events land before the first sample whose tsc passes them; the trailing one after all.
-  EXPECT_LT(text.find("event 5 "), text.find("sample 10"));
-  EXPECT_GT(text.find("event 20 "), text.find("sample 10"));
-  EXPECT_LT(text.find("event 20 "), text.find("sample 30"));
-  EXPECT_GT(text.find("event 99 "), text.find("sample 30"));
+  WriteSamples(samples, stream);
+  EXPECT_EQ(stream.str(),
+            "# dfp samples v8\n"
+            "sample 10 16777217 0 G 1\n"
+            "sample 30 16777218 0\n");
 
-  SampleSideband loaded_sideband;
-  std::vector<Sample> loaded = ReadSamples(stream, &loaded_sideband);
+  std::vector<Sample> loaded = ReadSamples(stream);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].tier, 1);
   EXPECT_EQ(loaded[1].tier, 0);
-  const std::vector<SampleStreamEvent>& loaded_events = loaded_sideband.events;
-  ASSERT_EQ(loaded_events.size(), 3u);
-  EXPECT_EQ(loaded_events[0].tsc, 5u);
-  EXPECT_EQ(loaded_events[1].text, "tier 0000000000000001 baseline optimized swapped");
-  EXPECT_EQ(loaded_events[2].tsc, 99u);
 }
 
 TEST(Serialize, EmptySidebandWritesThePlainStream) {
-  // No tier, no sideband: passing an empty sideband writes the same bytes as passing none,
-  // with no G tokens and no task/event/sched/reopt lines, and a sink reading it stays empty.
+  // No tier, no task boundaries: passing an empty task list writes the same bytes as passing
+  // none, with no G tokens and no task lines, and a sink reading it stays empty.
   std::vector<Sample> samples(2);
   samples[0].tsc = 100;
   samples[0].ip = 0x1000001;
@@ -326,7 +315,7 @@ TEST(Serialize, EmptySidebandWritesThePlainStream) {
   samples[1].ip = 0x1000002;
   samples[1].worker_id = 3;
   std::stringstream with_sideband;
-  WriteSamples(samples, with_sideband, SampleSideband());
+  WriteSamples(samples, with_sideband, std::vector<TaskBoundary>());
   std::stringstream classic;
   WriteSamples(samples, classic);
   EXPECT_EQ(with_sideband.str(), classic.str());
@@ -335,24 +324,28 @@ TEST(Serialize, EmptySidebandWritesThePlainStream) {
             "sample 100 16777217 0\n"
             "sample 200 16777218 0 W 3\n");
 
-  SampleSideband sink;
+  std::vector<TaskBoundary> sink;
   ASSERT_EQ(ReadSamples(classic, &sink).size(), 2u);
-  EXPECT_TRUE(sink.tasks.empty());
-  EXPECT_TRUE(sink.events.empty());
-  EXPECT_TRUE(sink.sched.empty());
-  EXPECT_TRUE(sink.reopt.empty());
+  EXPECT_TRUE(sink.empty());
 }
 
-TEST(Serialize, RejectsUnsunkSidebandAndWideTiers) {
-  // A stream with sideband lines needs a sink: silently dropping sideband data would make
-  // offline post-processing lie about what the service logged.
+TEST(Serialize, RejectsUnknownLinesUnsunkTasksAndWideTiers) {
+  // The stream carries samples and task lines only. Service decisions live in the service's
+  // logs, so an event, sched or reopt line is malformed, sink or no sink.
   for (const char* line : {"event 5 tier promoted", "sched 100 repair 0 applied",
-                           "reopt 100 decided fp=12ab",
-                           "task 0 10 0 0 0 4294967295 0 0 0 0 0 0 0 0 0"}) {
+                           "reopt 100 decided fp=12ab"}) {
     std::stringstream no_sink(std::string("# dfp samples v8\n") + line +
                               "\nsample 100 16777217 0\n");
     EXPECT_THROW(ReadSamples(no_sink), Error) << line;
+    std::stringstream with_sink(no_sink.str());
+    std::vector<TaskBoundary> tasks;
+    EXPECT_THROW(ReadSamples(with_sink, &tasks), Error) << line;
   }
+  // A stream with task lines needs a sink: silently dropping them would lose the schedule the
+  // critical-path DAG is rebuilt from.
+  std::stringstream unsunk_task(
+      "# dfp samples v8\ntask 0 10 0 0 0 4294967295 0 0 0 0 0 0 0 0 0\nsample 100 16777217 0\n");
+  EXPECT_THROW(ReadSamples(unsunk_task), Error);
   // Malformed tier payloads are rejected, not truncated.
   std::stringstream wide_tier("# dfp samples v8\nsample 100 16777217 0 G 300\n");
   EXPECT_THROW(ReadSamples(wide_tier), Error);
@@ -367,7 +360,7 @@ TEST(Serialize, TaskBoundariesRoundTrip) {
   plain.ip = 0x1000001;
   samples.push_back(plain);
 
-  SampleSideband sideband;
+  std::vector<TaskBoundary> tasks;
   {
     TaskBoundary host;
     host.start_tsc = 0;
@@ -375,7 +368,7 @@ TEST(Serialize, TaskBoundariesRoundTrip) {
     host.worker_id = 0;
     host.kind = TaskKind::kHostStep;
     host.step = 0;
-    sideband.tasks.push_back(host);
+    tasks.push_back(host);
   }
   {
     TaskBoundary morsel;
@@ -394,18 +387,17 @@ TEST(Serialize, TaskBoundariesRoundTrip) {
     morsel.l2_misses = 40;
     morsel.l3_misses = 12;
     morsel.remote_dram = 5;
-    sideband.tasks.push_back(morsel);
+    tasks.push_back(morsel);
   }
 
   std::stringstream stream;
-  WriteSamples(samples, stream, sideband);
+  WriteSamples(samples, stream, tasks);
   const std::string text = stream.str();
   EXPECT_LT(text.find("task 0 120 "), text.find("sample 500"));
 
-  SampleSideband reread_sideband;
-  std::vector<Sample> reread = ReadSamples(stream, &reread_sideband);
+  std::vector<TaskBoundary> loaded;
+  std::vector<Sample> reread = ReadSamples(stream, &loaded);
   ASSERT_EQ(reread.size(), 1u);
-  const std::vector<TaskBoundary>& loaded = reread_sideband.tasks;
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].kind, TaskKind::kHostStep);
   EXPECT_EQ(loaded[0].pipeline, kNoPipeline);
@@ -426,49 +418,16 @@ TEST(Serialize, TaskBoundariesRoundTrip) {
   EXPECT_EQ(loaded[1].remote_dram, 5u);
 }
 
-TEST(Serialize, AnnotationChannelsRoundTripInFixedOrder) {
-  // The sched and reopt channels interleave by tsc like events; at equal tsc the order is
-  // event, sched, reopt (fixed order keeps double-run streams byte-identical).
-  std::vector<Sample> samples;
-  Sample plain;
-  plain.tsc = 500;
-  plain.ip = 0x1000001;
-  samples.push_back(plain);
-
-  SampleSideband sideband;
-  sideband.reopt = {{100, "decided fp=12ab divergence=4100"}, {400, "kept fp=12ab"}};
-  sideband.sched = {{100, "repair 0 applied"}};
-  sideband.events = {{100, "tier promoted"}};
-
-  std::stringstream stream;
-  WriteSamples(samples, stream, sideband);
-  const std::string text = stream.str();
-  EXPECT_LT(text.find("event 100 "), text.find("sched 100 "));
-  EXPECT_LT(text.find("sched 100 "), text.find("reopt 100 decided fp=12ab divergence=4100"));
-  EXPECT_LT(text.find("reopt 400 "), text.find("sample 500"));
-
-  SampleSideband reread;
-  ASSERT_EQ(ReadSamples(stream, &reread).size(), 1u);
-  ASSERT_EQ(reread.reopt.size(), 2u);
-  EXPECT_EQ(reread.reopt[0].tsc, 100u);
-  EXPECT_EQ(reread.reopt[0].text, "decided fp=12ab divergence=4100");
-  EXPECT_EQ(reread.reopt[1].tsc, 400u);
-  EXPECT_EQ(reread.reopt[1].text, "kept fp=12ab");
-  ASSERT_EQ(reread.sched.size(), 1u);
-  EXPECT_EQ(reread.sched[0].text, "repair 0 applied");
-  ASSERT_EQ(reread.events.size(), 1u);
-}
-
 TEST(Serialize, RejectsMalformedTaskLines) {
   // Unknown kind, out-of-range stolen flag, end < start.
-  SampleSideband sideband;
+  std::vector<TaskBoundary> tasks;
   std::stringstream bad_kind(
       "# dfp samples v8\ntask 0 10 0 9 0 4294967295 0 0 0 0 0 0 0 0 0\n");
-  EXPECT_THROW(ReadSamples(bad_kind, &sideband), Error);
+  EXPECT_THROW(ReadSamples(bad_kind, &tasks), Error);
   std::stringstream bad_stolen("# dfp samples v8\ntask 0 10 0 1 0 0 0 64 2 0 0 0 0 0 0\n");
-  EXPECT_THROW(ReadSamples(bad_stolen, &sideband), Error);
+  EXPECT_THROW(ReadSamples(bad_stolen, &tasks), Error);
   std::stringstream backwards("# dfp samples v8\ntask 10 5 0 1 0 0 0 64 0 0 0 0 0 0 0\n");
-  EXPECT_THROW(ReadSamples(backwards, &sideband), Error);
+  EXPECT_THROW(ReadSamples(backwards, &tasks), Error);
 }
 
 TEST(Serialize, OneHeaderWrittenAndEveryOtherRefused) {
@@ -476,10 +435,9 @@ TEST(Serialize, OneHeaderWrittenAndEveryOtherRefused) {
   std::stringstream empty;
   WriteSamples({}, empty);
   EXPECT_EQ(empty.str(), "# dfp samples v8\n");
-  SampleSideband sideband;
-  sideband.reopt = {{1, "decided"}};
+  std::vector<TaskBoundary> tasks(1);
   std::stringstream full;
-  WriteSamples({}, full, sideband);
+  WriteSamples({}, full, tasks);
   EXPECT_EQ(full.str().rfind("# dfp samples v8\n", 0), 0u);
 
   // ...and the reader refuses every other version, older or newer, with one message.
@@ -490,7 +448,7 @@ TEST(Serialize, OneHeaderWrittenAndEveryOtherRefused) {
     std::stringstream stream("# dfp samples v" + std::to_string(version) +
                              "\nsample 100 16777217 0\n");
     try {
-      ReadSamples(stream, &sideband);
+      ReadSamples(stream, &tasks);
       ADD_FAILURE() << "v" << version << " accepted";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find("unsupported file header"), std::string::npos)

@@ -116,18 +116,5 @@ TEST_F(WindowTest, MachineListingShowsSamplesAndIrIds) {
   EXPECT_NE(listing.find("%"), std::string::npos);
 }
 
-TEST_F(WindowTest, DisassemblerRendersAllOpcodes) {
-  // Smoke-test the disassembler over a real compiled segment: every line non-empty.
-  ProfilingConfig config;
-  config.enable_sampling = false;
-  ProfilingSession session(config);
-  CompiledQuery query = Run(&session);
-  const CodeSegment& segment = db.code_map().segment(query.pipelines[0].segment);
-  std::string text = RenderSegment(segment);
-  EXPECT_NE(text.find("segment"), std::string::npos);
-  size_t lines = static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
-  EXPECT_EQ(lines, segment.code.size() + 1);
-}
-
 }  // namespace
 }  // namespace dfp

@@ -22,7 +22,6 @@
 #include "src/service/query_service.h"
 #include "src/service/service_profile.h"
 #include "src/tpch/datagen.h"
-#include "src/util/check.h"
 
 namespace dfp {
 namespace {
@@ -82,15 +81,6 @@ TicketId RunSpine(QueryService& service, Database& db, bool part_first, int64_t 
   return id;
 }
 
-bool HasEvent(const std::vector<SampleStreamEvent>& events, const std::string& needle) {
-  for (const SampleStreamEvent& event : events) {
-    if (event.text.find(needle) != std::string::npos) {
-      return true;
-    }
-  }
-  return false;
-}
-
 // Runs until the fingerprint's action reaches kKept or kReverted (or max_runs).
 int RunUntilResolved(QueryService& service, Database& db, bool part_first, int64_t part_bound,
                      int max_runs) {
@@ -139,7 +129,7 @@ TEST(ReoptService, MisestimateTriggersReplanAndGuardKeepsTheWinner) {
   EXPECT_EQ(service.reopts().actions().front().fingerprint, fp);
   EXPECT_TRUE(service.reopts().actions().front().payload.reordered);
   EXPECT_GE(service.reopts().actions().front().payload.divergence_pct, 400u);
-  EXPECT_TRUE(HasEvent(service.reopt_events(), "decided"));
+  EXPECT_GT(service.reopts().actions().front().decided_tsc, 0u);
 
   RunUntilResolved(service, *db, false, 50, 12);
   ASSERT_EQ(service.reopts().actions().size(), 1u);
@@ -149,8 +139,6 @@ TEST(ReoptService, MisestimateTriggersReplanAndGuardKeepsTheWinner) {
   EXPECT_GE(action.resolved_tsc, action.applied_tsc);
   EXPECT_EQ(service.reopts().kept(), 1u);
   EXPECT_EQ(service.reopts().reverted(), 0u);
-  EXPECT_TRUE(HasEvent(service.reopt_events(), "applied"));
-  EXPECT_TRUE(HasEvent(service.reopt_events(), "kept"));
 
   // The swap changed compiled code, never rows. The work-stealing scheduler appends output in
   // morsel-completion order, which legitimately differs between the two physical plans, so the
@@ -188,10 +176,11 @@ TEST(ReoptService, GuardRevertsInjectedPessimizingRewrite) {
   ASSERT_EQ(service.reopts().actions().size(), 1u);
   const GuardedAction<ReoptPayload>& action = service.reopts().actions().front();
   EXPECT_EQ(action.state, GuardState::kReverted);
+  EXPECT_GT(action.decided_tsc, 0u);
+  EXPECT_GT(action.applied_tsc, action.decided_tsc);  // Reverted by the guard, after the swap.
+  EXPECT_GE(action.resolved_tsc, action.applied_tsc);
   EXPECT_EQ(service.reopts().kept(), 0u);
   EXPECT_EQ(service.reopts().reverted(), 1u);
-  EXPECT_TRUE(HasEvent(service.reopt_events(), "decided"));
-  EXPECT_TRUE(HasEvent(service.reopt_events(), "reverted"));
 
   // The revert restored the original entry; the loop must not oscillate.
   RunSpine(service, *db, true, 50);
@@ -262,36 +251,6 @@ TEST(ReoptService, OverlappingGuardsJudgeEachActionAgainstItsOwnBaseline) {
   EXPECT_EQ(overlapped.state, alone.state);
 }
 
-TEST(ReoptService, ReoptSidebandRoundTripsThroughSampleStreams) {
-  const ServiceConfig config = ReoptConfigFor();
-  auto db = MakeDb(config);
-  QueryService service(*db, config);
-  RunUntilResolved(service, *db, false, 50, 12);
-  ASSERT_FALSE(service.reopt_events().empty());
-
-  const TicketId last = RunSpine(service, *db, false, 50);
-  std::ostringstream out;
-  WriteSamples(service.ticket(last).session->samples(), out,
-               {.reopt = service.reopt_events()});
-  const std::string text = out.str();
-  EXPECT_NE(text.find("\nreopt "), std::string::npos);
-
-  // Round trip: the reopt lines come back through the sideband sink, in stream order.
-  std::istringstream in(text);
-  SampleSideband sideband;
-  ReadSamples(in, &sideband);
-  const std::vector<SampleStreamEvent>& reopt = sideband.reopt;
-  ASSERT_EQ(reopt.size(), service.reopt_events().size());
-  for (size_t i = 0; i < reopt.size(); ++i) {
-    EXPECT_EQ(reopt[i].tsc, service.reopt_events()[i].tsc);
-    EXPECT_EQ(reopt[i].text, service.reopt_events()[i].text);
-  }
-
-  // A reader without a sideband sink must reject the stream instead of dropping lines.
-  std::istringstream no_sink(text);
-  EXPECT_THROW(ReadSamples(no_sink), Error);
-}
-
 TEST(ReoptService, CardsAndReoptLogRoundTripThroughServiceProfileV6) {
   ServiceConfig config = ReoptConfigFor();
   config.state_path = ::testing::TempDir() + "dfp_reopt_state_test.profile";
@@ -349,7 +308,7 @@ TEST(ReoptService, CardsAndReoptLogRoundTripThroughServiceProfileV6) {
 TEST(ReoptService, DoubleRunReoptLoopIsDeterministic) {
   // The whole loop — counters, EWMAs, trigger, background compile, swap, guard — is a pure
   // function of the submission sequence: two identical services must produce byte-identical
-  // sample streams, reopt event text, and state files.
+  // sample streams, task schedules, state files and guard timelines.
   const ServiceConfig config = ReoptConfigFor();
 
   auto run_workload = [&config](std::vector<std::string>* artifacts) {
@@ -359,9 +318,11 @@ TEST(ReoptService, DoubleRunReoptLoopIsDeterministic) {
       const TicketId id = RunSpine(service, *db, false, 50);
       EXPECT_EQ(service.ticket(id).status, TicketStatus::kDone);
       std::ostringstream out;
-      WriteSamples(service.ticket(id).session->samples(), out,
-                   {.tasks = service.ticket(id).task_boundaries,
-                    .reopt = service.reopt_events()});
+      std::vector<TaskBoundary> tasks;
+      for (const TaskNode& node : service.ticket(id).dag.nodes) {
+        tasks.push_back(node.task);
+      }
+      WriteSamples(service.ticket(id).session->samples(), out, tasks);
       artifacts->push_back(out.str());
     }
     std::ostringstream state;
@@ -395,7 +356,6 @@ TEST(ReoptService, DisabledByDefaultKeepsCountersOff) {
   RunSpine(service, *db, false, 50);
   EXPECT_EQ(service.cards().generation(), 0u);
   EXPECT_TRUE(service.reopts().actions().empty());
-  EXPECT_TRUE(service.reopt_events().empty());
 }
 
 }  // namespace

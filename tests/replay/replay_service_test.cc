@@ -398,6 +398,16 @@ TEST(ReplayServiceTest, ReoptWhatIfChangesCodeButNeverResults) {
   EXPECT_EQ(report.replayed_rejected, report.recorded_rejected);
 }
 
+// The message ReplayTrace throws for `trace`, or "" when it replays.
+std::string ReplayError(Database& db, const WorkloadTrace& trace) {
+  try {
+    ReplayTrace(db, trace);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ReplayServiceTest, MissingTemplateThrows) {
   const ServiceConfig config = TestConfig();
   auto record_db = MakeDb(config);
@@ -406,7 +416,24 @@ TEST(ReplayServiceTest, MissingTemplateThrows) {
   auto replay_db = MakeDb(config);
   WorkloadTrace doctored = recording.trace;
   doctored.templates.clear();
-  EXPECT_THROW(ReplayTrace(*replay_db, doctored), Error);
+  EXPECT_NE(ReplayError(*replay_db, doctored)
+                .find("trace query 1 references a structure with no plan template"),
+            std::string::npos);
+}
+
+TEST(ReplayServiceTest, DoctoredLiteralsFailTheFingerprintCheck) {
+  // A query whose recorded literal fingerprint does not match the plan its literals rebuild
+  // is a corrupt trace: the replay refuses it before submitting anything.
+  const ServiceConfig config = TestConfig();
+  auto record_db = MakeDb(config);
+  const Recording recording = RecordMixedWorkload(*record_db, config);
+
+  auto replay_db = MakeDb(config);
+  WorkloadTrace doctored = recording.trace;
+  doctored.queries[0].fingerprint.literals ^= 1;
+  EXPECT_NE(ReplayError(*replay_db, doctored)
+                .find("replayed plan fingerprint mismatch for trace query 1 (q1)"),
+            std::string::npos);
 }
 
 }  // namespace

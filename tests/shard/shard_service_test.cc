@@ -330,5 +330,41 @@ TEST(ShardReplay, ShardCountWhatIfNeverMovesResults) {
   EXPECT_FALSE(run.service_profile_text.empty());
 }
 
+TEST(ShardReplay, DoctoredLiteralsFailTheFingerprintCheck) {
+  // The sharded replay rebuilds its plans with the unsharded replay's checks: a recorded
+  // literal fingerprint its literals do not rebuild is refused as a corrupt trace.
+  const ServiceConfig record_config = TestServiceConfig();
+  DatabaseConfig record_db_config = TestDbConfig(1);
+  record_db_config.extra_bytes = ServiceArenaBytes(record_config);
+  auto record_db = std::make_unique<Database>(record_db_config);
+  TpchOptions options;
+  options.scale = kScale;
+  GenerateTpch(*record_db, options);
+  WorkloadTrace trace;
+  {
+    QueryService recorded(*record_db, record_config);
+    TraceRecorder recorder;
+    recorded.AttachRecorder(recorder);
+    recorded.Submit(BuildQueryPlan(*record_db, FindQuery("q6")), "q6");
+    recorded.Drain();
+    recorder.Finish(recorded);
+    trace = recorder.trace();
+  }
+  trace.queries[0].fingerprint.literals ^= 1;
+
+  ShardCatalog catalog = MakeCatalog(2);
+  ReplayOptions replay_options;
+  replay_options.shards = &catalog;
+  try {
+    ReplayTrace(catalog.db(0), trace, replay_options);
+    ADD_FAILURE() << "doctored trace replayed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "replayed plan fingerprint mismatch for trace query 1 (q6)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace dfp

@@ -109,9 +109,12 @@ TEST(TierLadderTest, BreakEvenPromotionSwapsInBackgroundWithIdenticalResults) {
   ASSERT_GE(service.plan_cache().stats().tier_swaps, 1u) << "never promoted after " << runs;
   EXPECT_EQ(service.pending_recompiles(), 0u);
 
-  // The transition log records the decision and the swap, in causal order.
+  // The transition log records the decision and the swap, in causal order, against the
+  // structure fingerprint.
   ASSERT_EQ(service.tier_controller().transitions().size(), 1u);
   const TierTransition& transition = service.tier_controller().transitions()[0];
+  EXPECT_EQ(transition.fingerprint, service.ticket(first).fingerprint.structure);
+  EXPECT_EQ(transition.name, "q6");
   EXPECT_EQ(transition.from, PlanTier::kBaseline);
   EXPECT_EQ(transition.to, PlanTier::kOptimized);
   EXPECT_GT(transition.decided_at_cycles, 0u);
@@ -124,11 +127,11 @@ TEST(TierLadderTest, BreakEvenPromotionSwapsInBackgroundWithIdenticalResults) {
   EXPECT_TRUE(service.ticket(after).cache_hit);
   EXPECT_EQ(service.ticket(after).result.rows(), baseline_result.rows());
 
-  // Both "decided" and "swapped" events were logged against the structure fingerprint.
-  ASSERT_EQ(service.tier_events().size(), 2u);
-  EXPECT_NE(service.tier_events()[0].text.find("decided"), std::string::npos);
-  EXPECT_NE(service.tier_events()[1].text.find("swapped"), std::string::npos);
-  EXPECT_LE(service.tier_events()[0].tsc, service.tier_events()[1].tsc);
+  // The timeline totals count the one promotion and its swap.
+  const TierTimelineTotals totals =
+      SummarizeTierTimeline(service.windows(), service.tier_controller());
+  EXPECT_EQ(totals.transitions, 1u);
+  EXPECT_EQ(totals.swapped, 1u);
 }
 
 TEST(TierLadderTest, ConcurrentVariantsDeferPatchUntilEntryDrains) {
@@ -175,7 +178,7 @@ TEST(TierLadderTest, TimelineAttributesEverySampleToATier) {
   }
 }
 
-TEST(TierLadderTest, TieredSamplesRoundTripWithEvents) {
+TEST(TierLadderTest, TieredSamplesRoundTripTheirTier) {
   ServiceConfig config = TieredConfig();
   auto db = MakeDb(config);
   QueryService service(*db, config);
@@ -187,18 +190,12 @@ TEST(TierLadderTest, TieredSamplesRoundTripWithEvents) {
   ASSERT_GE(service.plan_cache().stats().tier_swaps, 1u);
   ASSERT_NE(service.ticket(last).session, nullptr);
 
-  // Baseline-tier samples carry their tier through serialization, alongside the service's
-  // tier-transition events.
+  // Baseline-tier samples carry their tier through serialization.
   std::ostringstream out;
-  WriteSamples(service.ticket(last).session->samples(), out, {.events = service.tier_events()});
-  EXPECT_NE(out.str().find("event "), std::string::npos);
+  WriteSamples(service.ticket(last).session->samples(), out);
 
   std::istringstream in(out.str());
-  SampleSideband sideband;
-  const std::vector<Sample> samples = ReadSamples(in, &sideband);
-  const std::vector<SampleStreamEvent>& events = sideband.events;
-  ASSERT_EQ(events.size(), service.tier_events().size());
-  EXPECT_EQ(events[0].text, service.tier_events()[0].text);
+  const std::vector<Sample> samples = ReadSamples(in);
   ASSERT_EQ(samples.size(), service.ticket(last).session->samples().size());
   for (size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(samples[i].tier, service.ticket(last).session->samples()[i].tier);
@@ -245,7 +242,6 @@ TEST(TierLadderTest, TieringOffKeepsOptimizedTierAndNoEvents) {
   const TicketId id = RunOne(service, *db, Q6Variant(5, 7, 24), "q6");
   EXPECT_EQ(service.ticket(id).tier, PlanTier::kOptimized);
   EXPECT_EQ(service.ticket(id).patched_sites, 0u);
-  EXPECT_TRUE(service.tier_events().empty());
   EXPECT_TRUE(service.tier_controller().transitions().empty());
   // A different-literal resubmission is a structure hit but a cache miss (exact keying).
   const TicketId variant = RunOne(service, *db, Q6Variant(2, 8, 30), "q6");

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Audits dfp's configuration surface: a knob exists only if something sets it.
 
-Two kinds of findings:
+Three kinds of findings:
 
-  unused  Class::member  A member declared in src/**/*.h that nothing in src/, bench/,
-                         examples/ or perfbench/ references outside its own declaration
-                         (and, for functions, its out-of-line definition).
-  unset   Struct::field  A field of a config struct (every *Config, *Options, *Thresholds,
-                         *Costs and *CostModel in src/) that nothing outside tests/
-                         assigns.
+  unused    Class::member  A member declared in src/**/*.h that nothing in src/, bench/,
+                           examples/ or perfbench/ references outside its own declaration
+                           (and, for functions, its out-of-line definition).
+  uncalled  Function       A namespace-scope function declared in src/**/*.h that nothing in
+                           those directories calls outside its own declarations and
+                           definitions.
+  unset     Struct::field  A field of a config struct (every *Config, *Options, *Thresholds,
+                           *Costs and *CostModel in src/) that nothing outside tests/
+                           assigns.
 
 The scan is textual: comments and string literals are blanked, then names are matched as
-whole words, so a member whose name something else shares counts as referenced. A field
+whole words, so a member or function whose name something else shares counts as referenced;
+a function counts as called at `name(`, so one only passed by pointer needs an entry. A field
 counts as assigned when an access path through it (`x.field`, `p->field`, `x.field.sub`) is
 the target of an assignment, or when a positional aggregate initializer reaches it. Reading
 a field back from a state file (`>>`) does not count: the file only carries what a config
@@ -51,6 +55,14 @@ ALLOWED = {
         "fault injection: the repair-guard tests make a repair regress so it must be reverted",
     "unset ServiceConfig::state_path":
         "process wiring for restarts, set by the persistence tests; traces never capture it",
+    "uncalled CrossCheckAttributionPerWorker":
+        "the Section 6.3 validation split by worker, the oracle of the parallel Register "
+        "Tagging property test",
+    "uncalled InterpretIr":
+        "the IR reference interpreter the backend and pass tests compare compiled code against",
+    "uncalled RenderMachineListing":
+        "the machine-instruction level of the report stack, the lowest abstraction level a "
+        "profile resolves to; the window tests render it",
     "unused CodeMap::segments":
         "the plan-cache tests count code segments to prove a warm hit compiles nothing",
     "unused HashTableView::Chain": "the runtime tests walk the hash table generated code built",
@@ -61,8 +73,6 @@ ALLOWED = {
         "the plan-builder projection the engine and differential tests build plans with",
     "unused ProfilingSession::LoadForPostProcessing":
         "decoupled post-processing of a stored stream (paper Section 5.2), under test",
-    "unused QueryService::reopt_events": "the re-optimization sideband the guard tests read",
-    "unused QueryService::sched_events": "the placement-repair sideband the guard tests read",
     "unused Runtime::ht_lookup_fn":
         "the lookup helper stays compiled so the runtime code layout, and with it every "
         "profile's instruction pointers, does not move; the runtime tests call it",
@@ -195,6 +205,60 @@ def member_name(statement, class_name):
     return names[-1] if len(names) >= 2 else None
 
 
+def namespace_statements(text):
+    """Splits a file into its namespace-scope declarations: namespace bodies are entered, every
+    other body (class, function, initializer) is dropped, and preprocessor lines are skipped."""
+    text = re.sub(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", lambda m: re.sub(r"[^\n]", " ", m.group(0)),
+                  text, flags=re.M)
+    statements, current = [], []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "{":
+            if re.search(r"\bnamespace(?:\s+[\w:]+)?\s*$", "".join(current)):
+                current = []
+                i += 1
+                continue
+            current.append("{}")
+            i = matching_brace(text, i) + 1
+            # A function body ends its declaration; a class body or initializer is followed by
+            # the rest of its statement.
+            if not text[i:].lstrip().startswith((";", ",", ")")):
+                statements.append("".join(current))
+                current = []
+            continue
+        if c in ";}":
+            statements.append("".join(current))
+            current = []
+        else:
+            current.append(c)
+        i += 1
+    return statements
+
+
+def function_name(statement):
+    """Name a namespace-scope statement declares or defines a function by, or None."""
+    text = statement.lstrip()
+    if re.match(r"template\s*<", text):
+        depth = 0
+        for j, c in enumerate(text):
+            depth += c == "<"
+            depth -= c == ">"
+            if c == ">" and depth == 0:
+                text = text[j + 1:]
+                break
+    if SKIP_STATEMENT.match(text) or "operator" in text:
+        return None
+    head = re.split(r"(?<![=!<>])=(?!=)", text, 1)[0]
+    if "(" not in head:
+        return None
+    before = head[:head.index("(")]
+    if re.search(r"::\s*\w+\s*$", before):
+        return None  # An out-of-line member definition.
+    names = [n for n in IDENT.findall(before) if n not in KEYWORDS]
+    return names[-1] if len(names) >= 2 else None
+
+
 def read_sources(root):
     """Every C++ file under CODE_DIRS, comments and literals blanked, by relative path."""
     sources = {}
@@ -323,7 +387,21 @@ def main():
                 own[m.group(2)] += 1
                 own_calls[m.group(2)] += 1
 
+    # Namespace-scope functions: declared in a src/ header, called outside their own
+    # declarations and definitions (a member of the same name counts as its own too).
+    functions, free_own = set(), {}
+    for path, text in code.items():
+        for statement in namespace_statements(text):
+            name = function_name(statement)
+            if name:
+                free_own[name] = free_own.get(name, 0) + 1
+                if path.startswith("src" + os.sep) and path.endswith(".h"):
+                    functions.add(name)
+
     findings = set()
+    for name in functions:
+        if call_counts.get(name, 0) <= free_own[name] + own_calls.get(name, 0):
+            findings.add("uncalled %s" % name)
     for class_name, name, ftype, _ in audited:
         if (word_counts.get(name, 0) <= own[name] if ftype is not None else
                 call_counts.get(name, 0) <= own_calls[name]):
