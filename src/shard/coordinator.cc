@@ -1,6 +1,12 @@
 #include "src/shard/coordinator.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
 #include <utility>
 
 #include "src/util/check.h"
@@ -118,8 +124,48 @@ TicketId ShardedService::SubmitClassified(const std::string& name,
 }
 
 void ShardedService::Drain() {
-  for (auto& shard : shards_) {
-    shard->Drain();
+  // Shards share no mutable state (see the header), so they drain concurrently: the calling
+  // thread and up to hardware_concurrency() - 1 helpers each take the next undrained shard.
+  const uint32_t shards = catalog_.shards();
+  const uint32_t threads = std::min(shards, std::max(1u, std::thread::hardware_concurrency()));
+  std::atomic<uint32_t> next_shard{0};
+  std::vector<std::exception_ptr> errors(shards);
+  const auto drain = [&] {
+    for (uint32_t s = next_shard++; s < shards; s = next_shard++) {
+      try {
+        shards_[s]->Drain();
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+    }
+  };
+  // A new thread starts on its creator's CPU, and a kernel that does not balance load (as in a
+  // cpuset with sched_load_balance = 0) leaves it there, so each helper moves itself to the
+  // calling thread's other allowed CPUs. A move that fails only costs parallelism.
+  cpu_set_t other_cpus{};
+  const int caller_cpu = sched_getcpu();
+  const bool spread =
+      caller_cpu >= 0 && sched_getaffinity(0, sizeof(other_cpus), &other_cpus) == 0;
+  if (spread) {
+    CPU_CLR(caller_cpu, &other_cpus);
+  }
+  {
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads - 1);
+    for (uint32_t t = 1; t < threads; ++t) {
+      helpers.emplace_back([&] {
+        if (spread) {
+          pthread_setaffinity_np(pthread_self(), sizeof(other_cpus), &other_cpus);
+        }
+        drain();
+      });
+    }
+    drain();
+  }  // Joins the helpers, also when starting one threw.
+  for (const std::exception_ptr& error : errors) {
+    if (error != nullptr) {
+      std::rethrow_exception(error);  // The lowest failed shard's exception.
+    }
   }
   // Resolve in submission order: merges run serially on the coordinator's clock, so the
   // whole resolution pass is a pure function of the submission sequence.

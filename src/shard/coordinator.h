@@ -19,9 +19,18 @@
 //    copy is discarded: plan construction interns strings, and the shard heaps must replay
 //    identical intern sequences to keep packed string references — in plans, results, and
 //    recorded traces — valid on every shard (src/shard/partition.h).
-//  - Shard drains and pending-ticket resolution happen in shard / submission order, so the
-//    coordinator's clocks, samples, and profiles are a pure function of the submission
-//    sequence, exactly like a single QueryService.
+//  - Each shard's drain is a pure function of that shard's own submission sequence, and
+//    pending-ticket resolution (merges included) runs serially in submission order after every
+//    shard has drained, so the coordinator's clocks, samples, and profiles are a pure function
+//    of the submission sequence, exactly like a single QueryService. Shards drain concurrently
+//    on host threads; that is exact because a shard drain shares no mutable state with another
+//    (audited when the drain went parallel):
+//      - a shard's QueryService::Drain touches only its own Database (VMem, CodeMap, string
+//        heap), plan cache and controllers;
+//      - continuous.regression_alert fires only from DetectRegressions, which stays serial;
+//      - no sharded path attaches a TraceRecorder to a shard (ReplayTraceSharded assembles its
+//        trace from coordinator tickets after each Drain);
+//      - src/ has no mutable statics.
 //
 // Plan caches stay shard-local; the coordinator watches the (shared) catalog version and, when
 // it moves, invalidates every shard's cache in the same submission step — the coordinated
@@ -106,8 +115,12 @@ class ShardedService {
   TicketId SubmitPlans(const std::string& name, std::vector<PhysicalOpPtr> plans,
                        uint64_t deadline_cycles = 0, uint32_t weight = 1);
 
-  // Drains every shard (in shard order), then resolves tickets in submission order: fan-out
-  // merges run here, on the coordinator's clock.
+  // Drains every shard, concurrently on min(shards, hardware threads) host threads (the calling
+  // thread is one of them, so a 1-shard service spawns none; the others run on the calling
+  // thread's other allowed CPUs), then resolves tickets serially in submission order: fan-out
+  // merges run here, on the coordinator's clock. An exception from a shard's drain is rethrown
+  // after every thread has joined (the lowest shard's, if several), and the pending tickets
+  // stay unresolved.
   void Drain();
 
   const ShardTicket& ticket(TicketId id) const { return *tickets_[id - 1]; }

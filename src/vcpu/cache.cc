@@ -12,28 +12,30 @@ constexpr int kLineShift = std::countr_zero(kCacheLineBytes);
 
 }  // namespace
 
-CacheLevel::CacheLevel(const CacheLevelConfig& config)
+template <typename Tag>
+CacheLevel<Tag>::CacheLevel(const CacheLevelConfig& config)
     : ways_(config.ways), latency_(config.latency) {
   const uint64_t line_count = config.size_bytes / kCacheLineBytes;
   DFP_CHECK(ways_ <= UINT8_MAX && line_count % ways_ == 0);
   const uint64_t set_count = line_count / ways_;
   DFP_CHECK(std::has_single_bit(set_count) && set_count <= UINT32_MAX);
   set_mask_ = static_cast<uint32_t>(set_count - 1);
-  tag_shift_ = static_cast<uint32_t>(kLineShift + std::countr_zero(set_count));
-  tags_ = std::make_unique_for_overwrite<uint64_t[]>(line_count);
+  tag_shift_ = TagShift(config);
+  tags_ = std::make_unique_for_overwrite<Tag[]>(line_count);
   valid_ = std::make_unique<uint8_t[]>(set_count);
 }
 
-bool CacheLevel::Access(VAddr addr) {
+template <typename Tag>
+bool CacheLevel<Tag>::Access(VAddr addr) {
   const uint32_t set = static_cast<uint32_t>(addr >> kLineShift) & set_mask_;
-  const uint64_t tag = addr >> tag_shift_;
-  uint64_t* ranks = &tags_[static_cast<size_t>(set) * ways_];
+  const Tag tag = static_cast<Tag>(addr >> tag_shift_);
+  Tag* ranks = &tags_[static_cast<size_t>(set) * ways_];
   const uint32_t valid = valid_[set];
   // Search in MRU order while shifting each passed tag one rank down: the accessed tag lands in
   // rank 0 and the tag displaced last fills the freed rank.
-  uint64_t carry = tag;
+  Tag carry = tag;
   for (uint32_t rank = 0; rank < valid; ++rank) {
-    const uint64_t held = ranks[rank];
+    const Tag held = ranks[rank];
     ranks[rank] = carry;
     if (held == tag) {
       return true;
@@ -47,6 +49,9 @@ bool CacheLevel::Access(VAddr addr) {
   }
   return false;
 }
+
+template class CacheLevel<uint16_t>;
+template class CacheLevel<uint32_t>;
 
 CacheAccessResult CacheHierarchy::Access(VAddr addr) {
   ++stats_.accesses;

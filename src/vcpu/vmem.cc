@@ -2,12 +2,19 @@
 
 #include <new>
 
+#include "src/util/str.h"
+
 namespace dfp {
 
 VMem::VMem(uint64_t capacity) : capacity_(capacity), next_base_(64) {
   // The first 64 bytes are reserved so that address 0 acts as a null pointer and small
   // accidental offsets fault visibly in tests.
   DFP_CHECK(capacity >= next_base_);
+  if (capacity > kMaxVMemBytes) {
+    throw Error(StrFormat("VMem capacity %llu bytes exceeds the %llu-byte limit",
+                          static_cast<unsigned long long>(capacity),
+                          static_cast<unsigned long long>(kMaxVMemBytes)));
+  }
   bytes_.reset(static_cast<uint8_t*>(std::calloc(capacity, 1)));
   if (bytes_ == nullptr) {
     throw std::bad_alloc();

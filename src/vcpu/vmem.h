@@ -21,6 +21,10 @@ namespace dfp {
 
 using VAddr = uint64_t;
 
+// Largest arena a VMem accepts: the cache model's tags are only as wide as addresses below it
+// need (src/vcpu/cache.h). The default DatabaseConfig reserves 505 MiB plus its head room.
+inline constexpr uint64_t kMaxVMemBytes = 1ull << 35;
+
 // One named region of the arena (e.g. "columns", "hashtables", "state").
 struct MemRegion {
   std::string name;
@@ -56,8 +60,8 @@ class VMem {
   // `capacity` is the total arena size in bytes, at least the 64 reserved null-page bytes. The
   // whole address range is reserved up front, so addresses are stable for the lifetime of the
   // VMem, but a page costs host memory only once something first touches it. Fresh bytes, and
-  // the bytes of a reset region, read zero. Throws std::bad_alloc when the range cannot be
-  // reserved.
+  // the bytes of a reset region, read zero. Throws dfp::Error above kMaxVMemBytes and
+  // std::bad_alloc when the range cannot be reserved.
   explicit VMem(uint64_t capacity);
 
   // Creates a named region of `size` bytes. Regions are carved out sequentially.

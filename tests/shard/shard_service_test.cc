@@ -1,8 +1,9 @@
 // ShardedService: fan-out results must be identical to the unsharded engine, routed queries
 // must stay whole on one shard, the coordinator's Merge operator and CROSS_NODE traffic must
 // be observable, catalog-version bumps must invalidate every shard's plan cache in one step,
-// the 1-shard tower must be byte-identical to a plain QueryService, and a shard-count what-if
-// replay of a recorded trace must never move a result.
+// the 1-shard tower must be byte-identical to a plain QueryService, shards drained concurrently
+// must match shards drained alone, and a shard-count what-if replay of a recorded trace must
+// never move a result.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "src/engine/result.h"
+#include "src/profiling/serialize.h"
 #include "src/replay/recorder.h"
 #include "src/replay/replayer.h"
 #include "src/replay/trace.h"
@@ -286,6 +288,89 @@ TEST(ShardedService, FleetAggregateIsDeterministicAcrossIdenticalRuns) {
     return json.str();
   };
   EXPECT_EQ(run(), run());
+}
+
+std::string SampleStream(const QueryTicket& ticket) {
+  std::ostringstream out;
+  WriteSamples(ticket.session->samples(), out);
+  return out.str();
+}
+
+TEST(ShardedService, ParallelDrainMatchesShardsDrainedAlone) {
+  // Three rounds of the fan-out slice plus a routed q16 on 4 shards, which Drain() runs on
+  // several host threads when the host has the cores. Each shard must behave exactly as it
+  // does when drained alone.
+  constexpr uint32_t kShards = 4;
+  std::vector<std::string> round = FanoutWorkload();
+  round.push_back("q16");
+  ShardCatalog catalog = MakeCatalog(kShards);
+  ShardedService sharded(catalog, TestShardConfig());
+  {
+    // The oracle: a second catalog whose shard services get the same per-shard plans and are
+    // drained one after another on this thread. They belong to a coordinator of their own only
+    // so that shard 0's database gets the same merge staging regions and host segment; that
+    // coordinator never drains or merges.
+    ShardCatalog alone_catalog = MakeCatalog(kShards);
+    ShardedService alone(alone_catalog, TestShardConfig());
+    struct SubTicket {
+      uint32_t shard = 0;
+      TicketId sharded = 0;
+      TicketId alone = 0;
+    };
+    std::vector<SubTicket> subs;
+    for (int r = 0; r < 3; ++r) {
+      for (const std::string& name : round) {
+        const ShardTicket& ticket = sharded.ticket(sharded.Submit(name, Builder(name)));
+        ASSERT_EQ(ticket.fanout, name != "q16");
+        for (uint32_t s = 0; s < kShards; ++s) {
+          // Built on every shard, as the coordinator does, so the string heaps stay aligned.
+          PhysicalOpPtr plan = BuildQueryPlan(alone_catalog.db(s), FindQuery(name));
+          if (ticket.fanout) {
+            subs.push_back({s, ticket.shard_tickets[s],
+                            alone.shard(s).Submit(BuildPartialPlan(*plan), name)});
+          } else if (s == ticket.owner_shard) {
+            subs.push_back(
+                {s, ticket.shard_tickets[0], alone.shard(s).Submit(std::move(plan), name)});
+          }
+        }
+      }
+      sharded.Drain();
+      for (uint32_t s = 0; s < kShards; ++s) {
+        alone.shard(s).Drain();
+      }
+    }
+    for (const SubTicket& sub : subs) {
+      const QueryTicket& got = sharded.shard(sub.shard).ticket(sub.sharded);
+      const QueryTicket& want = alone.shard(sub.shard).ticket(sub.alone);
+      SCOPED_TRACE(got.name + " on shard " + std::to_string(sub.shard));
+      EXPECT_EQ(got.status, TicketStatus::kDone);
+      EXPECT_EQ(got.status, want.status);
+      EXPECT_EQ(got.compile_cycles, want.compile_cycles);
+      EXPECT_EQ(got.execute_cycles, want.execute_cycles);
+      EXPECT_EQ(got.completed_at_cycles, want.completed_at_cycles);
+      ASSERT_NE(got.session, nullptr);
+      ASSERT_NE(want.session, nullptr);
+      EXPECT_GT(got.session->samples().size(), 0u);
+      EXPECT_EQ(got.session->samples().size(), want.session->samples().size());
+      EXPECT_EQ(SampleStream(got), SampleStream(want));
+    }
+    for (uint32_t s = 0; s < kShards; ++s) {
+      EXPECT_EQ(sharded.shard(s).fleet_profile().Render(), alone.shard(s).fleet_profile().Render())
+          << "shard " << s;
+    }
+  }
+
+  // A second 4-shard run of the same rounds aggregates to the same fleet profile.
+  ShardCatalog again_catalog = MakeCatalog(kShards);
+  ShardedService again(again_catalog, TestShardConfig());
+  for (int r = 0; r < 3; ++r) {
+    for (const std::string& name : round) {
+      again.Submit(name, Builder(name));
+    }
+    again.Drain();
+  }
+  EXPECT_EQ(RenderFleetAggregate(again.AggregateFleet()),
+            RenderFleetAggregate(sharded.AggregateFleet()));
 }
 
 TEST(ShardReplay, ShardCountWhatIfNeverMovesResults) {

@@ -99,6 +99,11 @@ void ExpectSameAsAgeStampedLru(uint64_t count, const std::function<VAddr(uint64_
 // smaller level), so cycling through more of them than the level has ways overflows the set.
 uint64_t WaySpan(const CacheLevelConfig& level) { return level.size_bytes / level.ways; }
 
+// Bases for the oracle streams: as written, and moved to just below kMaxVMemBytes, where every
+// address sets the top tag bits the narrow tags must keep. The high base is a multiple of every
+// way span, so each stream keeps its set indices.
+constexpr VAddr kStreamBases[] = {0, kMaxVMemBytes - (2ull << 30)};
+
 TEST(Cache, FirstAccessMissesThenHits) {
   CacheHierarchy cache;
   CacheAccessResult first = cache.Access(0x1000);
@@ -153,30 +158,51 @@ TEST(Cache, SequentialScanMostlyHits) {
 TEST(Cache, RandomStreamMatchesAgeStampedLru) {
   // Hot and cold random lines: a 64 KiB hot range that mostly hits and a 32 MiB range (four
   // times L3) that mostly misses, interleaved.
-  Random rng(7);
-  ExpectSameAsAgeStampedLru(400000, [&](uint64_t) {
-    const uint64_t range = rng.Chance(0.5) ? (64ull << 10) : (32ull << 20);
-    return 0x100000 + rng.Next() % range;
-  });
+  for (const VAddr base : kStreamBases) {
+    SCOPED_TRACE(base);
+    Random rng(7);
+    ExpectSameAsAgeStampedLru(400000, [&](uint64_t) {
+      const uint64_t range = rng.Chance(0.5) ? (64ull << 10) : (32ull << 20);
+      return base + 0x100000 + rng.Next() % range;
+    });
+  }
 }
 
 TEST(Cache, SequentialStreamMatchesAgeStampedLru) {
   // Repeated 8-byte scans over 12 MiB (more than L3) and over 200 KiB (less than L2).
-  ExpectSameAsAgeStampedLru(300000, [](uint64_t i) {
-    return i < 200000 ? (i * 8) % (12ull << 20) : 0x40000000 + (i * 8) % (200ull << 10);
-  });
+  for (const VAddr base : kStreamBases) {
+    SCOPED_TRACE(base);
+    ExpectSameAsAgeStampedLru(300000, [&](uint64_t i) {
+      return base +
+             (i < 200000 ? (i * 8) % (12ull << 20) : 0x40000000 + (i * 8) % (200ull << 10));
+    });
+  }
 }
 
 TEST(Cache, SameSetConflictStreamMatchesAgeStampedLru) {
   // For each level, cycle (ways - 2 ... ways + 3) lines of one set in random order, so the set
   // fills, overflows by a few lines, and hits on recently used ones.
-  Random rng(11);
   const CacheLevelConfig levels[] = {kL1Cache, kL2Cache, kL3Cache};
-  ExpectSameAsAgeStampedLru(400000, [&](uint64_t i) {
-    const CacheLevelConfig& level = levels[(i / 20000) % 3];
-    const uint64_t lines = level.ways - 2 + (i / 60000) % 6;
-    const uint64_t set_offset = ((i / 20000) % 5) * kCacheLineBytes;
-    return set_offset + (rng.Next() % lines) * WaySpan(level);
+  for (const VAddr base : kStreamBases) {
+    SCOPED_TRACE(base);
+    Random rng(11);
+    ExpectSameAsAgeStampedLru(400000, [&](uint64_t i) {
+      const CacheLevelConfig& level = levels[(i / 20000) % 3];
+      const uint64_t lines = level.ways - 2 + (i / 60000) % 6;
+      const uint64_t set_offset = ((i / 20000) % 5) * kCacheLineBytes;
+      return base + set_offset + (rng.Next() % lines) * WaySpan(level);
+    });
+  }
+}
+
+TEST(Cache, TopTagBitConflictStreamMatchesAgeStampedLru) {
+  // 24 lines of one set, more than L3 has ways, in pairs that differ only in address bit 34: the
+  // top L3 tag bit of an address below kMaxVMemBytes. A tag one bit narrower aliases each pair.
+  static_assert(kMaxVMemBytes == 1ull << 35);
+  Random rng(13);
+  ExpectSameAsAgeStampedLru(200000, [&](uint64_t) {
+    const uint64_t top_bit = rng.Chance(0.5) ? 1ull << 34 : 0;
+    return top_bit + (rng.Next() % 12) * WaySpan(kL3Cache);
   });
 }
 

@@ -78,6 +78,12 @@ TEST(VMem, DeathOnWrappedAddress) {
   EXPECT_DEATH(mem.Write<uint64_t>(wrapped, 1), "DFP_CHECK");
 }
 
+TEST(VMem, CapacityAboveTheLimitThrows) {
+  // The cache model's narrow tags are exact only for addresses below kMaxVMemBytes.
+  EXPECT_THROW({ VMem mem(kMaxVMemBytes + 1); }, Error);
+  EXPECT_THROW({ VMem mem(~uint64_t{0}); }, Error);
+}
+
 TEST(VMem, UntouchedArenaIsNotResident) {
   constexpr uint64_t kTouchedPages = 16;
   constexpr uint64_t kStride = 60ull << 20;
