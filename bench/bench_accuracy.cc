@@ -65,8 +65,7 @@ int Main() {
         continue;  // Host-modeled segments have synthetic IPs.
       }
       ++load_samples;
-      const MInstr& instr = segment->code[sample.ip - segment->base_ip];
-      if (IsLoad(instr.op)) {
+      if (IsLoad(segment->code[sample.ip - segment->base_ip].op)) {
         ++load_ip_ok;
       }
     }

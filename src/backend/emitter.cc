@@ -170,7 +170,6 @@ class Emitter {
         const uint8_t dst = DstReg(ir.dst);
         if (ir.a.IsImm()) {
           MInstr& instr = Emit(Opcode::kConst, ir.id);
-          instr.type = ir.type;
           instr.dst = dst;
           instr.a_is_imm = true;
           instr.imm = ir.a.imm;
@@ -180,7 +179,6 @@ class Emitter {
         } else {
           const uint8_t src = UseReg(ir.a, kScratch0, ir.id);
           MInstr& instr = Emit(Opcode::kMov, ir.id);
-          instr.type = ir.type;
           instr.dst = dst;
           instr.ra = src;
         }
@@ -195,7 +193,6 @@ class Emitter {
         const uint8_t src = UseReg(ir.a, kScratch0, ir.id);
         const uint8_t dst = DstReg(ir.dst);
         MInstr& instr = Emit(ir.op, ir.id);
-        instr.type = ir.type;
         instr.dst = dst;
         instr.ra = src;
         FinishDst(ir.dst, dst, ir.id);
@@ -234,7 +231,6 @@ class Emitter {
         MInstr instr;
         instr.op = ir.op;
         instr.ir_id = ir.id;
-        instr.type = ir.type;
         instr.dst = dst;
         instr.ra = lhs;
         if (ir.b.IsImm()) {
@@ -282,7 +278,6 @@ class Emitter {
         const uint8_t else_value = UseReg(ir.c, kScratch2, ir.id);
         const uint8_t dst = DstReg(ir.dst);
         MInstr& instr = Emit(Opcode::kSelect, ir.id);
-        instr.type = ir.type;
         instr.dst = dst;
         instr.ra = cond;
         instr.rb = then_value;

@@ -113,6 +113,16 @@ class Pmu {
     return false;
   }
 
+  // INSTR_RETIRED ticks up to and including the next one that makes a sample due: for n at most
+  // this, Tick(kInstrRetired, n) is exactly n single ticks. UINT64_MAX when that event is not
+  // armed.
+  uint64_t InstrRetiredBudget() const {
+    if (!config_.enabled || config_.event != PmuEvent::kInstrRetired) {
+      return UINT64_MAX;
+    }
+    return armed_counter_ < config_.period ? config_.period - armed_counter_ : 1;
+  }
+
   // Stores a sample and returns the cycle cost of recording it (including the amortized buffer
   // flush when the PEBS buffer fills up).
   uint64_t Record(Sample sample);

@@ -360,9 +360,8 @@ std::string RenderMachineListing(const ProfilingSession& session, const Compiled
         count > 0 && total > 0
             ? PercentString(static_cast<double>(count) / static_cast<double>(total))
             : std::string();
-    const MInstr& instr = segment.code[offset];
     out += StrFormat("%-7s @%-5zu %-56s ; ir %%%u\n", share.c_str(), offset,
-                     MInstrToString(instr).c_str(), instr.ir_id);
+                     MInstrToString(segment.Instr(offset)).c_str(), segment.ir_ids[offset]);
   }
   return out;
 }

@@ -81,9 +81,9 @@ ResolvedSample ProfilingSession::ResolveOne(const Sample& sample,
 
   // Attributes a sample landing at generated query code via debug info and Log B.
   auto resolve_generated = [&](const CodeSegment& seg, uint64_t ip, ResolvedSample* dst) {
-    const MInstr& instr = seg.code[ip - seg.base_ip];
-    dst->ir_id = instr.ir_id;
-    const std::vector<TaskId>* owners = dictionary_.TasksOf(instr.ir_id);
+    const uint32_t ir_id = seg.ir_ids[ip - seg.base_ip];
+    dst->ir_id = ir_id;
+    const std::vector<TaskId>* owners = dictionary_.TasksOf(ir_id);
     if (owners == nullptr || owners->empty()) {
       return false;
     }

@@ -61,8 +61,8 @@ void CrossCheckOne(const ProfilingSession& session, const CodeMap& code_map,
     ++report->skipped;
     return;
   }
-  const MInstr& instr = segment->code[sample.ip - segment->base_ip];
-  const std::vector<TaskId>* owners = session.dictionary().TasksOf(instr.ir_id);
+  const std::vector<TaskId>* owners =
+      session.dictionary().TasksOf(segment->ir_ids[sample.ip - segment->base_ip]);
   if (owners == nullptr || owners->size() != 1) {
     ++report->skipped;
     return;

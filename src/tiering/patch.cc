@@ -46,13 +46,15 @@ uint64_t PatchCachedPlan(Database& db, CachedPlan& entry, const PlanLiterals& in
       if (!changed[site.slot]) {
         continue;
       }
-      MInstr& instr = segment.code[site.code_offset];
+      ExecInstr& instr = segment.code[site.code_offset];
       if (site.field == LiteralSite::Field::kImm) {
-        instr.imm = new_imm[site.slot];
+        DFP_CHECK(instr.HoldsImm());
+        instr.payload = static_cast<uint64_t>(new_imm[site.slot]);
       } else {
-        DFP_CHECK(site.arg_index < instr.args.size());
-        DFP_CHECK(instr.args[site.arg_index].kind == MArg::Kind::kImm);
-        instr.args[site.arg_index].value = static_cast<uint64_t>(new_imm[site.slot]);
+        DFP_CHECK(site.arg_index < instr.num_args());
+        MArg& arg = segment.call_args[instr.hi() + site.arg_index];
+        DFP_CHECK(arg.kind == MArg::Kind::kImm);
+        arg.value = static_cast<uint64_t>(new_imm[site.slot]);
       }
       ++written;
     }

@@ -27,15 +27,22 @@ enum class SegmentKind : uint8_t {
   kSyslib,     // Host-modeled system libraries: string routines. Not covered by tagging.
 };
 
+// Compiled code is stored only in execution form, one record per IP. Empty vectors mark a
+// host-modeled segment.
 struct CodeSegment {
   uint32_t id = 0;
   SegmentKind kind = SegmentKind::kGenerated;
   std::string name;
   uint64_t base_ip = 0;
-  std::vector<MInstr> code;   // Empty for host-modeled segments.
-  uint64_t virtual_size = 0;  // IP-range size for host-modeled segments.
+  std::vector<ExecInstr> code;
+  std::vector<uint32_t> ir_ids;  // Debug info: the VIR instruction each IP was lowered from.
+  std::vector<MArg> call_args;   // Every call's arguments, in code order.
+  uint64_t virtual_size = 0;     // IP-range size for host-modeled segments.
 
   uint64_t SizeIps() const { return code.empty() ? virtual_size : code.size(); }
+
+  // The instruction at `offset` as the emitter produced it (listings, tests).
+  MInstr Instr(size_t offset) const;
 };
 
 // A host function: runs C++ code on behalf of the VCPU, charging modeled costs via the Cpu's
@@ -55,7 +62,9 @@ struct FuncInfo {
 
 class CodeMap {
  public:
-  // Registers a compiled-code segment; returns its id. `code` is moved in.
+  // Registers a compiled-code segment, lowered into execution form; returns its id. Dies on code
+  // the VCPU cannot execute: a register index past r15, a call with more than 16 arguments, an
+  // immediate address, stored value, spilled value or branch condition.
   uint32_t AddSegment(SegmentKind kind, std::string name, std::vector<MInstr> code);
 
   // Registers a host-modeled segment occupying `virtual_size` synthetic IPs.

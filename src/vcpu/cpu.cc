@@ -1,6 +1,6 @@
 #include "src/vcpu/cpu.h"
 
-#include <array>
+#include <algorithm>
 #include <bit>
 
 #include "src/util/check.h"
@@ -13,21 +13,90 @@ inline int64_t AsSigned(uint64_t value) { return static_cast<int64_t>(value); }
 inline double AsDouble(uint64_t value) { return std::bit_cast<double>(value); }
 inline uint64_t FromDouble(double value) { return std::bit_cast<uint64_t>(value); }
 
-// BaseCost of every opcode value, read once per executed instruction.
-constexpr std::array<uint8_t, 256> kBaseCosts = [] {
-  std::array<uint8_t, 256> costs{};
-  for (size_t op = 0; op < costs.size(); ++op) {
-    costs[op] = static_cast<uint8_t>(BaseCost(static_cast<Opcode>(op)));
-  }
-  return costs;
-}();
-
 inline uint64_t RotateRight(uint64_t value, uint64_t amount) {
   amount &= 63u;
   if (amount == 0) {
     return value;
   }
   return (value >> amount) | (value << (64 - amount));
+}
+
+// The result of computation `op` on operands `a` and `b`; `c` is a select's else-value.
+uint64_t Alu(Opcode op, uint64_t a, uint64_t b, uint64_t c) {
+  switch (op) {
+    case Opcode::kAdd:
+      return a + b;
+    case Opcode::kSub:
+      return a - b;
+    case Opcode::kMul:
+      return a * b;
+    case Opcode::kDiv:
+      DFP_CHECK(b != 0);
+      return static_cast<uint64_t>(AsSigned(a) / AsSigned(b));
+    case Opcode::kRem:
+      DFP_CHECK(b != 0);
+      return static_cast<uint64_t>(AsSigned(a) % AsSigned(b));
+    case Opcode::kAnd:
+      return a & b;
+    case Opcode::kOr:
+      return a | b;
+    case Opcode::kXor:
+      return a ^ b;
+    case Opcode::kShl:
+      return a << (b & 63);
+    case Opcode::kShr:
+      return a >> (b & 63);
+    case Opcode::kRotr:
+      return RotateRight(a, b);
+    case Opcode::kNot:
+      return ~a;
+    case Opcode::kNeg:
+      return static_cast<uint64_t>(-AsSigned(a));
+    case Opcode::kCmpEq:
+      return a == b ? 1 : 0;
+    case Opcode::kCmpNe:
+      return a != b ? 1 : 0;
+    case Opcode::kCmpLt:
+      return AsSigned(a) < AsSigned(b) ? 1 : 0;
+    case Opcode::kCmpLe:
+      return AsSigned(a) <= AsSigned(b) ? 1 : 0;
+    case Opcode::kCmpGt:
+      return AsSigned(a) > AsSigned(b) ? 1 : 0;
+    case Opcode::kCmpGe:
+      return AsSigned(a) >= AsSigned(b) ? 1 : 0;
+    case Opcode::kFAdd:
+      return FromDouble(AsDouble(a) + AsDouble(b));
+    case Opcode::kFSub:
+      return FromDouble(AsDouble(a) - AsDouble(b));
+    case Opcode::kFMul:
+      return FromDouble(AsDouble(a) * AsDouble(b));
+    case Opcode::kFDiv:
+      return FromDouble(AsDouble(a) / AsDouble(b));
+    case Opcode::kFNeg:
+      return FromDouble(-AsDouble(a));
+    case Opcode::kFCmpEq:
+      return AsDouble(a) == AsDouble(b) ? 1 : 0;
+    case Opcode::kFCmpNe:
+      return AsDouble(a) != AsDouble(b) ? 1 : 0;
+    case Opcode::kFCmpLt:
+      return AsDouble(a) < AsDouble(b) ? 1 : 0;
+    case Opcode::kFCmpLe:
+      return AsDouble(a) <= AsDouble(b) ? 1 : 0;
+    case Opcode::kFCmpGt:
+      return AsDouble(a) > AsDouble(b) ? 1 : 0;
+    case Opcode::kFCmpGe:
+      return AsDouble(a) >= AsDouble(b) ? 1 : 0;
+    case Opcode::kSiToFp:
+      return FromDouble(static_cast<double>(AsSigned(a)));
+    case Opcode::kFpToSi:
+      return static_cast<uint64_t>(static_cast<int64_t>(AsDouble(a)));
+    case Opcode::kCrc32:
+      return Crc32u64(static_cast<uint32_t>(a), b);
+    case Opcode::kSelect:
+      return a != 0 ? b : c;
+    default:
+      DFP_UNREACHABLE();
+  }
 }
 
 }  // namespace
@@ -45,9 +114,8 @@ uint64_t Cpu::CallFunction(uint32_t func_id, std::span<const uint64_t> args) {
   DFP_CHECK(frames_.size() < kMaxStackDepth);
   Frame frame = EnterFrame(func);
   DFP_CHECK(args.size() <= kNumPhysRegs);
-  for (size_t i = 0; i < args.size(); ++i) {
-    frame.regs[i] = args[i];
-  }
+  std::copy(args.begin(), args.end(), frame.regs.begin());
+  frame.regs[kTagReg] = frames_.empty() ? tag_reg_ : frames_.back().regs[kTagReg];
   size_t stop_depth = frames_.size();
   frames_.push_back(std::move(frame));
   stats_.max_stack_depth = std::max<uint64_t>(stats_.max_stack_depth, frames_.size());
@@ -63,19 +131,6 @@ Cpu::Frame Cpu::EnterFrame(const FuncInfo& func) const {
   return frame;
 }
 
-uint64_t Cpu::ReadArg(Frame& frame, const MArg& arg, uint32_t* extra_cost) {
-  switch (arg.kind) {
-    case MArg::Kind::kReg:
-      return ReadReg(frame, static_cast<uint8_t>(arg.value));
-    case MArg::Kind::kSpill:
-      *extra_cost += BaseCost(Opcode::kLoadSpill);
-      return frame.spills[arg.value];
-    case MArg::Kind::kImm:
-      return arg.value;
-  }
-  DFP_UNREACHABLE();
-}
-
 void Cpu::Run(size_t stop_depth) {
   // The active frame and its code position, held in locals. `off` is stored back into the frame
   // when the frame suspends at a call, the only time another frame or a sample can read it, and
@@ -83,287 +138,310 @@ void Cpu::Run(size_t stop_depth) {
   // frame is active: it holds `seg` for its whole call, and plan patching rewrites immediates in
   // place without resizing code. Run returns when the frame it was entered with returns.
   Frame* fr = nullptr;
-  const MInstr* code = nullptr;
+  uint64_t* r = nullptr;
+  const ExecInstr* code = nullptr;
+  const MArg* call_args = nullptr;
   size_t code_len = 0;
   uint64_t base_ip = 0;
   uint32_t off = 0;
   const auto activate = [&] {
     fr = &frames_.back();
+    r = fr->regs.data();
     code = fr->seg->code.data();
+    call_args = fr->seg->call_args.data();
     code_len = fr->seg->code.size();
     base_ip = fr->seg->base_ip;
     off = fr->off;
   };
   activate();
+  // The clock, the instruction count and the INSTR_RETIRED ticks the PMU has not seen yet, held
+  // in locals too. `store` writes them back before anything outside the loop can read them: a
+  // sample, a host call and the return. Handing the PMU at most `budget` ticks at once is exact.
+  uint64_t cycles = cycles_;
+  uint64_t instrs = stats_.instructions;
+  uint64_t pending = 0;
+  uint64_t budget = pmu_.InstrRetiredBudget();
+  // The data access of the last load or store, for a sample due at it.
+  uint64_t sample_addr = 0;
+  DataAccess access;
+  const auto store = [&] {  // Returns whether the handed-over ticks made a sample due.
+    cycles_ = cycles;
+    stats_.instructions = instrs;
+    const bool due = pmu_.Tick(PmuEvent::kInstrRetired, pending);
+    pending = 0;
+    return due;
+  };
   for (;;) {
     DFP_CHECK(off < code_len);
-    const MInstr& in = code[off];
-    const uint64_t ip = base_ip + off;
+    const ExecInstr& in = code[off];
+    const uint64_t ip = base_ip + off;  // Taken before a call or return switches frames.
     off += 1;  // Fall-through; terminators overwrite. Suspended frames resume past the call.
 
-    uint32_t cost = kBaseCosts[static_cast<uint8_t>(in.op)];
-    uint64_t sample_addr = 0;
-    DataAccess access;  // The instruction's data access, if any, for the sample.
+    cycles += in.cost;
     bool sample_due = false;
-    bool returned = false;  // The frame Run was entered with returned.
 
-    // Operand fetch helpers. `a` may be an immediate (kConst / kSetTag); `b` may be an immediate
-    // for binary operations.
-    const uint64_t a = in.a_is_imm ? static_cast<uint64_t>(in.imm)
-                                   : (in.ra != kNoPhysReg ? ReadReg(*fr, in.ra) : 0);
-    const uint64_t b = in.b_is_imm ? static_cast<uint64_t>(in.imm)
-                                   : (in.rb != kNoPhysReg ? ReadReg(*fr, in.rb) : 0);
-
-    switch (in.op) {
-      case Opcode::kConst:
-      case Opcode::kMov:
-        WriteReg(*fr, in.dst, a);
+    switch (in.xop) {
+      case ExecOp::kMovImm:
+        r[in.dst] = in.payload;
         break;
-      case Opcode::kAdd:
-        WriteReg(*fr, in.dst, a + b);
+      case ExecOp::kMovReg:
+        r[in.dst] = r[in.ra];
         break;
-      case Opcode::kSub:
-        WriteReg(*fr, in.dst, a - b);
+      case ExecOp::kAddRR:
+        r[in.dst] = r[in.ra] + r[in.rb];
         break;
-      case Opcode::kMul:
-        WriteReg(*fr, in.dst, a * b);
+      case ExecOp::kAddRI:
+        r[in.dst] = r[in.ra] + in.payload;
         break;
-      case Opcode::kDiv:
-        DFP_CHECK(b != 0);
-        WriteReg(*fr, in.dst, static_cast<uint64_t>(AsSigned(a) / AsSigned(b)));
+      case ExecOp::kSubRR:
+        r[in.dst] = r[in.ra] - r[in.rb];
         break;
-      case Opcode::kRem:
-        DFP_CHECK(b != 0);
-        WriteReg(*fr, in.dst, static_cast<uint64_t>(AsSigned(a) % AsSigned(b)));
+      case ExecOp::kSubRI:
+        r[in.dst] = r[in.ra] - in.payload;
         break;
-      case Opcode::kAnd:
-        WriteReg(*fr, in.dst, a & b);
+      case ExecOp::kMulRR:
+        r[in.dst] = r[in.ra] * r[in.rb];
         break;
-      case Opcode::kOr:
-        WriteReg(*fr, in.dst, a | b);
+      case ExecOp::kMulRI:
+        r[in.dst] = r[in.ra] * in.payload;
         break;
-      case Opcode::kXor:
-        WriteReg(*fr, in.dst, a ^ b);
+      case ExecOp::kAndRR:
+        r[in.dst] = r[in.ra] & r[in.rb];
         break;
-      case Opcode::kShl:
-        WriteReg(*fr, in.dst, a << (b & 63));
+      case ExecOp::kAndRI:
+        r[in.dst] = r[in.ra] & in.payload;
         break;
-      case Opcode::kShr:
-        WriteReg(*fr, in.dst, a >> (b & 63));
+      case ExecOp::kOrRR:
+        r[in.dst] = r[in.ra] | r[in.rb];
         break;
-      case Opcode::kRotr:
-        WriteReg(*fr, in.dst, RotateRight(a, b));
+      case ExecOp::kOrRI:
+        r[in.dst] = r[in.ra] | in.payload;
         break;
-      case Opcode::kNot:
-        WriteReg(*fr, in.dst, ~a);
+      case ExecOp::kXorRR:
+        r[in.dst] = r[in.ra] ^ r[in.rb];
         break;
-      case Opcode::kNeg:
-        WriteReg(*fr, in.dst, static_cast<uint64_t>(-AsSigned(a)));
+      case ExecOp::kXorRI:
+        r[in.dst] = r[in.ra] ^ in.payload;
         break;
-      case Opcode::kCmpEq:
-        WriteReg(*fr, in.dst, a == b ? 1 : 0);
+      case ExecOp::kShlRR:
+        r[in.dst] = r[in.ra] << (r[in.rb] & 63);
         break;
-      case Opcode::kCmpNe:
-        WriteReg(*fr, in.dst, a != b ? 1 : 0);
+      case ExecOp::kShlRI:
+        r[in.dst] = r[in.ra] << (in.payload & 63);
         break;
-      case Opcode::kCmpLt:
-        WriteReg(*fr, in.dst, AsSigned(a) < AsSigned(b) ? 1 : 0);
+      case ExecOp::kShrRR:
+        r[in.dst] = r[in.ra] >> (r[in.rb] & 63);
         break;
-      case Opcode::kCmpLe:
-        WriteReg(*fr, in.dst, AsSigned(a) <= AsSigned(b) ? 1 : 0);
+      case ExecOp::kShrRI:
+        r[in.dst] = r[in.ra] >> (in.payload & 63);
         break;
-      case Opcode::kCmpGt:
-        WriteReg(*fr, in.dst, AsSigned(a) > AsSigned(b) ? 1 : 0);
+      case ExecOp::kCmpEqRR:
+        r[in.dst] = r[in.ra] == r[in.rb] ? 1 : 0;
         break;
-      case Opcode::kCmpGe:
-        WriteReg(*fr, in.dst, AsSigned(a) >= AsSigned(b) ? 1 : 0);
+      case ExecOp::kCmpEqRI:
+        r[in.dst] = r[in.ra] == in.payload ? 1 : 0;
         break;
-      case Opcode::kFAdd:
-        WriteReg(*fr, in.dst, FromDouble(AsDouble(a) + AsDouble(b)));
+      case ExecOp::kCmpNeRR:
+        r[in.dst] = r[in.ra] != r[in.rb] ? 1 : 0;
         break;
-      case Opcode::kFSub:
-        WriteReg(*fr, in.dst, FromDouble(AsDouble(a) - AsDouble(b)));
+      case ExecOp::kCmpNeRI:
+        r[in.dst] = r[in.ra] != in.payload ? 1 : 0;
         break;
-      case Opcode::kFMul:
-        WriteReg(*fr, in.dst, FromDouble(AsDouble(a) * AsDouble(b)));
+      case ExecOp::kCmpLtRR:
+        r[in.dst] = AsSigned(r[in.ra]) < AsSigned(r[in.rb]) ? 1 : 0;
         break;
-      case Opcode::kFDiv:
-        WriteReg(*fr, in.dst, FromDouble(AsDouble(a) / AsDouble(b)));
+      case ExecOp::kCmpLtRI:
+        r[in.dst] = AsSigned(r[in.ra]) < AsSigned(in.payload) ? 1 : 0;
         break;
-      case Opcode::kFNeg:
-        WriteReg(*fr, in.dst, FromDouble(-AsDouble(a)));
+      case ExecOp::kCmpLeRR:
+        r[in.dst] = AsSigned(r[in.ra]) <= AsSigned(r[in.rb]) ? 1 : 0;
         break;
-      case Opcode::kFCmpEq:
-        WriteReg(*fr, in.dst, AsDouble(a) == AsDouble(b) ? 1 : 0);
+      case ExecOp::kCmpLeRI:
+        r[in.dst] = AsSigned(r[in.ra]) <= AsSigned(in.payload) ? 1 : 0;
         break;
-      case Opcode::kFCmpNe:
-        WriteReg(*fr, in.dst, AsDouble(a) != AsDouble(b) ? 1 : 0);
+      case ExecOp::kCmpGtRR:
+        r[in.dst] = AsSigned(r[in.ra]) > AsSigned(r[in.rb]) ? 1 : 0;
         break;
-      case Opcode::kFCmpLt:
-        WriteReg(*fr, in.dst, AsDouble(a) < AsDouble(b) ? 1 : 0);
+      case ExecOp::kCmpGtRI:
+        r[in.dst] = AsSigned(r[in.ra]) > AsSigned(in.payload) ? 1 : 0;
         break;
-      case Opcode::kFCmpLe:
-        WriteReg(*fr, in.dst, AsDouble(a) <= AsDouble(b) ? 1 : 0);
+      case ExecOp::kCmpGeRR:
+        r[in.dst] = AsSigned(r[in.ra]) >= AsSigned(r[in.rb]) ? 1 : 0;
         break;
-      case Opcode::kFCmpGt:
-        WriteReg(*fr, in.dst, AsDouble(a) > AsDouble(b) ? 1 : 0);
+      case ExecOp::kCmpGeRI:
+        r[in.dst] = AsSigned(r[in.ra]) >= AsSigned(in.payload) ? 1 : 0;
         break;
-      case Opcode::kFCmpGe:
-        WriteReg(*fr, in.dst, AsDouble(a) >= AsDouble(b) ? 1 : 0);
+      case ExecOp::kSelect:
+        r[in.dst] = r[in.ra] != 0 ? r[in.rb] : r[in.rc];
         break;
-      case Opcode::kSiToFp:
-        WriteReg(*fr, in.dst, FromDouble(static_cast<double>(AsSigned(a))));
+      case ExecOp::kAlu: {
+        const uint64_t a = (in.bits & ExecInstr::kAImm) != 0 ? in.payload : r[in.ra];
+        const uint64_t b = (in.bits & ExecInstr::kBImm) != 0 ? in.payload : r[in.rb];
+        r[in.dst] = Alu(in.op, a, b, r[in.rc]);
         break;
-      case Opcode::kFpToSi:
-        WriteReg(*fr, in.dst, static_cast<uint64_t>(static_cast<int64_t>(AsDouble(a))));
-        break;
-      case Opcode::kCrc32:
-        WriteReg(*fr, in.dst, Crc32u64(static_cast<uint32_t>(a), b));
-        break;
-      case Opcode::kLoad1:
-      case Opcode::kLoad2:
-      case Opcode::kLoad4:
-      case Opcode::kLoad8: {
-        const VAddr addr = a + static_cast<VAddr>(static_cast<int64_t>(in.disp));
+      }
+      case ExecOp::kLoad1:
+      case ExecOp::kLoad2:
+      case ExecOp::kLoad4:
+      case ExecOp::kLoad8: {
+        const VAddr addr = r[in.ra] + in.payload;
         access = AccessData(addr);
-        cost += access.latency + access.numa_penalty;
+        cycles += access.latency + access.numa_penalty;
         sample_due |= access.sample_due | pmu_.Tick(PmuEvent::kLoads);
         sample_addr = addr;
         uint64_t value = 0;
-        switch (in.op) {
-          case Opcode::kLoad1:
+        switch (in.xop) {
+          case ExecOp::kLoad1:
             value = mem_.Read<uint8_t>(addr);
             break;
-          case Opcode::kLoad2:
+          case ExecOp::kLoad2:
             value = mem_.Read<uint16_t>(addr);
             break;
-          case Opcode::kLoad4:
+          case ExecOp::kLoad4:
             value = static_cast<uint64_t>(static_cast<int64_t>(mem_.Read<int32_t>(addr)));
             break;
           default:
             value = mem_.Read<uint64_t>(addr);
             break;
         }
-        WriteReg(*fr, in.dst, value);
+        r[in.dst] = value;
         break;
       }
-      case Opcode::kStore1:
-      case Opcode::kStore2:
-      case Opcode::kStore4:
-      case Opcode::kStore8: {
-        const VAddr addr = b + static_cast<VAddr>(static_cast<int64_t>(in.disp));
+      case ExecOp::kStore1:
+      case ExecOp::kStore2:
+      case ExecOp::kStore4:
+      case ExecOp::kStore8: {
+        const VAddr addr = r[in.rb] + in.payload;
+        const uint64_t value = r[in.ra];
         access = AccessData(addr);
-        cost += access.numa_penalty;  // The store buffer hides the cache latency.
+        cycles += access.numa_penalty;  // The store buffer hides the cache latency.
         sample_due |= access.sample_due;
         sample_addr = addr;  // PEBS records store addresses too (cache-miss profiles).
-        switch (in.op) {
-          case Opcode::kStore1:
-            mem_.Write<uint8_t>(addr, static_cast<uint8_t>(a));
+        switch (in.xop) {
+          case ExecOp::kStore1:
+            mem_.Write<uint8_t>(addr, static_cast<uint8_t>(value));
             break;
-          case Opcode::kStore2:
-            mem_.Write<uint16_t>(addr, static_cast<uint16_t>(a));
+          case ExecOp::kStore2:
+            mem_.Write<uint16_t>(addr, static_cast<uint16_t>(value));
             break;
-          case Opcode::kStore4:
-            mem_.Write<uint32_t>(addr, static_cast<uint32_t>(a));
+          case ExecOp::kStore4:
+            mem_.Write<uint32_t>(addr, static_cast<uint32_t>(value));
             break;
           default:
-            mem_.Write<uint64_t>(addr, a);
+            mem_.Write<uint64_t>(addr, value);
             break;
         }
         break;
       }
-      case Opcode::kSelect:
-        WriteReg(*fr, in.dst, a != 0 ? b : ReadReg(*fr, in.rc));
+      case ExecOp::kBr:
+        off = in.lo();
         break;
-      case Opcode::kBr:
-        off = in.target0;
-        break;
-      case Opcode::kCondBr: {
-        const bool taken = a != 0;
+      case ExecOp::kCondBr: {
+        const bool taken = r[in.ra] != 0;
         if (predictor_.Branch(ip, taken)) {
-          cost += BranchPredictor::kMissPenalty;
+          cycles += BranchPredictor::kMissPenalty;
           sample_due |= pmu_.Tick(PmuEvent::kBranchMiss);
         }
-        off = taken ? in.target0 : in.target1;
+        off = taken ? in.lo() : in.hi();
         break;
       }
-      case Opcode::kCall: {
-        const FuncInfo& callee = code_map_.function(in.callee);
-        uint64_t arg_values[kNumPhysRegs] = {};
-        DFP_CHECK(in.args.size() <= kNumPhysRegs);
-        uint32_t arg_cost = 0;
-        for (size_t i = 0; i < in.args.size(); ++i) {
-          arg_values[i] = ReadArg(*fr, in.args[i], &arg_cost);
+      case ExecOp::kCall: {
+        const FuncInfo& callee = code_map_.function(in.lo());
+        const MArg* args = call_args + in.hi();
+        const size_t num_args = in.num_args();
+        uint64_t arg_values[kNumPhysRegs];
+        for (size_t i = 0; i < num_args; ++i) {
+          switch (args[i].kind) {
+            case MArg::Kind::kReg:
+              arg_values[i] = r[args[i].value];
+              break;
+            case MArg::Kind::kSpill:
+              cycles += BaseCost(Opcode::kLoadSpill);
+              arg_values[i] = fr->spills[args[i].value];
+              break;
+            case MArg::Kind::kImm:
+              arg_values[i] = args[i].value;
+              break;
+          }
         }
-        cost += arg_cost;
         ++stats_.calls;
         fr->off = off;  // Suspends this frame: the callee's call stacks read its call site.
         if (callee.is_host) {
-          // Charge the call cost and the instruction event before running the host body so that
-          // host-side samples observe a consistent clock.
-          cycles_ += cost;
-          ++stats_.instructions;
-          sample_due |= pmu_.Tick(PmuEvent::kInstrRetired);
-          if (sample_due) {
-            TakeSample(ip, sample_addr, access);
+          // Retire the call before running the host body so that host-side samples observe a
+          // consistent clock.
+          ++instrs;
+          ++pending;
+          if (store()) {
+            TakeSample(ip, 0, DataAccess());
           }
-          uint64_t result =
-              callee.host(*this, std::span<const uint64_t>(arg_values, in.args.size()));
+          const uint64_t result =
+              callee.host(*this, std::span<const uint64_t>(arg_values, num_args));
           // `fr` may be dangling if the host function re-entered the VCPU; re-resolve.
           fr = &frames_.back();
-          if (in.dst != kNoPhysReg) {
-            WriteReg(*fr, in.dst, result);
-          }
-          continue;  // Costs already charged.
+          r = fr->regs.data();
+          r[in.dst] = result;
+          cycles = cycles_;
+          instrs = stats_.instructions;
+          budget = pmu_.InstrRetiredBudget();
+          continue;  // Already retired.
         }
         DFP_CHECK(frames_.size() < kMaxStackDepth);
         Frame frame = EnterFrame(callee);
         frame.ret_dst = in.dst;
-        for (size_t i = 0; i < in.args.size(); ++i) {
-          frame.regs[i] = arg_values[i];
-        }
+        std::copy(arg_values, arg_values + num_args, frame.regs.begin());
+        frame.regs[kTagReg] = r[kTagReg];  // After the arguments: a 16th cannot clobber the tag.
         frames_.push_back(std::move(frame));
         activate();
         stats_.max_stack_depth = std::max<uint64_t>(stats_.max_stack_depth, frames_.size());
         break;
       }
-      case Opcode::kRet: {
-        const uint64_t value = (in.ra != kNoPhysReg || in.a_is_imm) ? a : 0;
+      case ExecOp::kRetReg:
+      case ExecOp::kRetImm: {
+        const uint64_t value = in.xop == ExecOp::kRetImm ? in.payload : r[in.ra];
+        const uint64_t tag = r[kTagReg];
         const uint8_t ret_dst = fr->ret_dst;
         frames_.pop_back();
         if (frames_.size() <= stop_depth) {
+          // The frame Run was entered with returned; the tag goes to the frame below, if any.
+          (frames_.empty() ? tag_reg_ : frames_.back().regs[kTagReg]) = tag;
           ret_value_ = value;
-          returned = true;
-          break;
+          ++instrs;
+          ++pending;
+          if (store()) {
+            TakeSample(ip, 0, DataAccess());
+          }
+          return;
         }
         activate();
-        if (ret_dst != kNoPhysReg) {
-          WriteReg(*fr, ret_dst, value);
-        }
+        r[kTagReg] = tag;
+        r[ret_dst] = value;
         break;
       }
-      case Opcode::kGetTag:
-        WriteReg(*fr, in.dst, tag_reg_);
+      case ExecOp::kGetTag:
+        r[in.dst] = r[kTagReg];
         break;
-      case Opcode::kSetTag:
-        tag_reg_ = a;
+      case ExecOp::kSetTagReg:
+        r[kTagReg] = r[in.ra];
         break;
-      case Opcode::kLoadSpill:
-        WriteReg(*fr, in.dst, fr->spills[in.spill_slot]);
+      case ExecOp::kSetTagImm:
+        r[kTagReg] = in.payload;
         break;
-      case Opcode::kStoreSpill:
-        fr->spills[in.spill_slot] = a;
+      case ExecOp::kLoadSpill:
+        r[in.dst] = fr->spills[in.payload];
+        break;
+      case ExecOp::kStoreSpill:
+        fr->spills[in.payload] = r[in.ra];
         break;
     }
 
-    cycles_ += cost;
-    ++stats_.instructions;
-    sample_due |= pmu_.Tick(PmuEvent::kInstrRetired);
-    if (sample_due) {
-      TakeSample(ip, sample_addr, access);
-    }
-    if (returned) {
-      return;
+    ++instrs;
+    if (++pending == budget || sample_due) {
+      if (store() || sample_due) {
+        const bool memory = in.xop >= ExecOp::kLoad1 && in.xop <= ExecOp::kStore8;  // Contiguous.
+        TakeSample(ip, memory ? sample_addr : 0, memory ? access : DataAccess());
+        cycles = cycles_;
+      }
+      budget = pmu_.InstrRetiredBudget();
     }
   }
 }
@@ -438,10 +516,11 @@ void Cpu::TakeSample(uint64_t ip, uint64_t addr, DataAccess access) {
   }
   if (config.capture_registers) {
     sample.has_registers = true;
-    if (!frames_.empty()) {
-      sample.regs = frames_.back().regs;
+    if (frames_.empty()) {
+      sample.regs[kTagReg] = tag_reg_;
+    } else {
+      std::copy_n(frames_.back().regs.begin(), sample.regs.size(), sample.regs.begin());
     }
-    sample.regs[kTagReg] = tag_reg_;
   }
   if (config.capture_callstack) {
     sample.callstack = CaptureCallStack();

@@ -4,6 +4,8 @@
 // Calls use register windows: each frame has its own 16-register file, except that register 15
 // (the tag register) is architecturally global across frames — that property is what Register
 // Tagging relies on to let samples taken inside shared callees observe the caller's identity.
+// The active frame's r15 slot holds the tag: a call copies it into the callee and a return copies
+// it back to the caller.
 #ifndef DFP_SRC_VCPU_CPU_H_
 #define DFP_SRC_VCPU_CPU_H_
 
@@ -88,8 +90,8 @@ class Cpu {
   struct Frame {
     const CodeSegment* seg = nullptr;
     uint32_t off = 0;  // Offset of the next instruction to execute.
-    uint8_t ret_dst = kNoPhysReg;
-    std::array<uint64_t, kNumPhysRegs> regs{};
+    uint8_t ret_dst = kSinkSlot;
+    std::array<uint64_t, kNumRegSlots> regs{};  // The registers, then the zero and sink slots.
     std::vector<uint64_t> spills;
   };
 
@@ -114,18 +116,6 @@ class Cpu {
   // missed to memory. Memory homed on another *machine node* (cross-node span) pays the fabric
   // penalty instead and ticks CROSS_NODE.
   DataAccess AccessData(VAddr addr);
-  uint64_t ReadArg(Frame& frame, const MArg& arg, uint32_t* extra_cost);
-
-  uint64_t ReadReg(const Frame& frame, uint8_t reg) const {
-    return reg == kTagReg ? tag_reg_ : frame.regs[reg];
-  }
-  void WriteReg(Frame& frame, uint8_t reg, uint64_t value) {
-    if (reg == kTagReg) {
-      tag_reg_ = value;
-    } else {
-      frame.regs[reg] = value;
-    }
-  }
 
   VMem& mem_;
   const CodeMap& code_map_;
@@ -134,7 +124,7 @@ class Cpu {
   BranchPredictor predictor_;
   std::vector<Frame> frames_;
   uint64_t cycles_ = 0;
-  uint64_t tag_reg_ = 0;
+  uint64_t tag_reg_ = 0;  // The tag register while no frame is active.
   uint32_t worker_id_ = 0;
   uint32_t session_id_ = 0;
   uint32_t shard_id_ = 0;

@@ -258,8 +258,8 @@ TEST_F(ProfilingTest, DictionaryCoversAllGeneratedInstructions) {
   CompiledQuery query = engine.Compile(MakePaperPlan(), &session, "coverage");
   for (const PipelineArtifact& artifact : query.pipelines) {
     const CodeSegment& segment = db.code_map().segment(artifact.segment);
-    for (const MInstr& instr : segment.code) {
-      EXPECT_NE(session.dictionary().TasksOf(instr.ir_id), nullptr)
+    for (const uint32_t ir_id : segment.ir_ids) {
+      EXPECT_NE(session.dictionary().TasksOf(ir_id), nullptr)
           << "uncovered instruction in " << segment.name;
     }
   }

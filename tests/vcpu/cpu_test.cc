@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/ir/builder.h"
 #include "tests/testing/vcpu_harness.h"
@@ -121,8 +123,7 @@ TEST(Cpu, CallStackCaptureWalksFrames) {
       ASSERT_NE(caller, nullptr);
       EXPECT_EQ(caller->id, outer_segment.id);
       // The call site IP must hold a call instruction.
-      const MInstr& at = caller->code[sample.callstack[0] - caller->base_ip];
-      EXPECT_EQ(at.op, Opcode::kCall);
+      EXPECT_EQ(caller->code[sample.callstack[0] - caller->base_ip].op, Opcode::kCall);
       saw_inner_sample_with_outer_frame = true;
     }
   }
@@ -225,6 +226,22 @@ TEST(Cpu, DivisionByZeroTraps) {
       "DFP_CHECK");
 }
 
+MInstr SetR0() {
+  MInstr set_r0;
+  set_r0.op = Opcode::kConst;
+  set_r0.dst = 0;
+  set_r0.a_is_imm = true;
+  set_r0.imm = 7;
+  return set_r0;
+}
+
+MInstr Ret(uint8_t reg) {
+  MInstr ret;
+  ret.op = Opcode::kRet;
+  ret.ra = reg;
+  return ret;
+}
+
 // Registers hand-built machine code as a function and runs it on a fresh VCPU.
 void RunHandBuilt(std::vector<MInstr> code) {
   VcpuHarness harness;
@@ -234,14 +251,8 @@ void RunHandBuilt(std::vector<MInstr> code) {
 }
 
 TEST(Cpu, RunningOffTheEndOfASegmentDies) {
-  MInstr set_r0;
-  set_r0.op = Opcode::kConst;
-  set_r0.dst = 0;
-  set_r0.a_is_imm = true;
-  set_r0.imm = 7;
-  MInstr ret;
-  ret.op = Opcode::kRet;
-  ret.ra = 0;
+  const MInstr set_r0 = SetR0();
+  const MInstr ret = Ret(0);
   // Control reaches the end without a terminator: the fetch past the last instruction dies.
   EXPECT_DEATH(RunHandBuilt({set_r0, set_r0}), "DFP_CHECK");
   // A branch past the end of the segment dies at the target's fetch.
@@ -255,6 +266,208 @@ TEST(Cpu, RunningOffTheEndOfASegmentDies) {
   const uint32_t segment =
       harness.code_map.AddSegment(SegmentKind::kGenerated, "ok", {set_r0, branch, ret});
   EXPECT_EQ(harness.Run(harness.code_map.AddFunction("ok", segment, 0, 0, 0), {}), 7u);
+}
+
+// Machine code is checked when it is registered: what the VCPU cannot execute never runs.
+TEST(Cpu, RegisterIndexPastR15IsRefused) {
+  MInstr add;
+  add.op = Opcode::kAdd;
+  add.dst = 1;
+  add.ra = 0;
+  add.rb = 0;
+  RunHandBuilt({SetR0(), add, Ret(1)});
+  add.dst = kNumPhysRegs;  // Would land in the frame past its register file.
+  EXPECT_DEATH(RunHandBuilt({SetR0(), add, Ret(1)}), "DFP_CHECK");
+  add.dst = 1;
+  add.rb = 200;
+  EXPECT_DEATH(RunHandBuilt({SetR0(), add, Ret(1)}), "DFP_CHECK");
+  MInstr select;
+  select.op = Opcode::kSelect;
+  select.dst = 1;
+  select.ra = 0;
+  select.rb = 0;
+  select.rc = kNumPhysRegs + 1;
+  EXPECT_DEATH(RunHandBuilt({SetR0(), select, Ret(1)}), "DFP_CHECK");
+  MInstr call;
+  call.op = Opcode::kCall;
+  call.callee = 0;
+  call.args = {{MArg::Kind::kReg, kNumPhysRegs}};
+  EXPECT_DEATH(RunHandBuilt({call, Ret(0)}), "DFP_CHECK");
+}
+
+TEST(Cpu, CallWithMoreThan16ArgumentsIsRefused) {
+  MInstr call;
+  call.op = Opcode::kCall;
+  call.callee = 0;
+  call.args.resize(kNumPhysRegs + 1, {MArg::Kind::kImm, 1});
+  EXPECT_DEATH(RunHandBuilt({call, Ret(0)}), "DFP_CHECK");
+}
+
+TEST(Cpu, ImmediateAddressIsRefused) {
+  MInstr load;
+  load.op = Opcode::kLoad8;
+  load.dst = 1;
+  load.a_is_imm = true;
+  load.imm = 4096;
+  EXPECT_DEATH(RunHandBuilt({load, Ret(1)}), "DFP_CHECK");
+  MInstr store;
+  store.op = Opcode::kStore8;
+  store.ra = 0;
+  store.b_is_imm = true;
+  store.imm = 4096;
+  EXPECT_DEATH(RunHandBuilt({SetR0(), store, Ret(0)}), "DFP_CHECK");
+}
+
+TEST(Cpu, ImmediateStoredValueIsRefused) {
+  MInstr store;
+  store.op = Opcode::kStore4;
+  store.a_is_imm = true;
+  store.imm = 5;
+  store.rb = 0;
+  EXPECT_DEATH(RunHandBuilt({SetR0(), store, Ret(0)}), "DFP_CHECK");
+  MInstr spill;
+  spill.op = Opcode::kStoreSpill;
+  spill.a_is_imm = true;
+  spill.imm = 5;
+  EXPECT_DEATH(RunHandBuilt({spill, Ret(0)}), "DFP_CHECK");
+}
+
+TEST(Cpu, ImmediateBranchConditionIsRefused) {
+  MInstr branch;
+  branch.op = Opcode::kCondBr;
+  branch.a_is_imm = true;
+  branch.imm = 1;
+  branch.target0 = 2;
+  branch.target1 = 2;
+  EXPECT_DEATH(RunHandBuilt({SetR0(), branch, Ret(0)}), "DFP_CHECK");
+  branch.a_is_imm = false;
+  branch.ra = 0;
+  RunHandBuilt({SetR0(), branch, Ret(0)});
+}
+
+// The tag register is global across frames: Register Tagging's samples taken in a callee must
+// see the caller's tag, and a tag set in a callee must survive the return.
+class TagRegisterTest : public ::testing::Test {
+ protected:
+  uint32_t Add(const std::string& name, std::vector<MInstr> code, uint8_t num_args = 0) {
+    const uint32_t segment =
+        harness_.code_map.AddSegment(SegmentKind::kGenerated, name, std::move(code));
+    return harness_.code_map.AddFunction(name, segment, 0, 0, num_args);
+  }
+
+  static MInstr SetTag(int64_t tag) {
+    MInstr set;
+    set.op = Opcode::kSetTag;
+    set.a_is_imm = true;
+    set.imm = tag;
+    set.is_tag = true;
+    return set;
+  }
+
+  static MInstr GetTag(uint8_t dst) {
+    MInstr get;
+    get.op = Opcode::kGetTag;
+    get.dst = dst;
+    get.is_tag = true;
+    return get;
+  }
+
+  static MInstr Call(uint32_t callee, std::vector<MArg> args = {}) {
+    MInstr call;
+    call.op = Opcode::kCall;
+    call.callee = callee;
+    call.args = std::move(args);
+    return call;
+  }
+
+  VcpuHarness harness_;
+};
+
+TEST_F(TagRegisterTest, CalleeTagIsVisibleToCallerAfterReturn) {
+  const uint32_t callee = Add("callee", {SetTag(55), Ret(kNoPhysReg)});
+  const uint32_t caller = Add("caller", {SetTag(5), Call(callee), GetTag(0), Ret(0)});
+  EXPECT_EQ(harness_.Run(caller, {}), 55u);
+}
+
+TEST_F(TagRegisterTest, TagSetThroughHostReentryIsVisibleToCaller) {
+  const uint32_t setter = Add("setter", {SetTag(77), Ret(kNoPhysReg)});
+  const uint32_t host_segment =
+      harness_.code_map.AddHostSegment(SegmentKind::kKernel, "reenter", 8);
+  const uint32_t host = harness_.code_map.AddHostFunction(
+      "reenter", host_segment,
+      [setter](Cpu& cpu, std::span<const uint64_t>) { return cpu.CallFunction(setter, {}); },
+      0);
+  const uint32_t caller = Add("caller", {SetTag(5), Call(host), GetTag(0), Ret(0)});
+  EXPECT_EQ(harness_.Run(caller, {}), 77u);
+}
+
+TEST_F(TagRegisterTest, SixteenArgumentCallKeepsTheTag) {
+  std::vector<MArg> args;
+  for (uint64_t i = 0; i < kNumPhysRegs; ++i) {
+    args.push_back({MArg::Kind::kImm, 1000 + i});
+  }
+  // The callee returns its tag plus its r15, which the tag occupies, not the 16th argument.
+  MInstr sum;
+  sum.op = Opcode::kAdd;
+  sum.dst = 0;
+  sum.ra = 1;
+  sum.rb = kTagReg;
+  const uint32_t callee = Add("callee", {GetTag(1), sum, Ret(0)}, kNumPhysRegs);
+  MInstr call = Call(callee, args);
+  call.dst = 2;
+  MInstr result;
+  result.op = Opcode::kMul;
+  result.dst = 0;
+  result.ra = 2;
+  result.b_is_imm = true;
+  result.imm = 1000;
+  MInstr plus_tag;
+  plus_tag.op = Opcode::kAdd;
+  plus_tag.dst = 0;
+  plus_tag.ra = 0;
+  plus_tag.rb = 3;
+  const uint32_t caller =
+      Add("caller", {SetTag(9), call, result, GetTag(3), plus_tag, Ret(0)});
+  EXPECT_EQ(harness_.Run(caller, {}), (9u + 9u) * 1000u + 9u);
+}
+
+TEST_F(TagRegisterTest, TagCarriesAcrossTopLevelCalls) {
+  const uint32_t set = Add("set", {SetTag(31), Ret(kNoPhysReg)});
+  const uint32_t get = Add("get", {GetTag(0), Ret(0)});
+  Cpu cpu(harness_.mem, harness_.code_map, harness_.pmu);
+  cpu.CallFunction(set, {});
+  EXPECT_EQ(cpu.CallFunction(get, {}), 31u);
+  EXPECT_EQ(cpu.CallFunction(get, {}), 31u);
+}
+
+TEST_F(TagRegisterTest, SampleInCalleeReportsCallerTag) {
+  std::vector<MInstr> body = {SetR0()};
+  MInstr add;
+  add.op = Opcode::kAdd;
+  add.dst = 0;
+  add.ra = 0;
+  add.b_is_imm = true;
+  add.imm = 1;
+  body.insert(body.end(), 200, add);
+  body.push_back(Ret(0));
+  const uint32_t callee = Add("callee", body);
+  const uint32_t caller = Add("caller", {SetTag(444), Call(callee), Ret(kNoPhysReg)});
+  SamplingConfig config;
+  config.enabled = true;
+  config.period = 13;
+  config.capture_registers = true;
+  harness_.pmu.Configure(config);
+  harness_.Run(caller, {});
+  const CodeSegment& callee_segment =
+      harness_.code_map.segment(harness_.code_map.function(callee).segment);
+  size_t in_callee = 0;
+  for (const Sample& sample : harness_.pmu.samples()) {
+    if (harness_.code_map.FindByIp(sample.ip) == &callee_segment) {
+      EXPECT_EQ(sample.regs[kTagReg], 444u);
+      ++in_callee;
+    }
+  }
+  EXPECT_GT(in_callee, 10u);
 }
 
 TEST(Cpu, TagRegisterVisibleInSamples) {
