@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,17 +37,6 @@ inline constexpr const char* kGuardStateNames[] = {"decided", "applied", "kept",
 
 inline const char* GuardStateName(GuardState state) {
   return kGuardStateNames[static_cast<size_t>(state)];
-}
-
-// Inverse, for profile loading. Returns false on an unknown name.
-inline bool GuardStateFromName(const std::string& name, GuardState* out) {
-  for (size_t i = 0; i < std::size(kGuardStateNames); ++i) {
-    if (name == kGuardStateNames[i]) {
-      *out = static_cast<GuardState>(i);
-      return true;
-    }
-  }
-  return false;
 }
 
 template <typename Payload>

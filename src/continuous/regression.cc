@@ -120,16 +120,18 @@ const PlanBaseline* BaselineStore::Find(uint64_t fingerprint) const {
   return it == baselines_.end() ? nullptr : &it->second;
 }
 
-void BaselineStore::AddLoadedBaseline(PlanBaseline baseline) {
-  baselines_[baseline.fingerprint] = std::move(baseline);
+bool BaselineStore::AddLoadedBaseline(PlanBaseline baseline) {
+  const uint64_t fingerprint = baseline.fingerprint;
+  return baselines_.try_emplace(fingerprint, std::move(baseline)).second;
 }
 
-void BaselineStore::AddLoadedBaselineOperator(uint64_t fingerprint, WindowOperatorStats stats) {
+bool BaselineStore::AddLoadedBaselineOperator(uint64_t fingerprint, WindowOperatorStats stats) {
   auto it = baselines_.find(fingerprint);
   if (it == baselines_.end()) {
     throw Error("service profile bop line without its baseline line");
   }
-  it->second.operators[stats.op] = std::move(stats);
+  const OperatorId op = stats.op;
+  return it->second.operators.try_emplace(op, std::move(stats)).second;
 }
 
 std::vector<RegressionFinding> DetectRegressions(const BaselineStore& baseline,

@@ -67,9 +67,10 @@ class BaselineStore {
 
   // Loading hooks used by ReadServiceProfile: restore one persisted baseline (operator
   // rows arrive separately, after their baseline line) so a restarted service resumes
-  // regression detection against its pre-restart reference mix.
-  void AddLoadedBaseline(PlanBaseline baseline);
-  void AddLoadedBaselineOperator(uint64_t fingerprint, WindowOperatorStats stats);
+  // regression detection against its pre-restart reference mix. Each returns false, loading
+  // nothing, when its fingerprint or operator is already loaded.
+  bool AddLoadedBaseline(PlanBaseline baseline);
+  bool AddLoadedBaselineOperator(uint64_t fingerprint, WindowOperatorStats stats);
 
  private:
   std::map<uint64_t, PlanBaseline> baselines_;

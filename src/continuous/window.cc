@@ -278,7 +278,7 @@ void WindowedProfile::LoadWindow(uint64_t fingerprint, const std::string& name,
   }
 }
 
-void WindowedProfile::LoadWindowOperator(uint64_t fingerprint, uint64_t window_index,
+bool WindowedProfile::LoadWindowOperator(uint64_t fingerprint, uint64_t window_index,
                                          WindowOperatorStats stats) {
   auto it = plans_.find(fingerprint);
   if (it == plans_.end() || it->second.windows.empty() ||
@@ -286,8 +286,13 @@ void WindowedProfile::LoadWindowOperator(uint64_t fingerprint, uint64_t window_i
     throw Error("service profile wop line without its window line");
   }
   ProfileWindow& window = it->second.windows.back();
-  window.samples += stats.samples;
-  window.operators[stats.op] = std::move(stats);
+  const uint64_t samples = stats.samples;
+  const OperatorId op = stats.op;
+  if (!window.operators.try_emplace(op, std::move(stats)).second) {
+    return false;
+  }
+  window.samples += samples;
+  return true;
 }
 
 }  // namespace dfp

@@ -158,9 +158,10 @@ class WindowedProfile {
   void WriteJson(std::ostream& out) const;
 
   // Loading hooks used by ReadServiceProfile: windows and their operator rows arrive in
-  // file order; the ring bound is enforced as they load.
+  // file order; the ring bound is enforced as they load. LoadWindowOperator returns false,
+  // loading nothing, when the window already holds the operator.
   void LoadWindow(uint64_t fingerprint, const std::string& name, ProfileWindow window);
-  void LoadWindowOperator(uint64_t fingerprint, uint64_t window_index, WindowOperatorStats stats);
+  bool LoadWindowOperator(uint64_t fingerprint, uint64_t window_index, WindowOperatorStats stats);
 
  private:
   ProfileWindow& WindowFor(PlanWindowSeries& series, uint64_t index);

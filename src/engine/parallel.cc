@@ -74,7 +74,7 @@ ParallelRun::ParallelRun(Database& db, CompiledQuery& query, const ParallelConfi
     : db_(db), query_(query), config_(config), regions_(regions),
       numa_(config.workers), slack_(slack) {
   DFP_CHECK(query.parallel);  // Must be compiled with CodegenOptions::parallel.
-  DFP_CHECK(config.workers >= 1 && config.workers <= 64);
+  DFP_CHECK(config.workers >= 1 && config.workers <= kMaxWorkers);
 
   // Overlay the node map: base table columns are range-partitioned (first-touch placement of
   // morsel-driven loading), this run's scratch regions are chunk-interleaved per-node stripes.

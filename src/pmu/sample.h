@@ -15,6 +15,11 @@ inline constexpr int kTagRegister = 15;  // Architecturally global register used
 // topology).
 inline constexpr uint8_t kNoNumaNode = 0xFF;
 
+// Worker ids are below this bound: a worker pool (src/engine/parallel.h) holds at most this
+// many VCPUs, and the sample-stream reader refuses a larger id rather than let it size
+// per-worker reports.
+inline constexpr uint32_t kMaxWorkers = 64;
+
 // One PEBS-style sample. `ip` is a global instruction pointer (code-segment base + offset).
 // `callstack` holds return addresses, innermost caller first, when call-stack sampling is on.
 // `worker_id` identifies the VCPU that took the sample; single-threaded runs use worker 0.

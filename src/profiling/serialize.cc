@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <istream>
 #include <ostream>
-#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "src/util/check.h"
 #include "src/util/text_format.h"
@@ -16,87 +15,58 @@ namespace {
 constexpr const char* kDictionaryHeader = "# dfp tagging dictionary v1";
 constexpr const char* kSamplesHeader = "# dfp samples v8";
 
-[[noreturn]] void Malformed(const std::string& line) {
-  throw Error("malformed profiling meta-data line: '" + line + "'");
-}
-
-TaskBoundary ParseTask(std::istringstream& stream, const std::string& line) {
+TaskBoundary ParseTask(LineReader& reader) {
   TaskBoundary task;
-  uint32_t kind = 0;
-  uint32_t stolen = 0;
-  if (!(stream >> task.start_tsc >> task.end_tsc >> task.worker_id >> kind >> task.step >>
-        task.pipeline >> task.morsel_begin >> task.morsel_end >> stolen >> task.instructions >>
-        task.loads >> task.l1_misses >> task.l2_misses >> task.l3_misses >> task.remote_dram) ||
-      kind > static_cast<uint32_t>(TaskKind::kSort) || stolen > 1 ||
-      task.end_tsc < task.start_tsc) {
-    Malformed(line);
+  reader.Fields(task.start_tsc, task.end_tsc);
+  task.worker_id = reader.Enum(kMaxWorkers - 1);
+  task.kind = reader.Enum(TaskKind::kSort);
+  reader.Fields(task.step, task.pipeline, task.morsel_begin, task.morsel_end);
+  task.stolen = reader.Flag();
+  reader.Fields(task.instructions, task.loads, task.l1_misses, task.l2_misses, task.l3_misses,
+                task.remote_dram);
+  reader.End();
+  if (task.end_tsc < task.start_tsc) {
+    reader.Reject();
   }
-  task.kind = static_cast<TaskKind>(kind);
-  task.stolen = stolen != 0;
   return task;
 }
 
-Sample ParseSample(std::istringstream& stream, const std::string& line) {
+Sample ParseSample(LineReader& reader) {
   Sample sample;
-  if (!(stream >> sample.tsc >> sample.ip >> sample.addr)) {
-    Malformed(line);
-  }
-  std::string section;
-  while (stream >> section) {
+  reader.Fields(sample.tsc, sample.ip, sample.addr);
+  while (!reader.AtEnd()) {
+    const std::string_view section = reader.Word();
     if (section == "W") {
-      if (!(stream >> sample.worker_id)) {
-        Malformed(line);
-      }
+      sample.worker_id = reader.Enum(kMaxWorkers - 1);
     } else if (section == "N") {
-      uint32_t node = 0;
-      uint32_t remote = 0;
-      if (!(stream >> node >> remote) || node > 0xFF || remote > 1) {
-        Malformed(line);
-      }
-      sample.mem_node = static_cast<uint8_t>(node);
-      sample.numa_remote = remote != 0;
+      sample.mem_node = reader.Read<uint8_t>();
+      sample.numa_remote = reader.Flag();
     } else if (section == "T") {
       sample.stolen = true;
     } else if (section == "G") {
-      uint32_t tier = 0;
-      if (!(stream >> tier) || tier > 0xFF) {
-        Malformed(line);
-      }
-      sample.tier = static_cast<uint8_t>(tier);
+      sample.tier = reader.Read<uint8_t>();
     } else if (section == "D") {
-      if (!(stream >> sample.shard_id) || sample.shard_id == 0) {
-        Malformed(line);
+      sample.shard_id = reader.Read<uint32_t>();
+      if (sample.shard_id == 0) {
+        reader.Reject();
       }
     } else if (section == "X") {
-      uint32_t machine = 0;
-      if (!(stream >> machine) || machine > 0xFF) {
-        Malformed(line);
-      }
-      sample.mem_node = static_cast<uint8_t>(machine);
+      sample.mem_node = reader.Read<uint8_t>();
       sample.cross_node = true;
     } else if (section == "R") {
       sample.has_registers = true;
       for (uint64_t& reg : sample.regs) {
-        if (!(stream >> reg)) {
-          Malformed(line);
-        }
+        reg = reader.Read<uint64_t>();
       }
     } else if (section == "S") {
-      size_t depth = 0;
-      if (!(stream >> depth)) {
-        Malformed(line);
-      }
       // The depth comes from the input: frames are read one at a time, so a depth the line
       // cannot back fails as malformed before it sizes anything.
-      for (size_t i = 0; i < depth; ++i) {
-        uint64_t ip = 0;
-        if (!(stream >> ip)) {
-          Malformed(line);
-        }
-        sample.callstack.push_back(ip);
+      const uint64_t depth = reader.Read<uint64_t>();
+      for (uint64_t i = 0; i < depth; ++i) {
+        sample.callstack.push_back(reader.Read<uint64_t>());
       }
     } else {
-      Malformed(line);
+      reader.Reject();
     }
   }
   return sample;
@@ -127,42 +97,29 @@ void WriteDictionary(const TaggingDictionary& dictionary, std::ostream& out) {
 }
 
 TaggingDictionary ReadDictionary(std::istream& in) {
-  ExpectHeader(in, kDictionaryHeader);
+  LineReader reader(in, "tagging dictionary");
+  reader.ExpectHeader(kDictionaryHeader);
   TaggingDictionary dictionary;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream stream(line);
-    std::string kind;
-    stream >> kind;
+  while (reader.NextRecord()) {
+    const std::string_view kind = reader.Word();
     if (kind == "task") {
-      TaskId id = 0;
-      OperatorId op = 0;
-      if (!(stream >> id >> op)) {
-        Malformed(line);
-      }
-      TaskId assigned = dictionary.AddTask(op, RestOfLine(stream));
-      if (assigned != id) {
+      const TaskId id = reader.Read<TaskId>();
+      const OperatorId op = reader.Read<OperatorId>();
+      if (dictionary.AddTask(op, reader.Rest()) != id) {
         throw Error("tagging dictionary tasks out of order");
       }
     } else if (kind == "link") {
-      uint32_t ir_id = 0;
-      if (!(stream >> ir_id)) {
-        Malformed(line);
-      }
-      TaskId task = 0;
-      bool any = false;
-      while (stream >> task) {
+      const uint32_t ir_id = reader.Read<uint32_t>();
+      do {
+        // A link names a task an earlier task line declared.
+        const TaskId task = reader.Read<TaskId>();
+        if (task >= dictionary.tasks().size()) {
+          reader.Reject();
+        }
         dictionary.LinkInstr(ir_id, task);
-        any = true;
-      }
-      if (!any) {
-        Malformed(line);
-      }
+      } while (!reader.AtEnd());
     } else {
-      Malformed(line);
+      reader.Reject();
     }
   }
   return dictionary;
@@ -219,25 +176,20 @@ void WriteSamples(const std::vector<Sample>& samples, std::ostream& out,
 }
 
 std::vector<Sample> ReadSamples(std::istream& in, std::vector<TaskBoundary>* tasks) {
-  ExpectHeader(in, kSamplesHeader);
+  LineReader reader(in, "sample stream");
+  reader.ExpectHeader(kSamplesHeader);
   std::vector<Sample> samples;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream stream(line);
-    std::string kind;
-    stream >> kind;
+  while (reader.NextRecord()) {
+    const std::string_view kind = reader.Word();
     if (kind == "sample") {
-      samples.push_back(ParseSample(stream, line));
+      samples.push_back(ParseSample(reader));
     } else if (kind != "task") {
-      Malformed(line);
+      reader.Reject();
     } else if (tasks == nullptr) {
-      throw Error("sample stream carries task lines but the reader has no task sink: '" + line +
-                  "'");
+      throw Error("sample stream carries task lines but the reader has no task sink: '" +
+                  reader.line() + "'");
     } else {
-      tasks->push_back(ParseTask(stream, line));
+      tasks->push_back(ParseTask(reader));
     }
   }
   return samples;

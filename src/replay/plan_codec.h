@@ -11,7 +11,6 @@
 #ifndef DFP_SRC_REPLAY_PLAN_CODEC_H_
 #define DFP_SRC_REPLAY_PLAN_CODEC_H_
 
-#include <iosfwd>
 #include <string>
 
 #include "src/engine/database.h"
@@ -19,19 +18,12 @@
 
 namespace dfp {
 
-// Escapes a string into a single whitespace-free token (percent-encoding of '%', whitespace,
-// and control bytes; the empty string encodes as a bare "%"). Inverse of DecodeToken.
-std::string EncodeToken(const std::string& text);
-std::string DecodeToken(const std::string& token);  // Throws dfp::Error on malformed escapes.
-
 // Writes `root` as a self-delimiting block of "op"/"x" lines terminated by "endplan".
-void WritePlan(const PhysicalOp& root, std::ostream& out);
 std::string EncodePlanText(const PhysicalOp& root);
 
-// Inverse of WritePlan: consumes one plan block (through its "endplan" terminator) from `in`,
+// Inverse of EncodePlanText: parses one plan block through its "endplan" terminator,
 // resolving table references against `db`'s catalog. Throws dfp::Error on malformed input,
 // unknown tables, or truncation.
-PhysicalOpPtr ParsePlan(std::istream& in, const Database& db);
 PhysicalOpPtr ParsePlanText(const std::string& text, const Database& db);
 
 }  // namespace dfp

@@ -1,16 +1,14 @@
 #include "src/replay/trace.h"
 
-#include <charconv>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <type_traits>
 
 #include "src/engine/parallel.h"
 #include "src/pmu/event.h"
 #include "src/profiling/session.h"
-#include "src/replay/plan_codec.h"
 #include "src/util/check.h"
 #include "src/util/text_format.h"
 
@@ -18,10 +16,6 @@ namespace dfp {
 namespace {
 
 constexpr const char* kTraceHeader = "# dfp trace v6";
-
-[[noreturn]] void Malformed(const std::string& line) {
-  throw Error("malformed trace line: '" + line + "'");
-}
 
 // Knob value codec: integers, flags and enums in decimal (range-checked on read), doubles as
 // 16-hex IEEE-754 bit patterns so they round-trip bit for bit.
@@ -47,14 +41,13 @@ std::string FormatKnob(T value) {
 }
 
 template <typename T>
-void ParseKnob(const std::string& text, T& value, const std::string& line) {
+void ParseKnob(const LineReader& reader, std::string_view text, T& value) {
   if constexpr (std::is_same_v<T, double>) {
-    value = BitsToDouble(ParseHex16(text));
+    value = BitsToDouble(reader.Hex(text));
   } else {
-    uint64_t parsed = 0;
-    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), parsed);
-    if (error != std::errc() || end != text.data() + text.size() || parsed > KnobMax(value)) {
-      Malformed(line);
+    const uint64_t parsed = reader.Parse<uint64_t>(text);
+    if (parsed > KnobMax(value)) {
+      reader.Reject();
     }
     value = static_cast<T>(parsed);
   }
@@ -66,28 +59,6 @@ bool SameKnob(const T& a, const T& b) {
     return DoubleBits(a) == DoubleBits(b);
   } else {
     return a == b;
-  }
-}
-
-// Reads the next line, requiring its first token to be `keyword`; returns a stream positioned
-// after the keyword.
-std::istringstream ExpectLine(std::istream& in, const std::string& keyword, std::string& line) {
-  if (!std::getline(in, line)) {
-    throw Error("truncated trace: '" + keyword + "' line expected");
-  }
-  std::istringstream stream(line);
-  std::string token;
-  stream >> token;
-  if (token != keyword) {
-    Malformed(line);
-  }
-  return stream;
-}
-
-void RejectTrailing(std::istringstream& stream, const std::string& line) {
-  std::string trailing;
-  if (stream >> trailing) {
-    Malformed(line);
   }
 }
 
@@ -199,37 +170,27 @@ std::string EncodeTraceText(const WorkloadTrace& trace) {
 }
 
 WorkloadTrace ReadTrace(std::istream& in) {
-  ExpectHeader(in, kTraceHeader);
+  LineReader reader(in, "trace");
+  reader.ExpectHeader(kTraceHeader);
   WorkloadTrace trace;
-  std::string line;
-  {
-    std::istringstream stream = ExpectLine(in, "catalog", line);
-    if (!(stream >> trace.catalog_version)) {
-      Malformed(line);
+  reader.Expect("catalog", "'catalog' line");
+  reader.Fields(trace.catalog_version);
+  reader.End();
+  reader.Expect("start", "'start' line");
+  reader.Fields(trace.start_cycles);
+  reader.End();
+  // Every table row, in table order, as <path>=<value>.
+  reader.Expect("knobs", "'knobs' line");
+  ForEachKnob([&](const char* name, auto field) {
+    const std::string_view token = reader.Word();
+    const size_t length = std::string_view(name).size();
+    if (token.size() <= length || token.substr(0, length) != name || token[length] != '=') {
+      reader.Reject();
     }
-    RejectTrailing(stream, line);
-  }
-  {
-    std::istringstream stream = ExpectLine(in, "start", line);
-    if (!(stream >> trace.start_cycles)) {
-      Malformed(line);
-    }
-    RejectTrailing(stream, line);
-  }
-  {
-    // Every table row, in table order, as <path>=<value>.
-    std::istringstream stream = ExpectLine(in, "knobs", line);
-    ForEachKnob([&](const char* name, auto field) {
-      const std::string prefix = std::string(name) + "=";
-      std::string token;
-      if (!(stream >> token) || token.compare(0, prefix.size(), prefix) != 0) {
-        Malformed(line);
-      }
-      ParseKnob(token.substr(prefix.size()), field(trace.knobs), line);
-    });
-    RejectTrailing(stream, line);
-    CheckServiceConfig(trace.knobs);
-  }
+    ParseKnob(reader, token.substr(length + 1), field(trace.knobs));
+  });
+  reader.End();
+  CheckServiceConfig(trace.knobs);
 
   // Body: templates, then the event schedule, then the summary block. The writer emits them in
   // that order; the reader accepts each keyword wherever it appears so the fixed-point property
@@ -237,33 +198,26 @@ WorkloadTrace ReadTrace(std::istream& in) {
   bool saw_summary = false;
   bool saw_tiers = false;
   bool saw_end = false;
-  while (std::getline(in, line)) {
-    std::istringstream stream(line);
-    std::string keyword;
-    stream >> keyword;
+  while (reader.Next()) {
+    const std::string_view keyword = reader.Word();
     if (keyword == "template") {
       PlanTemplate entry;
-      std::string structure_hex;
-      std::string name_token;
-      if (!(stream >> structure_hex >> name_token)) {
-        Malformed(line);
-      }
-      RejectTrailing(stream, line);
-      entry.structure = ParseHex16(structure_hex);
-      entry.name = DecodeToken(name_token);
+      entry.structure = reader.Hex();
+      entry.name = reader.Token();
+      reader.End();
       // Consume the plan block verbatim (it is validated against the catalog at replay time —
       // a trace file alone has no Database to resolve tables against).
-      std::string plan_line;
       bool terminated = false;
-      while (std::getline(in, plan_line)) {
-        entry.plan_text += plan_line;
+      while (reader.Next()) {
+        entry.plan_text += reader.line();
         entry.plan_text += "\n";
-        if (plan_line == "endplan") {
+        if (reader.line() == "endplan") {
           terminated = true;
           break;
         }
-        if (plan_line.rfind("op ", 0) != 0 && plan_line.rfind("x ", 0) != 0) {
-          Malformed(plan_line);
+        const std::string_view plan_keyword = reader.Word();
+        if (plan_keyword != "op" && plan_keyword != "x") {
+          reader.Reject();
         }
       }
       if (!terminated) {
@@ -272,57 +226,28 @@ WorkloadTrace ReadTrace(std::istream& in) {
       trace.templates.push_back(std::move(entry));
     } else if (keyword == "query") {
       TraceQuery q;
-      std::string name_token;
-      std::string structure_hex;
-      std::string literals_hex;
-      std::string pinned_hex;
-      std::string outcome_token;
-      size_t bindings = 0;
-      if (!(stream >> q.seq >> name_token >> structure_hex >> literals_hex >> pinned_hex >>
-            q.arrival_cycles >> q.weight >> q.deadline_cycles >> outcome_token >> bindings)) {
-        Malformed(line);
-      }
-      q.name = DecodeToken(name_token);
-      q.fingerprint.structure = ParseHex16(structure_hex);
-      q.fingerprint.literals = ParseHex16(literals_hex);
-      q.fingerprint.pinned = ParseHex16(pinned_hex);
-      if (outcome_token == "admitted") {
-        q.outcome = TraceOutcome::kAdmitted;
-      } else if (outcome_token == "rejected") {
-        q.outcome = TraceOutcome::kRejected;
-      } else {
-        Malformed(line);
-      }
-      // `bindings` comes from the input: read one at a time, never reserved up front.
-      for (size_t i = 0; i < bindings; ++i) {
-        std::string kind_token;
-        if (!(stream >> kind_token)) {
-          Malformed(line);
-        }
+      q.seq = reader.Read<uint32_t>();
+      q.name = reader.Token();
+      q.fingerprint.structure = reader.Hex();
+      q.fingerprint.literals = reader.Hex();
+      q.fingerprint.pinned = reader.Hex();
+      reader.Fields(q.arrival_cycles, q.weight, q.deadline_cycles);
+      static constexpr const char* kOutcomes[] = {"admitted", "rejected"};
+      q.outcome = static_cast<TraceOutcome>(reader.Name(kOutcomes));
+      // The binding count comes from the input: read one at a time, never reserved up front.
+      const uint64_t bindings = reader.Read<uint64_t>();
+      for (uint64_t i = 0; i < bindings; ++i) {
+        static constexpr const char* kKinds[] = {"V", "P", "M"};
         LiteralBinding binding;
-        if (kind_token == "V") {
-          binding.kind = LiteralBinding::Kind::kValue;
-          if (!(stream >> binding.value)) {
-            Malformed(line);
-          }
-        } else if (kind_token == "P") {
-          binding.kind = LiteralBinding::Kind::kPattern;
-          std::string pattern_token;
-          if (!(stream >> pattern_token)) {
-            Malformed(line);
-          }
-          binding.pattern = DecodeToken(pattern_token);
-        } else if (kind_token == "M") {
-          binding.kind = LiteralBinding::Kind::kLimit;
-          if (!(stream >> binding.value)) {
-            Malformed(line);
-          }
+        binding.kind = static_cast<LiteralBinding::Kind>(reader.Name(kKinds));
+        if (binding.kind == LiteralBinding::Kind::kPattern) {
+          binding.pattern = reader.Token();
         } else {
-          Malformed(line);
+          binding.value = reader.Read<int64_t>();
         }
         q.literals.push_back(std::move(binding));
       }
-      RejectTrailing(stream, line);
+      reader.End();
       if (q.seq != trace.queries.size() + 1) {
         throw Error("trace query out of order: seq " + std::to_string(q.seq) + " expected " +
                     std::to_string(trace.queries.size() + 1));
@@ -330,80 +255,54 @@ WorkloadTrace ReadTrace(std::istream& in) {
       trace.events.push_back({TraceEvent::Kind::kQuery, q.seq});
       trace.queries.push_back(std::move(q));
     } else if (keyword == "done") {
-      uint32_t seq = 0;
-      int status = 0;
-      int hit = 0;
-      int tier = 0;
-      std::string hash_hex;
-      if (!(stream >> seq)) {
-        Malformed(line);
-      }
+      const uint32_t seq = reader.Read<uint32_t>();
       if (seq == 0 || seq > trace.queries.size()) {
         throw Error("trace 'done' references unknown query seq " + std::to_string(seq));
       }
       TraceQuery& q = trace.queries[seq - 1];
-      if (!(stream >> status >> hit >> tier >> q.patched_sites >> q.compile_cycles >>
-            q.execute_cycles >> q.completed_at_cycles >> q.result_rows >> q.samples >>
-            hash_hex) ||
-          status < 0 || status > static_cast<int>(TicketStatus::kTimedOut) || hit < 0 ||
-          hit > 1 || tier < 0 || tier > 1) {
-        Malformed(line);
-      }
-      RejectTrailing(stream, line);
+      q.status = static_cast<uint8_t>(reader.Enum(TicketStatus::kTimedOut));
+      q.cache_hit = reader.Flag();
+      q.tier = static_cast<uint8_t>(reader.Enum(PlanTier::kBaseline));
+      reader.Fields(q.patched_sites, q.compile_cycles, q.execute_cycles, q.completed_at_cycles,
+                    q.result_rows, q.samples);
+      q.stream_hash = reader.Hex();
+      reader.End();
       q.completed = true;
-      q.status = static_cast<uint8_t>(status);
-      q.cache_hit = hit != 0;
-      q.tier = static_cast<uint8_t>(tier);
-      q.stream_hash = ParseHex16(hash_hex);
       trace.events.push_back({TraceEvent::Kind::kDone, seq});
     } else if (keyword == "drain") {
       TraceEvent event;
       event.kind = TraceEvent::Kind::kDrain;
-      if (!(stream >> event.seq)) {
-        Malformed(line);
-      }
-      RejectTrailing(stream, line);
+      reader.Fields(event.seq);
+      reader.End();
       trace.events.push_back(event);
     } else if (keyword == "summary") {
       TraceSummary& s = trace.summary;
-      std::string hash_hex;
-      if (!(stream >> s.queries >> s.completed >> s.rejected >> s.timed_out >>
-            s.service_cycles >> s.cache_hits >> s.cache_misses >> s.patched_hits >>
-            s.tier_swaps >> s.samples >> hash_hex)) {
-        Malformed(line);
-      }
-      RejectTrailing(stream, line);
-      s.stream_hash = ParseHex16(hash_hex);
+      reader.Fields(s.queries, s.completed, s.rejected, s.timed_out, s.service_cycles,
+                    s.cache_hits, s.cache_misses, s.patched_hits, s.tier_swaps, s.samples);
+      s.stream_hash = reader.Hex();
+      reader.End();
       saw_summary = true;
     } else if (keyword == "tiers") {
       TierTimelineTotals& t = trace.summary.tiers;
-      if (!(stream >> t.samples >> t.baseline_samples >> t.optimized_samples >> t.transitions >>
-            t.swapped)) {
-        Malformed(line);
-      }
-      RejectTrailing(stream, line);
+      reader.Fields(t.samples, t.baseline_samples, t.optimized_samples, t.transitions,
+                    t.swapped);
+      reader.End();
       saw_tiers = true;
     } else if (keyword == "fp") {
       TraceFingerprintSummary fp;
-      std::string structure_hex;
-      std::string top_token;
-      std::string name_token;
-      if (!(stream >> structure_hex >> fp.executions >> fp.execute_cycles >> fp.latency_p50 >>
-            fp.latency_p95 >> fp.latency_max >> fp.top_operator_samples >> top_token >>
-            name_token)) {
-        Malformed(line);
-      }
-      RejectTrailing(stream, line);
-      fp.structure = ParseHex16(structure_hex);
-      fp.top_operator = DecodeToken(top_token);
-      fp.name = DecodeToken(name_token);
+      fp.structure = reader.Hex();
+      reader.Fields(fp.executions, fp.execute_cycles, fp.latency_p50, fp.latency_p95,
+                    fp.latency_max, fp.top_operator_samples);
+      fp.top_operator = reader.Token();
+      fp.name = reader.Token();
+      reader.End();
       trace.summary.fingerprints.push_back(std::move(fp));
     } else if (keyword == "end") {
-      RejectTrailing(stream, line);
+      reader.End();
       saw_end = true;
       break;
     } else {
-      Malformed(line);
+      reader.Reject();
     }
   }
   if (!saw_end) {

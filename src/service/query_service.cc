@@ -27,7 +27,7 @@ void CheckServiceConfig(const ServiceConfig& config) {
       throw Error(std::string("invalid service config: ") + what);
     }
   };
-  require(config.parallel.workers >= 1 && config.parallel.workers <= 64,
+  require(config.parallel.workers >= 1 && config.parallel.workers <= kMaxWorkers,
           "parallel.workers must be in 1..64");
   require(config.max_active_sessions >= 1, "max_active_sessions must be at least 1");
   require(config.session_hashtables_bytes != 0 && config.session_state_bytes != 0 &&

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <istream>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 
 #include "src/critpath/slack.h"
 #include "src/profiling/reports.h"
@@ -17,10 +17,6 @@ namespace dfp {
 namespace {
 
 constexpr const char* kProfileHeader = "# dfp service profile v7";
-
-[[noreturn]] void Malformed(const std::string& line) {
-  throw Error("malformed service profile line: '" + line + "'");
-}
 
 }  // namespace
 
@@ -266,22 +262,19 @@ ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows,
                                   BaselineStore* baselines, uint64_t* service_clock_cycles,
                                   SlackStore* slack, CardStore* cards,
                                   GuardLog<ReoptPayload>* reopts) {
-  ExpectHeader(in, kProfileHeader);
+  LineReader reader(in, "service profile");
+  reader.ExpectHeader(kProfileHeader);
   ServiceProfile profile;
   // Window names arrive on plan lines; remember them so the loaded series carry them too.
   std::map<uint64_t, std::string> plan_names;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream stream(line);
-    std::string kind;
-    stream >> kind;
+  while (reader.NextRecord()) {
+    const std::string_view kind = reader.Word();
     if (kind == "windowcfg") {
       WindowConfig config;
-      if (!(stream >> config.width_cycles)) {
-        Malformed(line);
+      reader.Fields(config.width_cycles);
+      reader.End();
+      if (config.width_cycles == 0) {
+        reader.Reject();  // Windows are indexed by clock / width.
       }
       if (windows != nullptr) {
         windows->set_config(config);
@@ -289,10 +282,8 @@ ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows,
       continue;
     }
     if (kind == "clock" || kind == "slackgen" || kind == "cardgen") {
-      uint64_t value = 0;
-      if (!(stream >> value)) {
-        Malformed(line);
-      }
+      const uint64_t value = reader.Read<uint64_t>();
+      reader.End();
       if (kind == "clock" && service_clock_cycles != nullptr) {
         *service_clock_cycles = value;
       } else if (kind == "slackgen" && slack != nullptr) {
@@ -302,189 +293,173 @@ ServiceProfile ReadServiceProfile(std::istream& in, WindowedProfile* windows,
       }
       continue;
     }
-    // Every other line is keyed by its plan fingerprint.
-    std::string key;
-    if (!(stream >> key)) {
-      Malformed(line);
-    }
-    const uint64_t fingerprint = ParseHex16(key);
+    // Every other line is keyed by its plan fingerprint. A key loads once: the writer never
+    // repeats one, and a repeat would count its samples twice or drop what the first loaded.
+    const uint64_t fingerprint = reader.Hex();
+    auto once = [&](bool loaded) {
+      if (!loaded) {
+        throw Error("service profile has a second " + std::string(kind) + " line for plan " +
+                    Hex16(fingerprint));
+      }
+    };
     if (kind == "plan") {
       FleetPlanProfile plan;
-      if (!(stream >> plan.executions >> plan.cache_hits >> plan.cache_misses >>
-            plan.compile_cycles >> plan.execute_cycles)) {
-        Malformed(line);
-      }
+      reader.Fields(plan.executions, plan.cache_hits, plan.cache_misses, plan.compile_cycles,
+                    plan.execute_cycles);
       plan.fingerprint = fingerprint;
-      plan.name = RestOfLine(stream);
+      plan.name = reader.Rest();
       plan_names[fingerprint] = plan.name;
       // Rebuild the cross-plan totals as we load.
-      profile.AddLoadedPlan(std::move(plan));
+      once(profile.AddLoadedPlan(std::move(plan)));
     } else if (kind == "op") {
       FleetOperatorCost cost;
-      uint64_t op = 0;
-      if (!(stream >> op >> cost.samples)) {
-        Malformed(line);
-      }
-      cost.op = static_cast<OperatorId>(op);
-      cost.label = RestOfLine(stream);
-      profile.AddLoadedOperator(fingerprint, std::move(cost));
+      reader.Fields(cost.op, cost.samples);
+      cost.label = reader.Rest();
+      once(profile.AddLoadedOperator(fingerprint, std::move(cost)));
     } else if (kind == "crit") {
       uint64_t critical_cycles = 0;
       uint64_t top_share = 0;
-      std::string bottleneck;
-      if (!(stream >> critical_cycles >> top_share >> bottleneck)) {
-        Malformed(line);
-      }
-      profile.AddLoadedCriticality(fingerprint, critical_cycles, top_share, bottleneck);
+      reader.Fields(critical_cycles, top_share);
+      const std::string bottleneck(reader.Word());
+      reader.End();
+      once(profile.AddLoadedCriticality(fingerprint, critical_cycles, top_share, bottleneck));
     } else if (kind == "window") {
       ProfileWindow window;
-      if (!(stream >> window.index >> window.executions >> window.samples >>
-            window.execute_cycles >> window.rows >> window.loads >> window.l1_misses >>
-            window.l2_misses >> window.l3_misses >> window.remote_dram >> window.latency_p50 >>
-            window.latency_p95 >> window.latency_max >> window.baseline_executions >>
-            window.baseline_samples)) {
-        Malformed(line);
-      }
+      reader.Fields(window.index, window.executions, window.samples, window.execute_cycles,
+                    window.rows, window.loads, window.l1_misses, window.l2_misses,
+                    window.l3_misses, window.remote_dram, window.latency_p50, window.latency_p95,
+                    window.latency_max, window.baseline_executions, window.baseline_samples);
+      reader.End();
       if (windows != nullptr) {
         // LoadWindowOperator folds op lines back in; start the counter from zero.
         window.samples = 0;
         windows->LoadWindow(fingerprint, plan_names[fingerprint], std::move(window));
       }
     } else if (kind == "wop") {
-      uint64_t window_index = 0;
-      uint64_t op = 0;
+      const uint64_t window_index = reader.Read<uint64_t>();
       WindowOperatorStats stats;
-      if (!(stream >> window_index >> op >> stats.samples >> stats.sample_cycles)) {
-        Malformed(line);
-      }
-      stats.op = static_cast<OperatorId>(op);
-      stats.label = RestOfLine(stream);
+      reader.Fields(stats.op, stats.samples, stats.sample_cycles);
+      stats.label = reader.Rest();
       if (windows != nullptr) {
-        windows->LoadWindowOperator(fingerprint, window_index, std::move(stats));
+        once(windows->LoadWindowOperator(fingerprint, window_index, std::move(stats)));
       }
     } else if (kind == "baseline") {
       PlanBaseline baseline;
-      if (!(stream >> baseline.samples >> baseline.watermark >> baseline.cycles_per_row >>
-            baseline.remote_share)) {
-        Malformed(line);
-      }
+      reader.Fields(baseline.samples, baseline.watermark, baseline.cycles_per_row,
+                    baseline.remote_share);
       baseline.fingerprint = fingerprint;
-      baseline.name = RestOfLine(stream);
+      baseline.name = reader.Rest();
       if (baselines != nullptr) {
-        baselines->AddLoadedBaseline(std::move(baseline));
+        once(baselines->AddLoadedBaseline(std::move(baseline)));
       }
     } else if (kind == "bop") {
-      uint64_t op = 0;
       WindowOperatorStats stats;
-      if (!(stream >> op >> stats.samples >> stats.sample_cycles)) {
-        Malformed(line);
-      }
-      stats.op = static_cast<OperatorId>(op);
-      stats.label = RestOfLine(stream);
+      reader.Fields(stats.op, stats.samples, stats.sample_cycles);
+      stats.label = reader.Rest();
       if (baselines != nullptr) {
-        baselines->AddLoadedBaselineOperator(fingerprint, std::move(stats));
+        once(baselines->AddLoadedBaselineOperator(fingerprint, std::move(stats)));
       }
     } else if (kind == "slack") {
-      uint64_t executions = 0;
-      uint64_t generation = 0;
-      uint64_t critical = 0;
-      if (!(stream >> executions >> generation >> critical)) {
-        Malformed(line);
-      }
+      PlanSlack plan;
+      plan.fingerprint = fingerprint;
+      reader.Fields(plan.executions, plan.generation, plan.critical_path_cycles);
+      plan.name = reader.Rest();
       if (slack != nullptr) {
-        PlanSlack& plan = slack->LoadPlan(fingerprint);
-        plan.name = RestOfLine(stream);
-        plan.executions = executions;
-        plan.generation = generation;
-        plan.critical_path_cycles = critical;
+        once(slack->Find(fingerprint) == nullptr);
+        slack->LoadPlan(fingerprint) = std::move(plan);
       }
     } else if (kind == "slackstep") {
       StepSlack step;
-      if (!(stream >> step.step >> step.pipeline >> step.rows)) {
-        Malformed(line);
-      }
+      reader.Fields(step.step, step.pipeline, step.rows);
       for (uint64_t& bucket : step.bucket_slack) {
-        if (!(stream >> bucket)) {
-          Malformed(line);
-        }
+        bucket = reader.Read<uint64_t>();
       }
+      reader.End();
       if (slack != nullptr) {
-        // The writer emits steps in their stored (step, pipeline) order, so appending
-        // reconstructs the same sorted vector.
-        slack->LoadPlan(fingerprint).steps.push_back(step);
+        // Steps arrive once each, in their stored (step, pipeline) order, so appending
+        // rebuilds the sorted vector.
+        std::vector<StepSlack>& steps = slack->LoadPlan(fingerprint).steps;
+        once(steps.empty() || std::tie(steps.back().step, steps.back().pipeline) <
+                                  std::tie(step.step, step.pipeline));
+        steps.push_back(step);
       }
     } else if (kind == "cardplan") {
-      uint64_t executions = 0;
-      uint64_t generation = 0;
-      if (!(stream >> executions >> generation)) {
-        Malformed(line);
-      }
+      PlanCards plan;
+      reader.Fields(plan.executions, plan.generation);
+      plan.name = reader.Rest();
       if (cards != nullptr) {
-        PlanCards& plan = cards->LoadPlan(fingerprint);
-        plan.name = RestOfLine(stream);
-        plan.executions = executions;
-        plan.generation = generation;
+        once(cards->Find(fingerprint) == nullptr);
+        cards->LoadPlan(fingerprint) = std::move(plan);
       }
     } else if (kind == "card") {
-      uint64_t op = 0;
+      const OperatorId op = reader.Read<OperatorId>();
       CardEntry entry;
-      if (!(stream >> op >> entry.observed_rows >> entry.estimated_rows >> entry.executions >>
-            entry.generation)) {
-        Malformed(line);
-      }
+      reader.Fields(entry.observed_rows, entry.estimated_rows, entry.executions,
+                    entry.generation);
+      reader.End();
       if (cards != nullptr) {
-        cards->LoadPlan(fingerprint).operators[static_cast<OperatorId>(op)] = entry;
+        once(cards->LoadPlan(fingerprint).operators.emplace(op, entry).second);
       }
     } else if (kind == "reopt") {
-      std::string state;
       GuardedAction<ReoptPayload> action;
-      uint64_t reordered = 0;
-      uint64_t semi_join = 0;
-      if (!(stream >> state >> action.decided_tsc >> action.applied_tsc >>
-            action.resolved_tsc >> action.payload.divergence_pct >> reordered >> semi_join) ||
-          !GuardStateFromName(state, &action.state)) {
-        Malformed(line);
-      }
       action.fingerprint = fingerprint;
-      action.payload.reordered = reordered != 0;
-      action.payload.semi_join = semi_join != 0;
-      action.plan_name = RestOfLine(stream);
-      if (reopts != nullptr && reopts->Add(std::move(action)) == nullptr) {
-        throw Error("service profile has a second reopt line for plan " + key);
+      action.state = static_cast<GuardState>(reader.Name(kGuardStateNames));
+      reader.Fields(action.decided_tsc, action.applied_tsc, action.resolved_tsc,
+                    action.payload.divergence_pct);
+      action.payload.reordered = reader.Flag();
+      action.payload.semi_join = reader.Flag();
+      action.plan_name = reader.Rest();
+      if (reopts != nullptr) {
+        once(reopts->Add(std::move(action)) != nullptr);
       }
     } else {
-      Malformed(line);
+      reader.Reject();
     }
   }
   return profile;
 }
 
-void ServiceProfile::AddLoadedPlan(FleetPlanProfile plan) {
-  total_compile_cycles_ += plan.compile_cycles;
-  total_execute_cycles_ += plan.execute_cycles;
-  plans_[plan.fingerprint] = std::move(plan);
+bool ServiceProfile::AddLoadedPlan(FleetPlanProfile plan) {
+  const uint64_t fingerprint = plan.fingerprint;
+  const uint64_t compile_cycles = plan.compile_cycles;
+  const uint64_t execute_cycles = plan.execute_cycles;
+  if (!plans_.try_emplace(fingerprint, std::move(plan)).second) {
+    return false;
+  }
+  total_compile_cycles_ += compile_cycles;
+  total_execute_cycles_ += execute_cycles;
+  return true;
 }
 
-void ServiceProfile::AddLoadedCriticality(uint64_t fingerprint, uint64_t critical_cycles,
+bool ServiceProfile::AddLoadedCriticality(uint64_t fingerprint, uint64_t critical_cycles,
                                           uint64_t top_share_pct,
                                           const std::string& bottleneck) {
   auto it = plans_.find(fingerprint);
   if (it == plans_.end()) {
     throw Error("service profile crit line without a preceding plan line");
   }
+  if (!it->second.bottleneck.empty()) {
+    return false;
+  }
   it->second.critical_cycles = critical_cycles;
   it->second.top_share_pct = top_share_pct;
   it->second.bottleneck = bottleneck;
+  return true;
 }
 
-void ServiceProfile::AddLoadedOperator(uint64_t fingerprint, FleetOperatorCost cost) {
+bool ServiceProfile::AddLoadedOperator(uint64_t fingerprint, FleetOperatorCost cost) {
   auto it = plans_.find(fingerprint);
   if (it == plans_.end()) {
     throw Error("service profile op line without a preceding plan line");
   }
-  it->second.samples += cost.samples;
-  total_operator_samples_ += cost.samples;
-  it->second.operators[cost.op] = std::move(cost);
+  const uint64_t samples = cost.samples;
+  const OperatorId op = cost.op;
+  if (!it->second.operators.try_emplace(op, std::move(cost)).second) {
+    return false;
+  }
+  it->second.samples += samples;
+  total_operator_samples_ += samples;
+  return true;
 }
 
 }  // namespace dfp

@@ -93,10 +93,11 @@ class ServiceProfile {
   std::string Render(size_t top_k = 10) const;
 
   // Used by ReadServiceProfile to reconstitute a profile; cross-plan totals are rebuilt as
-  // entries load (per-plan sample counts derive from the op lines).
-  void AddLoadedPlan(FleetPlanProfile plan);
-  void AddLoadedOperator(uint64_t fingerprint, FleetOperatorCost cost);
-  void AddLoadedCriticality(uint64_t fingerprint, uint64_t critical_cycles,
+  // entries load (per-plan sample counts derive from the op lines). Each returns false,
+  // loading nothing, when its plan, operator or criticality is already loaded.
+  bool AddLoadedPlan(FleetPlanProfile plan);
+  bool AddLoadedOperator(uint64_t fingerprint, FleetOperatorCost cost);
+  bool AddLoadedCriticality(uint64_t fingerprint, uint64_t critical_cycles,
                             uint64_t top_share_pct, const std::string& bottleneck);
 
  private:

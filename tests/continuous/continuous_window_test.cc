@@ -2,11 +2,15 @@
 // and the service-profile text round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 
 #include "src/continuous/regression.h"
 #include "src/continuous/window.h"
+#include "src/critpath/slack.h"
+#include "src/reopt/cardstore.h"
+#include "src/reopt/controller.h"
 #include "src/service/service_profile.h"
 
 namespace dfp {
@@ -289,6 +293,101 @@ TEST(ServiceProfileFormat, MalformedFingerprintKeysAreRejected) {
     std::istringstream in(std::string("# dfp service profile v7\nplan ") + key +
                           " 1 0 1 10 10 q\n");
     EXPECT_THROW(ReadServiceProfile(in), Error) << key;
+  }
+}
+
+// A state file with every line kind, in the writer's form.
+const char* const kStateText =
+    "# dfp service profile v7\n"
+    "windowcfg 1000\n"
+    "plan 0000000000000042 2 1 1 10 20 q6\n"
+    "op 0000000000000042 1 5 scan\n"
+    "crit 0000000000000042 7 60 compute-bound\n"
+    "window 0000000000000042 0 1 5 20 3 9 2 1 1 0 20 20 20 0 0\n"
+    "wop 0000000000000042 0 1 5 500 scan\n"
+    "clock 1500\n"
+    "baseline 0000000000000042 5 0 6.5 0.25 q6\n"
+    "bop 0000000000000042 1 5 500 scan\n"
+    "slackgen 3\n"
+    "slack 0000000000000042 1 3 100 q6\n"
+    "slackstep 0000000000000042 0 1 64 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16\n"
+    "cardgen 2\n"
+    "cardplan 0000000000000042 1 2 q6\n"
+    "card 0000000000000042 1 10 12 1 2\n"
+    "reopt 0000000000000042 kept 10 20 30 400 1 0 q6\n";
+
+// Reads `text` into every sink and writes it back as a state file.
+std::string RoundTripState(const std::string& text) {
+  std::istringstream in(text);
+  WindowedProfile windows;
+  BaselineStore baselines;
+  uint64_t clock = 0;
+  SlackStore slack;
+  CardStore cards;
+  GuardLog<ReoptPayload> reopts;
+  const ServiceProfile profile =
+      ReadServiceProfile(in, &windows, &baselines, &clock, &slack, &cards, &reopts);
+  std::ostringstream out;
+  WriteServiceState(profile, windows, baselines, clock, out, &slack, &cards, &reopts);
+  return out.str();
+}
+
+TEST(ServiceProfileFormat, RefusesSignedOverflowingAndTrailingJunkFields) {
+  ASSERT_EQ(RoundTripState(kStateText), kStateText);
+  // Per row one fault: a sign on an unsigned field, a value one past its field's width,
+  // trailing bytes on a field, or a token after a fixed-field line's last field.
+  const std::string text = kStateText;
+  const size_t line = std::count(text.begin(), text.end(), '\n') + 1;
+  for (const char* bad : {"plan 0000000000000043 -5 0 1 10 10 q",
+                          "plan 0000000000000043 +5 0 1 10 10 q",
+                          "plan 0000000000000043 18446744073709551616 0 1 10 10 q",
+                          "plan 00000000000000430 1 0 1 10 10 q",
+                          "op 0000000000000042 4294967296 5 scan",
+                          "op 0000000000000042 3 5x scan",
+                          "crit 0000000000000042 7 60 compute-bound 1",
+                          "clock -1",
+                          "clock 12x",
+                          "windowcfg 1000 7",
+                          "windowcfg 0",
+                          "window 0000000000000042 1 1 5 20 3 9 2 1 1 0 20 20 20 0 0 0",
+                          "wop 0000000000000042 0 -1 5 500 scan",
+                          "baseline 0000000000000043 5 0 +6.5 0.25 q6",
+                          "baseline 0000000000000043 5 0 6.5x 0.25 q6",
+                          "bop 0000000000000042 2 5 18446744073709551616 scan",
+                          "slackstep 0000000000000042 0 4294967296 64 1 2 3 4 5 6 7 8 9 10 11 "
+                          "12 13 14 15 16",
+                          "slackstep 0000000000000042 1 1 64 1 2 3 4 5 6 7 8 9 10 11 12 13 14 "
+                          "15 16 17",
+                          "cardgen 2 0",
+                          "card 0000000000000042 2 10 12 1 2 3",
+                          "reopt 0000000000000043 kept 10 20 30 400 2 0 q6",
+                          "reopt 0000000000000043 bogus 10 20 30 400 1 0 q6"}) {
+    try {
+      RoundTripState(text + bad + "\n");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), "malformed service profile line " +
+                                           std::to_string(line) + ": '" + bad + "'");
+    }
+  }
+}
+
+TEST(ServiceProfileFormat, RefusesASecondLineForALoadedKey) {
+  // The writer emits each key once. A repeat would count an operator's samples twice (op,
+  // wop), drop the operator lines already loaded for a plan (plan, baseline), or store a slack
+  // step twice; every keyed line is refused when its key is loaded already, as reopt is.
+  const std::string text = kStateText;
+  for (const char* kind : {"plan", "op", "crit", "wop", "baseline", "bop", "slack",
+                           "slackstep", "cardplan", "card", "reopt"}) {
+    const size_t start = text.find(std::string("\n") + kind + " ") + 1;
+    const std::string line = text.substr(start, text.find('\n', start) + 1 - start);
+    try {
+      RoundTripState(text.substr(0, start) + line + text.substr(start));
+      ADD_FAILURE() << "accepted a second " << kind << " line";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("service profile has a second ") + kind +
+                                           " line for plan 0000000000000042");
+    }
   }
 }
 

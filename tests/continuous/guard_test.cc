@@ -4,6 +4,7 @@
 // timeline layout with each payload's own detail, and the TSC each transition stamps.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <tuple>
 
@@ -74,14 +75,18 @@ TYPED_TEST(GuardLifecycle, LogLifecycleAndTimeline) {
                 "plan 0000000000000022 q_other [reverted] " + TypeParam().Detail() +
                 " decided@0\n");
 
+  // State files read a state back by its name (LineReader::Name over kGuardStateNames).
   for (GuardState state : {GuardState::kDecided, GuardState::kApplied, GuardState::kKept,
                            GuardState::kReverted}) {
-    GuardState parsed;
-    ASSERT_TRUE(GuardStateFromName(GuardStateName(state), &parsed));
-    EXPECT_EQ(parsed, state);
+    std::istringstream in(GuardStateName(state));
+    LineReader reader(in, "guard state");
+    ASSERT_TRUE(reader.Next());
+    EXPECT_EQ(static_cast<GuardState>(reader.Name(kGuardStateNames)), state);
   }
-  GuardState parsed;
-  EXPECT_FALSE(GuardStateFromName("bogus", &parsed));
+  std::istringstream bogus("bogus");
+  LineReader reader(bogus, "guard state");
+  ASSERT_TRUE(reader.Next());
+  EXPECT_THROW(reader.Name(kGuardStateNames), Error);
 }
 
 TYPED_TEST(GuardLifecycle, TransitionStampsOnlyTheTscOfItsState) {

@@ -2,7 +2,9 @@
 // meta-data file and the sample dump must resolve identically to the live session.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "src/engine/query_engine.h"
 #include "src/plan/builder.h"
@@ -271,6 +273,50 @@ TEST(Serialize, RejectsMalformedInput) {
   {
     std::stringstream stream("# dfp samples v8\nsample nope\n");
     EXPECT_THROW(ReadSamples(stream), Error);
+  }
+}
+
+// Reads `text` followed by `bad` and expects the malformed-line error naming `format` and the
+// line `bad` became: the reader refuses the field instead of wrapping, truncating or skipping it.
+template <typename Read>
+void ExpectMalformedLine(const std::string& format, const std::string& text,
+                         const std::string& bad, Read read) {
+  std::istringstream in(text + bad + "\n");
+  const size_t line = std::count(text.begin(), text.end(), '\n') + 1;
+  try {
+    read(in);
+    ADD_FAILURE() << "accepted '" << bad << "'";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "malformed " + format + " line " + std::to_string(line) + ": '" + bad + "'");
+  }
+}
+
+TEST(Serialize, RefusesSignedOverflowingAndTrailingJunkFields) {
+  // Per row one fault: a sign on an unsigned field, a value one past its field's width
+  // (2^64, 2^32 for ids, 256 for nodes and tiers, kMaxWorkers for workers), trailing bytes on a
+  // field, or a token after the line's last field. A link to a task the dictionary lacks, or a
+  // non-numeric task, is malformed too.
+  const std::string dictionary = "# dfp tagging dictionary v1\ntask 0 1 scan\n";
+  for (const char* bad : {"link 5 7", "link 5 -1", "link 5 +0", "link 5 0 x", "link 5 0 0x",
+                          "link 4294967296 0", "task 1 -1 probe", "task 1 +2 probe",
+                          "task 1 4294967296 probe", "task 1x 2 probe"}) {
+    ExpectMalformedLine("tagging dictionary", dictionary, bad,
+                        [](std::istream& in) { ReadDictionary(in); });
+  }
+  const std::string samples = "# dfp samples v8\nsample 1 2 3\n";
+  for (const char* bad :
+       {"sample -1 2 3", "sample +7 2 3", "sample 1 2 3 W -4", "sample 18446744073709551616 2 3",
+        "sample 1 2 3 W 4294967296", "sample 1 2 3 W 64", "sample 1 2 3 N 256 0",
+        "sample 1 2 3 G 256", "sample 1 2 3 X 256", "sample 1 2 3 D 4294967296",
+        "sample 12x 2 3", "sample 1 2 3 N 1 1x", "sample 1 2 3 S 1 5 7",
+        "task -1 10 0 0 0 0 0 0 0 0 0 0 0 0 0", "task 0 10 64 0 0 0 0 0 0 0 0 0 0 0 0",
+        "task 0 10 0 0 0 4294967296 0 0 0 0 0 0 0 0 0", "task 0 10 0 0 0 0 0 0 0 0 0 0 0 0 12x",
+        "task 0 10 0 0 0 0 0 0 0 0 0 0 0 0 0 7"}) {
+    ExpectMalformedLine("sample stream", samples, bad, [](std::istream& in) {
+      std::vector<TaskBoundary> tasks;
+      ReadSamples(in, &tasks);
+    });
   }
 }
 

@@ -154,6 +154,113 @@ WorkloadTrace RandomTrace(uint64_t seed) {
   return trace;
 }
 
+// One field fault: field `field` (0 = the keyword) of the first line starting with `keyword`
+// becomes `value`; a field past the line's end is appended instead.
+struct FieldFault {
+  const char* keyword;
+  size_t field;
+  const char* value;
+};
+
+// Applies `fault` to `text` and expects `read` to refuse the result with the malformed-line
+// error naming `format` and the faulted line.
+template <typename Read>
+void ExpectFieldRefused(const std::string& format, const std::string& text,
+                        const FieldFault& fault, Read read) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  size_t at = 0;
+  while (at < lines.size() && lines[at].rfind(std::string(fault.keyword) + " ", 0) != 0 &&
+         lines[at] != fault.keyword) {
+    ++at;
+  }
+  ASSERT_LT(at, lines.size()) << fault.keyword;
+  std::vector<std::string> fields;
+  std::istringstream line_in(lines[at]);
+  for (std::string field; std::getline(line_in, field, ' ');) {
+    fields.push_back(field);
+  }
+  if (fault.field < fields.size()) {
+    fields[fault.field] = fault.value;
+  } else {
+    fields.push_back(fault.value);
+  }
+  std::string bad;
+  for (const std::string& field : fields) {
+    bad += (bad.empty() ? "" : " ") + field;
+  }
+  lines[at] = bad;
+  std::string faulted;
+  for (const std::string& line : lines) {
+    faulted += line + "\n";
+  }
+  try {
+    read(faulted);
+    ADD_FAILURE() << "accepted '" << bad << "'";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "malformed " + format + " line " + std::to_string(at + 1) + ": '" + bad + "'");
+  }
+}
+
+TEST(TraceFormatTest, RefusesSignedOverflowingAndTrailingJunkFields) {
+  // Per row one fault: a sign on an unsigned field, a value one past its field's width,
+  // trailing bytes on a field, or a token after a fixed-field line's last field.
+  const std::string text = EncodeTraceText(RandomTrace(11));
+  for (const FieldFault& fault : std::vector<FieldFault>{
+           {"catalog", 1, "-1"},
+           {"catalog", 1, "+7"},
+           {"start", 1, "18446744073709551616"},
+           {"start", 2, "0"},
+           {"knobs", 1, "parallel.workers=-4"},
+           {"knobs", 1, "parallel.workers=4294967296"},
+           {"template", 1, "00000000000000000"},
+           {"query", 1, "4294967296"},
+           {"query", 7, "-1"},
+           {"query", 7, "4294967296"},
+           {"query", 99, "V"},
+           {"done", 5, "-5"},
+           {"done", 3, "2"},
+           {"done", 4, "256"},
+           {"done", 11, "0000000000000000x"},
+           {"done", 12, "0"},
+           {"drain", 1, "12x"},
+           {"summary", 1, "-1"},
+           {"tiers", 6, "0"},
+           {"fp", 2, "18446744073709551616"},
+           {"end", 1, "0"},
+       }) {
+    ExpectFieldRefused("trace", text, fault, [](const std::string& faulted) {
+      std::istringstream in(faulted);
+      ReadTrace(in);
+    });
+  }
+}
+
+TEST(PlanCodecTest, RefusesSignedOverflowingAndTrailingJunkFields) {
+  auto db = MakeDb();
+  const std::string text = EncodePlanText(*BuildQueryPlan(*db, FindQuery("q6")));
+  for (const FieldFault& fault : std::vector<FieldFault>{
+           {"op", 2, "-1"},
+           {"op", 2, "4294967296"},
+           {"op", 1, "+0"},
+           {"op", 4, "2"},
+           {"op", 6, "9223372036854775808"},
+           {"op", 7, "12x"},
+           {"op", 99, "0"},
+           {"x", 1, "-0"},
+           {"x", 3, "2147483648"},
+           {"x", 4, "9223372036854775808"},
+           {"x", 99, "0"},
+       }) {
+    ExpectFieldRefused("plan", text, fault,
+                       [&db](const std::string& faulted) { ParsePlanText(faulted, *db); });
+  }
+}
+
 TEST(PlanCodecTest, TokenRoundTripAndEdgeCases) {
   const std::vector<std::string> cases = {
       "",      "plain",          "two words",  "tab\there", "new\nline",

@@ -202,13 +202,14 @@ TEST(TextFormat, Hex16RoundTripsAndRejectsAnythingElse) {
 
 TEST(TextFormat, ExpectHeaderAcceptsExactlyOneLine) {
   std::istringstream ok("# dfp x v2\nbody\n");
-  ExpectHeader(ok, "# dfp x v2");
-  std::string next;
-  std::getline(ok, next);
-  EXPECT_EQ(next, "body");
+  LineReader reader(ok, "x");
+  reader.ExpectHeader("# dfp x v2");
+  ASSERT_TRUE(reader.Next());
+  EXPECT_EQ(reader.line(), "body");
   for (const char* text : {"# dfp x v1\n", "# dfp x v3\n", "# dfp x v2 \n", ""}) {
     std::istringstream in(text);
-    EXPECT_THROW(ExpectHeader(in, "# dfp x v2"), Error) << text;
+    LineReader bad(in, "x");
+    EXPECT_THROW(bad.ExpectHeader("# dfp x v2"), Error) << text;
   }
 }
 
