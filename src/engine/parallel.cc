@@ -525,7 +525,7 @@ Result QueryEngine::ExecuteParallel(CompiledQuery& query, const ParallelConfig& 
   ProfilingSession* session = query.session;
   SamplingConfig sampling;
   if (session != nullptr) {
-    sampling = session->MakeSamplingConfig();
+    sampling = MakeSamplingConfig(session->config());
   }
   ScratchRegions regions;
   regions.hashtables = db_->hashtables_region();

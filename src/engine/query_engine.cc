@@ -20,7 +20,7 @@ Result QueryEngine::Execute(CompiledQuery& query) {
   Pmu pmu;
   ProfilingSession* session = query.session;
   if (session != nullptr) {
-    pmu.Configure(session->MakeSamplingConfig());
+    pmu.Configure(MakeSamplingConfig(session->config()));
   }
   Cpu cpu(db_->mem(), db_->code_map(), pmu);
   VMem& mem = db_->mem();

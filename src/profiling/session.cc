@@ -4,18 +4,29 @@
 
 namespace dfp {
 
+SamplingConfig MakeSamplingConfig(const ProfilingConfig& config) {
+  SamplingConfig sampling;
+  sampling.enabled = config.enable_sampling;
+  sampling.event = config.event;
+  sampling.period = config.period;
+  sampling.capture_address = config.capture_address;
+  sampling.capture_registers = config.attribution == AttributionMode::kRegisterTagging ||
+                               config.tag_all_instructions;
+  sampling.capture_callstack = config.attribution == AttributionMode::kCallStack;
+  return sampling;
+}
+
 ProfilingSession::ProfilingSession(ProfilingConfig config) : config_(config) {}
 
-SamplingConfig ProfilingSession::MakeSamplingConfig() const {
-  SamplingConfig sampling;
-  sampling.enabled = config_.enable_sampling;
-  sampling.event = config_.event;
-  sampling.period = config_.period;
-  sampling.capture_address = config_.capture_address;
-  sampling.capture_registers = config_.attribution == AttributionMode::kRegisterTagging ||
-                               config_.tag_all_instructions;
-  sampling.capture_callstack = config_.attribution == AttributionMode::kCallStack;
-  return sampling;
+std::unique_ptr<const ProfilingSession> ProfilingSession::Resolved(
+    ProfilingConfig config, std::shared_ptr<const TaggingDictionary> dictionary,
+    std::vector<Sample> samples, uint64_t cycles, PmuCounters counters, uint32_t worker_count,
+    const CodeMap& code_map) {
+  auto session = std::make_unique<ProfilingSession>(config);
+  session->shared_ = std::move(dictionary);
+  session->RecordExecution(std::move(samples), cycles, counters, worker_count);
+  session->Resolve(code_map);
+  return session;
 }
 
 void ProfilingSession::RecordExecution(std::vector<Sample> samples, uint64_t cycles,
@@ -30,7 +41,7 @@ void ProfilingSession::RecordExecution(std::vector<Sample> samples, uint64_t cyc
 
 void ProfilingSession::LoadForPostProcessing(TaggingDictionary dictionary,
                                              std::vector<Sample> samples, uint64_t cycles) {
-  dictionary_ = std::move(dictionary);
+  owned_ = std::move(dictionary);
   samples_ = std::move(samples);
   execution_cycles_ = cycles;
   // The pool size is not serialized; recover it from the sample stream.
@@ -77,13 +88,14 @@ ResolvedSample ProfilingSession::ResolveOne(const Sample& sample,
       sample.has_registers ? (sample.regs[kTagRegister] & 0xFFFFFFFFull) : 0;
   const uint64_t op_tag =
       sample.has_registers && config_.packed_tags ? (sample.regs[kTagRegister] >> 32) : 0;
-  const bool tag_valid = task_tag != 0 && task_tag <= dictionary_.tasks().size();
+  const TaggingDictionary& dictionary = this->dictionary();
+  const bool tag_valid = task_tag != 0 && task_tag <= dictionary.tasks().size();
 
   // Attributes a sample landing at generated query code via debug info and Log B.
   auto resolve_generated = [&](const CodeSegment& seg, uint64_t ip, ResolvedSample* dst) {
     const uint32_t ir_id = seg.ir_ids[ip - seg.base_ip];
     dst->ir_id = ir_id;
-    const std::vector<TaskId>* owners = dictionary_.TasksOf(ir_id);
+    const std::vector<TaskId>* owners = dictionary.TasksOf(ir_id);
     if (owners == nullptr || owners->empty()) {
       return false;
     }
@@ -99,7 +111,7 @@ ResolvedSample ProfilingSession::ResolveOne(const Sample& sample,
       }
     }
     dst->task = task;
-    dst->op = dictionary_.OperatorOf(task);
+    dst->op = dictionary.OperatorOf(task);
     dst->category = ResolvedSample::Category::kOperator;
     return true;
   };
@@ -117,7 +129,7 @@ ResolvedSample ProfilingSession::ResolveOne(const Sample& sample,
         // With packed tags the operator comes straight from the register's upper half; without
         // packing it is looked up through Log A.
         out.op = op_tag != 0 ? static_cast<OperatorId>(op_tag - 1)
-                             : dictionary_.OperatorOf(out.task);
+                             : dictionary.OperatorOf(out.task);
         out.category = ResolvedSample::Category::kOperator;
         out.via_tag = true;
         return out;

@@ -3,7 +3,9 @@
 //
 // A session is attached to a query compilation (populating the Tagging Dictionary through the
 // Abstraction Trackers and the IRBuilder observer, and driving Register Tagging emission) and to
-// its execution (PMU sampling). Afterwards, Resolve() maps every sample bottom-up:
+// its execution (PMU sampling). A finished execution of code compiled earlier (a plan-cache hit)
+// instead shares the dictionary of that compile (ProfilingSession::Resolved). Afterwards,
+// Resolve() maps every sample bottom-up:
 //   native IP -> machine instruction -> (debug info) IR instruction -> (Log B) task ->
 //   (Log A) operator,
 // using the tag register or the call stack to disambiguate shared code, exactly as in Figure 5
@@ -12,6 +14,7 @@
 #define DFP_SRC_PROFILING_SESSION_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/pmu/pmu.h"
@@ -77,16 +80,29 @@ struct AttributionStats {
   uint64_t via_callstack = 0;
 };
 
+// Derives the PMU configuration: register capture for tagging, stack capture for the baseline.
+SamplingConfig MakeSamplingConfig(const ProfilingConfig& config);
+
 class ProfilingSession {
  public:
+  // A session that compiles: CompileQuery populates the Tagging Dictionary it owns.
   explicit ProfilingSession(ProfilingConfig config = ProfilingConfig());
 
-  const ProfilingConfig& config() const { return config_; }
-  // Derives the PMU configuration: register capture for tagging, stack capture for the baseline.
-  SamplingConfig MakeSamplingConfig() const;
+  // A finished execution of code an earlier compile produced: records the run and resolves it
+  // against that compile's Tagging Dictionary, which it shares instead of copying. The session
+  // exists only as const, so nothing can populate a shared dictionary.
+  static std::unique_ptr<const ProfilingSession> Resolved(
+      ProfilingConfig config, std::shared_ptr<const TaggingDictionary> dictionary,
+      std::vector<Sample> samples, uint64_t cycles, PmuCounters counters,
+      uint32_t worker_count, const CodeMap& code_map);
 
-  TaggingDictionary& dictionary() { return dictionary_; }
-  const TaggingDictionary& dictionary() const { return dictionary_; }
+  const ProfilingConfig& config() const { return config_; }
+
+  // Compile-time population; only a non-const session, which owns its dictionary, has it.
+  TaggingDictionary& dictionary() { return owned_; }
+  const TaggingDictionary& dictionary() const {
+    return shared_ != nullptr ? *shared_ : owned_;
+  }
   AbstractionTracker<OperatorId>& operator_tracker() { return operator_tracker_; }
   AbstractionTracker<TaskId>& task_tracker() { return task_tracker_; }
 
@@ -121,7 +137,8 @@ class ProfilingSession {
   ResolvedSample ResolveOne(const Sample& sample, const CodeMap& code_map) const;
 
   ProfilingConfig config_;
-  TaggingDictionary dictionary_;
+  TaggingDictionary owned_;
+  std::shared_ptr<const TaggingDictionary> shared_;  // Set only by Resolved.
   AbstractionTracker<OperatorId> operator_tracker_;
   AbstractionTracker<TaskId> task_tracker_;
   std::vector<Sample> samples_;

@@ -59,8 +59,9 @@ uint64_t EstimateCompileCycles(const CompiledQuery& query, const CompileCostMode
 uint64_t CompiledCodeBytes(const CompiledQuery& query, const CodeMap& code_map);
 
 // One cached compiled plan. `query.session` is always null: the compile-time session's
-// Tagging Dictionary is snapshotted here and copied into each execution's session, so profiles
-// of warm hits resolve exactly like the cold run's.
+// Tagging Dictionary moves here, and every execution's session shares it (through an aliasing
+// shared_ptr to the entry) instead of copying it, so profiles of warm hits resolve exactly like
+// the cold run's. The dictionary is never modified after the compile.
 struct CachedPlan {
   PlanFingerprint fingerprint;
   std::string name;  // Name of the first query compiled into this entry.

@@ -61,6 +61,7 @@ struct QueryService::ActiveSession {
   TicketId ticket = 0;
   CachedPlanPtr entry;
   size_t slot = 0;
+  ProfilingConfig profiling;  // The service's, with the governor's period for this plan.
   std::unique_ptr<ParallelRun> run;
 };
 
@@ -294,7 +295,7 @@ bool QueryService::Admit(TicketId id) {
     ticket.pending_plan.reset();  // The cached artifact replaces the submitted plan.
   } else {
     // Cold path: run the full compile with a profiling session attached, so the Tagging
-    // Dictionary is built once and snapshotted with the artifact. Under tiering, first
+    // Dictionary is built once and moves into the artifact. Under tiering, first
     // compiles run at the cheap baseline tier (no optimization passes) with slot-tagged
     // literals; the controller promotes hot fingerprints later.
     const PlanTier tier = parameterized ? PlanTier::kBaseline : PlanTier::kOptimized;
@@ -315,7 +316,7 @@ bool QueryService::Admit(TicketId id) {
     entry->query.session = nullptr;  // The compile session dies here; executions bring their own.
     entry->fingerprint = ticket.fingerprint;
     entry->name = ticket.name;
-    entry->dictionary = compile_session.dictionary();
+    entry->dictionary = std::move(compile_session.dictionary());
     entry->catalog_version = db_.catalog_version();
     entry->code_bytes = CompiledCodeBytes(entry->query, db_.code_map());
     entry->compile_cycles = EstimateCompileCycles(entry->query, kCompileCosts, tier);
@@ -346,17 +347,15 @@ bool QueryService::Admit(TicketId id) {
 
   // The governor (when enabled) overrides the configured period with the fingerprint's tuned
   // one, so each plan family converges on its own overhead-budgeted sampling rate.
-  ProfilingConfig profiling = config_.profiling;
-  profiling.period = governor_.PeriodFor(ticket.fingerprint.structure, config_.profiling.period);
-  ticket.sampling_period = profiling.period;
-  ticket.session = std::make_unique<ProfilingSession>(profiling);
-  // The snapshot taken at compile time makes warm executions resolve exactly like the cold one.
-  ticket.session->dictionary() = entry->dictionary;
-  SamplingConfig sampling = ticket.session->MakeSamplingConfig();
+  session->profiling = config_.profiling;
+  session->profiling.period =
+      governor_.PeriodFor(ticket.fingerprint.structure, config_.profiling.period);
+  ticket.sampling_period = session->profiling.period;
+  SamplingConfig sampling = MakeSamplingConfig(session->profiling);
   // Criticality-weighted periods (empty until a critical-path analysis of this fingerprint
   // exists): on-path pipelines sample finer than the base period, off-path ones coarser.
   sampling.pipeline_periods = governor_.PipelinePeriods(
-      ticket.fingerprint.structure, profiling.period, entry->query.pipelines.size());
+      ticket.fingerprint.structure, ticket.sampling_period, entry->query.pipelines.size());
   // Slack-directed scheduling: hand the run this fingerprint's expected-slack profile (null on
   // the first execution, or when the feature is off — either way the run deals FIFO deques).
   const PlanSlack* slack_hint =
@@ -380,7 +379,6 @@ bool QueryService::StepSession(ActiveSession& session) {
     ticket.status = TicketStatus::kTimedOut;
     ticket.execute_cycles = session.run->WallCycles();
     ticket.completed_at_cycles = ServiceNowCycles();
-    ticket.session.reset();
     if (recorder_ != nullptr) {
       recorder_->OnCompletion(ticket);
     }
@@ -432,9 +430,13 @@ bool QueryService::StepSession(ActiveSession& session) {
       sample.tier = static_cast<uint8_t>(session.entry->tier);
     }
   }
-  ticket.session->RecordExecution(std::move(samples), ticket.execute_cycles,
-                                  session.run->merged_counters(), config_.parallel.workers);
-  ticket.session->Resolve(db_.code_map());
+  // The session shares the entry's dictionary through a pointer that co-owns the entry, rather
+  // than copying it, so warm executions resolve exactly like the cold one.
+  ticket.session = ProfilingSession::Resolved(
+      session.profiling,
+      std::shared_ptr<const TaggingDictionary>(session.entry, &session.entry->dictionary),
+      std::move(samples), ticket.execute_cycles, session.run->merged_counters(),
+      config_.parallel.workers, db_.code_map());
   const OperatorProfile profile = BuildOperatorProfile(*ticket.session, session.entry->query);
   governor_.Observe(ticket.fingerprint.structure, ticket.name, ticket.sampling_overhead,
                     ticket.busy_cycles, session.run->merged_counters()[config_.profiling.event],
@@ -696,7 +698,7 @@ void QueryService::ProcessRecompiles(bool final) {
     entry->query.session = nullptr;
     entry->fingerprint = old_entry->fingerprint;
     entry->name = old_entry->name;
-    entry->dictionary = compile_session.dictionary();
+    entry->dictionary = std::move(compile_session.dictionary());
     entry->catalog_version = old_entry->catalog_version;
     entry->tier = reopt_job ? old_entry->tier : PlanTier::kOptimized;
     entry->literals = std::move(literals);

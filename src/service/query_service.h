@@ -8,8 +8,9 @@
 //  - Submissions are fingerprinted and admitted through a bounded queue; at most
 //    `max_active_sessions` queries are in flight.
 //  - Compilation goes through the PlanCache: a hit reuses the cached artifact (zero new
-//    code-segment bytes, bit-identical results, and — because the cached Tagging Dictionary is
-//    copied into the execution's session — identically attributed profiles).
+//    code-segment bytes, bit-identical results, and — because every execution's session
+//    resolves against the one Tagging Dictionary the cached compile built — identically
+//    attributed profiles).
 //  - Active sessions time-share one worker pool under weighted fair queuing: each scheduler
 //    round hands every active session `weight` work units (a morsel, host step, or sequential
 //    pipeline), interleaved by virtual finish time so a heavy session cannot starve a light
@@ -190,8 +191,9 @@ struct QueryTicket {
   SamplingOverhead sampling_overhead;
   uint64_t busy_cycles = 0;
   Result result;
-  // This execution's profile (resolved); null for rejected and timed-out tickets.
-  std::unique_ptr<ProfilingSession> session;
+  // This execution's profile (resolved), sharing the plan entry's Tagging Dictionary; null
+  // until the ticket is done, and for rejected and timed-out tickets.
+  std::unique_ptr<const ProfilingSession> session;
   std::vector<WorkerMetrics> worker_metrics;
   // Critical-path analysis of this execution: the realized task DAG, rebuilt from the run's
   // task boundaries (each node carries its TaskBoundary), and the per-pipeline bottleneck

@@ -10,13 +10,15 @@
 namespace dfp {
 namespace {
 
-// The numeric literal `sql[start, end)` (digits, and for a decimal one '.' and the first two
-// fraction digits) as an int64 scaled by 10^`scale`, or a dfp::Error when it does not fit.
+// The numeric literal `sql[start, end)` (digits, and for a decimal one '.' and its fraction
+// digits) as an int64 scaled by 10^`scale`, or a dfp::Error when it does not fit or has a
+// nonzero fraction digit past the scale (rounding it away would change the query's answer).
 int64_t ParseNumber(const std::string& sql, size_t start, size_t end, int scale) {
   int64_t value = 0;
   bool fits = true;
   int fraction = -1;  // Fraction digits consumed so far; -1 before the point.
-  for (size_t i = start; i < end && fraction < scale; ++i) {
+  size_t i = start;
+  for (; i < end && fraction < scale; ++i) {
     if (sql[i] == '.') {
       fraction = 0;
       continue;
@@ -28,9 +30,14 @@ int64_t ParseNumber(const std::string& sql, size_t start, size_t end, int scale)
   for (int pad = std::max(fraction, 0); pad < scale; ++pad) {
     fits = fits && !__builtin_mul_overflow(value, 10, &value);
   }
+  const std::string literal = sql.substr(start, end - start);
   if (!fits) {
-    throw Error(StrFormat("numeric literal '%s' at offset %zu is out of range",
-                          sql.substr(start, end - start).c_str(), start));
+    throw Error(StrFormat("numeric literal '%s' at offset %zu is out of range", literal.c_str(),
+                          start));
+  }
+  if (std::any_of(sql.begin() + i, sql.begin() + end, [](char c) { return c != '0'; })) {
+    throw Error(StrFormat("decimal literal '%s' at offset %zu needs more than %d fraction digits",
+                          literal.c_str(), start, scale));
   }
   return value;
 }

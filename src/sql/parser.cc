@@ -101,6 +101,22 @@ class Parser {
     return Advance();
   }
 
+  // One level of expression nesting for as long as it lives (see kMaxExprNesting).
+  class Nest {
+   public:
+    explicit Nest(Parser* parser) : parser_(parser) {
+      if (++parser_->depth_ > kMaxExprNesting) {
+        parser_->Fail(StrFormat("expression nested deeper than %u levels", kMaxExprNesting));
+      }
+    }
+    ~Nest() { --parser_->depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser* parser_;
+  };
+
   SqlSelectItem ParseSelectItem() {
     SqlSelectItem item;
     item.expr = ParseExpr();
@@ -164,6 +180,7 @@ class Parser {
 
   SqlExprPtr ParseNot() {
     if (AcceptKeyword("not")) {
+      Nest nest(this);
       auto node = std::make_unique<SqlExpr>();
       node->kind = SqlExprKind::kNot;
       node->left = ParseNot();
@@ -266,6 +283,7 @@ class Parser {
 
   SqlExprPtr ParseUnary() {
     if (AcceptSymbol("-")) {
+      Nest nest(this);
       auto node = std::make_unique<SqlExpr>();
       node->kind = SqlExprKind::kUnaryMinus;
       node->left = ParseUnary();
@@ -296,6 +314,7 @@ class Parser {
       case TokenKind::kSymbol:
         if (token.text == "(") {
           Advance();
+          Nest nest(this);
           SqlExprPtr inner = ParseExpr();
           ExpectSymbol(")");
           return inner;
@@ -311,6 +330,7 @@ class Parser {
         }
         if (token.text == "case") {
           Advance();
+          Nest nest(this);
           node->kind = SqlExprKind::kCase;
           while (AcceptKeyword("when")) {
             SqlExprPtr cond = ParseExpr();
@@ -328,6 +348,7 @@ class Parser {
         }
         if (token.text == "year") {
           Advance();
+          Nest nest(this);
           ExpectSymbol("(");
           node->kind = SqlExprKind::kYear;
           node->left = ParseExpr();
@@ -337,6 +358,7 @@ class Parser {
         if (token.text == "sum" || token.text == "count" || token.text == "avg" ||
             token.text == "min" || token.text == "max") {
           std::string name = Advance().text;
+          Nest nest(this);
           ExpectSymbol("(");
           node->kind = SqlExprKind::kAggregate;
           if (name == "count" && AcceptSymbol("*")) {
@@ -372,6 +394,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  uint32_t depth_ = 0;  // Current expression nesting (see Nest).
 };
 
 }  // namespace

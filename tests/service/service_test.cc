@@ -1,6 +1,7 @@
 // QueryService: plan-cache reuse (zero new code, bit-identical results, attribution-parity
-// profiles), concurrent-session profile isolation, admission control, deadlines, LRU eviction,
-// catalog invalidation, and fleet profile aggregation.
+// profiles against one shared Tagging Dictionary), concurrent-session profile isolation,
+// admission control, deadlines, LRU eviction, catalog invalidation, and fleet profile
+// aggregation.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/engine/codegen.h"
 #include "src/engine/query_engine.h"
 #include "src/profiling/serialize.h"
 #include "src/service/query_service.h"
@@ -55,6 +57,12 @@ uint64_t TotalCodeIps(const CodeMap& code_map) {
 std::string DumpSamples(const ProfilingSession& session) {
   std::ostringstream out;
   WriteSamples(session.samples(), out);
+  return out.str();
+}
+
+std::string DumpDictionary(const TaggingDictionary& dictionary) {
+  std::ostringstream out;
+  WriteDictionary(dictionary, out);
   return out.str();
 }
 
@@ -164,6 +172,81 @@ TEST(QueryServiceTest, WarmProfileIsIdenticalToColdProfile) {
   EXPECT_EQ(cold_stats.operator_samples, warm_stats.operator_samples);
   EXPECT_EQ(cold_stats.via_tag, warm_stats.via_tag);
   EXPECT_EQ(cold_ticket.execute_cycles, warm_ticket.execute_cycles);
+}
+
+TEST(QueryServiceTest, WarmHitsResolveAgainstTheEntrysOwnDictionary) {
+  ServiceConfig config = TestConfig();
+  auto db = MakeDb(config);
+  QueryService service(*db, config);
+  const TicketId cold = service.Submit(Plan(*db, "q3"), "q3");
+  service.Drain();
+  const TicketId warm1 = service.Submit(Plan(*db, "q3"), "q3");
+  const TicketId warm2 = service.Submit(Plan(*db, "q3"), "q3");
+  service.Drain();
+
+  const QueryTicket& cold_ticket = service.ticket(cold);
+  ASSERT_NE(cold_ticket.session, nullptr);
+  const TaggingDictionary& entry_dictionary = cold_ticket.plan->dictionary;
+  EXPECT_GT(entry_dictionary.log_b_entries(), 0u);
+  EXPECT_EQ(&cold_ticket.session->dictionary(), &entry_dictionary);
+  // A compile of its own, outside the service, builds the same dictionary bytes.
+  ProfilingSession compile_session;
+  CodegenOptions options;
+  options.parallel = true;
+  CompileQuery(*db, Plan(*db, "q3"), &compile_session, "q3", options);
+  const std::string compiled = DumpDictionary(compile_session.dictionary());
+  EXPECT_EQ(DumpDictionary(entry_dictionary), compiled);
+
+  // Each warm hit resolves against the very object the entry holds: nothing is copied.
+  for (const TicketId id : {warm1, warm2}) {
+    const QueryTicket& warm = service.ticket(id);
+    EXPECT_TRUE(warm.cache_hit);
+    EXPECT_EQ(warm.plan, cold_ticket.plan);
+    ASSERT_NE(warm.session, nullptr);
+    EXPECT_EQ(&warm.session->dictionary(), &entry_dictionary);
+    EXPECT_EQ(DumpDictionary(warm.session->dictionary()), compiled);
+  }
+}
+
+TEST(QueryServiceTest, TicketOutlivesItsEntrysEviction) {
+  ServiceConfig config = TestConfig();
+  auto db = MakeDb(config);
+  QueryService service(*db, config);
+  const TicketId id = service.Submit(Plan(*db, "q3"), "q3");
+  service.Drain();
+  const QueryTicket& ticket = service.ticket(id);
+  ASSERT_NE(ticket.session, nullptr);
+  const std::string dictionary = DumpDictionary(ticket.session->dictionary());
+  const AttributionStats stats = ticket.session->Stats();
+
+  // A schema change flushes the cache at the next admission: only the ticket (its plan and its
+  // session) still references the entry.
+  TableBuilder builder = db->CreateTableBuilder(TableSchema{"tiny", {{"a", ColumnType::kInt64}}});
+  builder.BeginRow();
+  builder.SetI64(0, 1);
+  db->AddTable(builder.Finish());
+  service.Submit(Plan(*db, "q6"), "q6");
+  service.Drain();
+  ASSERT_GE(service.plan_cache().stats().invalidations, 1u);
+  ASSERT_EQ(service.plan_cache().Peek(ticket.fingerprint), nullptr);
+
+  EXPECT_EQ(DumpDictionary(ticket.session->dictionary()), dictionary);
+  // Post-processing the stream again against the ticket's dictionary reproduces its profile.
+  const std::unique_ptr<const ProfilingSession> again = ProfilingSession::Resolved(
+      ticket.session->config(),
+      std::shared_ptr<const TaggingDictionary>(ticket.plan, &ticket.plan->dictionary),
+      ticket.session->samples(), ticket.session->execution_cycles(),
+      ticket.session->counters(), ticket.session->worker_count(), db->code_map());
+  const AttributionStats again_stats = again->Stats();
+  EXPECT_GT(stats.operator_samples, 0u);
+  EXPECT_EQ(again_stats.total, stats.total);
+  EXPECT_EQ(again_stats.operator_samples, stats.operator_samples);
+  EXPECT_EQ(again_stats.via_tag, stats.via_tag);
+  ASSERT_EQ(again->resolved().size(), ticket.session->resolved().size());
+  for (size_t i = 0; i < again->resolved().size(); ++i) {
+    EXPECT_EQ(again->resolved()[i].task, ticket.session->resolved()[i].task);
+    EXPECT_EQ(again->resolved()[i].op, ticket.session->resolved()[i].op);
+  }
 }
 
 TEST(QueryServiceTest, ConcurrentSessionsKeepStandaloneProfiles) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "src/sql/binder.h"
 #include "src/sql/lexer.h"
 #include "src/sql/parser.h"
@@ -56,13 +59,27 @@ TEST(Lexer, NumericLiteralsOutOfRangeAreErrors) {
   EXPECT_THROW(Tokenize("select 99999999999999999999999 from lineitem limit 1"), Error);
   EXPECT_THROW(Tokenize("select 99999999999999999.5"), Error);
   EXPECT_THROW(Tokenize("select 9223372036854775808"), Error);
-  // The extremes that fit still lex.
-  std::vector<Token> tokens = Tokenize("select 9223372036854775807, 92233720368547758.07, 1.5");
+  // Decimals are scale 2: a nonzero digit past the second fraction digit is refused rather than
+  // truncated away, with an error that names the literal.
+  EXPECT_THROW(Tokenize("select 1.999 from lineitem limit 1"), Error);
+  EXPECT_THROW(Tokenize("select 0.001"), Error);
+  EXPECT_THROW(Tokenize("select 92233720368547758.0700000001"), Error);
+  try {
+    Tokenize("select 2.125");
+    ADD_FAILURE() << "2.125 lexed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'2.125'"), std::string::npos) << e.what();
+  }
+  // The extremes that fit still lex, and trailing zero fraction digits drop exactly.
+  std::vector<Token> tokens =
+      Tokenize("select 9223372036854775807, 92233720368547758.07, 1.5, 1.990, 3.0000");
   ASSERT_EQ(tokens[1].kind, TokenKind::kInt);
   EXPECT_EQ(tokens[1].int_value, INT64_MAX);
   ASSERT_EQ(tokens[3].kind, TokenKind::kDecimal);
   EXPECT_EQ(tokens[3].decimal_value, INT64_MAX);
   EXPECT_EQ(tokens[5].decimal_value, 150);
+  EXPECT_EQ(tokens[7].decimal_value, 199);
+  EXPECT_EQ(tokens[9].decimal_value, 300);
 }
 
 TEST(Parser, ParsesFullSelect) {
@@ -128,6 +145,50 @@ TEST(Parser, Errors) {
   EXPECT_THROW(ParseSelect("select a from t where"), Error);
   EXPECT_THROW(ParseSelect("select a from t where 1 = "), Error);
   EXPECT_THROW(ParseSelect("select case else 1 end from t"), Error);
+}
+
+// `levels` copies of `open` around `core`, each closed by `close`.
+std::string Nested(const std::string& open, const std::string& core, const std::string& close,
+                   uint32_t levels) {
+  std::string sql = "select ";
+  for (uint32_t i = 0; i < levels; ++i) {
+    sql += open;
+  }
+  sql += core;
+  for (uint32_t i = 0; i < levels; ++i) {
+    sql += close;
+  }
+  return sql + " from lineitem limit 1";
+}
+
+TEST(Parser, NestingPastTheLimitIsAnErrorNotAStackOverflow) {
+  for (const uint32_t levels : {kMaxExprNesting + 1, 100'000u}) {
+    try {
+      ParseSelect(Nested("(", "l_orderkey", ")", levels));
+      ADD_FAILURE() << levels << " nested parentheses parsed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("deeper than 1000 levels"), std::string::npos)
+          << e.what();
+    }
+  }
+  const uint32_t over = kMaxExprNesting + 1;
+  EXPECT_THROW(ParseSelect(Nested("- ", "l_orderkey", "", over)), Error);
+  EXPECT_THROW(ParseSelect(Nested("not ", "l_orderkey = 1", "", over)), Error);
+  EXPECT_THROW(ParseSelect(Nested("year(", "l_shipdate", ")", over)), Error);
+  EXPECT_THROW(ParseSelect(Nested("sum(", "l_quantity", ")", over)), Error);
+  EXPECT_THROW(ParseSelect(Nested("case when 1 = 1 then ", "1", " else 0 end", over)), Error);
+  // Exactly the limit parses, whichever constructs make it up; one level more does not.
+  EXPECT_NO_THROW(ParseSelect(Nested("(", "l_orderkey", ")", kMaxExprNesting)));
+  EXPECT_NO_THROW(ParseSelect(Nested("- ", "l_orderkey", "", kMaxExprNesting)));
+  EXPECT_NO_THROW(ParseSelect(Nested("not ", "l_orderkey = 1", "", kMaxExprNesting)));
+  EXPECT_NO_THROW(ParseSelect(Nested("(- ", "l_orderkey", ")", kMaxExprNesting / 2)));
+  EXPECT_THROW(ParseSelect(Nested("(- ", "(l_orderkey)", ")", kMaxExprNesting / 2)), Error);
+  // Binary-operator chains loop instead of nesting, so a long one is not bounded.
+  std::string chain = "select l_orderkey";
+  for (int i = 0; i < 20'000; ++i) {
+    chain += "+1";
+  }
+  EXPECT_NO_THROW(ParseSelect(chain + " from lineitem limit 1"));
 }
 
 class BinderTest : public ::testing::Test {

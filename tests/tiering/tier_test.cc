@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/profiling/serialize.h"
 #include "src/service/query_service.h"
@@ -132,6 +133,41 @@ TEST(TierLadderTest, BreakEvenPromotionSwapsInBackgroundWithIdenticalResults) {
       SummarizeTierTimeline(service.windows(), service.tier_controller());
   EXPECT_EQ(totals.transitions, 1u);
   EXPECT_EQ(totals.swapped, 1u);
+}
+
+TEST(TierLadderTest, PromotionSwapsTheDictionaryOnlyForLaterTickets) {
+  ServiceConfig config = TieredConfig();
+  auto db = MakeDb(config);
+  QueryService service(*db, config);
+  const std::string sql = Q6Variant(5, 7, 24);
+  const TicketId first = RunOne(service, *db, sql, "q6");
+  const std::shared_ptr<const CachedPlan> baseline = service.ticket(first).plan;
+  std::ostringstream baseline_text;
+  WriteDictionary(baseline->dictionary, baseline_text);
+
+  std::vector<TicketId> before = {first};
+  while (service.plan_cache().stats().tier_swaps == 0 && before.size() < 48) {
+    before.push_back(RunOne(service, *db, sql, "q6"));
+  }
+  ASSERT_GE(service.plan_cache().stats().tier_swaps, 1u);
+  const TicketId after = RunOne(service, *db, sql, "q6");
+  const QueryTicket& later = service.ticket(after);
+  ASSERT_NE(later.session, nullptr);
+  EXPECT_EQ(later.tier, PlanTier::kOptimized);
+  EXPECT_EQ(later.plan, service.plan_cache().Peek(later.fingerprint));
+  EXPECT_NE(later.plan, baseline);
+  EXPECT_EQ(&later.session->dictionary(), &later.plan->dictionary);
+
+  // Every ticket admitted before the swap still holds, and writes, the baseline snapshot.
+  for (const TicketId id : before) {
+    const QueryTicket& ticket = service.ticket(id);
+    ASSERT_NE(ticket.session, nullptr);
+    EXPECT_EQ(ticket.plan, baseline);
+    EXPECT_EQ(&ticket.session->dictionary(), &baseline->dictionary);
+    std::ostringstream text;
+    WriteDictionary(ticket.session->dictionary(), text);
+    EXPECT_EQ(text.str(), baseline_text.str());
+  }
 }
 
 TEST(TierLadderTest, ConcurrentVariantsDeferPatchUntilEntryDrains) {
