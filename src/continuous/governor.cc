@@ -99,34 +99,14 @@ void SamplingGovernor::Observe(uint64_t fingerprint, const std::string& name,
   state.period = ClampSolved(blended);
 }
 
-void SamplingGovernor::ObserveCriticality(uint64_t fingerprint, const std::string& name,
-                                          std::vector<uint64_t> pipeline_share_pct) {
-  if (!config_.enabled) {
-    return;
+std::vector<uint64_t> SamplingGovernor::PipelinePeriods(
+    const std::vector<uint64_t>& pipeline_share_pct, uint64_t base_period,
+    size_t pipelines) const {
+  if (!config_.enabled || base_period == 0 ||
+      std::all_of(pipeline_share_pct.begin(), pipeline_share_pct.end(),
+                  [](uint64_t share) { return share == 0; })) {
+    return {};  // No criticality signal (or a degenerate DAG): keep uniform sampling.
   }
-  GovernorPlanState& state = plans_[fingerprint];
-  if (state.observations == 0 && state.name.empty()) {
-    state.fingerprint = fingerprint;
-    state.name = name;
-  }
-  state.top_criticality_pct = 0;
-  for (uint64_t share : pipeline_share_pct) {
-    state.top_criticality_pct = std::max(state.top_criticality_pct, share);
-  }
-  state.pipeline_criticality_pct = std::move(pipeline_share_pct);
-}
-
-std::vector<uint64_t> SamplingGovernor::PipelinePeriods(uint64_t fingerprint,
-                                                        uint64_t base_period,
-                                                        size_t pipelines) const {
-  if (!config_.enabled || base_period == 0) {
-    return {};
-  }
-  auto it = plans_.find(fingerprint);
-  if (it == plans_.end() || it->second.top_criticality_pct == 0) {
-    return {};  // No criticality signal yet (or a degenerate DAG): keep uniform sampling.
-  }
-  const GovernorPlanState& state = it->second;
   // Mean-centered redistribution: a pipeline whose criticality share sits `d` points above the
   // mean samples at base * 100 / (100 + d), one below the mean at the mirrored longer period.
   // The rate multipliers (100 + d) / 100 sum to the pipeline count by construction, so the
@@ -135,14 +115,12 @@ std::vector<uint64_t> SamplingGovernor::PipelinePeriods(uint64_t fingerprint,
   // the ones that gate latency.
   uint64_t share_sum = 0;
   for (size_t p = 0; p < pipelines; ++p) {
-    share_sum +=
-        p < state.pipeline_criticality_pct.size() ? state.pipeline_criticality_pct[p] : 0;
+    share_sum += p < pipeline_share_pct.size() ? pipeline_share_pct[p] : 0;
   }
   const uint64_t mean_share = pipelines == 0 ? 0 : share_sum / pipelines;
   std::vector<uint64_t> periods(pipelines, 0);
   for (size_t p = 0; p < pipelines; ++p) {
-    const uint64_t share =
-        p < state.pipeline_criticality_pct.size() ? state.pipeline_criticality_pct[p] : 0;
+    const uint64_t share = p < pipeline_share_pct.size() ? pipeline_share_pct[p] : 0;
     if (share > mean_share) {
       // Above the mean (the critical path's owner): strictly below the base (the clamp floor
       // cannot collide — the base itself is already clamped to >= kMinSamplingPeriod).

@@ -47,10 +47,6 @@ struct GovernorPlanState {
   uint64_t samples = 0;           // Samples recorded, cumulative.
   uint64_t armed_events = 0;      // Occurrences of the armed event, cumulative.
   double last_share = 0;          // Overhead share of the most recent observation.
-  // Last observed per-pipeline critical-path shares (percent, indexed by pipeline id) and the
-  // top share among them, from ObserveCriticality. Empty until criticality is reported.
-  std::vector<uint64_t> pipeline_criticality_pct;
-  uint64_t top_criticality_pct = 0;
 
   // Cumulative overhead share: overhead / (busy - overhead).
   double OverheadShare() const;
@@ -73,23 +69,19 @@ class SamplingGovernor {
   void Observe(uint64_t fingerprint, const std::string& name, const SamplingOverhead& overhead,
                uint64_t busy_cycles, uint64_t armed_events, uint64_t period_used);
 
-  // Folds one execution's critical-path analysis (per-pipeline criticality shares in percent,
-  // indexed by pipeline id — src/critpath/). No-op when disabled.
-  void ObserveCriticality(uint64_t fingerprint, const std::string& name,
-                          std::vector<uint64_t> pipeline_share_pct);
-
-  // Per-pipeline periods for the next execution of `fingerprint`, derived from the last
-  // observed criticality. Shares are mean-centered: a pipeline sitting d points above the mean
+  // Per-pipeline periods for a plan's next execution, given the critical-path shares of its
+  // last one (percent, indexed by pipeline id: PlanCriticality::pipeline_share_pct,
+  // src/critpath/). Shares are mean-centered: a pipeline sitting d points above the mean
   // share samples at base * 100 / (100 + d) — strictly shorter than the base — and one d
   // points below at the mirrored strictly longer period, so the critical path's owner is
   // always sampled strictly finer than every off-path pipeline. Because the rate multipliers
   // (100 + d) / 100 sum to the pipeline count, the redistribution is budget-neutral: the
   // samples the budget pays for move from the pipelines that merely burn cycles to the ones
   // that gate latency without raising the total rate the analytic solve in Observe()
-  // regulated. Returns an empty vector (uniform sampling) when disabled or before any
-  // criticality was observed.
-  std::vector<uint64_t> PipelinePeriods(uint64_t fingerprint, uint64_t base_period,
-                                        size_t pipelines) const;
+  // regulated. Returns an empty vector (uniform sampling) when disabled or when every share is
+  // zero.
+  std::vector<uint64_t> PipelinePeriods(const std::vector<uint64_t>& pipeline_share_pct,
+                                        uint64_t base_period, size_t pipelines) const;
 
   const std::map<uint64_t, GovernorPlanState>& plans() const { return plans_; }
   const GovernorPlanState* Find(uint64_t fingerprint) const;

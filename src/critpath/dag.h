@@ -85,11 +85,6 @@ struct TaskDag {
 // (every task critical), endgame-split morsels are ordinary nodes.
 TaskDag BuildTaskDag(std::vector<TaskBoundary> tasks);
 
-// Deterministic line-oriented serialization of the full analysis (nodes with slack, the
-// critical path, per-pipeline criticality). Two runs of the same workload serialize
-// byte-identically; used by the determinism tests and the replay DAG-identity check.
-std::string SerializeDag(const TaskDag& dag);
-
 // Human-readable slack table: the `top` lowest-slack tasks (criticality order; deterministic
 // tie-break by canonical node index) plus a summary line.
 std::string RenderSlackTable(const TaskDag& dag, size_t top = 16);

@@ -142,18 +142,6 @@ std::string RenderQueryCriticalPath(const TaskDag& dag,
   return out.str();
 }
 
-std::string SerializeAnalysis(const TaskDag& dag,
-                              const std::vector<PipelineVerdict>& verdicts) {
-  std::ostringstream out;
-  out << SerializeDag(dag);
-  for (const PipelineVerdict& v : verdicts) {
-    out << "verdict " << v.pipeline << " " << BottleneckName(v.label) << " " << v.cycles << " "
-        << v.mem_stall_cycles << " " << v.remote_stall_cycles << " " << v.stolen_cycles << " "
-        << v.mem_stall_pct << " " << v.remote_share_pct << " " << v.stolen_pct << "\n";
-  }
-  return out.str();
-}
-
 void WriteCritPathJson(const TaskDag& dag, const std::vector<PipelineVerdict>& verdicts,
                        std::ostream& out) {
   out << "{\n";

@@ -1,10 +1,11 @@
 // Reports and fleet aggregation for the critical-path subsystem.
 //
-// CriticalityTracker accumulates per-fingerprint criticality across executions — the feed the
-// sampling governor (per-pipeline periods), the tier controller (promote by critical-path
-// work, not raw cycles), and the service profile (`crit` lines) read. RenderCriticalPath is
-// the fleet-level text report; the per-query helpers serve the demo, the benchmarks, and the
-// replay DAG-identity check.
+// CriticalityTracker accumulates per-fingerprint criticality across executions. It is the one
+// record a service keeps of its runs' task DAGs, each folded in at completion: the sampling
+// governor weights per-pipeline periods by its last shares, the tier controller promotes by
+// its critical-path work (not raw cycles), and the service profile's `crit` lines carry its
+// rollup. RenderCriticalPath is the fleet-level text report; the per-query helpers serve the
+// demo and the benchmarks.
 #ifndef DFP_SRC_CRITPATH_REPORT_H_
 #define DFP_SRC_CRITPATH_REPORT_H_
 
@@ -64,10 +65,6 @@ std::string RenderCriticalPath(const CriticalityTracker& tracker);
 std::string RenderQueryCriticalPath(const TaskDag& dag,
                                     const std::vector<PipelineVerdict>& verdicts,
                                     const std::vector<std::string>& pipeline_names = {});
-
-// Deterministic serialization of a full analysis — SerializeDag plus one `verdict` line per
-// pipeline. The replay DAG-identity tests compare these byte for byte.
-std::string SerializeAnalysis(const TaskDag& dag, const std::vector<PipelineVerdict>& verdicts);
 
 // Deterministic JSON object with the DAG summary and per-pipeline verdicts (critpath_demo).
 void WriteCritPathJson(const TaskDag& dag, const std::vector<PipelineVerdict>& verdicts,

@@ -102,7 +102,6 @@ ParallelRun::ParallelRun(Database& db, CompiledQuery& query, const ParallelConfi
     pipeline_periods_ = sampling->pipeline_periods;
   }
   state_ = db.mem().Alloc(regions_.state, std::max<uint64_t>(8, query.state_bytes));
-  kernel_exec_ = db.runtime().kernel_exec_segment();
 }
 
 ParallelRun::~ParallelRun() = default;
@@ -319,36 +318,72 @@ bool ParallelRun::TakeMorsel(uint32_t thief, Morsel* morsel, bool* stolen) {
   return true;
 }
 
+void RunHostStep(Database& db, const ExecStep& step, const ScratchRegions& regions, VAddr state,
+                 Cpu& cpu) {
+  VMem& mem = db.mem();
+  switch (step.kind) {
+    case ExecStep::Kind::kCreateHashTable: {
+      VAddr table =
+          CreateHashTable(mem, regions.hashtables, step.ht_capacity, step.ht_payload_bytes);
+      mem.Write<uint64_t>(state + step.state_offset0, table);
+      // Directory set-up cost (zeroing is modeled, the memory itself is pre-zeroed).
+      cpu.HostWork(db.runtime().kernel_exec_segment(), 200 + step.ht_capacity / 16);
+      return;
+    }
+    case ExecStep::Kind::kAllocBuffer: {
+      VAddr buffer = mem.Alloc(regions.output, step.buffer_bytes);
+      mem.Write<uint64_t>(state + step.state_offset0, buffer);
+      mem.Write<uint64_t>(state + step.state_offset1, 0);
+      cpu.HostWork(db.runtime().kernel_exec_segment(), 100 + step.buffer_bytes / 4096);
+      return;
+    }
+    case ExecStep::Kind::kSort: {
+      const uint64_t buffer = mem.Read<uint64_t>(state + step.state_offset0);
+      const uint64_t rows = mem.Read<uint64_t>(state + step.state_offset1);
+      const uint64_t args[] = {buffer, rows, step.sort_spec};
+      cpu.CallFunction(db.runtime().sort_fn(), args);
+      return;
+    }
+    case ExecStep::Kind::kRunPipeline:
+      break;
+  }
+  DFP_UNREACHABLE();
+}
+
+Result ReadResult(const VMem& mem, CompiledQuery& query, VAddr state) {
+  const VAddr out_base = mem.Read<uint64_t>(state + query.out_base_offset);
+  const uint64_t out_count = mem.Read<uint64_t>(state + query.out_count_offset);
+  const size_t columns = query.output_schema.size();
+  std::vector<std::vector<int64_t>> rows;
+  rows.reserve(out_count);
+  for (uint64_t r = 0; r < out_count; ++r) {
+    std::vector<int64_t> row(columns);
+    for (size_t c = 0; c < columns; ++c) {
+      row[c] = mem.Read<int64_t>(out_base + r * query.output_row_size + c * 8);
+    }
+    rows.push_back(std::move(row));
+  }
+  // EXPLAIN-ANALYZE-style tuple counters, when compiled in.
+  query.tuple_counts.clear();
+  for (const auto& [task, offset] : query.tuple_count_slots) {
+    query.tuple_counts[task] = mem.Read<uint64_t>(state + offset);
+  }
+  return Result(query.output_schema, std::move(rows));
+}
+
 ParallelRun::Unit ParallelRun::Step() {
-  VMem& mem = db_.mem();
   while (!done()) {
     const ExecStep& step = query_.exec_steps[step_idx_];
     switch (step.kind) {
-      case ExecStep::Kind::kCreateHashTable: {
+      case ExecStep::Kind::kCreateHashTable:
+      case ExecStep::Kind::kAllocBuffer:
+      case ExecStep::Kind::kSort: {
         TaskBoundary boundary;
-        boundary.kind = TaskKind::kHostStep;
+        boundary.kind =
+            step.kind == ExecStep::Kind::kSort ? TaskKind::kSort : TaskKind::kHostStep;
         boundary.step = static_cast<uint32_t>(step_idx_);
-        Unit unit = RunOn(*workers_[0], boundary, [&](Worker& w) {
-          VAddr table = CreateHashTable(mem, regions_.hashtables, step.ht_capacity,
-                                        step.ht_payload_bytes);
-          mem.Write<uint64_t>(state_ + step.state_offset0, table);
-          // Directory set-up cost (zeroing is modeled, the memory itself is pre-zeroed).
-          w.cpu.HostWork(kernel_exec_, 200 + step.ht_capacity / 16);
-        });
-        Barrier();
-        ++step_idx_;
-        return unit;
-      }
-      case ExecStep::Kind::kAllocBuffer: {
-        TaskBoundary boundary;
-        boundary.kind = TaskKind::kHostStep;
-        boundary.step = static_cast<uint32_t>(step_idx_);
-        Unit unit = RunOn(*workers_[0], boundary, [&](Worker& w) {
-          VAddr buffer = mem.Alloc(regions_.output, step.buffer_bytes);
-          mem.Write<uint64_t>(state_ + step.state_offset0, buffer);
-          mem.Write<uint64_t>(state_ + step.state_offset1, 0);
-          w.cpu.HostWork(kernel_exec_, 100 + step.buffer_bytes / 4096);
-        });
+        Unit unit = RunOn(*workers_[0], boundary,
+                          [&](Worker& w) { RunHostStep(db_, step, regions_, state_, w.cpu); });
         Barrier();
         ++step_idx_;
         return unit;
@@ -425,20 +460,6 @@ ParallelRun::Unit ParallelRun::Step() {
         ++step_idx_;
         continue;
       }
-      case ExecStep::Kind::kSort: {
-        TaskBoundary boundary;
-        boundary.kind = TaskKind::kSort;
-        boundary.step = static_cast<uint32_t>(step_idx_);
-        Unit unit = RunOn(*workers_[0], boundary, [&](Worker& w) {
-          const uint64_t buffer = mem.Read<uint64_t>(state_ + step.state_offset0);
-          const uint64_t rows = mem.Read<uint64_t>(state_ + step.state_offset1);
-          const uint64_t args[] = {buffer, rows, step.sort_spec};
-          w.cpu.CallFunction(db_.runtime().sort_fn(), args);
-        });
-        Barrier();
-        ++step_idx_;
-        return unit;
-      }
     }
   }
   return Unit();
@@ -447,26 +468,7 @@ ParallelRun::Unit ParallelRun::Step() {
 Result ParallelRun::Finish() {
   DFP_CHECK(done() && !finished_);
   finished_ = true;
-  VMem& mem = db_.mem();
-
-  // Read the result rows back host-side (same layout as the sequential engine).
-  const VAddr out_base = mem.Read<uint64_t>(state_ + query_.out_base_offset);
-  const uint64_t out_count = mem.Read<uint64_t>(state_ + query_.out_count_offset);
-  const size_t columns = query_.output_schema.size();
-  std::vector<std::vector<int64_t>> rows;
-  rows.reserve(out_count);
-  for (uint64_t r = 0; r < out_count; ++r) {
-    std::vector<int64_t> row(columns);
-    for (size_t c = 0; c < columns; ++c) {
-      row[c] = mem.Read<int64_t>(out_base + r * query_.output_row_size + c * 8);
-    }
-    rows.push_back(std::move(row));
-  }
-
-  query_.tuple_counts.clear();
-  for (const auto& [task, offset] : query_.tuple_count_slots) {
-    query_.tuple_counts[task] = mem.Read<uint64_t>(state_ + offset);
-  }
+  Result result = ReadResult(db_.mem(), query_, state_);
 
   // Aggregate metrics: wall clock is the slowest worker (all equal after the final barrier);
   // counters and traffic are summed across the pool.
@@ -516,7 +518,7 @@ Result ParallelRun::Finish() {
                    [](const Sample& a, const Sample& b) {
                      return a.tsc != b.tsc ? a.tsc < b.tsc : a.worker_id < b.worker_id;
                    });
-  return Result(query_.output_schema, std::move(rows));
+  return result;
 }
 
 Result QueryEngine::ExecuteParallel(CompiledQuery& query, const ParallelConfig& config,
@@ -527,11 +529,8 @@ Result QueryEngine::ExecuteParallel(CompiledQuery& query, const ParallelConfig& 
   if (session != nullptr) {
     sampling = MakeSamplingConfig(session->config());
   }
-  ScratchRegions regions;
-  regions.hashtables = db_->hashtables_region();
-  regions.state = db_->state_region();
-  regions.output = db_->output_region();
-
+  const ScratchRegions regions{db_->hashtables_region(), db_->state_region(),
+                               db_->output_region()};
   ParallelRun run(*db_, query, config, regions, session != nullptr ? &sampling : nullptr,
                   /*session_id=*/0, slack);
   while (!run.done()) {

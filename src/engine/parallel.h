@@ -122,6 +122,13 @@ struct ScratchRegions {
   uint32_t output = 0;
 };
 
+// The host side of an execution, shared by QueryEngine::Execute and ParallelRun. RunHostStep
+// performs one hash-table, buffer or sort step of `state`'s query on `cpu`, allocating from
+// `regions`. ReadResult reads the result rows and the tuple counters back from `state`.
+void RunHostStep(Database& db, const ExecStep& step, const ScratchRegions& regions, VAddr state,
+                 Cpu& cpu);
+Result ReadResult(const VMem& mem, CompiledQuery& query, VAddr state);
+
 // One morsel-driven execution of a compiled parallel query, advanced one work unit at a time.
 // A work unit is a host step, one morsel, a sequential pipeline run, or a sort; barriers are
 // applied when an exec step completes. The unit sequence and every worker's clock depend only
@@ -171,8 +178,9 @@ class ParallelRun {
 
   // Task-boundary records of every work unit executed so far, in execution order, with
   // per-task PMU counter deltas — what WriteSamples serializes as `task` lines and what the
-  // critical-path DAG (src/critpath/) is built from (a service ticket keeps only the DAG).
-  // Collected unconditionally: a byproduct of the schedule, not of sampling.
+  // critical-path DAG (src/critpath/) is built from (the query service folds that DAG into
+  // its stores at completion and keeps neither). Collected unconditionally: a byproduct of
+  // the schedule, not of sampling.
   std::vector<TaskBoundary> TakeTaskBoundaries() { return std::move(task_boundaries_); }
 
   // Slack-policy counters of this run (all zero when constructed without a slack profile).
@@ -205,7 +213,6 @@ class ParallelRun {
   NumaMap numa_;
   std::vector<std::unique_ptr<Worker>> workers_;
   VAddr state_ = 0;
-  uint32_t kernel_exec_ = 0;
 
   // Cursor over the execution schedule.
   size_t step_idx_ = 0;

@@ -50,6 +50,9 @@ enum class UnOp : uint8_t { kNot, kNeg };
 
 enum class AggOp : uint8_t { kSum, kCount, kMin, kMax, kAvg, kCountStar };
 
+// Highest expression tree accepted, in levels over its leaves (see ParseSelect, ParsePlanText).
+inline constexpr uint32_t kMaxExprNesting = 1000;
+
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 

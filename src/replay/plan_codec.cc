@@ -35,9 +35,19 @@ void WriteExpr(const Expr& expr, std::ostream& out) {
   }
 }
 
+// The readers below recurse once per level, so a block may nest only as deep as a plan dfp
+// builds can: `depth` counts the levels above the one being read, operators above an operator
+// and expression levels above an expression. An expression may sit one level over
+// kMaxExprNesting (the binder expands BETWEEN into two comparisons, a level over the SQL
+// node), and an operator tree may be kMaxExprNesting deep, far deeper than any plan the front
+// end or the TPC-H suite builds. A deeper line is malformed.
+//
 // Enums travel as their underlying value; each read is bounded by the enum's last member.
-ExprPtr ParseExpr(LineReader& reader) {
+ExprPtr ParseExpr(LineReader& reader, uint32_t depth) {
   reader.Expect("x", "expression");
+  if (depth > kMaxExprNesting + 1) {
+    reader.Reject();
+  }
   auto expr = std::make_unique<Expr>();
   expr->kind = reader.Enum(ExprKind::kExtractYear);
   expr->type = reader.Enum(ColumnType::kBool);
@@ -58,18 +68,18 @@ ExprPtr ParseExpr(LineReader& reader) {
   const bool has_else = reader.Flag();
   reader.End();
   for (uint64_t i = 0; i < whens; ++i) {
-    ExprPtr condition = ParseExpr(reader);
-    ExprPtr value = ParseExpr(reader);
+    ExprPtr condition = ParseExpr(reader, depth + 1);
+    ExprPtr value = ParseExpr(reader, depth + 1);
     expr->whens.emplace_back(std::move(condition), std::move(value));
   }
   if (has_left) {
-    expr->left = ParseExpr(reader);
+    expr->left = ParseExpr(reader, depth + 1);
   }
   if (has_right) {
-    expr->right = ParseExpr(reader);
+    expr->right = ParseExpr(reader, depth + 1);
   }
   if (has_else) {
-    expr->else_value = ParseExpr(reader);
+    expr->else_value = ParseExpr(reader, depth + 1);
   }
   return expr;
 }
@@ -106,8 +116,11 @@ void WriteOp(const PhysicalOp& op, std::ostream& out) {
   }
 }
 
-PhysicalOpPtr ParseOp(LineReader& reader, const Database& db) {
+PhysicalOpPtr ParseOp(LineReader& reader, const Database& db, uint32_t depth) {
   reader.Expect("op", "operator");
+  if (depth > kMaxExprNesting) {
+    reader.Reject();
+  }
   auto op = std::make_unique<PhysicalOp>();
   op->kind = reader.Enum(OpKind::kResultSink);
   op->id = reader.Read<OperatorId>();
@@ -151,10 +164,10 @@ PhysicalOpPtr ParseOp(LineReader& reader, const Database& db) {
   const uint64_t exprs = reader.Read<uint64_t>();
   reader.End();
   for (uint64_t i = 0; i < exprs; ++i) {
-    op->exprs.push_back(ParseExpr(reader));
+    op->exprs.push_back(ParseExpr(reader, 0));
   }
   for (uint64_t i = 0; i < children; ++i) {
-    op->children.push_back(ParseOp(reader, db));
+    op->children.push_back(ParseOp(reader, db, depth + 1));
   }
   return op;
 }
@@ -171,7 +184,7 @@ std::string EncodePlanText(const PhysicalOp& root) {
 PhysicalOpPtr ParsePlanText(const std::string& text, const Database& db) {
   std::istringstream in(text);
   LineReader reader(in, "plan");
-  PhysicalOpPtr root = ParseOp(reader, db);
+  PhysicalOpPtr root = ParseOp(reader, db, 0);
   if (!reader.Next() || reader.line() != "endplan") {
     throw Error("plan block missing its 'endplan' terminator");
   }

@@ -22,8 +22,9 @@ namespace dfp {
 std::string EncodePlanText(const PhysicalOp& root);
 
 // Inverse of EncodePlanText: parses one plan block through its "endplan" terminator,
-// resolving table references against `db`'s catalog. Throws dfp::Error on malformed input,
-// unknown tables, or truncation.
+// resolving table references against `db`'s catalog. Throws dfp::Error on malformed input
+// (an operator tree deeper than kMaxExprNesting or an expression more than one level higher
+// than that included), unknown tables, or truncation.
 PhysicalOpPtr ParsePlanText(const std::string& text, const Database& db);
 
 }  // namespace dfp

@@ -46,7 +46,6 @@ void TraceRecorder::OnSubmit(const QueryTicket& ticket, const PhysicalOp& plan,
   }
   trace_.events.push_back({TraceEvent::Kind::kQuery, q.seq});
   trace_.queries.push_back(std::move(q));
-  streams_.emplace_back();
 }
 
 void TraceRecorder::OnDrain(uint32_t submissions_so_far) {
@@ -71,12 +70,8 @@ void TraceRecorder::OnCompletion(const QueryTicket& ticket) {
   if (ticket.session != nullptr) {
     std::ostringstream out;
     WriteSamples(ticket.session->samples(), out);
-    std::string text = out.str();
     q.samples = ticket.session->samples().size();
-    q.stream_hash = Fnv1a64(text);
-    if (keep_streams_) {
-      streams_[ticket.id - 1] = std::move(text);
-    }
+    q.stream_hash = Fnv1a64(out.str());
   }
   trace_.events.push_back({TraceEvent::Kind::kDone, ticket.id});
 }

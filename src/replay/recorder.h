@@ -16,8 +16,6 @@
 #define DFP_SRC_REPLAY_RECORDER_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/replay/trace.h"
 
@@ -25,10 +23,6 @@ namespace dfp {
 
 class TraceRecorder {
  public:
-  // When set (before recording), the raw serialized sample stream of every profiled completion
-  // is retained alongside its hash — the differential tests diff these byte for byte.
-  void set_keep_streams(bool keep) { keep_streams_ = keep; }
-
   // Hooks, invoked by QueryService (AttachRecorder / Submit / Drain / StepSession).
   void OnAttach(const ServiceConfig& config, uint64_t catalog_version, uint64_t now_cycles);
   void OnSubmit(const QueryTicket& ticket, const PhysicalOp& plan, uint64_t arrival_cycles);
@@ -40,15 +34,10 @@ class TraceRecorder {
   const WorkloadTrace& Finish(const QueryService& service);
 
   const WorkloadTrace& trace() const { return trace_; }
-  // Per-query serialized sample streams (index = seq - 1; empty string when the execution
-  // timed out or keep_streams was off).
-  const std::vector<std::string>& streams() const { return streams_; }
 
  private:
   WorkloadTrace trace_;
-  std::vector<std::string> streams_;
   bool attached_ = false;
-  bool keep_streams_ = false;
 };
 
 }  // namespace dfp

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "src/critpath/report.h"
 #include "src/replay/plan_codec.h"
 #include "src/replay/recorder.h"
 #include "src/service/service_profile.h"
@@ -231,7 +230,6 @@ ReplayRun ReplayTrace(Database& db, const WorkloadTrace& trace, const ReplayOpti
 
   QueryService service(db, config);
   TraceRecorder recorder;
-  recorder.set_keep_streams(options.keep_streams);
   service.AttachRecorder(recorder);
 
   for (const TraceEvent& event : trace.events) {
@@ -273,17 +271,6 @@ ReplayRun ReplayTrace(Database& db, const WorkloadTrace& trace, const ReplayOpti
   WriteServiceProfile(service.fleet_profile(), service.windows(), profile);
   run.service_profile_text = profile.str();
   run.tier_timeline_text = RenderTierTimeline(service.windows(), service.tier_controller());
-  if (options.keep_streams) {
-    run.sample_streams = recorder.streams();
-  }
-  if (options.keep_dags) {
-    for (TicketId id = 1; id <= service.ticket_count(); ++id) {
-      const QueryTicket& ticket = service.ticket(id);
-      if (ticket.status == TicketStatus::kDone) {
-        run.dag_texts.push_back(SerializeAnalysis(ticket.dag, ticket.verdicts));
-      }
-    }
-  }
   return run;
 }
 

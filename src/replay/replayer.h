@@ -42,12 +42,6 @@ struct ReplayOptions {
   // Submit every recorded query this many times (same plan, same literals, back to back at its
   // recorded schedule position). Queue overflow then rejects naturally.
   uint32_t session_multiplier = 1;
-  // Retain each replayed query's serialized sample stream (byte-identity diffing).
-  bool keep_streams = false;
-  // Retain each completed query's serialized critical-path analysis (SerializeAnalysis of its
-  // task DAG and pipeline verdicts, src/critpath/) — the replay DAG-identity tests compare
-  // these against the recorded run byte for byte.
-  bool keep_dags = false;
   // When set, the recorded traffic re-runs against a ShardedService (src/shard/) over this
   // catalog, one shard per catalog shard, instead of a single QueryService. The catalog must
   // hold the SAME dataset and DatabaseConfig the trace was recorded against (the replayed
@@ -59,13 +53,13 @@ struct ReplayOptions {
 };
 
 // One finished replay: the replayed run's own trace (recorded through the same TraceRecorder
-// path), plus the rendered service views the differential tests compare textually.
+// path, so each query's sample stream is there as its hash), plus the rendered service views
+// the differential tests compare textually. The profile's `crit` lines fold every replayed
+// query's task DAG.
 struct ReplayRun {
   WorkloadTrace trace;
   std::string service_profile_text;  // WriteServiceProfile of the replay service.
   std::string tier_timeline_text;    // RenderTierTimeline of the replay service.
-  std::vector<std::string> sample_streams;  // Per replayed query; filled when keep_streams.
-  std::vector<std::string> dag_texts;  // Per completed query, in ticket order; keep_dags.
 };
 
 // Replays `trace` against `db` (or, with options.shards set, against that catalog). Throws

@@ -352,10 +352,13 @@ bool QueryService::Admit(TicketId id) {
       governor_.PeriodFor(ticket.fingerprint.structure, config_.profiling.period);
   ticket.sampling_period = session->profiling.period;
   SamplingConfig sampling = MakeSamplingConfig(session->profiling);
-  // Criticality-weighted periods (empty until a critical-path analysis of this fingerprint
-  // exists): on-path pipelines sample finer than the base period, off-path ones coarser.
-  sampling.pipeline_periods = governor_.PipelinePeriods(
-      ticket.fingerprint.structure, ticket.sampling_period, entry->query.pipelines.size());
+  // Criticality-weighted periods from the tracker's last shares of this fingerprint (none until
+  // a critical-path analysis of it exists): on-path pipelines sample finer than the base
+  // period, off-path ones coarser.
+  if (const PlanCriticality* crit = critpath_.Find(ticket.fingerprint.structure)) {
+    sampling.pipeline_periods = governor_.PipelinePeriods(
+        crit->pipeline_share_pct, ticket.sampling_period, entry->query.pipelines.size());
+  }
   // Slack-directed scheduling: hand the run this fingerprint's expected-slack profile (null on
   // the first execution, or when the feature is off — either way the run deals FIFO deques).
   const PlanSlack* slack_hint =
@@ -397,27 +400,18 @@ bool QueryService::StepSession(ActiveSession& session) {
   ticket.busy_cycles = session.run->total_busy_cycles();
 
   // Critical-path analysis of the realized schedule: rebuild the task DAG from the run's
-  // boundary records, classify each pipeline, and fan the result out to every consumer — the
-  // fleet tracker (reports), the governor (per-pipeline periods for the NEXT execution of this
-  // fingerprint), and the service profile (`crit` lines). The tier controller reads the
-  // tracker's cumulative critical work below.
-  ticket.dag = BuildTaskDag(session.run->TakeTaskBoundaries());
-  ticket.verdicts = ClassifyPipelines(ticket.dag);
-  if (!ticket.dag.nodes.empty()) {
-    critpath_.Observe(ticket.fingerprint.structure, ticket.name, ticket.dag, ticket.verdicts);
-    std::vector<uint64_t> shares;
-    for (const PipelineCriticality& p : ticket.dag.pipelines) {
-      if (p.pipeline >= shares.size()) {
-        shares.resize(p.pipeline + 1, 0);
-      }
-      shares[p.pipeline] = p.share_pct;
-    }
-    governor_.ObserveCriticality(ticket.fingerprint.structure, ticket.name, std::move(shares));
-    const PlanCriticality* crit = critpath_.Find(ticket.fingerprint.structure);
-    if (crit != nullptr) {
-      fleet_.RecordCriticality(ticket.fingerprint, ticket.name, ticket.dag.critical_work_cycles,
-                               crit->top_share_pct, BottleneckName(crit->dominant_label()));
-    }
+  // boundary records, classify each pipeline, and fold the result into every consumer — the
+  // fleet tracker (reports, and the per-pipeline shares the governor weights the NEXT
+  // execution's periods by), the service profile (`crit` lines), and below the slack store and
+  // the repair loop. The tier controller reads the tracker's cumulative critical work. The DAG
+  // dies with this step.
+  const TaskDag dag = BuildTaskDag(session.run->TakeTaskBoundaries());
+  const std::vector<PipelineVerdict> verdicts = ClassifyPipelines(dag);
+  if (!dag.nodes.empty()) {
+    critpath_.Observe(ticket.fingerprint.structure, ticket.name, dag, verdicts);
+    const PlanCriticality& crit = *critpath_.Find(ticket.fingerprint.structure);
+    fleet_.RecordCriticality(ticket.fingerprint, ticket.name, dag.critical_work_cycles,
+                             crit.top_share_pct, BottleneckName(crit.dominant_label()));
   }
 
   // The per-operator aggregation is built once and shared by the cumulative fleet profile and
@@ -458,12 +452,11 @@ bool QueryService::StepSession(ActiveSession& session) {
   sched_stats_.slack_hits += run_sched.slack_hits;
   sched_stats_.deferred_morsels += run_sched.deferred_morsels;
   sched_stats_.slack_steals += run_sched.slack_steals;
-  if (!ticket.dag.nodes.empty() &&
-      (config_.sched.slack_scheduling || config_.sched.deadline_admission)) {
-    slack_.Observe(ticket.fingerprint.structure, ticket.name, ticket.dag);
+  if (!dag.nodes.empty() && (config_.sched.slack_scheduling || config_.sched.deadline_admission)) {
+    slack_.Observe(ticket.fingerprint.structure, ticket.name, dag);
   }
-  if (config_.sched.placement_repair && !ticket.dag.nodes.empty()) {
-    StepPlacementRepair(ticket);
+  if (config_.sched.placement_repair && !dag.nodes.empty()) {
+    StepPlacementRepair(ticket, dag, verdicts);
   }
   // Tier ladder: feed the controller the windowed evidence for this fingerprint; a promotion
   // decision enqueues a background recompile at the optimizing tier on the (serial) background
@@ -580,7 +573,8 @@ void QueryService::StepReopt(QueryTicket& ticket, const CachedPlanPtr& entry) {
   action->Transition(GuardState::kDecided, ServiceNowCycles());
 }
 
-void QueryService::StepPlacementRepair(QueryTicket& ticket) {
+void QueryService::StepPlacementRepair(const QueryTicket& ticket, const TaskDag& dag,
+                                       const std::vector<PipelineVerdict>& verdicts) {
   const uint64_t fp = ticket.fingerprint.structure;
   if (GuardedAction<RepairPayload>* open = repairs_.Find(fp)) {
     ResolveGuarded(*open, [this](const RepairPayload& repair) {
@@ -595,7 +589,7 @@ void QueryService::StepPlacementRepair(QueryTicket& ticket) {
   // Trigger: the first remote-DRAM-bound verdict on a pipeline that scans a base table. The
   // observed DAG names the worker that consumed each morsel, so the repair re-partitions the
   // table's column extents toward those consumers' nodes.
-  for (const PipelineVerdict& v : ticket.verdicts) {
+  for (const PipelineVerdict& v : verdicts) {
     if (v.label != Bottleneck::kRemoteDramBound) {
       continue;
     }
@@ -610,7 +604,7 @@ void QueryService::StepPlacementRepair(QueryTicket& ticket) {
       continue;  // Sort-scan / group-scan pipelines have no extents to move.
     }
     const Table& table = *pipeline.steps[0].op->table;
-    PartitionMap map = ComputeConsumerPlacement(ticket.dag, v.pipeline, config_.parallel.workers,
+    PartitionMap map = ComputeConsumerPlacement(dag, v.pipeline, config_.parallel.workers,
                                                 config_.sched.repair_pessimize);
     if (map.empty()) {
       continue;

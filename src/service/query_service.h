@@ -192,14 +192,10 @@ struct QueryTicket {
   uint64_t busy_cycles = 0;
   Result result;
   // This execution's profile (resolved), sharing the plan entry's Tagging Dictionary; null
-  // until the ticket is done, and for rejected and timed-out tickets.
+  // until the ticket is done, and for rejected and timed-out tickets. The run's task DAG is
+  // folded into criticality(), slack() and the repair loop at completion and not kept here.
   std::unique_ptr<const ProfilingSession> session;
   std::vector<WorkerMetrics> worker_metrics;
-  // Critical-path analysis of this execution: the realized task DAG, rebuilt from the run's
-  // task boundaries (each node carries its TaskBoundary), and the per-pipeline bottleneck
-  // verdicts. Empty when the run produced no task boundaries.
-  TaskDag dag;
-  std::vector<PipelineVerdict> verdicts;
 
   // The compiled artifact the ticket executed (owned by the plan cache; kept alive here even
   // across eviction). Null until admission.
@@ -318,10 +314,11 @@ class QueryService {
   bool Admit(TicketId id);
   // Advances `session` by one unit; returns true when the ticket completed (done or timed out).
   bool StepSession(ActiveSession& session);
-  // Guarded placement-repair loop, stepped at every completion: triggers a re-partition on a
-  // remote-DRAM-bound verdict, and resolves an applied one (keep/revert) once the regression
-  // guard has evidence.
-  void StepPlacementRepair(QueryTicket& ticket);
+  // Guarded placement-repair loop, stepped at every completion with that run's DAG and
+  // verdicts: triggers a re-partition on a remote-DRAM-bound verdict, and resolves an applied
+  // one (keep/revert) once the regression guard has evidence.
+  void StepPlacementRepair(const QueryTicket& ticket, const TaskDag& dag,
+                           const std::vector<PipelineVerdict>& verdicts);
   // Guarded re-optimization loop, stepped at every completion: triggers a re-plan when the
   // fingerprint's measured cardinalities diverged past the threshold, and resolves an applied
   // swap (keep/revert) once the regression guard has evidence.

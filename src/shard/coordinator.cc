@@ -177,13 +177,11 @@ void ShardedService::Drain() {
       ticket.result = sub.result;
       ticket.compile_cycles = sub.compile_cycles;
       ticket.execute_cycles = sub.execute_cycles;
-      ticket.critical_cycles = sub.dag.critical_work_cycles;
       continue;
     }
     std::vector<Result> partials(catalog_.shards());
     uint64_t compile_max = 0;
     uint64_t execute_max = 0;
-    uint64_t critical_max = 0;
     bool all_done = true;
     TicketStatus worst = TicketStatus::kDone;
     for (uint32_t s = 0; s < catalog_.shards(); ++s) {
@@ -196,7 +194,6 @@ void ShardedService::Drain() {
       partials[s] = sub.result;
       compile_max = std::max(compile_max, sub.compile_cycles);
       execute_max = std::max(execute_max, sub.execute_cycles);
-      critical_max = std::max(critical_max, sub.dag.critical_work_cycles);
     }
     if (!all_done) {
       ticket.status = worst;
@@ -207,10 +204,8 @@ void ShardedService::Drain() {
     ticket.status = TicketStatus::kDone;
     ticket.result = std::move(outcome.result);
     ticket.compile_cycles = compile_max;
-    // Shards execute concurrently; the merge starts when the slowest partial lands, which also
-    // stitches the cross-shard critical path.
+    // Shards execute concurrently; the merge starts when the slowest partial lands.
     ticket.execute_cycles = execute_max + outcome.merge_cycles;
-    ticket.critical_cycles = critical_max + outcome.merge_cycles;
     ticket.merge_cycles = outcome.merge_cycles;
     ticket.staged_bytes = outcome.staged_bytes;
     cross_node_bytes_ += outcome.staged_bytes;

@@ -92,9 +92,6 @@ struct ShardTicket {
   Result result;
   uint64_t compile_cycles = 0;  // Max across shards (they compile concurrently).
   uint64_t execute_cycles = 0;  // Max shard execute + coordinator merge.
-  // Stitched critical path: max shard critical-path work + the coordinator merge (the merge
-  // starts only when the slowest shard's partial lands).
-  uint64_t critical_cycles = 0;
   uint64_t merge_cycles = 0;
   uint64_t staged_bytes = 0;
 };

@@ -52,6 +52,7 @@ struct SqlExpr {
   std::vector<SqlExprPtr> list;                         // IN list.
   std::vector<std::pair<SqlExprPtr, SqlExprPtr>> whens; // CASE.
   SqlExprPtr else_value;
+  uint32_t height = 0;  // Levels below this node: 0 for a leaf (see kMaxExprNesting).
 };
 
 struct SqlSelectItem {

@@ -1,5 +1,7 @@
 #include "src/sql/parser.h"
 
+#include <algorithm>
+
 #include "src/sql/lexer.h"
 #include "src/util/check.h"
 #include "src/util/date.h"
@@ -101,12 +103,19 @@ class Parser {
     return Advance();
   }
 
-  // One level of expression nesting for as long as it lives (see kMaxExprNesting).
+  // The expression bound, kMaxExprNesting, checked two ways with one message. Nest holds one
+  // level of open nesting (parentheses, function and CASE arguments, NOT, unary minus) for as
+  // long as it lives, so the parser's own recursion stops early. Sealed sets a finished node's
+  // height one level over its highest operand, which also counts the operator chains the
+  // parser builds in a loop: every later pass recurses over the tree.
+  void RefuseDeeperThanLimit() const {
+    Fail(StrFormat("expression nested deeper than %u levels", kMaxExprNesting));
+  }
   class Nest {
    public:
     explicit Nest(Parser* parser) : parser_(parser) {
       if (++parser_->depth_ > kMaxExprNesting) {
-        parser_->Fail(StrFormat("expression nested deeper than %u levels", kMaxExprNesting));
+        parser_->RefuseDeeperThanLimit();
       }
     }
     ~Nest() { --parser_->depth_; }
@@ -116,6 +125,30 @@ class Parser {
    private:
     Parser* parser_;
   };
+  SqlExprPtr Sealed(SqlExprPtr node) const {
+    uint32_t below = 0;
+    auto over = [&below](const SqlExprPtr& operand) {
+      if (operand != nullptr) {
+        below = std::max(below, operand->height);
+      }
+    };
+    over(node->left);
+    over(node->right);
+    over(node->third);
+    over(node->else_value);
+    for (const SqlExprPtr& element : node->list) {
+      over(element);
+    }
+    for (const auto& [cond, value] : node->whens) {
+      over(cond);
+      over(value);
+    }
+    node->height = below + 1;
+    if (node->height > kMaxExprNesting) {
+      RefuseDeeperThanLimit();
+    }
+    return node;
+  }
 
   SqlSelectItem ParseSelectItem() {
     SqlSelectItem item;
@@ -160,7 +193,7 @@ class Parser {
       node->bin = SqlBinOp::kOr;
       node->left = std::move(left);
       node->right = ParseAnd();
-      left = std::move(node);
+      left = Sealed(std::move(node));
     }
     return left;
   }
@@ -173,7 +206,7 @@ class Parser {
       node->bin = SqlBinOp::kAnd;
       node->left = std::move(left);
       node->right = ParseNot();
-      left = std::move(node);
+      left = Sealed(std::move(node));
     }
     return left;
   }
@@ -184,7 +217,7 @@ class Parser {
       auto node = std::make_unique<SqlExpr>();
       node->kind = SqlExprKind::kNot;
       node->left = ParseNot();
-      return node;
+      return Sealed(std::move(node));
     }
     return ParseComparison();
   }
@@ -215,7 +248,7 @@ class Parser {
       node->bin = op;
       node->left = std::move(left);
       node->right = ParseAdditive();
-      return node;
+      return Sealed(std::move(node));
     }
     if (AcceptKeyword("between")) {
       auto node = std::make_unique<SqlExpr>();
@@ -224,14 +257,14 @@ class Parser {
       node->right = ParseAdditive();
       ExpectKeyword("and");
       node->third = ParseAdditive();
-      return node;
+      return Sealed(std::move(node));
     }
     if (AcceptKeyword("like")) {
       auto node = std::make_unique<SqlExpr>();
       node->kind = SqlExprKind::kLike;
       node->left = std::move(left);
       node->string_value = Expect(TokenKind::kString, "pattern").text;
-      return node;
+      return Sealed(std::move(node));
     }
     if (AcceptKeyword("in")) {
       auto node = std::make_unique<SqlExpr>();
@@ -243,7 +276,7 @@ class Parser {
         node->list.push_back(ParseAdditive());
       }
       ExpectSymbol(")");
-      return node;
+      return Sealed(std::move(node));
     }
     return left;
   }
@@ -258,7 +291,7 @@ class Parser {
       node->bin = op;
       node->left = std::move(left);
       node->right = ParseMultiplicative();
-      left = std::move(node);
+      left = Sealed(std::move(node));
     }
     return left;
   }
@@ -276,7 +309,7 @@ class Parser {
       node->bin = op;
       node->left = std::move(left);
       node->right = ParseUnary();
-      left = std::move(node);
+      left = Sealed(std::move(node));
     }
     return left;
   }
@@ -287,7 +320,7 @@ class Parser {
       auto node = std::make_unique<SqlExpr>();
       node->kind = SqlExprKind::kUnaryMinus;
       node->left = ParseUnary();
-      return node;
+      return Sealed(std::move(node));
     }
     return ParsePrimary();
   }
@@ -344,7 +377,7 @@ class Parser {
           ExpectKeyword("else");
           node->else_value = ParseExpr();
           ExpectKeyword("end");
-          return node;
+          return Sealed(std::move(node));
         }
         if (token.text == "year") {
           Advance();
@@ -353,7 +386,7 @@ class Parser {
           node->kind = SqlExprKind::kYear;
           node->left = ParseExpr();
           ExpectSymbol(")");
-          return node;
+          return Sealed(std::move(node));
         }
         if (token.text == "sum" || token.text == "count" || token.text == "avg" ||
             token.text == "min" || token.text == "max") {
@@ -372,7 +405,7 @@ class Parser {
             node->left = ParseExpr();
           }
           ExpectSymbol(")");
-          return node;
+          return Sealed(std::move(node));
         }
         Fail("unexpected keyword");
       case TokenKind::kIdent: {

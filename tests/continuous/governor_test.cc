@@ -146,9 +146,8 @@ TEST(SamplingGovernor, CriticalityWeightsPipelinePeriodsStrictly) {
   // redistribution is budget-neutral: below-mean pipelines give up exactly the sampling rate
   // the above-mean ones gain.
   SamplingGovernor governor(EnabledConfig());
-  governor.ObserveCriticality(0x1, "q3", {62, 0, 7});
   const uint64_t base = 5000;
-  const std::vector<uint64_t> periods = governor.PipelinePeriods(0x1, base, 3);
+  const std::vector<uint64_t> periods = governor.PipelinePeriods({62, 0, 7}, base, 3);
   ASSERT_EQ(periods.size(), 3u);
   EXPECT_LT(periods[0], base);   // 39 points above the mean: finest sampling.
   EXPECT_GT(periods[1], base);   // Off the path, 23 below the mean: relaxed beyond the base.
@@ -157,30 +156,25 @@ TEST(SamplingGovernor, CriticalityWeightsPipelinePeriodsStrictly) {
   EXPECT_LT(periods[2], periods[1]);  // ... at every rank of the share ordering.
   EXPECT_EQ(periods[0], base * 100 / 139);  // d = +39.
   EXPECT_EQ(periods[1], base * 100 / 77);   // d = -23.
-  EXPECT_EQ(governor.Find(0x1)->top_criticality_pct, 62u);
 }
 
 TEST(SamplingGovernor, PipelinePeriodsEmptyWithoutSignalOrWhenDisabled) {
   // No criticality observed yet: uniform sampling (empty vector).
-  SamplingGovernor fresh(EnabledConfig());
-  EXPECT_TRUE(fresh.PipelinePeriods(0x1, 5000, 4).empty());
+  SamplingGovernor governor(EnabledConfig());
+  EXPECT_TRUE(governor.PipelinePeriods({}, 5000, 4).empty());
 
   // A degenerate all-zero observation (empty DAG) keeps sampling uniform too.
-  fresh.ObserveCriticality(0x1, "q", {0, 0});
-  EXPECT_TRUE(fresh.PipelinePeriods(0x1, 5000, 2).empty());
+  EXPECT_TRUE(governor.PipelinePeriods({0, 0}, 5000, 2).empty());
 
-  // Disabled governor: ObserveCriticality is a no-op.
+  // Disabled governor: uniform sampling whatever the shares.
   SamplingGovernor disabled;
-  disabled.ObserveCriticality(0x1, "q", {80});
-  EXPECT_TRUE(disabled.plans().empty());
-  EXPECT_TRUE(disabled.PipelinePeriods(0x1, 5000, 1).empty());
+  EXPECT_TRUE(disabled.PipelinePeriods({80}, 5000, 1).empty());
 }
 
 TEST(SamplingGovernor, OffPathPeriodRespectsClampCeiling) {
   SamplingGovernor governor(EnabledConfig());
-  governor.ObserveCriticality(0x1, "q", {90, 0});
   const uint64_t base = 4'000'000;
-  const std::vector<uint64_t> periods = governor.PipelinePeriods(0x1, base, 2);
+  const std::vector<uint64_t> periods = governor.PipelinePeriods({90, 0}, base, 2);
   ASSERT_EQ(periods.size(), 2u);
   EXPECT_EQ(periods[1], kMaxSamplingPeriod);  // 4e6 * 100/55 = 7.27e6, clamped to the ceiling.
   EXPECT_GT(periods[1], base);  // Still strictly above the base.

@@ -1,8 +1,6 @@
-// Critical-path wiring through the serving layer: the per-query DAG and verdicts land on the
-// ticket, the fleet tracker and service profile carry criticality (v4 `crit` lines), the
-// governor samples on-path pipelines strictly finer than off-path ones under its overhead
-// budget, tier promotion runs on critical-path evidence, and a trace replay reproduces every
-// DAG, slack table, and verdict byte for byte.
+// Critical-path wiring through the serving layer: each run's DAG and verdicts fold into the
+// fleet tracker and the service profile (`crit` lines) at completion, and the governor
+// samples on-path pipelines strictly finer than off-path ones under its overhead budget.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,11 +9,8 @@
 #include <vector>
 
 #include "src/critpath/report.h"
-#include "src/replay/recorder.h"
-#include "src/replay/replayer.h"
 #include "src/service/query_service.h"
 #include "src/service/service_profile.h"
-#include "src/sql/binder.h"
 #include "src/tpch/datagen.h"
 #include "src/tpch/queries.h"
 
@@ -55,30 +50,19 @@ TEST(CritPathService, TicketTrackerAndProfileCarryTheAnalysis) {
   QueryService service(*db, config);
   const TicketId first = RunOne(service, *db, "q6");
   const TicketId second = RunOne(service, *db, "q6");
+  ASSERT_EQ(service.ticket(second).status, TicketStatus::kDone);
 
-  // The completed ticket carries its DAG and verdicts.
-  const QueryTicket& ticket = service.ticket(second);
-  ASSERT_EQ(ticket.status, TicketStatus::kDone);
-  ASSERT_FALSE(ticket.dag.nodes.empty());
-  ASSERT_FALSE(ticket.verdicts.empty());
-  EXPECT_GT(ticket.dag.critical_work_cycles, 0u);
-  // The nodes carry the run's task boundaries: rebuilding the DAG from them reproduces the
-  // analysis exactly.
-  std::vector<TaskBoundary> tasks;
-  for (const TaskNode& node : ticket.dag.nodes) {
-    tasks.push_back(node.task);
-  }
-  const TaskDag rebuilt = BuildTaskDag(tasks);
-  EXPECT_EQ(SerializeAnalysis(rebuilt, ClassifyPipelines(rebuilt)),
-            SerializeAnalysis(ticket.dag, ticket.verdicts));
-
-  // Both executions folded into the tracker under one structural fingerprint.
+  // Both executions folded into the tracker under one structural fingerprint, with the last
+  // one's per-pipeline shares and verdicts.
   const uint64_t fp = service.ticket(first).fingerprint.structure;
   const PlanCriticality* plan = service.criticality().Find(fp);
   ASSERT_NE(plan, nullptr);
   EXPECT_EQ(plan->executions, 2u);
   EXPECT_GT(plan->critical_work_cycles, 0u);
   EXPECT_GT(plan->top_share_pct, 0u);
+  ASSERT_FALSE(plan->pipeline_share_pct.empty());
+  EXPECT_EQ(plan->pipeline_labels.size(), plan->pipeline_share_pct.size());
+  EXPECT_EQ(plan->pipeline_share_pct[plan->top_pipeline], plan->top_share_pct);
   EXPECT_EQ(service.criticality().CriticalWorkCycles(fp), plan->critical_work_cycles);
   const std::string report = RenderCriticalPath(service.criticality());
   EXPECT_NE(report.find("q6"), std::string::npos);
@@ -119,22 +103,24 @@ TEST(CritPathService, GovernorSamplesOnPathPipelinesStrictlyFiner) {
   RunOne(service, *db, "q3");  // Second execution runs with criticality-weighted periods.
 
   const uint64_t fp = service.ticket(id).fingerprint.structure;
-  const GovernorPlanState* state = service.governor().Find(fp);
-  ASSERT_NE(state, nullptr);
-  ASSERT_GT(state->top_criticality_pct, 0u);
-  ASSERT_FALSE(state->pipeline_criticality_pct.empty());
+  ASSERT_NE(service.governor().Find(fp), nullptr);
+  const PlanCriticality* plan = service.criticality().Find(fp);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_GT(plan->top_share_pct, 0u);
+  const std::vector<uint64_t>& shares = plan->pipeline_share_pct;
+  ASSERT_FALSE(shares.empty());
 
   const uint64_t base = service.governor().PeriodFor(fp, config.profiling.period);
-  const std::vector<uint64_t> periods = service.governor().PipelinePeriods(
-      fp, base, state->pipeline_criticality_pct.size());
-  ASSERT_EQ(periods.size(), state->pipeline_criticality_pct.size());
+  const std::vector<uint64_t> periods =
+      service.governor().PipelinePeriods(shares, base, shares.size());
+  ASSERT_EQ(periods.size(), shares.size());
   uint64_t mean_share = 0;
-  for (const uint64_t share : state->pipeline_criticality_pct) {
+  for (const uint64_t share : shares) {
     mean_share += share;
   }
-  mean_share /= state->pipeline_criticality_pct.size();
+  mean_share /= shares.size();
   for (size_t p = 0; p < periods.size(); ++p) {
-    const uint64_t share = state->pipeline_criticality_pct[p];
+    const uint64_t share = shares[p];
     if (share > mean_share) {
       EXPECT_LT(periods[p], base) << "pipeline " << p << " owns the critical path";
     } else if (share < mean_share) {
@@ -147,15 +133,14 @@ TEST(CritPathService, GovernorSamplesOnPathPipelinesStrictlyFiner) {
   // than every off-path (zero-share) pipeline.
   uint32_t top = 0;
   for (size_t p = 1; p < periods.size(); ++p) {
-    if (state->pipeline_criticality_pct[p] >
-        state->pipeline_criticality_pct[top]) {
+    if (shares[p] > shares[top]) {
       top = static_cast<uint32_t>(p);
     }
   }
   EXPECT_LT(periods[top], base);
   for (size_t p = 0; p < periods.size(); ++p) {
     EXPECT_LE(periods[top], periods[p]);
-    if (state->pipeline_criticality_pct[p] == 0) {
+    if (shares[p] == 0) {
       EXPECT_LT(periods[top], periods[p]);
     }
   }
@@ -168,49 +153,11 @@ TEST(CritPathService, GovernorOffKeepsUniformSampling) {
   const TicketId id = RunOne(service, *db, "q6");
   const uint64_t fp = service.ticket(id).fingerprint.structure;
   // Criticality is still tracked (reports work), but sampling stays uniform.
-  EXPECT_NE(service.criticality().Find(fp), nullptr);
-  EXPECT_TRUE(service.governor().PipelinePeriods(fp, config.profiling.period, 4).empty());
-}
-
-TEST(CritPathService, ReplayReproducesDagsAndVerdictsByteForByte) {
-  ServiceConfig config = BaseConfig();
-  config.tiering.enabled = true;
-
-  auto record_db = MakeDb(config);
-  WorkloadTrace trace;
-  std::vector<std::string> recorded_dags;
-  {
-    QueryService service(*record_db, config);
-    TraceRecorder recorder;
-    service.AttachRecorder(recorder);
-    service.Submit(BuildQueryPlan(*record_db, FindQuery("q1")), "q1");
-    service.Submit(BuildQueryPlan(*record_db, FindQuery("q6")), "q6");
-    service.Drain();
-    service.Submit(BuildQueryPlan(*record_db, FindQuery("q6")), "q6");
-    service.Submit(BuildQueryPlan(*record_db, FindQuery("q3")), "q3");
-    service.Drain();
-    recorder.Finish(service);
-    trace = recorder.trace();
-    for (TicketId id = 1; id <= service.ticket_count(); ++id) {
-      const QueryTicket& ticket = service.ticket(id);
-      if (ticket.status == TicketStatus::kDone) {
-        recorded_dags.push_back(SerializeAnalysis(ticket.dag, ticket.verdicts));
-      }
-    }
-  }
-  ASSERT_EQ(recorded_dags.size(), 4u);
-
-  // Identity replay on a fresh, identically generated database: every DAG, slack value, and
-  // verdict must come back byte for byte.
-  auto replay_db = MakeDb(config);
-  ReplayOptions options;
-  options.keep_dags = true;
-  const ReplayRun run = ReplayTrace(*replay_db, trace, options);
-  ASSERT_EQ(run.dag_texts.size(), recorded_dags.size());
-  for (size_t i = 0; i < recorded_dags.size(); ++i) {
-    EXPECT_EQ(run.dag_texts[i], recorded_dags[i]) << "query " << i;
-    EXPECT_NE(run.dag_texts[i].find("verdict "), std::string::npos);
-  }
+  const PlanCriticality* plan = service.criticality().Find(fp);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_TRUE(service.governor()
+                  .PipelinePeriods(plan->pipeline_share_pct, config.profiling.period, 4)
+                  .empty());
 }
 
 }  // namespace

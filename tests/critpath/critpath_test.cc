@@ -21,6 +21,7 @@
 #include "src/profiling/serialize.h"
 #include "src/tpch/datagen.h"
 #include "src/tpch/queries.h"
+#include "tests/testing/critpath_text.h"
 
 namespace dfp {
 namespace {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/critpath/slack.h"
+#include "src/engine/query_engine.h"
 #include "src/profiling/serialize.h"
 #include "src/reopt/cardstore.h"
 #include "src/reopt/controller.h"
@@ -77,13 +78,6 @@ Seeds MakeSeeds() {
   std::ostringstream dictionary;
   WriteDictionary(ticket.session->dictionary(), dictionary);
   seeds.dictionary = dictionary.str();
-  std::vector<TaskBoundary> tasks;
-  for (const TaskNode& node : ticket.dag.nodes) {
-    tasks.push_back(node.task);
-  }
-  std::ostringstream samples;
-  WriteSamples(ticket.session->samples(), samples, tasks);
-  seeds.samples = samples.str();
 
   GuardedAction<ReoptPayload> reopt{.fingerprint = ticket.fingerprint.structure,
                                      .plan_name = "q3",
@@ -104,6 +98,17 @@ Seeds MakeSeeds() {
   const WorkloadTrace& trace = recorder.Finish(service);
   seeds.trace = EncodeTraceText(trace);
   seeds.plan = trace.templates.front().plan_text;
+
+  // The task lines come from a standalone parallel run of the same query.
+  QueryEngine engine(seeds.db.get());
+  CodegenOptions parallel;
+  parallel.parallel = true;
+  CompiledQuery query =
+      engine.Compile(BuildQueryPlan(*seeds.db, FindQuery("q3")), nullptr, "q3", parallel);
+  engine.ExecuteParallel(query, config.parallel);
+  std::ostringstream samples;
+  WriteSamples(ticket.session->samples(), samples, engine.last_task_boundaries());
+  seeds.samples = samples.str();
   return seeds;
 }
 

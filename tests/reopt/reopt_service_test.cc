@@ -308,7 +308,7 @@ TEST(ReoptService, CardsAndReoptLogRoundTripThroughServiceProfileV6) {
 TEST(ReoptService, DoubleRunReoptLoopIsDeterministic) {
   // The whole loop — counters, EWMAs, trigger, background compile, swap, guard — is a pure
   // function of the submission sequence: two identical services must produce byte-identical
-  // sample streams, task schedules, state files and guard timelines.
+  // sample streams, state files, guard timelines and critical-path reports.
   const ServiceConfig config = ReoptConfigFor();
 
   auto run_workload = [&config](std::vector<std::string>* artifacts) {
@@ -318,11 +318,7 @@ TEST(ReoptService, DoubleRunReoptLoopIsDeterministic) {
       const TicketId id = RunSpine(service, *db, false, 50);
       EXPECT_EQ(service.ticket(id).status, TicketStatus::kDone);
       std::ostringstream out;
-      std::vector<TaskBoundary> tasks;
-      for (const TaskNode& node : service.ticket(id).dag.nodes) {
-        tasks.push_back(node.task);
-      }
-      WriteSamples(service.ticket(id).session->samples(), out, tasks);
+      WriteSamples(service.ticket(id).session->samples(), out);
       artifacts->push_back(out.str());
     }
     std::ostringstream state;
@@ -332,6 +328,7 @@ TEST(ReoptService, DoubleRunReoptLoopIsDeterministic) {
     artifacts->push_back(state.str());
     artifacts->push_back(RenderGuardTimeline(service.reopts()));
     artifacts->push_back(RenderCardStore(service.cards()));
+    artifacts->push_back(RenderCriticalPath(service.criticality()));
     return service.reopts().kept();
   };
 

@@ -1,6 +1,7 @@
 // Differential replay tests: recording a mixed warm/cold/tiered workload and replaying it on
-// the same build must reproduce every observation — byte-identical sample streams, identical
-// service-profile text, identical tier timelines, an all-zero ReplayReport. A what-if replay
+// the same build must reproduce every observation — byte-identical sample streams (equal
+// per-query stream hashes), identical service-profile text, identical tier timelines, an
+// all-zero ReplayReport. A what-if replay
 // under an edited ServiceConfig must flag exactly its intended delta, and scaled replays must
 // degrade through admission control, not crashes.
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "src/tpch/datagen.h"
 #include "src/tpch/queries.h"
 #include "src/util/check.h"
+#include "src/util/text_format.h"
 
 namespace dfp {
 namespace {
@@ -63,7 +65,6 @@ std::string Q6Variant(double lo, double hi, int quantity) {
 
 struct Recording {
   WorkloadTrace trace;
-  std::vector<std::string> streams;
   std::string profile_text;
   std::string timeline_text;
 };
@@ -74,7 +75,6 @@ struct Recording {
 Recording RecordMixedWorkload(Database& db, const ServiceConfig& config) {
   QueryService service(db, config);
   TraceRecorder recorder;
-  recorder.set_keep_streams(true);
   service.AttachRecorder(recorder);
 
   service.Submit(BuildQueryPlan(db, FindQuery("q1")), "q1");
@@ -95,12 +95,22 @@ Recording RecordMixedWorkload(Database& db, const ServiceConfig& config) {
   recorder.Finish(service);
   Recording recording;
   recording.trace = recorder.trace();
-  recording.streams = recorder.streams();
   std::ostringstream profile;
   WriteServiceProfile(service.fleet_profile(), service.windows(), profile);
   recording.profile_text = profile.str();
   recording.timeline_text = RenderTierTimeline(service.windows(), service.tier_controller());
   return recording;
+}
+
+// Each replayed query's stream hash equals the recorded one, and every completed query hashed
+// a non-empty stream.
+void ExpectSameStreams(const WorkloadTrace& recorded, const WorkloadTrace& replayed) {
+  ASSERT_EQ(replayed.queries.size(), recorded.queries.size());
+  for (size_t i = 0; i < recorded.queries.size(); ++i) {
+    EXPECT_FALSE(recorded.queries[i].completed && recorded.queries[i].stream_hash == 0);
+    EXPECT_EQ(replayed.queries[i].stream_hash, recorded.queries[i].stream_hash)
+        << "query " << i + 1;
+  }
 }
 
 TEST(ReplayServiceTest, ZeroDiffReplayReproducesEveryObservation) {
@@ -125,9 +135,7 @@ TEST(ReplayServiceTest, ZeroDiffReplayReproducesEveryObservation) {
   EXPECT_EQ(EncodeTraceText(parsed), text);
 
   auto replay_db = MakeDb(config);
-  ReplayOptions options;
-  options.keep_streams = true;
-  const ReplayRun run = ReplayTrace(*replay_db, parsed, options);
+  const ReplayRun run = ReplayTrace(*replay_db, parsed);
 
   const ReplayReport report = DiffTraces(recording.trace, run.trace);
   EXPECT_TRUE(report.identical) << RenderReplayReport(report);
@@ -138,12 +146,14 @@ TEST(ReplayServiceTest, ZeroDiffReplayReproducesEveryObservation) {
   EXPECT_EQ(report.results_diverged, 0u);
 
   // Byte-identical sample streams, per query.
-  ASSERT_EQ(run.sample_streams.size(), recording.streams.size());
-  for (size_t i = 0; i < recording.streams.size(); ++i) {
-    EXPECT_FALSE(recording.trace.queries[i].completed && recording.streams[i].empty());
-    EXPECT_EQ(run.sample_streams[i], recording.streams[i]) << "query " << i + 1;
+  ExpectSameStreams(recording.trace, run.trace);
+  // Identical rendered service views. The profile's `crit` lines fold every run's task DAG,
+  // so equal texts mean every fingerprint's critical path came back too.
+  for (const PlanTemplate& plan : recording.trace.templates) {
+    EXPECT_NE(recording.profile_text.find("\ncrit " + Hex16(plan.structure) + " "),
+              std::string::npos)
+        << plan.name;
   }
-  // Identical rendered service views.
   EXPECT_EQ(run.service_profile_text, recording.profile_text);
   EXPECT_EQ(run.tier_timeline_text, recording.timeline_text);
   // The replayed run's own trace re-serializes to the exact recorded text.
@@ -257,7 +267,6 @@ TEST(ReplayServiceTest, AttachingRecorderToWarmedServiceThrows) {
 Recording RecordTunedQ6(Database& db, const ServiceConfig& config, double scan_estimate) {
   QueryService service(db, config);
   TraceRecorder recorder;
-  recorder.set_keep_streams(true);
   service.AttachRecorder(recorder);
 
   PhysicalOpPtr plan = BuildQueryPlan(db, FindQuery("q6"));
@@ -274,7 +283,6 @@ Recording RecordTunedQ6(Database& db, const ServiceConfig& config, double scan_e
   recorder.Finish(service);
   Recording recording;
   recording.trace = recorder.trace();
-  recording.streams = recorder.streams();
   return recording;
 }
 
@@ -290,18 +298,15 @@ TEST(ReplayServiceTest, HandSetEstimatesSurviveReplayRefinalization) {
 
   // The hand-set estimate is load-bearing: it shrinks the morsels, which moves every task
   // boundary and sample, so the tuned recording's stream differs from the stock one.
-  ASSERT_EQ(stock.streams.size(), 1u);
-  ASSERT_EQ(tuned.streams.size(), 1u);
-  ASSERT_NE(tuned.streams[0], stock.streams[0]);
+  ASSERT_EQ(stock.trace.queries.size(), 1u);
+  ASSERT_EQ(tuned.trace.queries.size(), 1u);
+  ASSERT_NE(tuned.trace.queries[0].stream_hash, stock.trace.queries[0].stream_hash);
 
   auto replay_db = MakeDb(config);
-  ReplayOptions options;
-  options.keep_streams = true;
-  const ReplayRun run = ReplayTrace(*replay_db, tuned.trace, options);
+  const ReplayRun run = ReplayTrace(*replay_db, tuned.trace);
   const ReplayReport report = DiffTraces(tuned.trace, run.trace);
   EXPECT_TRUE(report.identical) << RenderReplayReport(report);
-  ASSERT_EQ(run.sample_streams.size(), 1u);
-  EXPECT_EQ(run.sample_streams[0], tuned.streams[0]);
+  ExpectSameStreams(tuned.trace, run.trace);
 }
 
 // The misestimated join spine from the reopt service tests: supplier (estimate 100) sits below
@@ -322,7 +327,6 @@ Recording RecordReoptWorkload(Database& db, const ServiceConfig& config, int run
                               uint64_t* kept) {
   QueryService service(db, config);
   TraceRecorder recorder;
-  recorder.set_keep_streams(true);
   service.AttachRecorder(recorder);
   for (int i = 0; i < runs; ++i) {
     service.Submit(MisestimatedSpine(db), "q_spine");
@@ -332,7 +336,6 @@ Recording RecordReoptWorkload(Database& db, const ServiceConfig& config, int run
   *kept = service.reopts().kept();
   Recording recording;
   recording.trace = recorder.trace();
-  recording.streams = recorder.streams();
   std::ostringstream profile;
   WriteServiceProfile(service.fleet_profile(), service.windows(), profile);
   recording.profile_text = profile.str();
@@ -359,16 +362,11 @@ TEST(ReplayServiceTest, ReoptClosedLoopReplaysByteIdentical) {
   const WorkloadTrace parsed = ReadTrace(in);
 
   auto replay_db = MakeDb(config);
-  ReplayOptions options;
-  options.keep_streams = true;
-  const ReplayRun run = ReplayTrace(*replay_db, parsed, options);
+  const ReplayRun run = ReplayTrace(*replay_db, parsed);
   const ReplayReport report = DiffTraces(recording.trace, run.trace);
   EXPECT_TRUE(report.identical) << RenderReplayReport(report);
   EXPECT_TRUE(report.streams_identical);
-  ASSERT_EQ(run.sample_streams.size(), recording.streams.size());
-  for (size_t i = 0; i < recording.streams.size(); ++i) {
-    EXPECT_EQ(run.sample_streams[i], recording.streams[i]) << "query " << i + 1;
-  }
+  ExpectSameStreams(recording.trace, run.trace);
   EXPECT_EQ(run.service_profile_text, recording.profile_text);
   EXPECT_EQ(run.tier_timeline_text, recording.timeline_text);
 }

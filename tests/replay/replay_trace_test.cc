@@ -3,6 +3,7 @@
 // the knob table's round trip, and truncated/corrupt-line error paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -14,6 +15,7 @@
 #include "src/replay/plan_codec.h"
 #include "src/replay/trace.h"
 #include "src/service/fingerprint.h"
+#include "src/sql/binder.h"
 #include "src/tpch/datagen.h"
 #include "src/tpch/queries.h"
 #include "src/util/check.h"
@@ -281,21 +283,64 @@ TEST(PlanCodecTest, TokenRoundTripAndEdgeCases) {
   EXPECT_THROW(DecodeToken("bad%zz"), Error);   // Non-hex escape.
 }
 
+// Levels of `expr` over its deepest leaf.
+uint32_t ExprHeight(const Expr& expr) {
+  uint32_t height = 0;
+  auto over = [&height](const ExprPtr& operand) {
+    if (operand != nullptr) {
+      height = std::max(height, ExprHeight(*operand) + 1);
+    }
+  };
+  for (const auto& [condition, value] : expr.whens) {
+    over(condition);
+    over(value);
+  }
+  over(expr.left);
+  over(expr.right);
+  over(expr.else_value);
+  return height;
+}
+
+// A WHERE clause of `operators` chained additions under a BETWEEN, which the binder expands into
+// two comparisons: the planned expression is one level higher than the SQL one.
+std::string ChainUnderBetween(uint32_t operators) {
+  std::string sql = "select l_orderkey from lineitem where l_orderkey";
+  for (uint32_t i = 0; i < operators; ++i) {
+    sql += "+1";
+  }
+  return sql + " between 1 and 5000000 limit 1";
+}
+
 TEST(PlanCodecTest, EveryTpchPlanRoundTripsWithIdenticalFingerprint) {
   auto db = MakeDb();
+  std::vector<std::pair<std::string, PhysicalOpPtr>> plans;
   for (const QuerySpec& spec : TpchQuerySuite()) {
-    PhysicalOpPtr original = BuildQueryPlan(*db, spec);
+    plans.emplace_back(spec.name, BuildQueryPlan(*db, spec));
+  }
+  // The deepest expression the SQL front end accepts (kMaxExprNesting levels), planned one
+  // level higher: the codec's expression bound admits it exactly.
+  plans.emplace_back("deepest chain", PlanSql(*db, ChainUnderBetween(kMaxExprNesting - 1)));
+  uint32_t deepest = 0;
+  for (const PhysicalOp* op : PlanOperators(*plans.back().second)) {
+    for (const ExprPtr& expr : op->exprs) {
+      deepest = std::max(deepest, ExprHeight(*expr));
+    }
+  }
+  EXPECT_EQ(deepest, kMaxExprNesting + 1);
+  EXPECT_THROW(PlanSql(*db, ChainUnderBetween(kMaxExprNesting)), Error);
+
+  for (const auto& [name, original] : plans) {
     const PlanFingerprint before = FingerprintPlan(*original, db->catalog_version());
     const std::string text = EncodePlanText(*original);
 
     PhysicalOpPtr parsed = ParsePlanText(text, *db);
     const PlanFingerprint after = FingerprintPlan(*parsed, db->catalog_version());
-    EXPECT_EQ(before.structure, after.structure) << spec.name;
-    EXPECT_EQ(before.literals, after.literals) << spec.name;
-    EXPECT_EQ(before.pinned, after.pinned) << spec.name;
+    EXPECT_EQ(before.structure, after.structure) << name;
+    EXPECT_EQ(before.literals, after.literals) << name;
+    EXPECT_EQ(before.pinned, after.pinned) << name;
 
     // Serialization is a fixed point: re-encoding the parsed plan is byte-identical.
-    EXPECT_EQ(EncodePlanText(*parsed), text) << spec.name;
+    EXPECT_EQ(EncodePlanText(*parsed), text) << name;
   }
 }
 
@@ -353,6 +398,30 @@ TEST(PlanCodecTest, MalformedPlansThrow) {
            "op 0 1 0 0 0 -1 0 0000000000000000 - % 0 0 0 0 0 0 1\n"
            "x 0 0 0 0 0 0 0 % 2305843009213693951 0 0 0 0\nendplan\n"}) {
     EXPECT_THROW(ParsePlanText(plan, *db), Error) << plan;
+  }
+  // So is a block nested deeper than any plan dfp builds, instead of overflowing the stack: an
+  // operator tree 200,000 levels deep, an expression as deep, and one a level past the bound
+  // that admits the deepest expression the front end plans (kMaxExprNesting + 1 levels).
+  auto nested = [](const std::string& head, const std::string& line, const std::string& leaf,
+                   uint32_t levels) {
+    std::string plan = head;
+    for (uint32_t i = 0; i < levels; ++i) {
+      plan += line;
+    }
+    return plan + leaf + "endplan\n";
+  };
+  const std::string leaf_op = "op 0 1 0 0 0 -1 0 0000000000000000 - % 0 0 0 0 0 0 0\n";
+  const std::string op_with_child = "op 0 1 1 0 0 -1 0 0000000000000000 - % 0 0 0 0 0 0 0\n";
+  const std::string op_with_expr = "op 0 1 0 0 0 -1 0 0000000000000000 - % 0 0 0 0 0 0 1\n";
+  const std::string expr_with_left = "x 0 0 0 0 0 0 0 % 0 0 1 0 0\n";
+  const std::string column = "x 0 0 0 0 0 0 0 % 0 0 0 0 0\n";
+  EXPECT_NO_THROW(
+      ParsePlanText(nested(op_with_expr, expr_with_left, column, kMaxExprNesting + 1), *db));
+  for (const std::string& plan : {nested("", op_with_child, leaf_op, 200'000),
+                                  nested(op_with_expr, expr_with_left, column, 200'000),
+                                  nested(op_with_expr, expr_with_left, column,
+                                         kMaxExprNesting + 2)}) {
+    EXPECT_THROW(ParsePlanText(plan, *db), Error) << plan.substr(0, 200);
   }
 }
 

@@ -56,15 +56,6 @@ TicketId RunOne(QueryService& service, Database& db, const std::string& name) {
   return id;
 }
 
-// The task boundaries of a ticket's run, as its DAG's nodes carry them.
-std::vector<TaskBoundary> DagTasks(const QueryTicket& ticket) {
-  std::vector<TaskBoundary> tasks;
-  for (const TaskNode& node : ticket.dag.nodes) {
-    tasks.push_back(node.task);
-  }
-  return tasks;
-}
-
 TEST(SchedFeedback, SlackOrderingKeepsResultsByteIdenticalToFifo) {
   // The slack policy only permutes schedules — morsel order within a scan and steal victims —
   // so a slack-scheduled service must produce bit-identical results to the FIFO one, while its
@@ -102,7 +93,8 @@ TEST(SchedFeedback, DoubleRunSlackSchedulingIsDeterministic) {
   // Steal-victim tie-break determinism: under a flat slack profile every victim comparison
   // falls through to the NUMA-then-lowest-id tie-break, and under a learned one the stable
   // deque sort keeps equal-slack morsels in deal order — either way two identical services
-  // must produce byte-identical sample streams, task schedules, and slack stores.
+  // must produce byte-identical sample streams, slack stores (folded from every run's task
+  // DAG), and critical-path reports.
   ServiceConfig config = TestConfig();
   config.sched.slack_scheduling = true;
 
@@ -114,13 +106,14 @@ TEST(SchedFeedback, DoubleRunSlackSchedulingIsDeterministic) {
       const QueryTicket& ticket = service.ticket(id);
       EXPECT_EQ(ticket.status, TicketStatus::kDone);
       std::ostringstream out;
-      WriteSamples(ticket.session->samples(), out, DagTasks(ticket));
+      WriteSamples(ticket.session->samples(), out);
       streams->push_back(out.str());
     }
     std::ostringstream state;
     WriteServiceState(service.fleet_profile(), service.windows(), service.baseline(),
                       service.ServiceNowCycles(), state, &service.slack());
     streams->push_back(state.str());
+    streams->push_back(RenderCriticalPath(service.criticality()));
     return service.sched_stats();
   };
 
@@ -288,9 +281,12 @@ TEST(SchedFeedback, RepairKeptWhenRelocationWins) {
   ASSERT_EQ(service.ticket(first).status, TicketStatus::kDone);
   // The misplacement must actually show up as a remote-DRAM-bound verdict — that is the
   // trigger the whole loop hangs off.
+  const PlanCriticality* crit =
+      service.criticality().Find(service.ticket(first).fingerprint.structure);
+  ASSERT_NE(crit, nullptr);
   bool remote_bound = false;
-  for (const PipelineVerdict& v : service.ticket(first).verdicts) {
-    remote_bound |= v.label == Bottleneck::kRemoteDramBound;
+  for (const Bottleneck label : crit->pipeline_labels) {
+    remote_bound |= label == Bottleneck::kRemoteDramBound;
   }
   ASSERT_TRUE(remote_bound) << "misplaced columns did not produce a remote-DRAM-bound verdict";
 

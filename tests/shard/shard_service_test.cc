@@ -104,7 +104,6 @@ TEST(ShardedService, FanoutResultsMatchUnshardedEngine) {
     // The stitched timing must include the coordinator merge on top of the slowest shard.
     EXPECT_GT(ticket.merge_cycles, 0u) << FanoutWorkload()[i];
     EXPECT_GE(ticket.execute_cycles, ticket.merge_cycles);
-    EXPECT_GE(ticket.critical_cycles, ticket.merge_cycles);
   }
   EXPECT_EQ(sharded.fanout_queries(), FanoutWorkload().size());
   EXPECT_EQ(sharded.routed_queries(), 0u);

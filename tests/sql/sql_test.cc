@@ -161,6 +161,15 @@ std::string Nested(const std::string& open, const std::string& core, const std::
   return sql + " from lineitem limit 1";
 }
 
+// `operators` additions chained onto `head` (a left-deep tree of that height).
+std::string Chain(const std::string& head, uint32_t operators) {
+  std::string sql = head;
+  for (uint32_t i = 0; i < operators; ++i) {
+    sql += "+1";
+  }
+  return sql;
+}
+
 TEST(Parser, NestingPastTheLimitIsAnErrorNotAStackOverflow) {
   for (const uint32_t levels : {kMaxExprNesting + 1, 100'000u}) {
     try {
@@ -180,15 +189,22 @@ TEST(Parser, NestingPastTheLimitIsAnErrorNotAStackOverflow) {
   // Exactly the limit parses, whichever constructs make it up; one level more does not.
   EXPECT_NO_THROW(ParseSelect(Nested("(", "l_orderkey", ")", kMaxExprNesting)));
   EXPECT_NO_THROW(ParseSelect(Nested("- ", "l_orderkey", "", kMaxExprNesting)));
-  EXPECT_NO_THROW(ParseSelect(Nested("not ", "l_orderkey = 1", "", kMaxExprNesting)));
+  // The comparison under the NOTs is a level of its own.
+  EXPECT_NO_THROW(ParseSelect(Nested("not ", "l_orderkey = 1", "", kMaxExprNesting - 1)));
+  EXPECT_THROW(ParseSelect(Nested("not ", "l_orderkey = 1", "", kMaxExprNesting)), Error);
   EXPECT_NO_THROW(ParseSelect(Nested("(- ", "l_orderkey", ")", kMaxExprNesting / 2)));
   EXPECT_THROW(ParseSelect(Nested("(- ", "(l_orderkey)", ")", kMaxExprNesting / 2)), Error);
-  // Binary-operator chains loop instead of nesting, so a long one is not bounded.
-  std::string chain = "select l_orderkey";
-  for (int i = 0; i < 20'000; ++i) {
-    chain += "+1";
+  // Binary-operator chains loop instead of nesting, but each operator is a level of the tree
+  // every later pass recurses over, so the chain is bounded too...
+  const std::string from = " from lineitem limit 1";
+  EXPECT_NO_THROW(ParseSelect(Chain("select l_orderkey", kMaxExprNesting) + from));
+  for (const uint32_t operators : {kMaxExprNesting + 1, 20'000u}) {
+    EXPECT_THROW(ParseSelect(Chain("select l_orderkey", operators) + from), Error) << operators;
   }
-  EXPECT_NO_THROW(ParseSelect(chain + " from lineitem limit 1"));
+  // ...also where parentheses cut it into stretches that each stay below the limit.
+  const uint32_t half = kMaxExprNesting / 2 + 1;
+  EXPECT_THROW(ParseSelect(Chain(Chain("select (l_orderkey", half) + ")", half) + from), Error);
+  EXPECT_NO_THROW(ParseSelect(Chain(Chain("select (l_orderkey", half) + ")", half - 2) + from));
 }
 
 class BinderTest : public ::testing::Test {
@@ -329,6 +345,19 @@ TEST_F(BinderTest, DistinctDeduplicates) {
   ASSERT_EQ(result.row_count(), 2u);
   EXPECT_EQ(result.CellToString(db.strings(), 0, 0), "even");
   EXPECT_EQ(result.CellToString(db.strings(), 1, 0), "odd");
+}
+
+TEST_F(BinderTest, DeepestOperatorChainRunsAndALongerOneIsAnError) {
+  // The deepest chain the front end accepts plans, compiles and runs; a longer one is refused
+  // before any pass recurses over it.
+  QueryEngine engine(&db);
+  const std::string where = " from items where id = 7";
+  Result result = engine.Run(PlanSql(db, Chain("select id", kMaxExprNesting) + where));
+  ASSERT_EQ(result.row_count(), 1u);
+  EXPECT_EQ(result.at(0, 0), 7 + static_cast<int64_t>(kMaxExprNesting));
+  for (const uint32_t operators : {kMaxExprNesting + 1, 20'000u}) {
+    EXPECT_THROW(PlanSql(db, Chain("select id", operators) + where), Error) << operators;
+  }
 }
 
 TEST_F(BinderTest, GroupByExpressionMatchedInSelectAndOrder) {

@@ -32,8 +32,6 @@ import sys
 
 # Findings that stay, each with the reason it stays.
 _CALIBRATION = "the compile-cost calibration record perfbench constructs; kCompileCosts holds it"
-_KEPT_OUTPUT = ("replay tests keep the replayed streams and DAG texts to compare them byte for "
-                "byte; no replay keeps them by default because they cost memory")
 ALLOWED = {
     "unset CompileCostModel::base_cycles": _CALIBRATION,
     "unset CompileCostModel::per_ir_instr": _CALIBRATION,
@@ -49,8 +47,6 @@ ALLOWED = {
         "the only switch for multi-level tag packing (paper Section 4.2.5)",
     "unset ReoptRewriteOptions::semi_join_reduction":
         "the only switch for the semi-join reduction rewrite",
-    "unset ReplayOptions::keep_dags": _KEPT_OUTPUT,
-    "unset ReplayOptions::keep_streams": _KEPT_OUTPUT,
     "unset SchedFeedbackConfig::repair_pessimize":
         "fault injection: the repair-guard tests make a repair regress so it must be reverted",
     "unset ServiceConfig::state_path":
