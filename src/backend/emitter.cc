@@ -96,59 +96,17 @@ class Emitter {
   }
 
   void EmitPrologue() {
-    // Arguments arrive in r0..rN; move them to their allocated homes. Spills first (they free
-    // their source registers for the permutation), then register moves in clobber-safe order.
+    // Arguments arrive in r0..rN. They are the lowest vregs and all live from position 0, so the
+    // allocator gives each its arrival register first: a used argument stays there or is spilled,
+    // and only the spills need code. Past r11 an argument has no allocatable arrival register.
     const uint32_t first_id = FirstInstrId();
-    struct Move {
-      uint8_t src;
-      uint8_t dst;
-    };
-    std::vector<Move> reg_moves;
     for (uint8_t i = 0; i < function_.num_args(); ++i) {
       const VRegLocation& loc = alloc_.loc(i);
-      if (!loc.allocated) {
-        continue;  // Unused argument.
-      }
+      DFP_CHECK(i <= kLastAllocatable && (!loc.allocated || loc.spilled || loc.preg == i));
       if (loc.spilled) {
         MInstr& instr = Emit(Opcode::kStoreSpill, first_id);
         instr.ra = i;
         instr.spill_slot = loc.slot;
-      } else if (loc.preg != i) {
-        reg_moves.push_back({i, loc.preg});
-      }
-    }
-    // Emit register moves, breaking cycles through a scratch register.
-    while (!reg_moves.empty()) {
-      bool progress = false;
-      for (size_t i = 0; i < reg_moves.size(); ++i) {
-        const Move move = reg_moves[i];
-        bool dst_is_pending_src = false;
-        for (const Move& other : reg_moves) {
-          if (other.src == move.dst) {
-            dst_is_pending_src = true;
-            break;
-          }
-        }
-        if (!dst_is_pending_src) {
-          MInstr& instr = Emit(Opcode::kMov, first_id);
-          instr.dst = move.dst;
-          instr.ra = move.src;
-          reg_moves.erase(reg_moves.begin() + static_cast<ptrdiff_t>(i));
-          progress = true;
-          break;
-        }
-      }
-      if (!progress) {
-        // Pure cycle: rotate through scratch.
-        const Move move = reg_moves.front();
-        MInstr& save = Emit(Opcode::kMov, first_id);
-        save.dst = kScratch0;
-        save.ra = move.src;
-        for (Move& other : reg_moves) {
-          if (other.src == move.src) {
-            other.src = kScratch0;
-          }
-        }
       }
     }
   }
@@ -163,7 +121,6 @@ class Emitter {
   }
 
   void EmitInstr(const IrInstr& ir) {
-    const bool tag_related = ir.op == Opcode::kSetTag || ir.op == Opcode::kGetTag;
     switch (ir.op) {
       case Opcode::kConst:
       case Opcode::kMov: {
@@ -185,11 +142,9 @@ class Emitter {
         FinishDst(ir.dst, dst, ir.id);
         break;
       }
-      case Opcode::kNot:
       case Opcode::kNeg:
       case Opcode::kFNeg:
-      case Opcode::kSiToFp:
-      case Opcode::kFpToSi: {
+      case Opcode::kSiToFp: {
         const uint8_t src = UseReg(ir.a, kScratch0, ir.id);
         const uint8_t dst = DstReg(ir.dst);
         MInstr& instr = Emit(ir.op, ir.id);
@@ -248,7 +203,6 @@ class Emitter {
         break;
       }
       case Opcode::kLoad1:
-      case Opcode::kLoad2:
       case Opcode::kLoad4:
       case Opcode::kLoad8: {
         const uint8_t addr = UseReg(ir.a, kScratch0, ir.id);
@@ -260,9 +214,6 @@ class Emitter {
         FinishDst(ir.dst, dst, ir.id);
         break;
       }
-      case Opcode::kStore1:
-      case Opcode::kStore2:
-      case Opcode::kStore4:
       case Opcode::kStore8: {
         const uint8_t value = UseReg(ir.a, kScratch0, ir.id);
         const uint8_t addr = UseReg(ir.b, kScratch1, ir.id);
@@ -380,7 +331,6 @@ class Emitter {
       case Opcode::kStoreSpill:
         DFP_UNREACHABLE();
     }
-    (void)tag_related;
   }
 
   void PatchBranches() {

@@ -58,9 +58,6 @@ inline bool IsPure(const IrInstr& instr) {
     case Opcode::kCondBr:
     case Opcode::kRet:
     case Opcode::kSetTag:
-    case Opcode::kStore1:
-    case Opcode::kStore2:
-    case Opcode::kStore4:
     case Opcode::kStore8:
       return false;
     default:
@@ -69,8 +66,7 @@ inline bool IsPure(const IrInstr& instr) {
 }
 
 // True if the instruction's value can be computed at compile time from constant operands.
-// Loads and GetTag are excluded (their value depends on runtime state); division is excluded
-// when the divisor is zero (the trap must stay).
+// Loads and GetTag are excluded: their value depends on runtime state.
 inline bool IsFoldable(const IrInstr& instr) {
   if (!IsPure(instr) || IsLoad(instr.op) || instr.op == Opcode::kGetTag ||
       instr.op == Opcode::kSelect) {

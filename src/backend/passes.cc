@@ -8,115 +8,17 @@
 
 #include "src/backend/liveness.h"
 #include "src/util/check.h"
-#include "src/util/hash.h"
 
 namespace dfp {
 namespace {
-
-inline int64_t S(uint64_t v) { return static_cast<int64_t>(v); }
-inline double D(uint64_t v) { return std::bit_cast<double>(v); }
-inline uint64_t FromD(double v) { return std::bit_cast<uint64_t>(v); }
-
-inline uint64_t RotateRight(uint64_t value, uint64_t amount) {
-  amount &= 63u;
-  if (amount == 0) {
-    return value;
-  }
-  return (value >> amount) | (value << (64 - amount));
-}
-
-// Compile-time evaluation of a pure operation on constant operands.
-std::optional<uint64_t> EvalPure(Opcode op, uint64_t a, uint64_t b) {
-  switch (op) {
-    case Opcode::kMov:
-    case Opcode::kConst:
-      return a;
-    case Opcode::kAdd:
-      return a + b;
-    case Opcode::kSub:
-      return a - b;
-    case Opcode::kMul:
-      return a * b;
-    case Opcode::kDiv:
-      if (b == 0) {
-        return std::nullopt;  // Keep the runtime trap.
-      }
-      return static_cast<uint64_t>(S(a) / S(b));
-    case Opcode::kRem:
-      if (b == 0) {
-        return std::nullopt;
-      }
-      return static_cast<uint64_t>(S(a) % S(b));
-    case Opcode::kAnd:
-      return a & b;
-    case Opcode::kOr:
-      return a | b;
-    case Opcode::kXor:
-      return a ^ b;
-    case Opcode::kShl:
-      return a << (b & 63);
-    case Opcode::kShr:
-      return a >> (b & 63);
-    case Opcode::kRotr:
-      return RotateRight(a, b);
-    case Opcode::kNot:
-      return ~a;
-    case Opcode::kNeg:
-      return static_cast<uint64_t>(-S(a));
-    case Opcode::kCmpEq:
-      return static_cast<uint64_t>(a == b);
-    case Opcode::kCmpNe:
-      return static_cast<uint64_t>(a != b);
-    case Opcode::kCmpLt:
-      return static_cast<uint64_t>(S(a) < S(b));
-    case Opcode::kCmpLe:
-      return static_cast<uint64_t>(S(a) <= S(b));
-    case Opcode::kCmpGt:
-      return static_cast<uint64_t>(S(a) > S(b));
-    case Opcode::kCmpGe:
-      return static_cast<uint64_t>(S(a) >= S(b));
-    case Opcode::kFAdd:
-      return FromD(D(a) + D(b));
-    case Opcode::kFSub:
-      return FromD(D(a) - D(b));
-    case Opcode::kFMul:
-      return FromD(D(a) * D(b));
-    case Opcode::kFDiv:
-      return FromD(D(a) / D(b));
-    case Opcode::kFNeg:
-      return FromD(-D(a));
-    case Opcode::kFCmpEq:
-      return static_cast<uint64_t>(D(a) == D(b));
-    case Opcode::kFCmpNe:
-      return static_cast<uint64_t>(D(a) != D(b));
-    case Opcode::kFCmpLt:
-      return static_cast<uint64_t>(D(a) < D(b));
-    case Opcode::kFCmpLe:
-      return static_cast<uint64_t>(D(a) <= D(b));
-    case Opcode::kFCmpGt:
-      return static_cast<uint64_t>(D(a) > D(b));
-    case Opcode::kFCmpGe:
-      return static_cast<uint64_t>(D(a) >= D(b));
-    case Opcode::kSiToFp:
-      return FromD(static_cast<double>(S(a)));
-    case Opcode::kFpToSi:
-      return static_cast<uint64_t>(static_cast<int64_t>(D(a)));
-    case Opcode::kCrc32:
-      return Crc32u64(static_cast<uint32_t>(a), b);
-    default:
-      return std::nullopt;
-  }
-}
 
 // True for operations that read only operand `a`.
 bool IsUnary(Opcode op) {
   switch (op) {
     case Opcode::kMov:
-    case Opcode::kNot:
     case Opcode::kNeg:
     case Opcode::kFNeg:
     case Opcode::kSiToFp:
-    case Opcode::kFpToSi:
       return true;
     default:
       return false;
@@ -153,10 +55,10 @@ int ConstantFoldPass(IrFunction& function, LineageListener* lineage) {
       // (plan literals) are runtime values subject to patching — never bake them into results.
       if (IsFoldable(instr) && instr.a.IsImm() && !instr.a.IsParam() &&
           (IsUnary(instr.op) || (instr.b.IsImm() && !instr.b.IsParam()))) {
-        std::optional<uint64_t> folded = EvalPure(instr.op, static_cast<uint64_t>(instr.a.imm),
-                                                  instr.b.IsImm()
-                                                      ? static_cast<uint64_t>(instr.b.imm)
-                                                      : 0);
+        // A trapping operation stays in place, so the trap happens at run time.
+        const std::optional<uint64_t> folded =
+            EvalOp(instr.op, static_cast<uint64_t>(instr.a.imm),
+                   instr.b.IsImm() ? static_cast<uint64_t>(instr.b.imm) : 0, 0);
         if (folded.has_value()) {
           instr.op = Opcode::kConst;
           instr.a = Value::Imm(static_cast<int64_t>(*folded));

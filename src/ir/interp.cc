@@ -1,27 +1,11 @@
 #include "src/ir/interp.h"
 
-#include <bit>
+#include <optional>
 #include <vector>
 
 #include "src/util/check.h"
-#include "src/util/hash.h"
 
 namespace dfp {
-namespace {
-
-inline int64_t S(uint64_t v) { return static_cast<int64_t>(v); }
-inline double D(uint64_t v) { return std::bit_cast<double>(v); }
-inline uint64_t FromD(double v) { return std::bit_cast<uint64_t>(v); }
-
-inline uint64_t RotateRight(uint64_t value, uint64_t amount) {
-  amount &= 63u;
-  if (amount == 0) {
-    return value;
-  }
-  return (value >> amount) | (value << (64 - amount));
-}
-
-}  // namespace
 
 uint64_t InterpretIr(const IrFunction& function, std::span<const uint64_t> args, VMem& mem,
                      IrInterpEnv* env, uint64_t max_steps) {
@@ -58,116 +42,8 @@ uint64_t InterpretIr(const IrFunction& function, std::span<const uint64_t> args,
     const uint64_t a = value_of(in.a);
     const uint64_t b = value_of(in.b);
     switch (in.op) {
-      case Opcode::kConst:
-      case Opcode::kMov:
-        regs[in.dst] = a;
-        break;
-      case Opcode::kAdd:
-        regs[in.dst] = a + b;
-        break;
-      case Opcode::kSub:
-        regs[in.dst] = a - b;
-        break;
-      case Opcode::kMul:
-        regs[in.dst] = a * b;
-        break;
-      case Opcode::kDiv:
-        DFP_CHECK(b != 0);
-        regs[in.dst] = static_cast<uint64_t>(S(a) / S(b));
-        break;
-      case Opcode::kRem:
-        DFP_CHECK(b != 0);
-        regs[in.dst] = static_cast<uint64_t>(S(a) % S(b));
-        break;
-      case Opcode::kAnd:
-        regs[in.dst] = a & b;
-        break;
-      case Opcode::kOr:
-        regs[in.dst] = a | b;
-        break;
-      case Opcode::kXor:
-        regs[in.dst] = a ^ b;
-        break;
-      case Opcode::kShl:
-        regs[in.dst] = a << (b & 63);
-        break;
-      case Opcode::kShr:
-        regs[in.dst] = a >> (b & 63);
-        break;
-      case Opcode::kRotr:
-        regs[in.dst] = RotateRight(a, b);
-        break;
-      case Opcode::kNot:
-        regs[in.dst] = ~a;
-        break;
-      case Opcode::kNeg:
-        regs[in.dst] = static_cast<uint64_t>(-S(a));
-        break;
-      case Opcode::kCmpEq:
-        regs[in.dst] = a == b;
-        break;
-      case Opcode::kCmpNe:
-        regs[in.dst] = a != b;
-        break;
-      case Opcode::kCmpLt:
-        regs[in.dst] = S(a) < S(b);
-        break;
-      case Opcode::kCmpLe:
-        regs[in.dst] = S(a) <= S(b);
-        break;
-      case Opcode::kCmpGt:
-        regs[in.dst] = S(a) > S(b);
-        break;
-      case Opcode::kCmpGe:
-        regs[in.dst] = S(a) >= S(b);
-        break;
-      case Opcode::kFAdd:
-        regs[in.dst] = FromD(D(a) + D(b));
-        break;
-      case Opcode::kFSub:
-        regs[in.dst] = FromD(D(a) - D(b));
-        break;
-      case Opcode::kFMul:
-        regs[in.dst] = FromD(D(a) * D(b));
-        break;
-      case Opcode::kFDiv:
-        regs[in.dst] = FromD(D(a) / D(b));
-        break;
-      case Opcode::kFNeg:
-        regs[in.dst] = FromD(-D(a));
-        break;
-      case Opcode::kFCmpEq:
-        regs[in.dst] = D(a) == D(b);
-        break;
-      case Opcode::kFCmpNe:
-        regs[in.dst] = D(a) != D(b);
-        break;
-      case Opcode::kFCmpLt:
-        regs[in.dst] = D(a) < D(b);
-        break;
-      case Opcode::kFCmpLe:
-        regs[in.dst] = D(a) <= D(b);
-        break;
-      case Opcode::kFCmpGt:
-        regs[in.dst] = D(a) > D(b);
-        break;
-      case Opcode::kFCmpGe:
-        regs[in.dst] = D(a) >= D(b);
-        break;
-      case Opcode::kSiToFp:
-        regs[in.dst] = FromD(static_cast<double>(S(a)));
-        break;
-      case Opcode::kFpToSi:
-        regs[in.dst] = static_cast<uint64_t>(static_cast<int64_t>(D(a)));
-        break;
-      case Opcode::kCrc32:
-        regs[in.dst] = Crc32u64(static_cast<uint32_t>(a), b);
-        break;
       case Opcode::kLoad1:
         regs[in.dst] = mem.Read<uint8_t>(a + static_cast<uint64_t>(static_cast<int64_t>(in.disp)));
-        break;
-      case Opcode::kLoad2:
-        regs[in.dst] = mem.Read<uint16_t>(a + static_cast<uint64_t>(static_cast<int64_t>(in.disp)));
         break;
       case Opcode::kLoad4:
         regs[in.dst] = static_cast<uint64_t>(static_cast<int64_t>(
@@ -176,23 +52,8 @@ uint64_t InterpretIr(const IrFunction& function, std::span<const uint64_t> args,
       case Opcode::kLoad8:
         regs[in.dst] = mem.Read<uint64_t>(a + static_cast<uint64_t>(static_cast<int64_t>(in.disp)));
         break;
-      case Opcode::kStore1:
-        mem.Write<uint8_t>(b + static_cast<uint64_t>(static_cast<int64_t>(in.disp)),
-                           static_cast<uint8_t>(a));
-        break;
-      case Opcode::kStore2:
-        mem.Write<uint16_t>(b + static_cast<uint64_t>(static_cast<int64_t>(in.disp)),
-                            static_cast<uint16_t>(a));
-        break;
-      case Opcode::kStore4:
-        mem.Write<uint32_t>(b + static_cast<uint64_t>(static_cast<int64_t>(in.disp)),
-                            static_cast<uint32_t>(a));
-        break;
       case Opcode::kStore8:
         mem.Write<uint64_t>(b + static_cast<uint64_t>(static_cast<int64_t>(in.disp)), a);
-        break;
-      case Opcode::kSelect:
-        regs[in.dst] = a != 0 ? b : value_of(in.c);
         break;
       case Opcode::kBr:
         block = in.target0;
@@ -226,6 +87,12 @@ uint64_t InterpretIr(const IrFunction& function, std::span<const uint64_t> args,
       case Opcode::kLoadSpill:
       case Opcode::kStoreSpill:
         DFP_UNREACHABLE();
+      default: {
+        const std::optional<uint64_t> value = EvalOp(in.op, a, b, value_of(in.c));
+        DFP_CHECK(value.has_value());
+        regs[in.dst] = *value;
+        break;
+      }
     }
   }
 }

@@ -3,6 +3,9 @@
 // Executes a function directly on virtual registers against a VMem, with calls dispatched through
 // an environment callback. It has no cost model and is used as the correctness oracle for the
 // backend: optimization passes and register allocation must not change what a function computes.
+// Its arithmetic is EvalOp's (src/ir/opcode.h), the same the folder and the VCPU use, so it checks
+// what the backend does with operations, not what they compute; an operation that traps fails a
+// DFP_CHECK.
 #ifndef DFP_SRC_IR_INTERP_H_
 #define DFP_SRC_IR_INTERP_H_
 

@@ -61,15 +61,11 @@ std::string InstrToString(const IrInstr& instr, const IrFunction& function) {
       }
       break;
     }
-    case Opcode::kStore1:
-    case Opcode::kStore2:
-    case Opcode::kStore4:
     case Opcode::kStore8:
       out = StrFormat("%s %s, [%s + %d]", OpcodeName(instr.op), value(instr.a).c_str(),
                       ValueToString(instr.b, IrType::kI64).c_str(), instr.disp);
       break;
     case Opcode::kLoad1:
-    case Opcode::kLoad2:
     case Opcode::kLoad4:
     case Opcode::kLoad8:
       out = StrFormat("%%%u = %s [%s + %d]", instr.dst, OpcodeName(instr.op),

@@ -1,6 +1,7 @@
 #include "src/util/hash.h"
 
 #include <array>
+#include <bit>
 #include <cstddef>
 
 namespace dfp {
@@ -31,14 +32,6 @@ constexpr CrcTables BuildCrcTables() {
 
 constexpr CrcTables kCrcTables = BuildCrcTables();
 
-inline uint64_t RotateRight(uint64_t value, unsigned amount) {
-  amount &= 63u;
-  if (amount == 0) {
-    return value;
-  }
-  return (value >> amount) | (value << (64 - amount));
-}
-
 }  // namespace
 
 uint32_t Crc32u64(uint32_t seed, uint64_t value) {
@@ -59,12 +52,12 @@ uint64_t HashKey(uint64_t key) {
   //   %11 = mul %10, kHashMultiplier
   uint64_t lane1 = Crc32u64(static_cast<uint32_t>(kHashSeed1), key);
   uint64_t lane2 = Crc32u64(static_cast<uint32_t>(kHashSeed2), key);
-  uint64_t mixed = lane1 ^ RotateRight(lane2, 32);
+  uint64_t mixed = lane1 ^ std::rotr(lane2, 32);
   return mixed * kHashMultiplier;
 }
 
 uint64_t HashCombine(uint64_t a, uint64_t b) {
-  return RotateRight(a, 17) ^ (b * kHashMultiplier);
+  return std::rotr(a, 17) ^ (b * kHashMultiplier);
 }
 
 }  // namespace dfp

@@ -89,19 +89,15 @@ ExecInstr Lower(const MInstr& in, size_t first_arg) {
       out.xop = in.a_is_imm ? ExecOp::kMovImm : ExecOp::kMovReg;
       break;
     case Opcode::kLoad1:
-    case Opcode::kLoad2:
     case Opcode::kLoad4:
     case Opcode::kLoad8:
       DFP_CHECK(!in.a_is_imm);
       out.xop = Plus(ExecOp::kLoad1, Distance(Opcode::kLoad1, in.op));
       out.payload = static_cast<uint64_t>(static_cast<int64_t>(in.disp));
       break;
-    case Opcode::kStore1:
-    case Opcode::kStore2:
-    case Opcode::kStore4:
     case Opcode::kStore8:
       DFP_CHECK(!in.a_is_imm && !in.b_is_imm);
-      out.xop = Plus(ExecOp::kStore1, Distance(Opcode::kStore1, in.op));
+      out.xop = ExecOp::kStore8;
       out.payload = static_cast<uint64_t>(static_cast<int64_t>(in.disp));
       break;
     case Opcode::kSelect:
@@ -172,12 +168,8 @@ MInstr CodeSegment::Instr(size_t offset) const {
   out.ir_id = ir_ids[offset];
   switch (in.xop) {
     case ExecOp::kLoad1:
-    case ExecOp::kLoad2:
     case ExecOp::kLoad4:
     case ExecOp::kLoad8:
-    case ExecOp::kStore1:
-    case ExecOp::kStore2:
-    case ExecOp::kStore4:
     case ExecOp::kStore8:
       out.disp = static_cast<int32_t>(in.payload);
       break;

@@ -56,13 +56,9 @@ inline constexpr uint32_t BaseCost(Opcode op) {
     case Opcode::kFCmpGe:
       return 2;
     case Opcode::kSiToFp:
-    case Opcode::kFpToSi:
       return 4;
     case Opcode::kCrc32:
       return 3;
-    case Opcode::kStore1:
-    case Opcode::kStore2:
-    case Opcode::kStore4:
     case Opcode::kStore8:
       return 1;  // Store latency is hidden by the store buffer; cache state is still updated.
     case Opcode::kSelect:

@@ -1,103 +1,14 @@
 #include "src/vcpu/cpu.h"
 
 #include <algorithm>
-#include <bit>
+#include <optional>
 
 #include "src/util/check.h"
-#include "src/util/hash.h"
 
 namespace dfp {
 namespace {
 
 inline int64_t AsSigned(uint64_t value) { return static_cast<int64_t>(value); }
-inline double AsDouble(uint64_t value) { return std::bit_cast<double>(value); }
-inline uint64_t FromDouble(double value) { return std::bit_cast<uint64_t>(value); }
-
-inline uint64_t RotateRight(uint64_t value, uint64_t amount) {
-  amount &= 63u;
-  if (amount == 0) {
-    return value;
-  }
-  return (value >> amount) | (value << (64 - amount));
-}
-
-// The result of computation `op` on operands `a` and `b`; `c` is a select's else-value.
-uint64_t Alu(Opcode op, uint64_t a, uint64_t b, uint64_t c) {
-  switch (op) {
-    case Opcode::kAdd:
-      return a + b;
-    case Opcode::kSub:
-      return a - b;
-    case Opcode::kMul:
-      return a * b;
-    case Opcode::kDiv:
-      DFP_CHECK(b != 0);
-      return static_cast<uint64_t>(AsSigned(a) / AsSigned(b));
-    case Opcode::kRem:
-      DFP_CHECK(b != 0);
-      return static_cast<uint64_t>(AsSigned(a) % AsSigned(b));
-    case Opcode::kAnd:
-      return a & b;
-    case Opcode::kOr:
-      return a | b;
-    case Opcode::kXor:
-      return a ^ b;
-    case Opcode::kShl:
-      return a << (b & 63);
-    case Opcode::kShr:
-      return a >> (b & 63);
-    case Opcode::kRotr:
-      return RotateRight(a, b);
-    case Opcode::kNot:
-      return ~a;
-    case Opcode::kNeg:
-      return static_cast<uint64_t>(-AsSigned(a));
-    case Opcode::kCmpEq:
-      return a == b ? 1 : 0;
-    case Opcode::kCmpNe:
-      return a != b ? 1 : 0;
-    case Opcode::kCmpLt:
-      return AsSigned(a) < AsSigned(b) ? 1 : 0;
-    case Opcode::kCmpLe:
-      return AsSigned(a) <= AsSigned(b) ? 1 : 0;
-    case Opcode::kCmpGt:
-      return AsSigned(a) > AsSigned(b) ? 1 : 0;
-    case Opcode::kCmpGe:
-      return AsSigned(a) >= AsSigned(b) ? 1 : 0;
-    case Opcode::kFAdd:
-      return FromDouble(AsDouble(a) + AsDouble(b));
-    case Opcode::kFSub:
-      return FromDouble(AsDouble(a) - AsDouble(b));
-    case Opcode::kFMul:
-      return FromDouble(AsDouble(a) * AsDouble(b));
-    case Opcode::kFDiv:
-      return FromDouble(AsDouble(a) / AsDouble(b));
-    case Opcode::kFNeg:
-      return FromDouble(-AsDouble(a));
-    case Opcode::kFCmpEq:
-      return AsDouble(a) == AsDouble(b) ? 1 : 0;
-    case Opcode::kFCmpNe:
-      return AsDouble(a) != AsDouble(b) ? 1 : 0;
-    case Opcode::kFCmpLt:
-      return AsDouble(a) < AsDouble(b) ? 1 : 0;
-    case Opcode::kFCmpLe:
-      return AsDouble(a) <= AsDouble(b) ? 1 : 0;
-    case Opcode::kFCmpGt:
-      return AsDouble(a) > AsDouble(b) ? 1 : 0;
-    case Opcode::kFCmpGe:
-      return AsDouble(a) >= AsDouble(b) ? 1 : 0;
-    case Opcode::kSiToFp:
-      return FromDouble(static_cast<double>(AsSigned(a)));
-    case Opcode::kFpToSi:
-      return static_cast<uint64_t>(static_cast<int64_t>(AsDouble(a)));
-    case Opcode::kCrc32:
-      return Crc32u64(static_cast<uint32_t>(a), b);
-    case Opcode::kSelect:
-      return a != 0 ? b : c;
-    default:
-      DFP_UNREACHABLE();
-  }
-}
 
 }  // namespace
 
@@ -277,11 +188,12 @@ void Cpu::Run(size_t stop_depth) {
       case ExecOp::kAlu: {
         const uint64_t a = (in.bits & ExecInstr::kAImm) != 0 ? in.payload : r[in.ra];
         const uint64_t b = (in.bits & ExecInstr::kBImm) != 0 ? in.payload : r[in.rb];
-        r[in.dst] = Alu(in.op, a, b, r[in.rc]);
+        const std::optional<uint64_t> value = EvalOp(in.op, a, b, r[in.rc]);
+        DFP_CHECK(value.has_value());
+        r[in.dst] = *value;
         break;
       }
       case ExecOp::kLoad1:
-      case ExecOp::kLoad2:
       case ExecOp::kLoad4:
       case ExecOp::kLoad8: {
         const VAddr addr = r[in.ra] + in.payload;
@@ -294,9 +206,6 @@ void Cpu::Run(size_t stop_depth) {
           case ExecOp::kLoad1:
             value = mem_.Read<uint8_t>(addr);
             break;
-          case ExecOp::kLoad2:
-            value = mem_.Read<uint16_t>(addr);
-            break;
           case ExecOp::kLoad4:
             value = static_cast<uint64_t>(static_cast<int64_t>(mem_.Read<int32_t>(addr)));
             break;
@@ -307,30 +216,13 @@ void Cpu::Run(size_t stop_depth) {
         r[in.dst] = value;
         break;
       }
-      case ExecOp::kStore1:
-      case ExecOp::kStore2:
-      case ExecOp::kStore4:
       case ExecOp::kStore8: {
         const VAddr addr = r[in.rb] + in.payload;
-        const uint64_t value = r[in.ra];
         access = AccessData(addr);
         cycles += access.numa_penalty;  // The store buffer hides the cache latency.
         sample_due |= access.sample_due;
         sample_addr = addr;  // PEBS records store addresses too (cache-miss profiles).
-        switch (in.xop) {
-          case ExecOp::kStore1:
-            mem_.Write<uint8_t>(addr, static_cast<uint8_t>(value));
-            break;
-          case ExecOp::kStore2:
-            mem_.Write<uint16_t>(addr, static_cast<uint16_t>(value));
-            break;
-          case ExecOp::kStore4:
-            mem_.Write<uint32_t>(addr, static_cast<uint32_t>(value));
-            break;
-          default:
-            mem_.Write<uint64_t>(addr, value);
-            break;
-        }
+        mem_.Write<uint64_t>(addr, r[in.ra]);
         break;
       }
       case ExecOp::kBr:

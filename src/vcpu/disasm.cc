@@ -33,15 +33,11 @@ std::string MInstrToString(const MInstr& instr) {
       text = StrFormat("%s = mov %s", Reg(instr.dst).c_str(), OperandA(instr).c_str());
       break;
     case Opcode::kLoad1:
-    case Opcode::kLoad2:
     case Opcode::kLoad4:
     case Opcode::kLoad8:
       text = StrFormat("%s = %s [%s + %d]", Reg(instr.dst).c_str(), OpcodeName(instr.op),
                        Reg(instr.ra).c_str(), instr.disp);
       break;
-    case Opcode::kStore1:
-    case Opcode::kStore2:
-    case Opcode::kStore4:
     case Opcode::kStore8:
       text = StrFormat("%s %s, [%s + %d]", OpcodeName(instr.op), OperandA(instr).c_str(),
                        Reg(instr.rb).c_str(), instr.disp);
@@ -100,11 +96,9 @@ std::string MInstrToString(const MInstr& instr) {
     case Opcode::kStoreSpill:
       text = StrFormat("stspill %s, [%u]", Reg(instr.ra).c_str(), instr.spill_slot);
       break;
-    case Opcode::kNot:
     case Opcode::kNeg:
     case Opcode::kFNeg:
     case Opcode::kSiToFp:
-    case Opcode::kFpToSi:
       text = StrFormat("%s = %s %s", Reg(instr.dst).c_str(), OpcodeName(instr.op),
                        OperandA(instr).c_str());
       break;

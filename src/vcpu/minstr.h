@@ -89,13 +89,9 @@ enum class ExecOp : uint8_t {
   kCmpGeRI,
   kSelect,
   kAlu,
-  kLoad1,
-  kLoad2,
+  kLoad1,  // The loads in Opcode's order.
   kLoad4,
   kLoad8,
-  kStore1,
-  kStore2,
-  kStore4,
   kStore8,
   kBr,
   kCondBr,

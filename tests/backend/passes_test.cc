@@ -40,14 +40,25 @@ TEST(ConstantFold, FoldsAndPropagates) {
 }
 
 TEST(ConstantFold, DoesNotFoldDivisionByZero) {
-  IrFunction fn("f", 0);
-  IrIdAllocator ids;
-  IrBuilder b(&fn, &ids);
-  b.SetInsertPoint(b.CreateBlock("entry"));
-  uint32_t q = b.Binary(Opcode::kDiv, Value::Imm(10), Value::Imm(0));
-  b.Ret(Value::Reg(q));
-  ConstantFoldPass(fn, nullptr);
-  EXPECT_EQ(fn.block(0).instrs[0].op, Opcode::kDiv);  // Trap preserved.
+  // Every operand pair the VCPU's division traps on, including INT64_MIN by -1.
+  const struct {
+    Opcode op;
+    int64_t a;
+    int64_t b;
+  } traps[] = {{Opcode::kDiv, 10, 0},
+               {Opcode::kRem, 10, 0},
+               {Opcode::kDiv, INT64_MIN, -1},
+               {Opcode::kRem, INT64_MIN, -1}};
+  for (const auto& trap : traps) {
+    IrFunction fn("f", 0);
+    IrIdAllocator ids;
+    IrBuilder b(&fn, &ids);
+    b.SetInsertPoint(b.CreateBlock("entry"));
+    uint32_t q = b.Binary(trap.op, Value::Imm(trap.a), Value::Imm(trap.b));
+    b.Ret(Value::Reg(q));
+    ConstantFoldPass(fn, nullptr);
+    EXPECT_EQ(fn.block(0).instrs[0].op, trap.op) << trap.a << ", " << trap.b;  // Trap preserved.
+  }
 }
 
 TEST(ConstantFold, StopsAtRedefinition) {

@@ -71,7 +71,7 @@ IrFunction GenerateProgram(uint64_t seed, int size) {
         break;
       }
       case 9:
-        pool.push_back(b.Unary(Opcode::kNot, pick()));
+        pool.push_back(b.Unary(Opcode::kNeg, pick()));
         break;
     }
   }

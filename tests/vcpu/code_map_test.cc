@@ -48,8 +48,7 @@ std::vector<MInstr> EveryForm() {
   code.push_back(WithImm(Make(Opcode::kConst, 15, kNoPhysReg), INT64_MIN, true));
   code.push_back(Tagged(WithImm(Make(Opcode::kConst, 14, kNoPhysReg), INT64_MAX, true)));
   code.push_back(Make(Opcode::kMov, 0, 15));
-  for (Opcode op : {Opcode::kNot, Opcode::kNeg, Opcode::kFNeg, Opcode::kSiToFp,
-                    Opcode::kFpToSi}) {
+  for (Opcode op : {Opcode::kNeg, Opcode::kFNeg, Opcode::kSiToFp}) {
     code.push_back(Make(op, 4, 5));
   }
   for (Opcode op :
@@ -62,16 +61,14 @@ std::vector<MInstr> EveryForm() {
     code.push_back(Make(op, 1, 2, 3));
     code.push_back(WithImm(Make(op, 1, 2), -7, false));
   }
-  for (Opcode op : {Opcode::kLoad1, Opcode::kLoad2, Opcode::kLoad4, Opcode::kLoad8}) {
+  for (Opcode op : {Opcode::kLoad1, Opcode::kLoad4, Opcode::kLoad8}) {
     MInstr load = Make(op, 6, 7);
     load.disp = -2147483647 - 1;
     code.push_back(load);
   }
-  for (Opcode op : {Opcode::kStore1, Opcode::kStore2, Opcode::kStore4, Opcode::kStore8}) {
-    MInstr store = Make(op, kNoPhysReg, 8, 9);
-    store.disp = -24;
-    code.push_back(store);
-  }
+  MInstr store = Make(Opcode::kStore8, kNoPhysReg, 8, 9);
+  store.disp = -24;
+  code.push_back(store);
   MInstr select = Make(Opcode::kSelect, 10, 11, 12);
   select.rc = 13;
   code.push_back(select);

@@ -202,28 +202,24 @@ TEST(Cpu, HostWorkEmitsSamplesInSegmentRange) {
   EXPECT_GT(distinct_ips.size(), 5u);  // Synthetic IPs rotate through the range.
 }
 
+// A division the VCPU cannot compute fails its check instead of reaching the host's divide.
 TEST(Cpu, DivisionByZeroTraps) {
-  IrFunction fn("div", 2);
-  IrIdAllocator ids;
-  IrBuilder b(&fn, &ids);
-  b.SetInsertPoint(b.CreateBlock("entry"));
-  uint32_t q = b.Div(Value::Reg(0), Value::Reg(1));
-  b.Ret(Value::Reg(q));
-  VcpuHarness harness;
-  EXPECT_EQ(harness.CompileAndRun(fn, {10, 2}), 5u);
-  IrFunction fn2 = fn;  // Compiled code already registered; run with zero divisor.
-  EXPECT_DEATH(
-      {
-        VcpuHarness h2;
-        IrFunction f("div0", 2);
-        IrIdAllocator ids2;
-        IrBuilder b2(&f, &ids2);
-        b2.SetInsertPoint(b2.CreateBlock("entry"));
-        uint32_t q2 = b2.Div(Value::Reg(0), Value::Reg(1));
-        b2.Ret(Value::Reg(q2));
-        h2.CompileAndRun(f, {10, 0});
-      },
-      "DFP_CHECK");
+  const auto run = [](Opcode op, uint64_t a, uint64_t b) {
+    IrFunction fn("div", 2);
+    IrIdAllocator ids;
+    IrBuilder builder(&fn, &ids);
+    builder.SetInsertPoint(builder.CreateBlock("entry"));
+    builder.Ret(Value::Reg(builder.Binary(op, Value::Reg(0), Value::Reg(1))));
+    VcpuHarness harness;
+    return harness.CompileAndRun(fn, {a, b});
+  };
+  const uint64_t int64_min = uint64_t{1} << 63;
+  const uint64_t minus_one = ~uint64_t{0};
+  EXPECT_EQ(run(Opcode::kDiv, 10, 2), 5u);
+  EXPECT_DEATH(run(Opcode::kDiv, 10, 0), "DFP_CHECK");
+  EXPECT_DEATH(run(Opcode::kRem, 10, 0), "DFP_CHECK");
+  EXPECT_DEATH(run(Opcode::kDiv, int64_min, minus_one), "DFP_CHECK");
+  EXPECT_DEATH(run(Opcode::kRem, int64_min, minus_one), "DFP_CHECK");
 }
 
 MInstr SetR0() {
@@ -320,7 +316,7 @@ TEST(Cpu, ImmediateAddressIsRefused) {
 
 TEST(Cpu, ImmediateStoredValueIsRefused) {
   MInstr store;
-  store.op = Opcode::kStore4;
+  store.op = Opcode::kStore8;
   store.a_is_imm = true;
   store.imm = 5;
   store.rb = 0;
