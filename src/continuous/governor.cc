@@ -66,12 +66,6 @@ void SamplingGovernor::Observe(uint64_t fingerprint, const std::string& name,
   state.samples += overhead.samples;
   state.armed_events += armed_events;
 
-  const uint64_t obs_overhead = overhead.total_cycles();
-  const uint64_t obs_base =
-      busy_cycles > obs_overhead ? busy_cycles - obs_overhead : busy_cycles;
-  state.last_share = obs_base == 0 ? 0 : static_cast<double>(obs_overhead) /
-                                             static_cast<double>(obs_base);
-
   uint64_t target = state.period;
   const uint64_t cum_base = state.busy_cycles > state.overhead_cycles
                                 ? state.busy_cycles - state.overhead_cycles

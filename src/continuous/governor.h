@@ -46,7 +46,6 @@ struct GovernorPlanState {
   uint64_t busy_cycles = 0;       // Worker busy cycles (includes overhead), cumulative.
   uint64_t samples = 0;           // Samples recorded, cumulative.
   uint64_t armed_events = 0;      // Occurrences of the armed event, cumulative.
-  double last_share = 0;          // Overhead share of the most recent observation.
 
   // Cumulative overhead share: overhead / (busy - overhead).
   double OverheadShare() const;

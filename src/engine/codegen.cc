@@ -186,7 +186,6 @@ class PlanLowering {
         out_->out_base_offset = ReserveState(op.id, StateSlot::kOutBase);
         out_->out_count_offset = ReserveState(op.id, StateSlot::kOutCount);
         out_->output_row_size = op.output.size() * 8;
-        out_->output_bound_rows = op.bound_rows;
         ExecStep alloc;
         alloc.kind = ExecStep::Kind::kAllocBuffer;
         alloc.op = &op;
@@ -422,7 +421,7 @@ class PipelineEmitter {
   }
 
   void StoreState(uint32_t offset, Value value) {
-    b_.Store(Opcode::kStore8, value, state_base_, static_cast<int32_t>(offset));
+    b_.Store(value, state_base_, static_cast<int32_t>(offset));
   }
 
   // --- Hash helpers (must match src/util/hash.h) ---
@@ -1218,7 +1217,7 @@ class PipelineEmitter {
     uint32_t row_addr = b_.Add(Value::Reg(state.buf_base), Value::Reg(row_offset));
     for (size_t c = 0; c < columns; ++c) {
       SlotVal value = tuple.Get(static_cast<int>(c));
-      b_.Store(Opcode::kStore8, value.value, Value::Reg(row_addr),
+      b_.Store(value.value, Value::Reg(row_addr),
                static_cast<int32_t>(c * 8), "materialize column");
     }
     if (!parallel_) {
@@ -1241,13 +1240,13 @@ class PipelineEmitter {
                                 /*has_result=*/true, step.task, "insert build tuple");
     int32_t offset = static_cast<int32_t>(kHtEntryPayload);
     for (const SlotVal& key : keys) {
-      b_.Store(Opcode::kStore8, key.value, Value::Reg(entry), offset, "store key");
+      b_.Store(key.value, Value::Reg(entry), offset, "store key");
       offset += 8;
     }
     if (op.join_type == JoinType::kInner) {
       for (int slot : op.build_payload) {
         SlotVal value = tuple.Get(slot);
-        b_.Store(Opcode::kStore8, value.value, Value::Reg(entry), offset, "store payload");
+        b_.Store(value.value, Value::Reg(entry), offset, "store payload");
         offset += 8;
       }
     }
@@ -1380,12 +1379,12 @@ class PipelineEmitter {
                                 {Value::Reg(state.ht.table), Value::Reg(hash)},
                                 /*has_result=*/true, step.task, "insert group");
     for (size_t k = 0; k < keys.size(); ++k) {
-      b_.Store(Opcode::kStore8, keys[k].value, Value::Reg(entry),
+      b_.Store(keys[k].value, Value::Reg(entry),
                static_cast<int32_t>(kHtEntryPayload + layout.KeyOffset(k)), "store group key");
     }
     for (size_t p = 0; p < op.build_payload.size(); ++p) {
       SlotVal value = tuple.Get(op.build_payload[p]);
-      b_.Store(Opcode::kStore8, value.value, Value::Reg(entry),
+      b_.Store(value.value, Value::Reg(entry),
                static_cast<int32_t>(kHtEntryPayload + layout.ExtraOffset(p)),
                "store group payload");
     }
@@ -1485,7 +1484,7 @@ class PipelineEmitter {
                                       /*has_result=*/true, step.task, "insert group");
       b_.Copy(entry, Value::Reg(new_entry));
       for (size_t k = 0; k < keys.size(); ++k) {
-        b_.Store(Opcode::kStore8, keys[k].value, Value::Reg(entry),
+        b_.Store(keys[k].value, Value::Reg(entry),
                  static_cast<int32_t>(kHtEntryPayload + layout.KeyOffset(k)),
                  "store group key");
       }
@@ -1506,7 +1505,7 @@ class PipelineEmitter {
     switch (agg.op) {
       case AggOp::kSum: {
         if (first_value) {
-          b_.Store(Opcode::kStore8, input.value, Value::Reg(entry), disp, "init sum");
+          b_.Store(input.value, Value::Reg(entry), disp, "init sum");
           return;
         }
         uint32_t current = b_.Load(Opcode::kLoad8, Value::Reg(entry), disp, "sum");
@@ -1514,25 +1513,25 @@ class PipelineEmitter {
             agg.in_type == ColumnType::kDouble
                 ? b_.Binary(Opcode::kFAdd, Value::Reg(current), input.value, IrType::kF64)
                 : b_.Add(Value::Reg(current), input.value);
-        b_.Store(Opcode::kStore8, Value::Reg(updated), Value::Reg(entry), disp, "update sum");
+        b_.Store(Value::Reg(updated), Value::Reg(entry), disp, "update sum");
         return;
       }
       case AggOp::kCount:
       case AggOp::kCountStar: {
         if (first_value) {
           uint32_t one = b_.Const(1);
-          b_.Store(Opcode::kStore8, Value::Reg(one), Value::Reg(entry), disp, "init count");
+          b_.Store(Value::Reg(one), Value::Reg(entry), disp, "init count");
           return;
         }
         uint32_t current = b_.Load(Opcode::kLoad8, Value::Reg(entry), disp, "count");
         uint32_t updated = b_.Add(Value::Reg(current), Value::Imm(1));
-        b_.Store(Opcode::kStore8, Value::Reg(updated), Value::Reg(entry), disp, "update count");
+        b_.Store(Value::Reg(updated), Value::Reg(entry), disp, "update count");
         return;
       }
       case AggOp::kMin:
       case AggOp::kMax: {
         if (first_value) {
-          b_.Store(Opcode::kStore8, input.value, Value::Reg(entry), disp, "init min/max");
+          b_.Store(input.value, Value::Reg(entry), disp, "init min/max");
           return;
         }
         uint32_t current = b_.Load(Opcode::kLoad8, Value::Reg(entry), disp, "min/max");
@@ -1545,16 +1544,15 @@ class PipelineEmitter {
                              input.value, Value::Reg(current));
         }
         uint32_t chosen = b_.Select(Value::Reg(better), input.value, Value::Reg(current));
-        b_.Store(Opcode::kStore8, Value::Reg(chosen), Value::Reg(entry), disp, "update min/max");
+        b_.Store(Value::Reg(chosen), Value::Reg(entry), disp, "update min/max");
         return;
       }
       case AggOp::kAvg: {
         const int32_t count_disp = static_cast<int32_t>(kHtEntryPayload + agg.offset2);
         if (first_value) {
-          b_.Store(Opcode::kStore8, input.value, Value::Reg(entry), disp, "init avg sum");
+          b_.Store(input.value, Value::Reg(entry), disp, "init avg sum");
           uint32_t one = b_.Const(1);
-          b_.Store(Opcode::kStore8, Value::Reg(one), Value::Reg(entry), count_disp,
-                   "init avg count");
+          b_.Store(Value::Reg(one), Value::Reg(entry), count_disp, "init avg count");
           return;
         }
         uint32_t sum = b_.Load(Opcode::kLoad8, Value::Reg(entry), disp, "avg sum");
@@ -1562,11 +1560,10 @@ class PipelineEmitter {
             agg.in_type == ColumnType::kDouble
                 ? b_.Binary(Opcode::kFAdd, Value::Reg(sum), input.value, IrType::kF64)
                 : b_.Add(Value::Reg(sum), input.value);
-        b_.Store(Opcode::kStore8, Value::Reg(new_sum), Value::Reg(entry), disp, "update avg sum");
+        b_.Store(Value::Reg(new_sum), Value::Reg(entry), disp, "update avg sum");
         uint32_t count = b_.Load(Opcode::kLoad8, Value::Reg(entry), count_disp, "avg count");
         uint32_t new_count = b_.Add(Value::Reg(count), Value::Imm(1));
-        b_.Store(Opcode::kStore8, Value::Reg(new_count), Value::Reg(entry), count_disp,
-                 "update avg count");
+        b_.Store(Value::Reg(new_count), Value::Reg(entry), count_disp, "update avg count");
         return;
       }
     }

@@ -106,7 +106,6 @@ struct CompiledQuery {
   uint64_t state_bytes = 0;
   std::vector<OutputColumn> output_schema;
   uint64_t output_row_size = 0;
-  uint64_t output_bound_rows = 0;
   uint32_t out_base_offset = 0;
   uint32_t out_count_offset = 0;
   ProfilingSession* session = nullptr;  // Borrowed; may be null.

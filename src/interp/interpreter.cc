@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <unordered_map>
 
 #include "src/plan/eval.h"
@@ -13,26 +12,6 @@ namespace {
 
 using Row = std::vector<int64_t>;
 using Rows = std::vector<Row>;
-
-// Hashable key wrapper for grouping/joining.
-struct KeyHash {
-  size_t operator()(const Row& key) const {
-    size_t hash = 14695981039346656037ull;
-    for (int64_t value : key) {
-      hash = (hash ^ static_cast<size_t>(value)) * 1099511628211ull;
-    }
-    return hash;
-  }
-};
-
-struct AggState {
-  int64_t sum_int = 0;
-  double sum_double = 0;
-  int64_t count = 0;
-  int64_t extreme_int = 0;
-  double extreme_double = 0;
-  bool seen = false;
-};
 
 class PlanInterpreter {
  public:
@@ -45,24 +24,19 @@ class PlanInterpreter {
       case OpKind::kTableScan:
         return ExecuteScan(op);
       case OpKind::kFilter:
-        return ExecuteFilter(op);
       case OpKind::kMap:
-        return ExecuteMap(op);
+      case OpKind::kSort:
+      case OpKind::kLimit: {
+        Rows rows = Execute(*op.child(0));
+        ApplyRowOperator(op, op.child(0)->output, db_.strings(), rows);
+        return rows;
+      }
       case OpKind::kHashJoin:
         return ExecuteJoin(op);
       case OpKind::kGroupBy:
         return ExecuteGroupBy(op);
       case OpKind::kGroupJoin:
         return ExecuteGroupJoin(op);
-      case OpKind::kSort:
-        return ExecuteSort(op);
-      case OpKind::kLimit: {
-        Rows rows = Execute(*op.child(0));
-        if (rows.size() > static_cast<size_t>(op.limit)) {
-          rows.resize(static_cast<size_t>(op.limit));
-        }
-        return rows;
-      }
       case OpKind::kResultSink:
         return Execute(*op.child(0));
     }
@@ -88,39 +62,6 @@ class PlanInterpreter {
       rows.push_back(std::move(row));
     }
     return rows;
-  }
-
-  Rows ExecuteFilter(const PhysicalOp& op) {
-    Rows input = Execute(*op.child(0));
-    Rows output;
-    for (Row& row : input) {
-      if (Eval(*op.exprs[0], row) != 0) {
-        output.push_back(std::move(row));
-      }
-    }
-    return output;
-  }
-
-  Rows ExecuteMap(const PhysicalOp& op) {
-    Rows input = Execute(*op.child(0));
-    Rows output;
-    output.reserve(input.size());
-    for (Row& row : input) {
-      if (op.projecting) {
-        Row projected;
-        projected.reserve(op.exprs.size());
-        for (const ExprPtr& expr : op.exprs) {
-          projected.push_back(Eval(*expr, row));
-        }
-        output.push_back(std::move(projected));
-      } else {
-        for (const ExprPtr& expr : op.exprs) {
-          row.push_back(Eval(*expr, row));
-        }
-        output.push_back(std::move(row));
-      }
-    }
-    return output;
   }
 
   Rows ExecuteJoin(const PhysicalOp& op) {
@@ -169,73 +110,8 @@ class PlanInterpreter {
   }
 
   void UpdateAgg(const Expr& agg, AggState& state, const Row& row) {
-    int64_t input = 0;
-    if (agg.left != nullptr) {
-      input = Eval(*agg.left, row);
-    }
-    const ColumnType in_type = agg.left != nullptr ? agg.left->type : ColumnType::kInt64;
-    switch (agg.agg) {
-      case AggOp::kSum:
-      case AggOp::kAvg:
-        if (in_type == ColumnType::kDouble) {
-          state.sum_double += std::bit_cast<double>(input);
-        } else {
-          state.sum_int += input;
-        }
-        ++state.count;
-        break;
-      case AggOp::kCount:
-      case AggOp::kCountStar:
-        ++state.count;
-        break;
-      case AggOp::kMin:
-      case AggOp::kMax: {
-        if (in_type == ColumnType::kDouble) {
-          double value = std::bit_cast<double>(input);
-          if (!state.seen || (agg.agg == AggOp::kMin ? value < state.extreme_double
-                                                     : value > state.extreme_double)) {
-            state.extreme_double = value;
-          }
-        } else {
-          if (!state.seen ||
-              (agg.agg == AggOp::kMin ? input < state.extreme_int : input > state.extreme_int)) {
-            state.extreme_int = input;
-          }
-        }
-        state.seen = true;
-        break;
-      }
-    }
-  }
-
-  int64_t FinalizeAgg(const Expr& agg, const AggState& state) {
-    const ColumnType in_type = agg.left != nullptr ? agg.left->type : ColumnType::kInt64;
-    switch (agg.agg) {
-      case AggOp::kSum:
-        return in_type == ColumnType::kDouble ? std::bit_cast<int64_t>(state.sum_double)
-                                              : state.sum_int;
-      case AggOp::kCount:
-      case AggOp::kCountStar:
-        return state.count;
-      case AggOp::kMin:
-      case AggOp::kMax:
-        return in_type == ColumnType::kDouble ? std::bit_cast<int64_t>(state.extreme_double)
-                                              : state.extreme_int;
-      case AggOp::kAvg: {
-        // Matches the generated finalization exactly: promote the sum to double, divide by the
-        // count as double (0/0 yields NaN for empty groupjoin groups).
-        double sum;
-        if (in_type == ColumnType::kDouble) {
-          sum = state.sum_double;
-        } else if (in_type == ColumnType::kDecimal) {
-          sum = static_cast<double>(state.sum_int) / 100.0;
-        } else {
-          sum = static_cast<double>(state.sum_int);
-        }
-        return std::bit_cast<int64_t>(sum / static_cast<double>(state.count));
-      }
-    }
-    DFP_UNREACHABLE();
+    const int64_t input = agg.left != nullptr ? Eval(*agg.left, row) : 0;
+    Accumulate(agg.agg, AggInputType(agg), input, 1, state);
   }
 
   Rows ExecuteGroupBy(const PhysicalOp& op) {
@@ -261,7 +137,7 @@ class PlanInterpreter {
       Row row = key;
       const std::vector<AggState>& states = groups[key];
       for (size_t a = 0; a < op.exprs.size(); ++a) {
-        row.push_back(FinalizeAgg(*op.exprs[a], states[a]));
+        row.push_back(FinalizeAgg(op.exprs[a]->agg, AggInputType(*op.exprs[a]), states[a]));
       }
       output.push_back(std::move(row));
     }
@@ -303,50 +179,164 @@ class PlanInterpreter {
         row.push_back(build[g][static_cast<size_t>(slot)]);
       }
       for (size_t a = 0; a < op.exprs.size(); ++a) {
-        row.push_back(FinalizeAgg(*op.exprs[a], states[g][a]));
+        row.push_back(FinalizeAgg(op.exprs[a]->agg, AggInputType(*op.exprs[a]), states[g][a]));
       }
       output.push_back(std::move(row));
     }
     return output;
   }
 
-  Rows ExecuteSort(const PhysicalOp& op) {
-    Rows rows = Execute(*op.child(0));
-    const std::vector<OutputColumn>& schema = op.child(0)->output;
-    std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
-      for (const SortItem& item : op.sort_items) {
-        const size_t slot = static_cast<size_t>(item.slot);
-        const ColumnType type = schema[slot].type;
-        int cmp = 0;
-        if (type == ColumnType::kDouble) {
-          double lhs = std::bit_cast<double>(a[slot]);
-          double rhs = std::bit_cast<double>(b[slot]);
-          cmp = lhs < rhs ? -1 : (lhs > rhs ? 1 : 0);
-        } else if (type == ColumnType::kString) {
-          auto lhs = db_.strings().Get(static_cast<uint64_t>(a[slot]));
-          auto rhs = db_.strings().Get(static_cast<uint64_t>(b[slot]));
-          int raw = lhs.compare(rhs);
-          cmp = raw < 0 ? -1 : (raw > 0 ? 1 : 0);
-        } else {
-          cmp = a[slot] < b[slot] ? -1 : (a[slot] > b[slot] ? 1 : 0);
-        }
-        if (cmp != 0) {
-          return item.descending ? cmp > 0 : cmp < 0;
-        }
-      }
-      return false;
-    });
-    if (op.limit >= 0 && rows.size() > static_cast<size_t>(op.limit)) {
-      rows.resize(static_cast<size_t>(op.limit));
-    }
-    return rows;
-  }
-
   Database& db_;
   EvalContext ctx_;
 };
 
+void SortRows(const PhysicalOp& op, const std::vector<OutputColumn>& schema,
+              const StringHeap& strings, Rows& rows) {
+  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+    for (const SortItem& item : op.sort_items) {
+      const size_t slot = static_cast<size_t>(item.slot);
+      const ColumnType type = schema[slot].type;
+      int cmp = 0;
+      if (type == ColumnType::kDouble) {
+        double lhs = std::bit_cast<double>(a[slot]);
+        double rhs = std::bit_cast<double>(b[slot]);
+        cmp = lhs < rhs ? -1 : (lhs > rhs ? 1 : 0);
+      } else if (type == ColumnType::kString) {
+        auto lhs = strings.Get(static_cast<uint64_t>(a[slot]));
+        auto rhs = strings.Get(static_cast<uint64_t>(b[slot]));
+        int raw = lhs.compare(rhs);
+        cmp = raw < 0 ? -1 : (raw > 0 ? 1 : 0);
+      } else {
+        cmp = a[slot] < b[slot] ? -1 : (a[slot] > b[slot] ? 1 : 0);
+      }
+      if (cmp != 0) {
+        return item.descending ? cmp > 0 : cmp < 0;
+      }
+    }
+    return false;
+  });
+}
+
 }  // namespace
+
+ColumnType AggInputType(const Expr& agg) {
+  return agg.left != nullptr ? agg.left->type : ColumnType::kInt64;
+}
+
+size_t KeyHash::operator()(const std::vector<int64_t>& key) const {
+  size_t hash = 14695981039346656037ull;
+  for (int64_t value : key) {
+    hash = (hash ^ static_cast<size_t>(value)) * 1099511628211ull;
+  }
+  return hash;
+}
+
+void Accumulate(AggOp op, ColumnType in_type, int64_t value, int64_t count, AggState& state) {
+  switch (op) {
+    case AggOp::kSum:
+    case AggOp::kAvg:
+      if (in_type == ColumnType::kDouble) {
+        state.sum_double += std::bit_cast<double>(value);
+      } else {
+        state.sum_int += value;
+      }
+      state.count += count;
+      break;
+    case AggOp::kCount:
+    case AggOp::kCountStar:
+      state.count += count;
+      break;
+    case AggOp::kMin:
+    case AggOp::kMax: {
+      if (in_type == ColumnType::kDouble) {
+        double extreme = std::bit_cast<double>(value);
+        if (!state.seen || (op == AggOp::kMin ? extreme < state.extreme_double
+                                              : extreme > state.extreme_double)) {
+          state.extreme_double = extreme;
+        }
+      } else {
+        if (!state.seen ||
+            (op == AggOp::kMin ? value < state.extreme_int : value > state.extreme_int)) {
+          state.extreme_int = value;
+        }
+      }
+      state.seen = true;
+      break;
+    }
+  }
+}
+
+int64_t FinalizeAgg(AggOp op, ColumnType in_type, const AggState& state) {
+  switch (op) {
+    case AggOp::kSum:
+      return in_type == ColumnType::kDouble ? std::bit_cast<int64_t>(state.sum_double)
+                                            : state.sum_int;
+    case AggOp::kCount:
+    case AggOp::kCountStar:
+      return state.count;
+    case AggOp::kMin:
+    case AggOp::kMax:
+      return in_type == ColumnType::kDouble ? std::bit_cast<int64_t>(state.extreme_double)
+                                            : state.extreme_int;
+    case AggOp::kAvg: {
+      // Matches the generated finalization exactly: promote the sum to double, divide by the
+      // count as double (0/0 yields NaN for empty groupjoin groups).
+      double sum;
+      if (in_type == ColumnType::kDouble) {
+        sum = state.sum_double;
+      } else if (in_type == ColumnType::kDecimal) {
+        sum = static_cast<double>(state.sum_int) / 100.0;
+      } else {
+        sum = static_cast<double>(state.sum_int);
+      }
+      return std::bit_cast<int64_t>(sum / static_cast<double>(state.count));
+    }
+  }
+  DFP_UNREACHABLE();
+}
+
+void ApplyRowOperator(const PhysicalOp& op, const std::vector<OutputColumn>& input_schema,
+                      const StringHeap& strings, Rows& rows) {
+  EvalContext ctx;
+  ctx.strings = &strings;
+  switch (op.kind) {
+    case OpKind::kFilter:
+      std::erase_if(rows, [&](const Row& row) {
+        ctx.tuple = row;
+        return EvalScalar(*op.exprs[0], ctx) == 0;
+      });
+      return;
+    case OpKind::kMap:
+      for (Row& row : rows) {
+        if (op.projecting) {
+          Row projected;
+          projected.reserve(op.exprs.size());
+          ctx.tuple = row;
+          for (const ExprPtr& expr : op.exprs) {
+            projected.push_back(EvalScalar(*expr, ctx));
+          }
+          row = std::move(projected);
+        } else {
+          for (const ExprPtr& expr : op.exprs) {
+            // Later computed columns may read earlier ones, as in the engine.
+            ctx.tuple = row;
+            row.push_back(EvalScalar(*expr, ctx));
+          }
+        }
+      }
+      return;
+    case OpKind::kSort:
+      SortRows(op, input_schema, strings, rows);
+      break;
+    case OpKind::kLimit:
+      break;
+    default:
+      DFP_UNREACHABLE();
+  }
+  if (op.limit >= 0 && rows.size() > static_cast<size_t>(op.limit)) {
+    rows.resize(static_cast<size_t>(op.limit));
+  }
+}
 
 Result InterpretPlan(Database& db, const PhysicalOp& root) {
   PlanInterpreter interpreter(db);

@@ -82,10 +82,9 @@ uint32_t IrBuilder::Load(Opcode op, Value addr, int32_t disp, std::string commen
   return Append(std::move(instr)).dst;
 }
 
-void IrBuilder::Store(Opcode op, Value value, Value addr, int32_t disp, std::string comment) {
-  DFP_CHECK(IsStore(op));
+void IrBuilder::Store(Value value, Value addr, int32_t disp, std::string comment) {
   IrInstr instr;
-  instr.op = op;
+  instr.op = Opcode::kStore8;
   instr.a = value;
   instr.b = addr;
   instr.disp = disp;

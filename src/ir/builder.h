@@ -54,7 +54,7 @@ class IrBuilder {
   uint32_t Crc32(Value seed, Value value);
   uint32_t Select(Value cond, Value a, Value b, IrType type = IrType::kI64);
   uint32_t Load(Opcode op, Value addr, int32_t disp = 0, std::string comment = "");
-  void Store(Opcode op, Value value, Value addr, int32_t disp = 0, std::string comment = "");
+  void Store(Value value, Value addr, int32_t disp = 0, std::string comment = "");
   void Br(uint32_t target);
   void CondBr(Value cond, uint32_t if_true, uint32_t if_false);
   // `has_result` selects whether the call produces a value.

@@ -38,7 +38,6 @@ OperatorProfile BuildOperatorProfile(const ProfilingSession& session, const Comp
         ++profile.kernel_samples;
         break;
       case ResolvedSample::Category::kUnattributed:
-        ++profile.unattributed_samples;
         break;
     }
   }

@@ -42,7 +42,6 @@ struct OperatorProfile {
   std::vector<OperatorCost> operators;  // Ordered by operator id.
   uint64_t operator_samples = 0;
   uint64_t kernel_samples = 0;
-  uint64_t unattributed_samples = 0;
 
   const OperatorCost* Find(OperatorId op) const;
 };

@@ -52,24 +52,22 @@ std::vector<MInstr> ApplyValidationTags(std::vector<MInstr> code,
 namespace {
 
 // Classifies one sample into `report`: checked/mismatch when both an IP attribution and a tag
-// are available, skipped otherwise.
+// are available. Samples outside generated code, on multi-owner instructions, or taken before
+// the first tag write (the function prologue) are not checked.
 void CrossCheckOne(const ProfilingSession& session, const CodeMap& code_map,
                    const Sample& sample, ValidationReport* report) {
   const CodeSegment* segment = code_map.FindByIp(sample.ip);
   if (segment == nullptr || segment->kind != SegmentKind::kGenerated ||
       !sample.has_registers) {
-    ++report->skipped;
     return;
   }
   const std::vector<TaskId>* owners =
       session.dictionary().TasksOf(segment->ir_ids[sample.ip - segment->base_ip]);
   if (owners == nullptr || owners->size() != 1) {
-    ++report->skipped;
     return;
   }
   const uint64_t tag = sample.regs[kTagRegister] & 0xFFFFFFFFull;  // Task-level chunk.
   if (tag == 0) {
-    ++report->skipped;  // Sample before the first tag write (function prologue).
     return;
   }
   ++report->checked;

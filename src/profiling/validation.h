@@ -21,7 +21,6 @@ std::vector<MInstr> ApplyValidationTags(std::vector<MInstr> code,
 struct ValidationReport {
   uint64_t checked = 0;     // Samples with both an IP attribution and a tag to compare.
   uint64_t mismatches = 0;  // IP-derived task != tag-register task.
-  uint64_t skipped = 0;     // Samples outside generated code or with multi-owner instructions.
 };
 
 // Compares IP-based attribution against the tag register for all resolved samples of a session

@@ -320,8 +320,6 @@ ReplayReport DiffTraces(const WorkloadTrace& recorded, const WorkloadTrace& repl
     report.queries_diverged = std::max(recorded.queries.size(), replayed.queries.size()) -
                               std::min(recorded.queries.size(), replayed.queries.size());
   }
-  report.recorded_tiers = a.tiers;
-  report.replayed_tiers = b.tiers;
   report.tiers_identical = TiersEqual(a.tiers, b.tiers);
 
   // Merge the two per-fingerprint summary lists (each ascending by structure).

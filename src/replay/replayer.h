@@ -48,7 +48,8 @@ struct ReplayOptions {
   // literal bindings carry packed string references, valid on the shard heaps through the
   // intern-replay invariant of src/shard/partition.h). Sharding re-partitions execution but
   // never results, so such a replay gates on results_diverged == 0 even though timing and
-  // streams change. Borrowed, not owned.
+  // streams change; a recorded plan that cannot fan out exactly (src/shard/decompose.h) makes
+  // the replay throw instead. Borrowed, not owned.
   ShardCatalog* shards = nullptr;
 };
 
@@ -65,7 +66,8 @@ struct ReplayRun {
 // Replays `trace` against `db` (or, with options.shards set, against that catalog). Throws
 // dfp::Error when the catalog version does not match the recording, when a plan template is
 // missing or malformed, when a rebuilt plan's fingerprint disagrees with the recorded one
-// (corrupt or mismatched trace), or when CheckServiceConfig refuses the replay config.
+// (corrupt or mismatched trace), when CheckServiceConfig refuses the replay config, or, in a
+// sharded replay, when the fleet refuses a recorded plan it cannot fan out exactly.
 ReplayRun ReplayTrace(Database& db, const WorkloadTrace& trace,
                       const ReplayOptions& options = {});
 
@@ -123,8 +125,6 @@ struct ReplayReport {
   // Seq-by-seq divergences, counted only when both sides saw the same query count.
   uint64_t queries_diverged = 0;
   uint64_t results_diverged = 0;  // Subset of the above: result row counts differed.
-  TierTimelineTotals recorded_tiers;
-  TierTimelineTotals replayed_tiers;
   bool tiers_identical = false;
   std::vector<ReplayFingerprintDiff> fingerprints;  // Ascending by structure.
 };

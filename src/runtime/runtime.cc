@@ -63,20 +63,19 @@ void Runtime::BuildHtInsert() {
   b.Br(entry);
 
   b.SetInsertPoint(link);
-  b.Store(Opcode::kStore8, Value::Reg(new_bump), table, static_cast<int32_t>(kHtBumpNext));
+  b.Store(Value::Reg(new_bump), table, static_cast<int32_t>(kHtBumpNext));
   uint32_t shift = b.Load(Opcode::kLoad8, table, static_cast<int32_t>(kHtDirShift));
   uint32_t index = b.Binary(Opcode::kShr, hash, Value::Reg(shift));
   uint32_t offset = b.Binary(Opcode::kShl, Value::Reg(index), Value::Imm(3));
   uint32_t dir = b.Load(Opcode::kLoad8, table, static_cast<int32_t>(kHtDirBase));
   uint32_t slot = b.Add(Value::Reg(dir), Value::Reg(offset));
   uint32_t head = b.Load(Opcode::kLoad8, Value::Reg(slot), 0, "directory head");
-  b.Store(Opcode::kStore8, Value::Reg(head), Value::Reg(bump),
-          static_cast<int32_t>(kHtEntryNext));
-  b.Store(Opcode::kStore8, hash, Value::Reg(bump), static_cast<int32_t>(kHtEntryHash));
-  b.Store(Opcode::kStore8, Value::Reg(bump), Value::Reg(slot), 0, "publish entry");
+  b.Store(Value::Reg(head), Value::Reg(bump), static_cast<int32_t>(kHtEntryNext));
+  b.Store(hash, Value::Reg(bump), static_cast<int32_t>(kHtEntryHash));
+  b.Store(Value::Reg(bump), Value::Reg(slot), 0, "publish entry");
   uint32_t count = b.Load(Opcode::kLoad8, table, static_cast<int32_t>(kHtCount));
   uint32_t new_count = b.Add(Value::Reg(count), Value::Imm(1));
-  b.Store(Opcode::kStore8, Value::Reg(new_count), table, static_cast<int32_t>(kHtCount));
+  b.Store(Value::Reg(new_count), table, static_cast<int32_t>(kHtCount));
   b.Ret(Value::Reg(bump));
 
   EmittedFunction emitted = CompileFunction(fn, RuntimeCompileOptions());
@@ -116,10 +115,10 @@ void Runtime::BuildHtInsertLocked() {
   b.CondBr(Value::Reg(busy), spin, locked);
 
   b.SetInsertPoint(locked);
-  b.Store(Opcode::kStore8, Value::Imm(1), Value::Reg(lock_addr), 0, "lock taken");
+  b.Store(Value::Imm(1), Value::Reg(lock_addr), 0, "lock taken");
   uint32_t new_entry = b.Call(ht_insert_fn_, {table, hash}, /*has_result=*/true,
                               "insert under stripe lock");
-  b.Store(Opcode::kStore8, Value::Imm(0), Value::Reg(lock_addr), 0, "release stripe lock");
+  b.Store(Value::Imm(0), Value::Reg(lock_addr), 0, "release stripe lock");
   b.Ret(Value::Reg(new_entry));
 
   EmittedFunction emitted = CompileFunction(fn, RuntimeCompileOptions());

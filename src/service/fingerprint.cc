@@ -1,38 +1,25 @@
 #include "src/service/fingerprint.h"
 
-
+#include "src/tiering/literals.h"
 #include "src/util/hash.h"
 #include "src/util/text_format.h"
 
 namespace dfp {
 namespace {
 
-// Accumulates the two fingerprint halves over a pre-order plan walk. Both halves use the
-// engine's HashCombine chain so the fingerprint is stable across platforms and runs.
+// All three halves use the engine's HashCombine chain so the fingerprint is stable across
+// platforms and runs. The seeds are arbitrary non-zero values.
+
+// Accumulates the structural half over a pre-order plan walk that reads no literal payload.
 struct FingerprintBuilder {
-  uint64_t structure = 0xdf9de11ce0ull;  // Arbitrary non-zero seeds.
-  uint64_t literals = 0x117e7a15ull;
-  uint64_t pinned = 0x9177ed11ull;
+  uint64_t structure = 0xdf9de11ce0ull;
 
   void Shape(uint64_t value) { structure = HashCombine(structure, HashKey(value)); }
-  void Literal(uint64_t value) { literals = HashCombine(literals, HashKey(value)); }
-  // A literal the artifact's memory layout depends on: hashed into both halves.
-  void PinnedLiteral(uint64_t value) {
-    Literal(value);
-    pinned = HashCombine(pinned, HashKey(value));
-  }
 
   void ShapeString(const std::string& text) {
     Shape(text.size());
     for (char c : text) {
       Shape(static_cast<uint64_t>(static_cast<unsigned char>(c)));
-    }
-  }
-
-  void LiteralString(const std::string& text) {
-    Literal(text.size());
-    for (char c : text) {
-      Literal(static_cast<uint64_t>(static_cast<unsigned char>(c)));
     }
   }
 
@@ -43,10 +30,6 @@ struct FingerprintBuilder {
       case ExprKind::kColumnRef:
         Shape(static_cast<uint64_t>(expr.slot));
         break;
-      case ExprKind::kLiteral:
-        // The payload is a parameter, not part of the shape.
-        Literal(static_cast<uint64_t>(expr.literal));
-        break;
       case ExprKind::kBinary:
         Shape(static_cast<uint64_t>(expr.bin));
         break;
@@ -56,19 +39,14 @@ struct FingerprintBuilder {
       case ExprKind::kAggregate:
         Shape(static_cast<uint64_t>(expr.agg));
         break;
-      case ExprKind::kLike:
-        // The pattern is a constant; only its presence shapes the plan.
-        LiteralString(expr.pattern);
-        break;
       case ExprKind::kInList:
         Shape(expr.list.size());
-        for (int64_t candidate : expr.list) {
-          Literal(static_cast<uint64_t>(candidate));
-        }
         break;
       case ExprKind::kCase:
         Shape(expr.whens.size());
         break;
+      case ExprKind::kLiteral:  // Payloads are parameters, not shape.
+      case ExprKind::kLike:
       case ExprKind::kCast:
       case ExprKind::kExtractYear:
         break;
@@ -116,12 +94,6 @@ struct FingerprintBuilder {
       Shape(static_cast<uint64_t>(item.slot));
       Shape(static_cast<uint64_t>(item.descending));
     }
-    // LIMIT counts are tuning constants, not plan shape (a top-10 and a top-100 of the same
-    // query are the same prepared statement); presence is shaped via kind above.
-    if (op.limit >= 0) {
-      // Pinned: a LIMIT caps bound_rows, which sized the cached artifact's buffers.
-      PinnedLiteral(static_cast<uint64_t>(op.limit));
-    }
     Shape(op.exprs.size());
     for (const ExprPtr& expr : op.exprs) {
       AddExpr(*expr);
@@ -132,17 +104,37 @@ struct FingerprintBuilder {
   }
 };
 
+// Accumulates the literal and pinned halves over the plan's literal sites (WalkLiterals).
+// LIMIT counts are tuning constants, not plan shape (a top-10 and a top-100 of the same query
+// are the same prepared statement; presence is shaped via the operator kind), but they are
+// pinned: a LIMIT caps bound_rows, which sized the cached artifact's buffers.
+struct LiteralHasher {
+  uint64_t literals = 0x117e7a15ull;
+  uint64_t pinned = 0x9177ed11ull;
+
+  void Add(uint64_t value) { literals = HashCombine(literals, HashKey(value)); }
+  void Limit(int64_t count) {
+    Add(static_cast<uint64_t>(count));
+    pinned = HashCombine(pinned, HashKey(static_cast<uint64_t>(count)));
+  }
+  void Value(const Expr&, int64_t payload) { Add(static_cast<uint64_t>(payload)); }
+  void Pattern(const Expr&, const std::string& pattern) {
+    Add(pattern.size());
+    for (char c : pattern) {
+      Add(static_cast<uint64_t>(static_cast<unsigned char>(c)));
+    }
+  }
+};
+
 }  // namespace
 
 PlanFingerprint FingerprintPlan(const PhysicalOp& root, uint64_t catalog_version) {
   FingerprintBuilder builder;
   builder.Shape(catalog_version);
   builder.AddOp(root);
-  PlanFingerprint fingerprint;
-  fingerprint.structure = builder.structure;
-  fingerprint.literals = builder.literals;
-  fingerprint.pinned = builder.pinned;
-  return fingerprint;
+  LiteralHasher hasher;
+  WalkLiterals(root, hasher);
+  return {builder.structure, hasher.literals, hasher.pinned};
 }
 
 std::string FingerprintKey(const PlanFingerprint& fingerprint) {

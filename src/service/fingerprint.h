@@ -7,9 +7,10 @@
 // share a fingerprint, which is the unit of fleet-level profile aggregation.
 //
 // The literal half hashes exactly the parameterized-out payloads (filter constants, LIKE
-// patterns, IN lists, LIMIT counts) in traversal order. The classic plan cache keys on both
-// halves: compiled machine code bakes constants in as immediates, so an artifact is only
-// exactly reusable with identical constants.
+// patterns, IN lists, LIMIT counts) along WalkLiterals (src/tiering/literals.h), the walk that
+// also numbers the literal slots the tiered cache patches. The structural walk reads no
+// payload. The classic plan cache keys on both halves: compiled machine code bakes constants
+// in as immediates, so an artifact is only exactly reusable with identical constants.
 //
 // The pinned half hashes the subset of literals that the compiled artifact's *memory layout*
 // depends on — today only LIMIT counts, which cap `bound_rows` and thereby size sort buffers
@@ -28,7 +29,7 @@ namespace dfp {
 
 struct PlanFingerprint {
   uint64_t structure = 0;  // Plan shape, literals parameterized out, catalog version mixed in.
-  uint64_t literals = 0;   // The parameterized-out constant payloads, in traversal order.
+  uint64_t literals = 0;   // The parameterized-out constant payloads, in literal-slot order.
   uint64_t pinned = 0;     // The layout-relevant subset of the literals (LIMIT counts).
 
   bool operator==(const PlanFingerprint& other) const {

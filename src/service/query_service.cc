@@ -458,15 +458,15 @@ bool QueryService::StepSession(ActiveSession& session) {
   if (config_.sched.placement_repair && !dag.nodes.empty()) {
     StepPlacementRepair(ticket, dag, verdicts);
   }
-  // Tier ladder: feed the controller the windowed evidence for this fingerprint; a promotion
+  // Tier ladder: feed the controller the critical-path evidence for this fingerprint; a promotion
   // decision enqueues a background recompile at the optimizing tier on the (serial) background
   // compile lane. The swap happens between steps, in ProcessRecompiles.
   if (config_.tiering.enabled && session.entry->tier == PlanTier::kBaseline) {
     const uint64_t opt_cycles =
         EstimateCompileCycles(session.entry->query, kCompileCosts, PlanTier::kOptimized);
-    if (controller_.Observe(ticket.fingerprint.structure, ticket.name, windows_,
-                            ticket.execute_cycles, opt_cycles, ticket.completed_at_cycles,
-                            critpath_.CriticalWorkCycles(ticket.fingerprint.structure))) {
+    if (controller_.Observe(ticket.fingerprint.structure, ticket.name,
+                            critpath_.CriticalWorkCycles(ticket.fingerprint.structure),
+                            opt_cycles, ticket.completed_at_cycles)) {
       RecompileJob job;
       job.source = session.entry;
       const uint64_t start = std::max(ServiceNowCycles(), recompile_lane_busy_cycles_);

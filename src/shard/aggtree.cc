@@ -86,19 +86,7 @@ FleetAggregate BuildShardLeaf(const ServiceProfile& profile, const WindowedProfi
   FleetAggregate leaf;
   leaf.leaves = 1;
   for (const auto& [fingerprint, plan] : profile.plans()) {
-    FleetPlanRollup& rollup = leaf.plans[fingerprint];
-    rollup.fingerprint = fingerprint;
-    rollup.name = plan.name;
-    rollup.executions = plan.executions;
-    rollup.cache_hits = plan.cache_hits;
-    rollup.cache_misses = plan.cache_misses;
-    rollup.compile_cycles = plan.compile_cycles;
-    rollup.execute_cycles = plan.execute_cycles;
-    rollup.samples = plan.samples;
-    rollup.critical_cycles = plan.critical_cycles;
-    rollup.top_share_pct = plan.top_share_pct;
-    rollup.bottleneck = plan.bottleneck;
-    rollup.operators = plan.operators;
+    static_cast<FleetPlanProfile&>(leaf.plans[fingerprint]) = plan;
   }
   // Live window latencies feed the mergeable sketch (quantiles of quantiles would not merge).
   for (const auto& [fingerprint, series] : windows.plans()) {

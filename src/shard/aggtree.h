@@ -44,22 +44,11 @@ struct LatencySketch {
   uint64_t Quantile(uint32_t pct) const;
 };
 
-// One plan fingerprint's cross-shard rollup.
-struct FleetPlanRollup {
-  uint64_t fingerprint = 0;
-  std::string name;  // Lexicographic-min non-empty name across shards (deterministic pick).
-  uint64_t executions = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t compile_cycles = 0;
-  uint64_t execute_cycles = 0;
-  uint64_t samples = 0;
-  uint64_t critical_cycles = 0;
-  // Worst top-pipeline criticality share across shards, with its verdict; reduced as the
-  // lexicographic max of (share, bottleneck) so the pick is order-independent.
-  uint64_t top_share_pct = 0;
-  std::string bottleneck;
-  std::map<OperatorId, FleetOperatorCost> operators;
+// One plan fingerprint's cross-shard rollup: the shards' profiles merged field by field
+// (counters sum; `name` is the lexicographic-min non-empty name and (top_share_pct,
+// bottleneck) the lexicographic max, so every pick is order-independent), plus the merged
+// latency sketch.
+struct FleetPlanRollup : FleetPlanProfile {
   LatencySketch latency;
   uint64_t latency_max = 0;
 };

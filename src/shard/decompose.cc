@@ -1,8 +1,11 @@
 #include "src/shard/decompose.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
+#include "src/interp/interpreter.h"
+#include "src/shard/partition.h"
 #include "src/util/check.h"
 
 namespace dfp {
@@ -15,6 +18,96 @@ struct FanoutSpine {
   std::vector<const PhysicalOp*> stages_top_down;  // kLimit / kSort / kMap between sink and gb.
   const PhysicalOp* group_by = nullptr;
 };
+
+// How a subtree's rows lie across the shards. `split`: each shard computes a disjoint part of
+// them (they descend from a partitioned table); otherwise every shard computes all of them.
+// `order_key`: the output slot holding the order key (column 0 of orders and of lineitem), or
+// -1 when no slot does.
+struct RowPlacement {
+  bool split = false;
+  int order_key = -1;
+};
+
+// Position of `slot` in `slots`, or -1.
+int IndexOf(const std::vector<int>& slots, int slot) {
+  const auto it = std::find(slots.begin(), slots.end(), slot);
+  return it == slots.end() ? -1 : static_cast<int>(it - slots.begin());
+}
+
+// Places `op`'s rows bottom-up, and throws for an operator whose per-shard outputs would not
+// union to its unsharded output: one that pairs rows held on different shards, or one that
+// keeps or counts rows by a rule that needs all of them at once.
+RowPlacement PlaceRows(const PhysicalOp& op) {
+  const auto refuse = [&op](const std::string& why) {
+    throw Error("fan-out decomposition: " + op.label + " " + why);
+  };
+  switch (op.kind) {
+    case OpKind::kTableScan: {
+      const bool split = ShardCatalog::IsPartitionedTable(op.table->schema().name);
+      return {split, split ? 0 : -1};
+    }
+    case OpKind::kFilter:
+    case OpKind::kSort:
+    case OpKind::kLimit: {
+      const RowPlacement input = PlaceRows(*op.child(0));
+      if (input.split && op.limit >= 0) {
+        refuse("limits rows split across shards");
+      }
+      return input;
+    }
+    case OpKind::kMap: {
+      RowPlacement input = PlaceRows(*op.child(0));
+      if (op.projecting) {
+        const auto it = std::find_if(op.exprs.begin(), op.exprs.end(), [&](const ExprPtr& e) {
+          return e->kind == ExprKind::kColumnRef && e->slot == input.order_key;
+        });
+        input.order_key = it == op.exprs.end() ? -1 : static_cast<int>(it - op.exprs.begin());
+      }
+      return input;
+    }
+    case OpKind::kGroupBy: {
+      const RowPlacement input = PlaceRows(*op.child(0));
+      const int order_key = IndexOf(op.group_keys, input.order_key);
+      if (input.split && order_key < 0) {
+        refuse("groups rows split across shards without the order key");
+      }
+      return {input.split, order_key};
+    }
+    case OpKind::kHashJoin:
+    case OpKind::kGroupJoin: {
+      const RowPlacement build = PlaceRows(*op.child(0));
+      const RowPlacement probe = PlaceRows(*op.child(1));
+      const bool group_join = op.kind == OpKind::kGroupJoin;
+      if (build.split && probe.split) {
+        bool co_located = false;
+        for (size_t k = 0; k < op.build_keys.size(); ++k) {
+          co_located |= op.build_keys[k] == build.order_key && op.probe_keys[k] == probe.order_key;
+        }
+        if (!co_located) {
+          refuse("joins two inputs split across shards on other than the order key");
+        }
+      } else if (build.split && !group_join && op.join_type != JoinType::kInner) {
+        refuse("matches replicated probe rows against a build side split across shards");
+      } else if (probe.split && group_join) {
+        refuse("aggregates probe rows split across shards into replicated groups");
+      }
+      // Output: a GroupJoin's build payload; a HashJoin's probe columns, then (inner) its build
+      // payload.
+      const int payload_key = IndexOf(op.build_payload, build.order_key);
+      if (group_join) {
+        return {build.split, payload_key};
+      }
+      if (probe.split) {
+        return {true, probe.order_key};
+      }
+      const int probe_width = static_cast<int>(op.child(1)->output.size());
+      return {build.split, payload_key < 0 ? -1 : probe_width + payload_key};
+    }
+    case OpKind::kResultSink:
+      break;
+  }
+  DFP_UNREACHABLE();
+}
 
 FanoutSpine WalkSpine(const PhysicalOp& root) {
   if (root.kind != OpKind::kResultSink) {
@@ -33,15 +126,12 @@ FanoutSpine WalkSpine(const PhysicalOp& root) {
                 OpKindName(node->kind) + " (expected GroupBy under the sink stages)");
   }
   spine.group_by = node;
+  PlaceRows(*node->child(0));
   return spine;
 }
 
-ColumnType AggInputType(const Expr& agg) {
-  return agg.left != nullptr ? agg.left->type : ColumnType::kInt64;
-}
-
-// Type of the kSum partial accumulating `in_type` inputs: mirrors the interpreter's AggState —
-// doubles accumulate in sum_double, everything else (int64, scaled decimal) in sum_int.
+// Type of the kSum partial accumulating `in_type` inputs: doubles sum as doubles, everything
+// else (int64, scaled decimal) as integers (see AggState).
 ColumnType SumPartialType(ColumnType in_type) {
   if (in_type == ColumnType::kDouble) {
     return ColumnType::kDouble;
@@ -52,11 +142,9 @@ ColumnType SumPartialType(ColumnType in_type) {
 }  // namespace
 
 bool PlanTouchesPartitionedTable(const PhysicalOp& root) {
-  if (root.kind == OpKind::kTableScan && root.table != nullptr) {
-    const std::string& name = root.table->schema().name;
-    if (name == "orders" || name == "lineitem") {
-      return true;
-    }
+  if (root.kind == OpKind::kTableScan && root.table != nullptr &&
+      ShardCatalog::IsPartitionedTable(root.table->schema().name)) {
+    return true;
   }
   for (const PhysicalOpPtr& child : root.children) {
     if (PlanTouchesPartitionedTable(*child)) {
@@ -128,14 +216,8 @@ MergeRecipe BuildMergeRecipe(const PhysicalOp& root) {
   int col = static_cast<int>(recipe.group_keys);
   for (const ExprPtr& agg : spine.group_by->exprs) {
     DFP_CHECK(agg->kind == ExprKind::kAggregate);
-    MergeAggSpec spec;
-    spec.op = agg->agg;
-    spec.in_type = AggInputType(*agg);
-    spec.out_type = agg->type;
-    spec.partial_col = col;
-    spec.partial_cols = agg->agg == AggOp::kAvg ? 2 : 1;
-    col += spec.partial_cols;
-    recipe.aggs.push_back(spec);
+    recipe.aggs.push_back({agg->agg, AggInputType(*agg), col});
+    col += agg->agg == AggOp::kAvg ? 2 : 1;
   }
 
   // Lift the post-aggregation stages as childless clones, bottom-up (execution order).

@@ -5,7 +5,7 @@
 // fact table run whole on one shard (routed by fingerprint); plans that do are decomposed. The
 // supported fan-out shape is the aggregation spine every gated workload query has —
 //
-//   ResultSink -> {Limit | Sort | Map}* -> GroupBy -> <arbitrary shard-local subtree>
+//   ResultSink -> {Limit | Sort | Map}* -> GroupBy -> <shard-local subtree>
 //
 // The GroupBy and everything below it executes unchanged on every shard, except that its
 // aggregate list is rewritten into mergeable partials (AVG becomes SUM + COUNT(*); SUM, COUNT,
@@ -14,11 +14,21 @@
 // the MergeRecipe, which the coordinator's ShardMerger (src/shard/merge.h) applies host-side
 // after combining the partials.
 //
-// Correctness of the recombination is exact, not approximate: the merge replays the
-// interpreter's AggState/FinalizeAgg arithmetic over the partial columns, and groups are
-// emitted in first-appearance order across the shard partials taken in shard order — which,
-// because the fact-table slices are contiguous in generation order (src/shard/partition.h),
-// is the same first-appearance order the unsharded engine sees.
+// The subtree below the GroupBy is shard-local only when every shard's rows union to the
+// unsharded rows. Its placement is checked bottom-up: rows descending from orders or lineitem
+// are split across the shards, and the order key (column 0 of both) is tracked through the
+// operators that keep it. A join of two split inputs must pair their order keys (orders and
+// lineitem are co-partitioned on it); a semi or anti join may not probe replicated rows against
+// a split build side, nor a GroupJoin aggregate split probe rows into replicated groups; a
+// Limit, or a Sort with a limit, may not cut split rows; and a nested GroupBy over split rows
+// must group by the order key. A plan breaking one of these rules, or the spine shape, is
+// refused with dfp::Error naming the operator, rather than answered with wrong rows.
+//
+// Correctness of the recombination is exact, not approximate: the merge runs the Volcano
+// oracle's aggregate arithmetic over the partial columns, and groups are emitted in
+// first-appearance order across the shard partials taken in shard order — which, because the
+// fact-table slices are contiguous in generation order (src/shard/partition.h), is the same
+// first-appearance order the unsharded engine sees.
 #ifndef DFP_SRC_SHARD_DECOMPOSE_H_
 #define DFP_SRC_SHARD_DECOMPOSE_H_
 
@@ -32,11 +42,10 @@ namespace dfp {
 // One original aggregate of the fan-out GroupBy, described for the merge: where its partial
 // column(s) sit in the partial rows and how to combine and finalize them.
 struct MergeAggSpec {
-  AggOp op = AggOp::kSum;                    // The ORIGINAL aggregate (kAvg, not its partials).
-  ColumnType in_type = ColumnType::kInt64;   // Aggregate input type (drives int/double paths).
-  ColumnType out_type = ColumnType::kInt64;  // Finalized output column type.
-  int partial_col = 0;   // First partial column in the partial row (keys precede partials).
-  int partial_cols = 1;  // 1, or 2 for kAvg (sum then count).
+  AggOp op = AggOp::kSum;                   // The ORIGINAL aggregate (kAvg, not its partials).
+  ColumnType in_type = ColumnType::kInt64;  // Aggregate input type (drives int/double paths).
+  int partial_col = 0;  // First partial column in the partial row (keys precede partials); a
+                        // kAvg's count follows its sum.
 };
 
 // Everything the coordinator needs to recombine shard partials into the exact unsharded result.
@@ -60,7 +69,8 @@ bool PlanTouchesPartitionedTable(const PhysicalOp& root);
 
 // Builds the per-shard partial plan: a finalized ResultSink over a clone of the fan-out
 // GroupBy (and its whole input subtree) with the aggregate list rewritten into partials.
-// Throws dfp::Error when the plan does not match the supported fan-out shape.
+// Throws dfp::Error when the plan does not match the supported fan-out shape, or when its
+// GroupBy's input is not shard-local (see the header comment).
 PhysicalOpPtr BuildPartialPlan(const PhysicalOp& root);
 
 // Builds the merge recipe for the same plan (same shape validation as BuildPartialPlan).

@@ -3,14 +3,14 @@
 //
 // Two halves, deliberately fused in one class so the profile can never drift from the result:
 //
-//  - Semantics. Partial rows from every shard are combined group-by-group with the exact
-//    AggState/FinalizeAgg arithmetic of the engine (src/interp/interpreter.cc), in
-//    first-appearance order across the shards taken in shard order; the lifted Map/Sort/Limit
-//    stages of the MergeRecipe then run host-side with interpreter-identical semantics. For
-//    integer and decimal aggregates the merged result is bit-identical to the unsharded
-//    engine's. (Double SUM/AVG re-associate addition across shards — exact only when the
-//    workload's double groups are single-shard, which the gated workload's are not; its
-//    aggregates are all int64/decimal.)
+//  - Semantics. Partial rows from every shard are combined group-by-group, in
+//    first-appearance order across the shards taken in shard order, by the Volcano oracle's
+//    own aggregate functions (Accumulate and FinalizeAgg, src/interp/interpreter.h); the
+//    lifted Map/Sort/Limit stages of the MergeRecipe then run host-side through the oracle's
+//    ApplyRowOperator. For integer and decimal aggregates the merged result is bit-identical
+//    to the unsharded engine's. (Double SUM/AVG re-associate addition across shards — exact
+//    only when the workload's double groups are single-shard, which the gated workload's are
+//    not; its aggregates are all int64/decimal.)
 //
 //  - Cost. Remote shards' partial cells are staged into per-shard staging rings carved from
 //    the coordinator (shard 0) database and registered as cross-node spans in a NumaMap: each
@@ -47,7 +47,6 @@ struct MergeOutcome {
   Result result;
   uint64_t merge_cycles = 0;      // Coordinator TSC consumed by this merge.
   uint64_t staged_bytes = 0;      // Bytes pulled across the shard fabric.
-  uint64_t staged_cells = 0;
   uint64_t merged_cells = 0;      // Cells touched by combine/finalize/stage compute.
 };
 

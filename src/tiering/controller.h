@@ -1,12 +1,13 @@
-// TierController: turns continuous-profiling window rollups into promotion decisions.
+// TierController: turns critical-path evidence into promotion decisions.
 //
-// Every completed execution of a baseline-tier fingerprint is reported here. The controller
-// rolls up the fingerprint's retained windows (src/continuous/window.h) and promotes once the
-// windowed execute cycles cross the break-even threshold derived from the CompileCostModel's
-// optimizing-tier estimate: at that point the plan's recent execution rate has already burned
-// more cycles than the recompile would cost. Promotions are one-shot per fingerprint and are
-// logged as TierTransitions, the one record of each promotion; the tier timeline report
-// (src/tiering/report.h) renders them.
+// Every completed execution of a baseline-tier fingerprint is reported here with the
+// fingerprint's cumulative critical-path work (src/critpath/): the cycles that actually gated
+// query latency, so wide-but-slack pipelines never buy a recompile that cannot move latency.
+// The controller promotes once that work crosses the break-even threshold derived from the
+// CompileCostModel's optimizing-tier estimate: at that point the plan has already spent more
+// latency-gating cycles than the recompile would cost. Promotions are one-shot per fingerprint
+// and are logged as TierTransitions, the one record of each promotion; the tier timeline
+// report (src/tiering/report.h) renders them.
 #ifndef DFP_SRC_TIERING_CONTROLLER_H_
 #define DFP_SRC_TIERING_CONTROLLER_H_
 
@@ -15,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "src/continuous/window.h"
 #include "src/tiering/tier.h"
 
 namespace dfp {
@@ -29,7 +29,7 @@ struct TierTransition {
   uint64_t decided_at_cycles = 0;  // Service clock when the break-even threshold was crossed.
   uint64_t swapped_at_cycles = 0;  // Service clock when the recompiled entry went live (0 while
                                    // the background job is still in flight).
-  uint64_t rollup_cycles = 0;      // Windowed execute cycles that crossed the threshold.
+  uint64_t rollup_cycles = 0;      // Critical-path work that crossed the threshold.
   uint64_t threshold_cycles = 0;   // break_even_ratio * optimizing compile estimate.
 };
 
@@ -39,16 +39,12 @@ class TierController {
 
   const TieringConfig& config() const { return config_; }
 
-  // Reports one completed baseline-tier execution of `fingerprint`. Returns true exactly once:
-  // when the windowed cycles first cross the break-even threshold — the caller then enqueues
-  // the background recompilation. `execute_cycles` backs a cumulative fallback for
-  // configurations running without windows. `critical_path_cycles` is the fingerprint's
-  // cumulative critical-path work (src/critpath/); when non-zero it replaces the raw-cycle
-  // evidence, so promotion tracks the cycles that actually gated query latency — wide-but-slack
-  // pipelines stop buying recompiles that cannot move latency.
-  bool Observe(uint64_t fingerprint, const std::string& name, const WindowedProfile& windows,
-               uint64_t execute_cycles, uint64_t optimizing_compile_cycles,
-               uint64_t now_cycles, uint64_t critical_path_cycles = 0);
+  // Reports one completed baseline-tier execution of `fingerprint`, whose cumulative
+  // critical-path work is now `critical_path_cycles`. Returns true exactly once: when that
+  // work first crosses the break-even threshold — the caller then enqueues the background
+  // recompilation.
+  bool Observe(uint64_t fingerprint, const std::string& name, uint64_t critical_path_cycles,
+               uint64_t optimizing_compile_cycles, uint64_t now_cycles);
 
   // Marks the pending transition of `fingerprint` as swapped in at `now_cycles`.
   void MarkSwapped(uint64_t fingerprint, uint64_t now_cycles);
@@ -58,7 +54,6 @@ class TierController {
  private:
   struct TierState {
     uint64_t executions = 0;
-    uint64_t cumulative_cycles = 0;
     bool promoted = false;
   };
 

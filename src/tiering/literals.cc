@@ -1,6 +1,7 @@
 #include "src/tiering/literals.h"
 
 #include <string>
+#include <utility>
 
 #include "src/ir/instr.h"
 #include "src/util/check.h"
@@ -8,133 +9,44 @@
 namespace dfp {
 namespace {
 
-// Mirrors FingerprintBuilder's traversal (src/service/fingerprint.cc): pre-order over
-// operators, each operator's limit before its expressions, expressions in list order with
-// whens/left/right/else recursion. Any divergence between the two walks silently mis-binds
-// slots, so both files cross-reference each other.
-struct LiteralWalker {
+// ExtractLiterals' visitor: numbers the sites in walk order.
+struct LiteralCollector {
   PlanLiterals out;
 
-  void AddExpr(const Expr& expr) {
-    switch (expr.kind) {
-      case ExprKind::kLiteral: {
-        out.expr_slots.emplace(&expr, static_cast<uint32_t>(out.bindings.size()));
-        LiteralBinding binding;
-        binding.kind = LiteralBinding::Kind::kValue;
-        binding.value = expr.literal;
-        out.bindings.push_back(std::move(binding));
-        break;
-      }
-      case ExprKind::kLike: {
-        out.expr_slots.emplace(&expr, static_cast<uint32_t>(out.bindings.size()));
-        LiteralBinding binding;
-        binding.kind = LiteralBinding::Kind::kPattern;
-        binding.pattern = expr.pattern;
-        out.bindings.push_back(std::move(binding));
-        break;
-      }
-      case ExprKind::kInList: {
-        out.expr_slots.emplace(&expr, static_cast<uint32_t>(out.bindings.size()));
-        for (int64_t candidate : expr.list) {
-          LiteralBinding binding;
-          binding.kind = LiteralBinding::Kind::kValue;
-          binding.value = candidate;
-          out.bindings.push_back(std::move(binding));
-        }
-        break;
-      }
-      default:
-        break;
-    }
-    for (const auto& [condition, value] : expr.whens) {
-      AddExpr(*condition);
-      AddExpr(*value);
-    }
-    if (expr.left != nullptr) {
-      AddExpr(*expr.left);
-    }
-    if (expr.right != nullptr) {
-      AddExpr(*expr.right);
-    }
-    if (expr.else_value != nullptr) {
-      AddExpr(*expr.else_value);
-    }
+  void Add(LiteralBinding::Kind kind, int64_t value, std::string pattern = "") {
+    out.bindings.push_back({kind, value, std::move(pattern)});
   }
-
-  void AddOp(const PhysicalOp& op) {
-    if (op.limit >= 0) {
-      LiteralBinding binding;
-      binding.kind = LiteralBinding::Kind::kLimit;
-      binding.value = op.limit;
-      out.bindings.push_back(std::move(binding));
-    }
-    for (const ExprPtr& expr : op.exprs) {
-      AddExpr(*expr);
-    }
-    for (const auto& child : op.children) {
-      AddOp(*child);
-    }
+  void Limit(int64_t count) { Add(LiteralBinding::Kind::kLimit, count); }
+  void Value(const Expr& site, int64_t payload) {
+    out.expr_slots.emplace(&site, static_cast<uint32_t>(out.bindings.size()));
+    Add(LiteralBinding::Kind::kValue, payload);
+  }
+  void Pattern(const Expr& site, const std::string& pattern) {
+    out.expr_slots.emplace(&site, static_cast<uint32_t>(out.bindings.size()));
+    Add(LiteralBinding::Kind::kPattern, 0, pattern);
   }
 };
 
-// Mirrors LiteralWalker (and therefore FingerprintBuilder), writing payloads instead of
-// collecting them. Kind checks fire on any trace/plan divergence.
-struct LiteralBinder {
-  const std::vector<LiteralBinding>* bindings = nullptr;
+// BindLiterals' visitor: overwrites each site with the next binding. Kind checks fire on any
+// trace/plan divergence.
+struct LiteralWriter {
+  const std::vector<LiteralBinding>& bindings;
   size_t next = 0;
 
   const LiteralBinding& Take(LiteralBinding::Kind kind) {
-    if (next >= bindings->size()) {
+    if (next >= bindings.size()) {
       throw Error("literal bindings exhausted: plan has more literal slots than the trace");
     }
-    const LiteralBinding& binding = (*bindings)[next++];
+    const LiteralBinding& binding = bindings[next++];
     if (binding.kind != kind) {
       throw Error("literal binding kind mismatch at slot " + std::to_string(next - 1));
     }
     return binding;
   }
-
-  void BindExpr(Expr& expr) {
-    switch (expr.kind) {
-      case ExprKind::kLiteral:
-        expr.literal = Take(LiteralBinding::Kind::kValue).value;
-        break;
-      case ExprKind::kLike:
-        expr.pattern = Take(LiteralBinding::Kind::kPattern).pattern;
-        break;
-      case ExprKind::kInList:
-        for (int64_t& candidate : expr.list) {
-          candidate = Take(LiteralBinding::Kind::kValue).value;
-        }
-        break;
-      default:
-        break;
-    }
-    for (auto& [condition, value] : expr.whens) {
-      BindExpr(*condition);
-      BindExpr(*value);
-    }
-    if (expr.left != nullptr) {
-      BindExpr(*expr.left);
-    }
-    if (expr.right != nullptr) {
-      BindExpr(*expr.right);
-    }
-    if (expr.else_value != nullptr) {
-      BindExpr(*expr.else_value);
-    }
-  }
-
-  void BindOp(PhysicalOp& op) {
-    if (op.limit >= 0) {
-      op.limit = Take(LiteralBinding::Kind::kLimit).value;
-    }
-    for (ExprPtr& expr : op.exprs) {
-      BindExpr(*expr);
-    }
-    for (auto& child : op.children) {
-      BindOp(*child);
-    }
+  void Limit(int64_t& count) { count = Take(LiteralBinding::Kind::kLimit).value; }
+  void Value(Expr&, int64_t& payload) { payload = Take(LiteralBinding::Kind::kValue).value; }
+  void Pattern(Expr&, std::string& pattern) {
+    pattern = Take(LiteralBinding::Kind::kPattern).pattern;
   }
 };
 
@@ -146,9 +58,9 @@ uint32_t PlanLiterals::SlotOf(const Expr& expr) const {
 }
 
 PlanLiterals ExtractLiterals(const PhysicalOp& root) {
-  LiteralWalker walker;
-  walker.AddOp(root);
-  return std::move(walker.out);
+  LiteralCollector collector;
+  WalkLiterals(root, collector);
+  return std::move(collector.out);
 }
 
 bool PatchCompatible(const PlanLiterals& cached, const PlanLiterals& incoming) {
@@ -169,12 +81,11 @@ bool PatchCompatible(const PlanLiterals& cached, const PlanLiterals& incoming) {
 }
 
 void BindLiterals(PhysicalOp& root, const std::vector<LiteralBinding>& bindings) {
-  LiteralBinder binder;
-  binder.bindings = &bindings;
-  binder.BindOp(root);
-  if (binder.next != bindings.size()) {
+  LiteralWriter writer{bindings};
+  WalkLiterals(root, writer);
+  if (writer.next != bindings.size()) {
     throw Error("literal bindings left over: trace carries " + std::to_string(bindings.size()) +
-                " slots, plan has " + std::to_string(binder.next));
+                " slots, plan has " + std::to_string(writer.next));
   }
 }
 

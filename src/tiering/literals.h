@@ -1,11 +1,12 @@
 // Plan-literal extraction: the bridge between plan fingerprinting and immediate patching.
 //
 // A structure-hash cache hit with different literals can reuse the cached machine code if every
-// parameterized-out constant is re-bound. This module assigns each literal payload a stable
-// slot number in the exact traversal order FingerprintPlan hashes them (src/service/
-// fingerprint.cc — the two walks must never diverge), records the bindings, and maps each
-// literal-bearing Expr to its first slot so the code generator can tag the lowered immediates
-// (Value::Param) for the emitter's relocation table.
+// parameterized-out constant is re-bound. WalkLiterals below is the one traversal of a plan's
+// literal sites and so defines their slot order; ExtractLiterals numbers the sites along it,
+// records the bindings, and maps each literal-bearing Expr to its first slot so the code
+// generator can tag the lowered immediates (Value::Param) for the emitter's relocation table.
+// BindLiterals writes bindings back along the same walk, and FingerprintPlan
+// (src/service/fingerprint.h) hashes its literal and pinned halves from it.
 //
 // LIMIT counts are literals for fingerprinting purposes but are *pinned* here: FinalizePlan
 // sizes sort buffers and result arenas from `bound_rows`, which a LIMIT caps, so patching a
@@ -16,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -52,7 +54,62 @@ struct PlanLiterals {
   uint32_t SlotOf(const Expr& expr) const;
 };
 
-// Walks `root` in fingerprint order and collects every literal payload.
+namespace internal {
+
+template <typename E, typename Visitor>
+void WalkLiteralExpr(E& expr, Visitor& visit) {
+  switch (expr.kind) {
+    case ExprKind::kLiteral:
+      visit.Value(expr, expr.literal);
+      break;
+    case ExprKind::kLike:
+      visit.Pattern(expr, expr.pattern);
+      break;
+    case ExprKind::kInList:
+      for (auto& candidate : expr.list) {
+        visit.Value(expr, candidate);
+      }
+      break;
+    default:
+      break;
+  }
+  for (auto& [condition, value] : expr.whens) {
+    WalkLiteralExpr<E>(*condition, visit);
+    WalkLiteralExpr<E>(*value, visit);
+  }
+  if (expr.left != nullptr) {
+    WalkLiteralExpr<E>(*expr.left, visit);
+  }
+  if (expr.right != nullptr) {
+    WalkLiteralExpr<E>(*expr.right, visit);
+  }
+  if (expr.else_value != nullptr) {
+    WalkLiteralExpr<E>(*expr.else_value, visit);
+  }
+}
+
+}  // namespace internal
+
+// Visits every literal site of the plan under `op` in slot order: operators pre-order, each
+// one's LIMIT count before its expressions, expressions in list order, each expression's own
+// payload before its whens (condition, value), left, right and else. `visit` receives
+// Limit(count), Value(expr, payload) — a kLiteral's payload, or each kInList member in turn —
+// and Pattern(expr, pattern); the payloads are references, writable when `Op` is not const.
+template <typename Op, typename Visitor>
+void WalkLiterals(Op& op, Visitor& visit) {
+  using E = std::conditional_t<std::is_const_v<Op>, const Expr, Expr>;
+  if (op.limit >= 0) {
+    visit.Limit(op.limit);
+  }
+  for (const ExprPtr& expr : op.exprs) {
+    internal::WalkLiteralExpr<E>(*expr, visit);
+  }
+  for (const PhysicalOpPtr& child : op.children) {
+    WalkLiterals<Op>(*child, visit);
+  }
+}
+
+// Collects every literal payload of `root`, numbered in WalkLiterals order.
 PlanLiterals ExtractLiterals(const PhysicalOp& root);
 
 // True when a plan with `cached` bindings can serve one with `incoming` bindings by patching:
@@ -60,13 +117,13 @@ PlanLiterals ExtractLiterals(const PhysicalOp& root);
 // agreeing on (structure, pinned) fingerprint halves; checked defensively anyway.)
 bool PatchCompatible(const PlanLiterals& cached, const PlanLiterals& incoming);
 
-// Rewrites `root`'s literal payloads in place so a subsequent ExtractLiterals(root) yields
-// exactly `bindings`. This is the tree-level counterpart of PatchCachedPlan: the replayer
-// (src/replay/) rebinds a cloned plan template to a recorded query's literals *before*
-// compilation, so — unlike machine-code patching — pinned LIMIT counts are rewritten too
-// (FinalizePlan then re-derives the row bounds they cap). Throws dfp::Error when `bindings`
-// does not match the plan's slot layout (count or kind mismatch), which indicates a corrupt or
-// mismatched trace rather than a programming error.
+// Rewrites `root`'s literal payloads in place, along WalkLiterals, so a subsequent
+// ExtractLiterals(root) yields exactly `bindings`. This is the tree-level counterpart of
+// PatchCachedPlan: the replayer (src/replay/) rebinds a cloned plan template to a recorded
+// query's literals *before* compilation, so — unlike machine-code patching — pinned LIMIT
+// counts are rewritten too (FinalizePlan then re-derives the row bounds they cap). Throws
+// dfp::Error when `bindings` does not match the plan's slot layout (count or kind mismatch),
+// which indicates a corrupt or mismatched trace rather than a programming error.
 void BindLiterals(PhysicalOp& root, const std::vector<LiteralBinding>& bindings);
 
 }  // namespace dfp

@@ -24,9 +24,9 @@ struct TieringConfig {
   // Off by default: every compile goes straight to the optimizing tier and the service behaves
   // exactly as before (byte-identical artifacts, streams, and reports).
   bool enabled = false;
-  // Promote a baseline-tier fingerprint once its windowed execute cycles reach this multiple of
-  // the estimated optimizing-tier compile cost (classic break-even: at 1.0 the recompile has
-  // paid for itself if the plan keeps its recent execution rate).
+  // Promote a baseline-tier fingerprint once its cumulative critical-path work reaches this
+  // multiple of the estimated optimizing-tier compile cost (classic break-even: at 1.0 the
+  // plan has already spent as many latency-gating cycles as the recompile costs).
   double break_even_ratio = 1.0;
 };
 

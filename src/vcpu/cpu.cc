@@ -363,7 +363,6 @@ Cpu::DataAccess Cpu::AccessData(VAddr addr) {
     ++numa_stats_.cross_node_accesses;
     if (res.hit_level >= 4) {
       access.numa_penalty = kCrossNodePenaltyCycles;
-      ++numa_stats_.cross_node_dram;
       access.sample_due |= pmu_.Tick(PmuEvent::kCrossNode);
     }
     return access;

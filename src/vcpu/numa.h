@@ -33,7 +33,6 @@ struct NumaStats {
   uint64_t remote_accesses = 0;  // Accesses to another node's memory (any cache level).
   uint64_t remote_dram = 0;      // Remote accesses that missed to DRAM and paid the penalty.
   uint64_t cross_node_accesses = 0;  // Accesses to another machine node's memory (any level).
-  uint64_t cross_node_dram = 0;      // Cross-machine accesses that missed and paid the fabric hop.
 };
 
 // Where one address lives. `machine` is the machine node whose memory serves it, or

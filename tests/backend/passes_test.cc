@@ -214,7 +214,7 @@ TEST(Dce, KeepsStoresCallsAndLoopState) {
   uint32_t cond = b.CmpLt(Value::Reg(i), Value::Reg(1));
   b.CondBr(Value::Reg(cond), body, exit);
   b.SetInsertPoint(body);
-  b.Store(Opcode::kStore8, Value::Reg(i), Value::Reg(0));
+  b.Store(Value::Reg(i), Value::Reg(0));
   b.Assign(i, Opcode::kAdd, Value::Reg(i), Value::Imm(1));
   b.Br(head);
   b.SetInsertPoint(exit);

@@ -66,7 +66,7 @@ IrFunction GenerateProgram(uint64_t seed, int size) {
       case 8: {
         // Store then load back through the scratch buffer.
         int32_t slot = static_cast<int32_t>(rng.Uniform(0, 15)) * 8;
-        b.Store(Opcode::kStore8, pick(), Value::Reg(0), slot);
+        b.Store(pick(), Value::Reg(0), slot);
         pool.push_back(b.Load(Opcode::kLoad8, Value::Reg(0), slot));
         break;
       }

@@ -127,7 +127,7 @@ TEST(IrInterp, SelectAndNarrowMemory) {
   b.SetInsertPoint(b.CreateBlock("entry"));
   // Store a negative value, reload its low 32 bits sign-extended, select on comparison with
   // arg1.
-  b.Store(Opcode::kStore8, Value::Imm(-5), Value::Reg(0));
+  b.Store(Value::Imm(-5), Value::Reg(0));
   uint32_t loaded = b.Load(Opcode::kLoad4, Value::Reg(0));
   uint32_t is_neg = b.CmpLt(Value::Reg(loaded), Value::Imm(0));
   uint32_t result = b.Select(Value::Reg(is_neg), Value::Reg(1), Value::Imm(0));

@@ -59,13 +59,10 @@ TEST_P(ParallelValidation, ValidationModeCleanOnEveryWorker) {
   // The per-worker split is a partition of the whole-session cross-check.
   ValidationReport combined = CrossCheckAttribution(session, db.code_map());
   uint64_t checked = 0;
-  uint64_t skipped = 0;
   for (const ValidationReport& report : reports) {
     checked += report.checked;
-    skipped += report.skipped;
   }
   EXPECT_EQ(checked, combined.checked) << spec.name;
-  EXPECT_EQ(skipped, combined.skipped) << spec.name;
   EXPECT_GT(combined.checked, 0u) << spec.name;
 }
 

@@ -179,7 +179,7 @@ TEST(ReplayServiceTest, MutatedKnobReplayFlagsIntendedDeltaAndNothingElse) {
   EXPECT_FALSE(report.knobs_identical);
   EXPECT_GT(report.recorded_tier_swaps, 0u);
   EXPECT_EQ(report.replayed_tier_swaps, 0u);
-  EXPECT_EQ(report.replayed_tiers.baseline_samples, 0u);
+  EXPECT_EQ(run.trace.summary.tiers.baseline_samples, 0u);
   EXPECT_FALSE(report.tiers_identical);
 
   // ...and nothing else: same admission outcomes, same completions, same result row counts.

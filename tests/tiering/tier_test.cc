@@ -1,5 +1,5 @@
 // Tier ladder end-to-end: cold compiles land on the baseline tier, the controller promotes a
-// hot fingerprint once the windowed cycles cross break-even, the background recompilation
+// hot fingerprint once its critical-path work crosses break-even, the background recompilation
 // swaps in atomically with bit-identical results, literal variants patch instead of compiling,
 // admission defers while a patch target is busy, and the tier timeline / sample-stream events
 // account for every sample and transition.
@@ -245,29 +245,18 @@ TEST(TierControllerTest, CriticalPathEvidencePicksPromotionsByLatency) {
   TieringConfig tiering;
   tiering.enabled = true;
   tiering.break_even_ratio = 1.0;
-  WindowedProfile windows;  // Empty windows: the legacy path falls back to cumulative cycles.
 
-  // A wide-but-slack plan: it burns 10k cycles per execution but only 100 of them ever sit on
-  // a query's critical path. Raw-cycle evidence would promote immediately; critical-path
-  // evidence holds until the path work itself crosses break-even.
-  // The first kTierMinExecutions - 1 executions never promote, whatever the evidence.
+  // A wide-but-slack plan: however many cycles it burns per execution, only 100 of them ever
+  // sit on a query's critical path, so promotion holds until the path work itself crosses
+  // break-even. The first kTierMinExecutions - 1 executions never promote, whatever the
+  // evidence.
   static_assert(kTierMinExecutions == 2);
   TierController by_path(tiering);
-  EXPECT_FALSE(by_path.Observe(0x1, "wide", windows, 10'000, 5'000, 1,
-                               /*critical_path_cycles=*/100));
-  EXPECT_FALSE(by_path.Observe(0x1, "wide", windows, 10'000, 5'000, 2,
-                               /*critical_path_cycles=*/100));
-  EXPECT_TRUE(by_path.Observe(0x1, "wide", windows, 10'000, 5'000, 3,
-                              /*critical_path_cycles=*/6'000));
+  EXPECT_FALSE(by_path.Observe(0x1, "wide", /*critical_path_cycles=*/100, 5'000, 1));
+  EXPECT_FALSE(by_path.Observe(0x1, "wide", /*critical_path_cycles=*/100, 5'000, 2));
+  EXPECT_TRUE(by_path.Observe(0x1, "wide", /*critical_path_cycles=*/6'000, 5'000, 3));
   ASSERT_EQ(by_path.transitions().size(), 1u);
   EXPECT_EQ(by_path.transitions()[0].rollup_cycles, 6'000u);
-
-  // Callers that pass no critical-path evidence keep the raw-cycle behavior (zero means "no
-  // analysis available", never "free promotion"): raw cycles promote on the first observation
-  // past the minimum.
-  TierController no_evidence(tiering);
-  EXPECT_FALSE(no_evidence.Observe(0x1, "wide", windows, 10'000, 5'000, 1));
-  EXPECT_TRUE(no_evidence.Observe(0x1, "wide", windows, 10'000, 5'000, 2));
 }
 
 TEST(TierLadderTest, TieringOffKeepsOptimizedTierAndNoEvents) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Audits dfp's configuration surface: a knob exists only if something sets it.
 
-Three kinds of findings:
+Four kinds of findings:
 
   unused    Class::member  A member declared in src/**/*.h that nothing in src/, bench/,
                            examples/ or perfbench/ references outside its own declaration
@@ -12,14 +12,21 @@ Three kinds of findings:
   unset     Struct::field  A field of a config struct (every *Config, *Options, *Thresholds,
                            *Costs and *CostModel in src/) that nothing outside tests/
                            assigns.
+  unread    Class::field   A data member declared in src/**/*.h whose every use in those
+                           directories is its declaration or the target of an assignment, a
+                           compound assignment or an increment.
 
 The scan is textual: comments and string literals are blanked, then names are matched as
 whole words, so a member or function whose name something else shares counts as referenced;
-a function counts as called at `name(`, so one only passed by pointer needs an entry. A field
-counts as assigned when an access path through it (`x.field`, `p->field`, `x.field.sub`) is
-the target of an assignment, or when a positional aggregate initializer reaches it. Reading
-a field back from a state file (`>>`) does not count: the file only carries what a config
-held. Receiver types are inferred from declarations, so a finding is a lead to check by hand.
+a function counts as called at `name(`, so one only passed by pointer needs an entry. A use
+of a data member counts as a write when the name is followed by `=` or a compound assignment
+(`.name = x`, `p->name += x`, a designated initializer, or a local of the same name declared
+with an initializer) or when an increment or decrement of it is a whole statement
+(`++x.name;`, `name--;`); every other use reads it. A field counts as assigned when an access
+path through it (`x.field`, `p->field`, `x.field.sub`) is the target of an assignment, or
+when a positional aggregate initializer reaches it. Reading a field back from a state file
+(`>>`) does not count: the file only carries what a config held. Receiver types are inferred
+from declarations, so a finding is a lead to check by hand.
 
 Exits 1 on any finding missing from ALLOWED, and on an ALLOWED entry that is no longer a
 finding, so the allowlist cannot go stale. Run from anywhere:
@@ -79,6 +86,11 @@ ALLOWED = {
     "unused VMem::FindRegion":
         "address-to-region lookup the memory-profile and VMem tests resolve addresses with",
     "unused VMem::regions": "the VMem and service tests enumerate the arena's regions",
+    "unread ReplayRun::service_profile_text":
+        "the replay differential tests compare the replay's rendered fleet profile with the "
+        "recording's",
+    "unread ReplayRun::tier_timeline_text":
+        "the replay differential tests compare the replay's tier timeline with the recording's",
 }
 
 CODE_DIRS = ("src", "bench", "examples", "perfbench")
@@ -269,7 +281,8 @@ def read_sources(root):
 
 
 def declarations(sources):
-    """(class, member, field type or None for functions, path) per member of every class.
+    """(class, member, field type or None for functions, path, whether the declaration writes
+    an initializer with `=`) per member of every class.
 
     Classes come from every scanned file so a receiver's type resolves even when it is a
     bench's own struct; only src/**/*.h members are audited.
@@ -289,8 +302,24 @@ def declarations(sources):
                 if "(" not in head:
                     t = re.search(r"(\w+)\s*(?:<[^;]*>)?\s*[&*]?\s*\b%s\b" % name, head)
                     field_type = t.group(1) if t else ""
-                found.append((class_name, name, field_type, path))
+                initialized = bool(re.search(r"\b%s\s*=(?!=)" % name, statement))
+                found.append((class_name, name, field_type, path, initialized))
     return found
+
+
+def write_counts(code):
+    """Per identifier: its uses in `code` that only write it (see the module docstring)."""
+    counts = {}
+    path = r"(?:\w+\s*(?:\.|->)\s*)*"
+    write = re.compile(r"\b([A-Za-z_]\w*)\s*(?:[-+*/%|&^]|<<|>>)?=(?!=)|" +
+                       r"(?:^|[;{}])\s*(?:\+\+|--)\s*" + path + r"([A-Za-z_]\w*)\s*;|" +
+                       r"(?:^|[;{}])\s*" + path + r"([A-Za-z_]\w*)\s*(?:\+\+|--)\s*;",
+                       re.M)
+    for text in code.values():
+        for m in write.finditer(text):
+            name = m.group(1) or m.group(2) or m.group(3)
+            counts[name] = counts.get(name, 0) + 1
+    return counts
 
 
 def is_config(class_name):
@@ -306,7 +335,7 @@ def assigned_fields(code, decls):
     a field of that name, or for every struct with one when only config structs have it.
     """
     field_owners, field_type, field_order = {}, {}, {}
-    for class_name, name, ftype, _ in decls:
+    for class_name, name, ftype, *_ in decls:
         if ftype is not None:
             field_owners.setdefault(name, set()).add(class_name)
             field_type[(class_name, name)] = ftype
@@ -372,10 +401,10 @@ def main():
     # Own declarations: one per declared member, plus each out-of-line `Class::name(` that
     # starts a line (a definition, not a call).
     own, own_calls = {}, {}
-    for _, name, ftype, _ in decls:
+    for _, name, ftype, _, _ in decls:
         own[name] = own.get(name, 0) + 1
         own_calls[name] = own_calls.get(name, 0) + (ftype is None)
-    classes = {class_name for class_name, _, _, _ in decls}
+    classes = {class_name for class_name, *_ in decls}
     definition = re.compile(r"^\S[^\n;]*?\b(\w+)::(\w+)\s*\(", re.M)
     for text in code.values():
         for m in definition.finditer(text):
@@ -398,12 +427,20 @@ def main():
     for name in functions:
         if call_counts.get(name, 0) <= free_own[name] + own_calls.get(name, 0):
             findings.add("uncalled %s" % name)
-    for class_name, name, ftype, _ in audited:
+    for class_name, name, ftype, *_ in audited:
         if (word_counts.get(name, 0) <= own[name] if ftype is not None else
                 call_counts.get(name, 0) <= own_calls[name]):
             findings.add("unused %s::%s" % (class_name, name))
+    # Writes outside the declarations: an initializer in a declaration is not a second use.
+    writes = write_counts(code)
+    for _, name, _, _, initialized in decls:
+        writes[name] = writes.get(name, 0) - initialized
+    for class_name, name, ftype, *_ in audited:
+        if (ftype is not None and word_counts.get(name, 0) > own[name] and
+                word_counts.get(name, 0) <= own[name] + writes.get(name, 0)):
+            findings.add("unread %s::%s" % (class_name, name))
     assigned = assigned_fields(code, decls)
-    for class_name, name, ftype, _ in audited:
+    for class_name, name, ftype, *_ in audited:
         if ftype is not None and is_config(class_name) and (class_name, name) not in assigned:
             findings.add("unset %s::%s" % (class_name, name))
 
