@@ -46,7 +46,7 @@ BENCHMARK(BM_CacheAccessRandom);
 struct RuntimeFixture {
   RuntimeFixture() : mem(64ull << 20) {
     region = mem.CreateRegion("ht", 48ull << 20);
-    runtime = std::make_unique<Runtime>(&mem, &code_map, region);
+    runtime = std::make_unique<Runtime>(&code_map);
   }
   VMem mem;
   CodeMap code_map;

@@ -20,7 +20,7 @@ Database::Database(DatabaseConfig config) : mem_(TotalBytes(config)) {
   state_region_ = mem_.CreateRegion("state", config.state_bytes);
   output_region_ = mem_.CreateRegion("output", config.output_bytes);
   strings_ = std::make_unique<StringHeap>(&mem_, strings_region);
-  runtime_ = std::make_unique<Runtime>(&mem_, &code_map_, hashtables_region_);
+  runtime_ = std::make_unique<Runtime>(&code_map_);
 }
 
 void Database::AddTable(Table table) {

@@ -326,7 +326,7 @@ void RunHostStep(Database& db, const ExecStep& step, const ScratchRegions& regio
       VAddr table =
           CreateHashTable(mem, regions.hashtables, step.ht_capacity, step.ht_payload_bytes);
       mem.Write<uint64_t>(state + step.state_offset0, table);
-      // Directory set-up cost (zeroing is modeled, the memory itself is pre-zeroed).
+      // Directory set-up cost (zeroing is modeled; the bytes of a reset region read zero).
       cpu.HostWork(db.runtime().kernel_exec_segment(), 200 + step.ht_capacity / 16);
       return;
     }

@@ -30,8 +30,7 @@ CompileOptions RuntimeCompileOptions() {
 
 }  // namespace
 
-Runtime::Runtime(VMem* mem, CodeMap* code_map, uint32_t hashtable_region)
-    : mem_(mem), code_map_(code_map), hashtable_region_(hashtable_region) {
+Runtime::Runtime(CodeMap* code_map) : code_map_(code_map) {
   RegisterKernelFunctions();
   RegisterSyslibFunctions();
   BuildHtInsert();
@@ -180,8 +179,9 @@ void Runtime::BuildHtLookup() {
 }
 
 void Runtime::RegisterKernelFunctions() {
-  // Hash-table growth: allocate a fresh entry chunk. Entry addresses remain stable; only the
-  // bump window moves.
+  // Hash-table growth: allocate a fresh entry chunk from the region that holds the table, so a
+  // service session's table grows inside its own scratch region and a reset releases the chunk.
+  // Entry addresses remain stable; only the bump window moves.
   uint32_t grow_segment = code_map_->AddHostSegment(SegmentKind::kKernel, "kernel.ht_grow", 48);
   ht_grow_fn_ = code_map_->AddHostFunction(
       "kernel.ht_grow", grow_segment,
@@ -190,7 +190,11 @@ void Runtime::RegisterKernelFunctions() {
         VMem& mem = cpu.mem();
         const uint64_t entry_size = mem.Read<uint64_t>(table + kHtEntrySize);
         const uint64_t chunk_entries = std::max<uint64_t>(1024, mem.Read<uint64_t>(table + kHtCount));
-        const VAddr chunk = mem.Alloc(hashtable_region_, chunk_entries * entry_size);
+        const MemRegion* region = mem.FindRegion(table);
+        DFP_CHECK(region != nullptr);
+        // FindRegion points into the region table, so the offset from region 0 is the id.
+        const auto region_id = static_cast<uint32_t>(region - &mem.region(0));
+        const VAddr chunk = mem.Alloc(region_id, chunk_entries * entry_size);
         mem.Write<uint64_t>(table + kHtBumpNext, chunk);
         mem.Write<uint64_t>(table + kHtBumpEnd, chunk + chunk_entries * entry_size);
         cpu.HostWork(grow_segment, 400 + chunk_entries / 16);
@@ -248,7 +252,7 @@ void Runtime::RegisterKernelFunctions() {
             std::memcpy(staging.data() + i * spec.row_size,
                         mem.Data(buffer + order[i] * spec.row_size), spec.row_size);
           }
-          std::memcpy(mem.Data(buffer), staging.data(), staging.size());
+          mem.WriteBytes(buffer, staging.data(), staging.size());
         }
         // Modeled cost: comparison-sort work plus the permutation traffic.
         const double logn = rows > 1 ? std::log2(static_cast<double>(rows)) : 1.0;

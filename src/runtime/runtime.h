@@ -35,8 +35,7 @@ struct SortSpec {
 class Runtime {
  public:
   // Builds and compiles the shared VIR functions, and registers the host segments/functions.
-  // `hashtable_region` is where hash-table growth allocates additional entry chunks.
-  Runtime(VMem* mem, CodeMap* code_map, uint32_t hashtable_region);
+  explicit Runtime(CodeMap* code_map);
 
   // rt_ht_insert(table, hash) -> new entry address. The paper's shared source location.
   uint32_t ht_insert_fn() const { return ht_insert_fn_; }
@@ -67,9 +66,7 @@ class Runtime {
   void RegisterKernelFunctions();
   void RegisterSyslibFunctions();
 
-  VMem* mem_;
   CodeMap* code_map_;
-  uint32_t hashtable_region_;
 
   uint32_t ht_insert_fn_ = 0;
   uint32_t ht_insert_locked_fn_ = 0;

@@ -220,7 +220,9 @@ class QueryService {
   TicketId Submit(PhysicalOpPtr plan, std::string name, uint64_t deadline_cycles = 0,
                   uint32_t weight = 1);
 
-  // Runs the scheduler until every submitted query has completed (or timed out).
+  // Runs the scheduler until every submitted query has completed (or timed out). A query that
+  // overflows one of its session's scratch regions throws dfp::Error out of Drain, naming the
+  // region; that leaves sessions mid-run, so a service whose Drain threw must be discarded.
   void Drain();
 
   const QueryTicket& ticket(TicketId id) const;

@@ -12,7 +12,7 @@ uint64_t StringHeap::Intern(std::string_view text) {
     return it->second;
   }
   VAddr addr = mem_->Alloc(region_, text.size() == 0 ? 1 : text.size(), 1);
-  std::memcpy(mem_->Data(addr), text.data(), text.size());
+  mem_->WriteBytes(addr, text.data(), text.size());
   uint64_t packed = PackStringRef(addr, text.size());
   interned_.emplace(std::string(text), packed);
   return packed;

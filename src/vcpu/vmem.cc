@@ -1,5 +1,6 @@
 #include "src/vcpu/vmem.h"
 
+#include <algorithm>
 #include <new>
 
 #include "src/util/str.h"
@@ -16,7 +17,9 @@ VMem::VMem(uint64_t capacity) : capacity_(capacity), next_base_(64) {
                           static_cast<unsigned long long>(kMaxVMemBytes)));
   }
   bytes_.reset(static_cast<uint8_t*>(std::calloc(capacity, 1)));
-  if (bytes_ == nullptr) {
+  dirty_.reset(static_cast<uint8_t*>(
+      std::calloc((capacity + kDirtyPageBytes - 1) / kDirtyPageBytes, 1)));
+  if (bytes_ == nullptr || dirty_ == nullptr) {
     throw std::bad_alloc();
   }
 }
@@ -38,7 +41,12 @@ VAddr VMem::Alloc(uint32_t region_id, uint64_t bytes, uint64_t align) {
   DFP_CHECK(align > 0 && (align & (align - 1)) == 0);
   MemRegion& region = regions_[region_id];
   uint64_t offset = (region.used + align - 1) & ~(align - 1);
-  DFP_CHECK(offset <= region.size && bytes <= region.size - offset);
+  if (offset > region.size || bytes > region.size - offset) {
+    throw Error(StrFormat("region '%s' is full: %llu bytes requested, %llu of %llu bytes used",
+                          region.name.c_str(), static_cast<unsigned long long>(bytes),
+                          static_cast<unsigned long long>(region.used),
+                          static_cast<unsigned long long>(region.size)));
+  }
   region.used = offset + bytes;
   return region.base + offset;
 }
@@ -46,8 +54,31 @@ VAddr VMem::Alloc(uint32_t region_id, uint64_t bytes, uint64_t align) {
 void VMem::ResetRegion(uint32_t region_id) {
   DFP_CHECK(region_id < regions_.size());
   MemRegion& region = regions_[region_id];
-  std::memset(bytes_.get() + region.base, 0, region.used);
+  const VAddr begin = region.base;
+  const VAddr end = region.base + region.used;
+  for (uint64_t page = begin / kDirtyPageBytes; page * kDirtyPageBytes < end; ++page) {
+    if (dirty_[page] == 0) {
+      continue;
+    }
+    const VAddr page_begin = page * kDirtyPageBytes;
+    const VAddr lo = std::max(begin, page_begin);
+    const VAddr hi = std::min(end, page_begin + kDirtyPageBytes);
+    std::memset(bytes_.get() + lo, 0, hi - lo);
+    if (lo == page_begin && hi == page_begin + kDirtyPageBytes) {
+      dirty_[page] = 0;
+    }
+  }
   region.used = 0;
+}
+
+void VMem::WriteBytes(VAddr addr, const void* src, uint64_t len) {
+  DFP_CHECK(addr <= capacity_ && len <= capacity_ - addr);
+  if (len == 0) {
+    return;
+  }
+  std::memcpy(bytes_.get() + addr, src, len);
+  std::memset(dirty_.get() + addr / kDirtyPageBytes, 1,
+              (addr + len - 1) / kDirtyPageBytes - addr / kDirtyPageBytes + 1);
 }
 
 void VMem::MarkPartitioned(VAddr base, uint64_t bytes) {

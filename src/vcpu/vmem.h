@@ -4,6 +4,11 @@
 // the string heap) lives in one contiguous arena addressed by 64-bit offsets. Named regions carve
 // up the arena so profiling reports can describe what an address belongs to, and per-region bump
 // allocation mimics how an engine lays out its memory. Address 0 is reserved as the null pointer.
+//
+// Host memory: the arena is reserved whole but costs host memory only for the pages something
+// touches. A dirty map, one byte per kDirtyPageBytes page, records which pages writes have
+// touched since they last held only zeros, so a region reset zeroes just those pages and never
+// commits a page that only a reservation covered (a hash table sized for its row bound, say).
 #ifndef DFP_SRC_VCPU_VMEM_H_
 #define DFP_SRC_VCPU_VMEM_H_
 
@@ -24,6 +29,10 @@ using VAddr = uint64_t;
 // Largest arena a VMem accepts: the cache model's tags are only as wide as addresses below it
 // need (src/vcpu/cache.h). The default DatabaseConfig reserves 505 MiB plus its head room.
 inline constexpr uint64_t kMaxVMemBytes = 1ull << 35;
+
+// Granularity of the dirty map: one map byte per page of this many arena bytes. A byte, not a
+// bit, so two pages never share a memory location.
+inline constexpr uint64_t kDirtyPageBytes = 4096;
 
 // One named region of the arena (e.g. "columns", "hashtables", "state").
 struct MemRegion {
@@ -68,26 +77,28 @@ class VMem {
   // Returns the region id used with `Alloc`.
   uint32_t CreateRegion(const std::string& name, uint64_t size);
 
-  // Bump-allocates `bytes` (aligned to `align`) from the region. Aborts if the region is full:
-  // capacity planning is the caller's job and exhaustion indicates an engine bug.
+  // Bump-allocates `bytes` (aligned to `align`) from the region. Throws dfp::Error naming the
+  // region, the request and the region's used and total bytes when the region is full: a query
+  // can ask for more memory than its region holds. A bad region id or alignment is a caller bug
+  // and aborts.
   VAddr Alloc(uint32_t region, uint64_t bytes, uint64_t align = 8);
 
   // Releases all allocations in the region and zeroes its used bytes, so that the next query's
-  // allocations see fresh zero-initialized memory.
+  // allocations read zero. Only the dirty pages of the used range are zeroed; a page wholly
+  // inside the range is then clean again, while a page shared with a neighbouring region keeps
+  // its mark, since the neighbour's bytes on it may be nonzero. Clean pages are never touched.
   void ResetRegion(uint32_t region);
 
-  // Raw accessors, bounds-checked via DFP_CHECK. `capacity_ - sizeof(T)` cannot wrap
-  // (capacity_ >= 64), so an address near 2^64, such as a null base plus a negative
-  // displacement, fails the check.
-  uint8_t* Data(VAddr addr) {
-    DFP_CHECK(addr < capacity_);
-    return bytes_.get() + addr;
-  }
+  // Read-only view of the bytes from `addr` on, bounds-checked via DFP_CHECK at `addr` only.
+  // Writes go through Write or WriteBytes, which keep the dirty map.
   const uint8_t* Data(VAddr addr) const {
     DFP_CHECK(addr < capacity_);
     return bytes_.get() + addr;
   }
 
+  // Typed accessors, bounds-checked via DFP_CHECK. `capacity_ - sizeof(T)` cannot wrap
+  // (capacity_ >= 64), so an address near 2^64, such as a null base plus a negative
+  // displacement, fails the check. Write marks the pages of its first and last byte dirty.
   template <typename T>
   T Read(VAddr addr) const {
     DFP_CHECK(addr <= capacity_ - sizeof(T));
@@ -100,7 +111,13 @@ class VMem {
   void Write(VAddr addr, T value) {
     DFP_CHECK(addr <= capacity_ - sizeof(T));
     std::memcpy(bytes_.get() + addr, &value, sizeof(T));
+    dirty_[addr / kDirtyPageBytes] = 1;
+    dirty_[(addr + sizeof(T) - 1) / kDirtyPageBytes] = 1;
   }
+
+  // Copies `len` bytes from `src` to [addr, addr + len), checking the whole range, and marks
+  // every page it spans dirty.
+  void WriteBytes(VAddr addr, const void* src, uint64_t len);
 
   uint64_t capacity() const { return capacity_; }
   // First address not yet carved into a region (where the next CreateRegion would start).
@@ -135,6 +152,9 @@ class VMem {
   // From calloc: the allocator serves arenas this large from fresh zero pages, so the host
   // commits a page only when it is first touched.
   std::unique_ptr<uint8_t[], FreeDeleter> bytes_;
+  // One byte per kDirtyPageBytes page of bytes_, also from calloc. Invariant: a page whose byte
+  // is clear holds only zeros.
+  std::unique_ptr<uint8_t[], FreeDeleter> dirty_;
   uint64_t capacity_;
   std::vector<MemRegion> regions_;
   std::vector<MemExtent> partitioned_;

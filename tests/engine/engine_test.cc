@@ -3,6 +3,8 @@
 #include "src/engine/query_engine.h"
 #include "src/interp/interpreter.h"
 #include "src/plan/builder.h"
+#include "src/sql/binder.h"
+#include "src/tpch/datagen.h"
 #include "src/util/date.h"
 #include "src/util/decimal.h"
 #include "src/util/random.h"
@@ -238,6 +240,34 @@ TEST_F(EngineTest, ExecutionIsDeterministic) {
   CompiledQuery q2 = engine.Compile(make_plan(), nullptr, "det2");
   engine.Execute(q2);
   EXPECT_EQ(cycles1, engine.last_cycles());
+}
+
+TEST(QueryEngineMemory, FullRegionIsAnErrorAndTheEngineRunsOn) {
+  DatabaseConfig config;
+  config.hashtables_bytes = 64 * 1024;
+  Database db(config);
+  TpchOptions options;
+  options.scale = 0.002;
+  GenerateTpch(db, options);
+  QueryEngine engine(&db);
+
+  // The group-by's table, sized for every lineitem row, does not fit 64 KiB.
+  CompiledQuery grouped = engine.Compile(
+      PlanSql(db, "select l_orderkey, count(*) from lineitem group by l_orderkey"), nullptr,
+      "grouped");
+  try {
+    engine.Execute(grouped);
+    FAIL() << "the group-by must overflow the hashtables region";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("hashtables"), std::string::npos) << error.what();
+  }
+
+  // Execute resets the scratch regions first, so the next query runs normally.
+  CompiledQuery count =
+      engine.Compile(PlanSql(db, "select count(*) from region"), nullptr, "count");
+  const Result result = engine.Execute(count);
+  ASSERT_EQ(result.row_count(), 1u);
+  EXPECT_EQ(result.at(0, 0), 5);
 }
 
 }  // namespace

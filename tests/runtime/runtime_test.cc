@@ -19,7 +19,7 @@ class RuntimeTest : public ::testing::Test {
   RuntimeTest() : mem(64ull << 20) {
     ht_region = mem.CreateRegion("hashtables", 16ull << 20);
     string_region = mem.CreateRegion("strings", 1ull << 20);
-    runtime = std::make_unique<Runtime>(&mem, &code_map, ht_region);
+    runtime = std::make_unique<Runtime>(&code_map);
   }
 
   Cpu MakeCpu() { return Cpu(mem, code_map, pmu); }

@@ -8,10 +8,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/engine/codegen.h"
 #include "src/engine/query_engine.h"
 #include "src/profiling/serialize.h"
+#include "src/runtime/hashtable.h"
 #include "src/service/query_service.h"
 #include "src/service/service_profile.h"
 #include "src/sql/binder.h"
@@ -682,6 +684,63 @@ TEST(QueryServiceTest, DrainIsDeterministic) {
     return out.str();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(QueryServiceTest, HashTableGrowthStaysInTheSessionsRegion) {
+  const ServiceConfig config = TestConfig();
+  DatabaseConfig db_config;
+  db_config.extra_bytes = ServiceArenaBytes(config);
+  Database db(db_config);
+  TpchOptions options;
+  options.scale = 0.0002;
+  GenerateTpch(db, options);
+  // The self-join yields more groups than the group-by's table was sized for, so the table
+  // grows through kernel.ht_grow on every run.
+  const std::string sql =
+      "select a.l_orderkey, b.l_partkey, b.l_suppkey, count(*) from lineitem a, lineitem b "
+      "where a.l_linenumber = b.l_linenumber group by a.l_orderkey, b.l_partkey, b.l_suppkey "
+      "limit 2";
+  QueryService service(db, config);
+  std::vector<TicketId> runs;
+  for (int i = 0; i < 3; ++i) {
+    runs.push_back(service.Submit(PlanSql(db, sql), "self_join"));
+    service.Drain();
+  }
+
+  // The last run's state block is the first allocation of slot 0's state region; some table it
+  // points to holds more entries than it was created for.
+  const VMem& mem = db.mem();
+  VAddr state = 0;
+  for (const MemRegion& region : mem.regions()) {
+    if (region.name == "session0.state") {
+      state = region.base;
+    }
+  }
+  ASSERT_NE(state, 0u);
+  const QueryTicket& last = service.ticket(runs.back());
+  bool grew = false;
+  for (const ExecStep& step : last.plan->query.exec_steps) {
+    if (step.kind == ExecStep::Kind::kCreateHashTable) {
+      const VAddr table = mem.Read<uint64_t>(state + step.state_offset0);
+      grew |= HashTableView(mem, table).count() > step.ht_capacity;
+    }
+  }
+  EXPECT_TRUE(grew);
+
+  // Every growth chunk came from the session's own region, which each admission resets, so the
+  // runs are identical and the database's shared region was never touched.
+  // (The streams are compared as a predicate: gtest's line diff of two long streams that
+  // differ takes memory quadratic in their length.)
+  const QueryTicket& first = service.ticket(runs.front());
+  ASSERT_EQ(first.status, TicketStatus::kDone);
+  const std::string first_samples = DumpSamples(*first.session);
+  for (TicketId id : runs) {
+    const QueryTicket& run = service.ticket(id);
+    ASSERT_EQ(run.status, TicketStatus::kDone);
+    EXPECT_EQ(run.execute_cycles, first.execute_cycles) << "ticket " << id;
+    EXPECT_TRUE(DumpSamples(*run.session) == first_samples) << "ticket " << id;
+  }
+  EXPECT_EQ(mem.region(db.hashtables_region()).used, 0u);
 }
 
 }  // namespace

@@ -83,8 +83,6 @@ ALLOWED = {
     "unused ShardCatalog::order_rows": "the partition tests check each shard's orders split",
     "unused TableBuilder::SetDouble":
         "DOUBLE columns exist in storage; the storage and random-plan tests fill them",
-    "unused VMem::FindRegion":
-        "address-to-region lookup the memory-profile and VMem tests resolve addresses with",
     "unused VMem::regions": "the VMem and service tests enumerate the arena's regions",
     "unread ReplayRun::service_profile_text":
         "the replay differential tests compare the replay's rendered fleet profile with the "
